@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "kernel/kde_tree.hpp"
 #include "kernel/kernels.hpp"
 #include "memory/arena.hpp"
 #include "util/result.hpp"
@@ -41,21 +40,10 @@ class KernelDensityEstimator {
 
   double Evaluate(double x) const;
 
-  /// Tree-pruned evaluation (routed through the kd-tree, built lazily on
-  /// first use; buffers at or below KdeEvalTree::kLinearCutover run the
-  /// exact linear pass instead, which satisfies any tolerance). `tolerance`
-  /// is a certified absolute error bound on the returned density (see
-  /// kde_tree.hpp for the derivation); tolerance 0 is bit-identical to
-  /// Evaluate(x) and only prunes exactly.
-  double Evaluate(double x, double tolerance) const;
-
-  /// out[i] = f̂(xs[i]). With tolerance 0 (the default), each query runs the
-  /// linear windowed pass with the kernel terms gathered into contiguous
-  /// scratch and evaluated by the SIMD batch kernel — bit-identical to
-  /// Evaluate(xs[i]). With a positive tolerance, queries run tree-pruned
-  /// under the certified bound.
-  void EvaluateMany(std::span<const double> xs, std::span<double> out,
-                    double tolerance = 0.0) const;
+  /// out[i] = f̂(xs[i]): each query runs the linear windowed pass with the
+  /// kernel terms gathered into contiguous scratch and evaluated by the SIMD
+  /// batch kernel — bit-identical to Evaluate(xs[i]).
+  void EvaluateMany(std::span<const double> xs, std::span<double> out) const;
 
   /// Values on an inclusive uniform grid [lo, hi].
   std::vector<double> EvaluateOnGrid(double lo, double hi, size_t points) const;
@@ -64,24 +52,30 @@ class KernelDensityEstimator {
   /// baseline).
   double IntegrateRange(double a, double b) const;
 
-  /// The kernel CDF F̂(x) = n^{-1} Σ K_cdf((x - X_i)/h), evaluated over the
-  /// compact-support window only: samples whose kernel argument saturates
-  /// the CDF branch (u >= R → exactly 1, u <= -R → exactly 0) are counted or
-  /// skipped without a table lookup, found with the same predicate
-  /// arithmetic as the branches themselves — so the windowed sum is
-  /// bit-identical to IntegrateRange(-inf, x) at O(log n + window) instead
-  /// of O(n). The one-sided/CDF query path of the selectivity layer.
+  /// The kernel CDF F̂(x) = n^{-1} Σ K_cdf((x - X_i)/h). Samples whose
+  /// kernel argument saturates the CDF (u >= R → exactly 1, u <= -R →
+  /// exactly 0) are counted or skipped via two partition points that use the
+  /// Cdf branches' own comparisons; only the window between them is summed.
+  ///
+  /// Epanechnikov: O(log n + B). Whole blocks of B = 64 sorted samples
+  /// inside the window are covered by one cubic in their prefix moments
+  /// (see Moments()); only the ≤ 2(B−1) samples of the two partial blocks
+  /// are evaluated one by one. Exact to rounding (|Δ| ≤ 1e-12 against an
+  /// O(n) long-double sum, pinned by kernel_test). Data spread over more
+  /// than 1e6 bandwidths (or beyond 1e60 in range, or h below 1e-60) gets
+  /// no index and sums the window instead. Other kernels sum the window,
+  /// O(log n + window). The one-sided/CDF query path of the selectivity
+  /// layer.
   double CdfAt(double x) const;
 
-  /// Tree-pruned CDF (always routed through the kd-tree). tolerance 0 is
-  /// bit-identical to CdfAt(x); positive tolerances carry the certified
-  /// absolute bound of kde_tree.hpp.
-  double CdfAt(double x, double tolerance) const;
+  /// out[i] = CdfAt(xs[i]).
+  void CdfAtMany(std::span<const double> xs, std::span<double> out) const;
 
-  /// out[i] = CdfAt(xs[i]) — windowed + SIMD-gathered at tolerance 0
-  /// (bit-identical), tree-pruned otherwise.
-  void CdfAtMany(std::span<const double> xs, std::span<double> out,
-                 double tolerance = 0.0) const;
+  /// Builds the lazily cached block-moment index now (a no-op when built, or
+  /// for kernels that do not use it). CdfAt builds it on first use; an
+  /// estimator about to be shared by concurrent readers calls this (or any
+  /// CdfAt) once first, so readers never race to build it.
+  void PrepareCdf() const;
 
   double bandwidth() const { return bandwidth_; }
   const Kernel& kernel() const { return kernel_; }
@@ -91,12 +85,14 @@ class KernelDensityEstimator {
  private:
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
 
-  /// Lazily built on first pruned call and shared by copies (the tree stores
-  /// indices and aggregates only, so it is valid for any buffer with equal
-  /// contents). Never persisted: snapshot restore rebuilds on demand. Lazy
-  /// build follows the repo's warm-up contract — the first query through an
-  /// estimator refreshes lazy state before concurrent readers fan out.
-  const KdeEvalTree& Tree() const;
+  /// Double-double prefix sums of Σ(x_i − c)^k, k = 1..3, at every block
+  /// boundary (defined in kde.cpp). Lazily built, shared by copies (it holds
+  /// values only, valid for any buffer with equal contents), and never
+  /// persisted: snapshot restore rebuilds it on first use.
+  struct BlockMoments;
+  const BlockMoments& Moments() const;
+  /// Block size of the moment index: a constant, not an option.
+  static constexpr size_t kMomentBlock = 64;
 
   Kernel kernel_;
   double bandwidth_;
@@ -105,7 +101,7 @@ class KernelDensityEstimator {
   /// share the storage) and moves.
   memory::Arena samples_;
   std::span<const double> sorted_;
-  mutable std::shared_ptr<const KdeEvalTree> tree_;
+  mutable std::shared_ptr<const BlockMoments> moments_;
 };
 
 }  // namespace kernel

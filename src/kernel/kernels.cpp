@@ -31,24 +31,48 @@ double RadiusFor(KernelType type) {
   return type == KernelType::kGaussian ? 8.0 : 1.0;
 }
 
+// Closed-form antiderivatives ∫_{-R}^{u} K on the open support (-R, R). The
+// scalar Cdf and the batch CdfMany evaluate the same expressions.
+double BiweightCdfInterior(double u) {
+  const double u2 = u * u;
+  return 0.5 + 0.9375 * (u - (2.0 / 3.0) * (u2 * u) + 0.2 * (u2 * u2 * u));
+}
+
+double TriangularCdfInterior(double u) {
+  return u <= 0.0 ? 0.5 * (1.0 + u) * (1.0 + u) : 1.0 - 0.5 * (1.0 - u) * (1.0 - u);
+}
+
+double CdfInterior(KernelType type, double u) {
+  switch (type) {
+    case KernelType::kEpanechnikov:
+      return EpanechnikovCdfInterior(u);
+    case KernelType::kGaussian:
+      return numerics::NormalCdf(u);
+    case KernelType::kBiweight:
+      return BiweightCdfInterior(u);
+    case KernelType::kTriangular:
+      return TriangularCdfInterior(u);
+  }
+  return 0.0;
+}
+
+// out[i] = Cdf(us[i]) for one polynomial kernel: the interior closed form on
+// every lane (finite for every finite u), then the comparisons Cdf() branches
+// on select the saturated 0 or 1.
+template <double (*Interior)(double)>
+void SaturatedCdfMany(std::span<const double> us, std::span<double> out, double radius) {
+  const size_t n = us.size();
+  WDE_SIMD_LOOP
+  for (size_t i = 0; i < n; ++i) {
+    const double u = us[i];
+    const double c = Interior(u);
+    out[i] = u <= -radius ? 0.0 : (u >= radius ? 1.0 : c);
+  }
+}
+
 }  // namespace
 
 Kernel::Kernel(KernelType type) : type_(type), radius_(RadiusFor(type)) {
-  // CDF table on [-R, R].
-  const size_t kCdfPoints = 4097;
-  const double cdf_dx = 2.0 * radius_ / static_cast<double>(kCdfPoints - 1);
-  std::vector<double> density(kCdfPoints);
-  for (size_t i = 0; i < kCdfPoints; ++i) {
-    density[i] = RawKernel(type_, -radius_ + cdf_dx * static_cast<double>(i));
-  }
-  std::vector<double> cdf = numerics::CumulativeTrapezoid(density, cdf_dx);
-  // Normalize the tail to exactly 1 so range estimates telescope cleanly.
-  const double total = cdf.back();
-  WDE_CHECK_GT(total, 0.99);
-  for (double& c : cdf) c /= total;
-  cdf_table_ = std::make_shared<const numerics::UniformGridInterpolator>(
-      -radius_, cdf_dx, std::move(cdf));
-
   // Self-convolution table on [-2R, 2R]; by symmetry compute t >= 0 and
   // mirror.
   const size_t kConvPoints = 2049;
@@ -115,33 +139,26 @@ void Kernel::EvaluateMany(std::span<const double> us, std::span<double> out) con
 double Kernel::Cdf(double u) const {
   if (u <= -radius_) return 0.0;
   if (u >= radius_) return 1.0;
-  return cdf_table_->Evaluate(u);
+  return CdfInterior(type_, u);
 }
 
 void Kernel::CdfMany(std::span<const double> us, std::span<double> out) const {
   WDE_CHECK_EQ(us.size(), out.size(), "CdfMany spans must match");
-  const double radius = radius_;
-  const double x0 = cdf_table_->x0();
-  const double dx = cdf_table_->dx();
-  const double* values = cdf_table_->values().data();
-  const size_t n = cdf_table_->values().size();
-  const double t_max = static_cast<double>(n - 1);
-  const size_t count = us.size();
-  WDE_SIMD_LOOP
-  for (size_t i = 0; i < count; ++i) {
-    const double u = us[i];
-    // Interior lanes reproduce UniformGridInterpolator::EvaluateOn bit for
-    // bit; saturated lanes compute a clamped (valid, discarded) lookup and
-    // are overridden by the same comparisons Cdf() branches on.
-    const double t = (u - x0) / dx;
-    const bool inside = t >= 0.0 && t <= t_max;
-    const double tc = inside ? t : 0.0;
-    size_t idx = static_cast<size_t>(tc);
-    idx = idx < n - 2 ? idx : n - 2;
-    const double frac = tc - static_cast<double>(idx);
-    const double v = values[idx] * (1.0 - frac) + values[idx + 1] * frac;
-    const double interp = !inside ? 0.0 : (t >= t_max ? values[n - 1] : v);
-    out[i] = u <= -radius ? 0.0 : (u >= radius ? 1.0 : interp);
+  // One loop per kernel type, as in EvaluateMany.
+  switch (type_) {
+    case KernelType::kEpanechnikov:
+      SaturatedCdfMany<EpanechnikovCdfInterior>(us, out, radius_);
+      break;
+    case KernelType::kGaussian:
+      // erfc keeps this one scalar.
+      for (size_t i = 0; i < us.size(); ++i) out[i] = Cdf(us[i]);
+      break;
+    case KernelType::kBiweight:
+      SaturatedCdfMany<BiweightCdfInterior>(us, out, radius_);
+      break;
+    case KernelType::kTriangular:
+      SaturatedCdfMany<TriangularCdfInterior>(us, out, radius_);
+      break;
   }
 }
 

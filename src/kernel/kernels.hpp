@@ -12,12 +12,19 @@ namespace kernel {
 
 enum class KernelType { kEpanechnikov, kGaussian, kBiweight, kTriangular };
 
+/// Interior closed form of the Epanechnikov CDF, ½ + ¾u − ¼u³ on (−1, 1).
+/// Kernel::Cdf/CdfMany and the KDE's block-moment CDF evaluate their
+/// per-sample terms with exactly this expression.
+inline double EpanechnikovCdfInterior(double u) {
+  return 0.5 + 0.75 * u - 0.25 * (u * u * u);
+}
+
 /// A symmetric probability kernel K with unit mass. Provides the kernel
 /// itself, its CDF (for selectivity/range queries), and its self-convolution
-/// K*K (for the exact ∫f̂² term of least-squares cross-validation). CDF and
-/// self-convolution are precomputed numerically on fine grids, which keeps
-/// the class kernel-agnostic; closed forms exist for the shipped kernels and
-/// are used as test oracles.
+/// K*K (for the exact ∫f̂² term of least-squares cross-validation). The CDF
+/// is the closed-form antiderivative of each shipped kernel (NormalCdf for
+/// the Gaussian); the self-convolution is precomputed numerically on a fine
+/// grid, with its closed forms used as test oracles.
 class Kernel {
  public:
   explicit Kernel(KernelType type);
@@ -33,13 +40,13 @@ class Kernel {
   /// Gaussian).
   double support_radius() const { return radius_; }
 
-  /// ∫_{-∞}^{u} K.
+  /// ∫_{-∞}^{u} K in closed form; exactly 0 for u <= -R and exactly 1 for
+  /// u >= R, so range estimates telescope cleanly.
   double Cdf(double u) const;
 
-  /// out[i] = Cdf(us[i]) bit-identically. The scalar saturation branches are
-  /// rewritten as selects over clamped table indices so the loop is branch-
-  /// free and SIMD-annotated; interior lookups use the exact interpolation
-  /// arithmetic of UniformGridInterpolator::EvaluateOn.
+  /// out[i] = Cdf(us[i]) bit-identically. The saturation branches are
+  /// rewritten as selects over the interior polynomial so the per-type loop
+  /// is branch-free and SIMD-annotated (the Gaussian's erfc stays scalar).
   void CdfMany(std::span<const double> us, std::span<double> out) const;
 
   /// (K*K)(t) = ∫ K(u) K(t-u) du, supported on [-2R, 2R].
@@ -54,7 +61,6 @@ class Kernel {
  private:
   KernelType type_;
   double radius_;
-  std::shared_ptr<const numerics::UniformGridInterpolator> cdf_table_;
   std::shared_ptr<const numerics::UniformGridInterpolator> conv_table_;
 };
 

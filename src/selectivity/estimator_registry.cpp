@@ -90,15 +90,10 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeKde(const EstimatorSpec& spec)
   if (spec.refit_interval == 0) {
     return Status::InvalidArgument("spec 'kde-rot': refit_interval must be positive");
   }
-  if (!std::isfinite(spec.kde_eval_tolerance) || spec.kde_eval_tolerance < 0.0) {
-    return Status::InvalidArgument(
-        "spec 'kde-rot': kde_eval_tolerance must be finite and >= 0");
-  }
   KdeSelectivity::Options options;
   options.domain_lo = spec.domain_lo;
   options.domain_hi = spec.domain_hi;
   options.refit_interval = spec.refit_interval;
-  options.eval_tolerance = spec.kde_eval_tolerance;
   options.refit_mode = spec.refit_mode;
   return std::unique_ptr<SelectivityEstimator>(
       std::make_unique<KdeSelectivity>(options));

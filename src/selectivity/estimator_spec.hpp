@@ -35,7 +35,7 @@ class SelectivityEstimator;
 ///   "equi-width"     — buckets
 ///   "equi-depth"     — buckets, refit_mode
 ///   "haar-synopsis"  — grid_log2, budget, refit_interval (rebuild cadence)
-///   "kde-rot"        — refit_interval, kde_eval_tolerance, refit_mode
+///   "kde-rot"        — refit_interval, refit_mode
 ///   "wavelet-cv"     — filter, table_levels, j0, j_max, soft_threshold,
 ///                      refit_interval, refit_mode
 ///   "reservoir"      — capacity, seed
@@ -81,10 +81,6 @@ struct EstimatorSpec {
   /// Refit pacing: the wavelet/KDE refit interval and the synopsis rebuild
   /// interval.
   size_t refit_interval = 1024;
-
-  /// KDE tree-pruned evaluation: certified absolute error budget per CDF
-  /// endpoint (KdeSelectivity::Options::eval_tolerance); 0 answers exactly.
-  double kde_eval_tolerance = 0.0;
 
   /// 2-D product KDE ("kde2d-prod"): adaptive-bandwidth sensitivity α in
   /// [0, 1] — per-point bandwidth factors λ_i = (pilot_i / g)^(-α), 0

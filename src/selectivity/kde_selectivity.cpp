@@ -10,14 +10,42 @@
 
 namespace wde {
 namespace selectivity {
+namespace {
+
+// The rule-of-thumb Epanechnikov KDE over an ascending buffer, which it
+// adopts as its sample storage. The bandwidth comes from sorted order
+// statistics in O(1), so it is bitwise-reproducible from the sorted multiset
+// alone (insertion order never enters).
+std::optional<kernel::KernelDensityEstimator> FitSorted(
+    std::shared_ptr<std::vector<double>> buffer) {
+  const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
+  const std::span<const double> sorted(buffer->data(), buffer->size());
+  Result<kernel::KernelDensityEstimator> kde =
+      kernel::KernelDensityEstimator::FromSorted(
+          kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth, sorted,
+          std::move(buffer));
+  if (!kde.ok()) return std::nullopt;
+  return std::move(kde).value();
+}
+
+}  // namespace
+
+void KdeSelectivity::MaterializeValues() {
+  if (!sorted_view_) return;
+  const std::span<const double> sorted = kde_->samples();
+  values_.assign(sorted.begin(), sorted.end());
+  sorted_view_ = false;
+}
 
 void KdeSelectivity::Insert(double x) {
   if (!std::isfinite(x)) return;
+  MaterializeValues();
   values_.push_back(std::clamp(x, options_.domain_lo, options_.domain_hi));
 }
 
 void KdeSelectivity::InsertBatch(std::span<const double> xs) {
   if (xs.empty()) return;
+  MaterializeValues();
   // No exact-fit reserve: amortized vector growth beats a
   // reallocate-per-chunk pattern under repeated batch ingestion.
   for (double x : xs) {
@@ -27,17 +55,32 @@ void KdeSelectivity::InsertBatch(std::span<const double> xs) {
 }
 
 void KdeSelectivity::RefitIfStale() const {
-  if (values_.size() < 4) return;
-  if (kde_.has_value() && values_.size() - fitted_at_count_ < options_.refit_interval) {
-    return;
+  if (count() < 4) return;
+  // A view is fitted at its full count, so it never reaches Refit().
+  if (!kde_.has_value() || count() - fitted_at_count_ >= options_.refit_interval) {
+    Refit();
   }
-  Refit();
+  // The first query of any kind primes the CDF index, so a batch fanned out
+  // across threads after one warm-up query only reads it.
+  if (kde_.has_value()) kde_->PrepareCdf();
 }
 
 void KdeSelectivity::ForceRefitImpl() const {
-  if (values_.size() < 4) return;
-  if (kde_.has_value() && fitted_at_count_ == values_.size()) return;
+  if (count() < 4) return;
+  if (kde_.has_value() && fitted_at_count_ == count()) return;
   Refit();
+}
+
+std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneForView() const {
+  ForceRefit();
+  if (!kde_.has_value() || fitted_at_count_ != count()) {
+    return std::make_unique<KdeSelectivity>(*this);  // nothing fitted
+  }
+  auto view = std::make_unique<KdeSelectivity>(options_);
+  view->kde_ = kde_;
+  view->fitted_at_count_ = fitted_at_count_;
+  view->sorted_view_ = true;
+  return view;
 }
 
 void KdeSelectivity::Refit() const {
@@ -65,24 +108,11 @@ void KdeSelectivity::Refit() const {
     buffer->assign(values_.begin(), values_.end());
     std::sort(buffer->begin(), buffer->end());
   }
-  // Bandwidth from sorted order statistics: O(1) quartiles off the buffer
-  // both modes just built, and bitwise-reproducible from the sorted multiset
-  // alone (insertion order never enters).
-  const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
-  Result<kernel::KernelDensityEstimator> kde =
-      kernel::KernelDensityEstimator::FromSorted(
-          kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
-          std::span<const double>(buffer->data(), buffer->size()), buffer);
-  if (kde.ok()) {
-    kde_ = std::move(kde).value();
+  std::optional<kernel::KernelDensityEstimator> kde = FitSorted(std::move(buffer));
+  if (kde.has_value()) {
+    kde_ = std::move(kde);
     fitted_at_count_ = values_.size();
   }
-}
-
-double KdeSelectivity::FittedCdf(double x) const {
-  return options_.eval_tolerance > 0.0
-             ? kde_->CdfAt(x, options_.eval_tolerance)
-             : kde_->CdfAt(x);
 }
 
 double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
@@ -97,17 +127,13 @@ double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
     return static_cast<double>(hits) / static_cast<double>(values_.size());
   }
   if (a == -std::numeric_limits<double>::infinity()) {
-    // The Less/Cdf lowering: the windowed kernel antiderivative is
-    // bit-identical to IntegrateRange(-inf, b) (see CdfAt) and touches only
-    // the samples inside the kernel support around b.
-    return std::clamp(FittedCdf(b), 0.0, 1.0);
+    // The Less/Cdf lowering: one kernel-CDF endpoint.
+    return std::clamp(kde_->CdfAt(b), 0.0, 1.0);
   }
-  // CDF difference instead of the per-sample IntegrateRange sum: each
-  // endpoint touches only its kernel window (O(log n + window) vs O(n));
-  // the difference-of-sums vs sum-of-differences reassociation moves the
-  // result by at most n·ulp, well inside every accuracy contract, and the
-  // batch path below uses the identical expression.
-  return std::clamp(FittedCdf(b) - FittedCdf(a), 0.0, 1.0);
+  // CDF difference instead of the O(n) per-sample IntegrateRange sum: each
+  // endpoint is O(log n + 64); the batch path below uses the identical
+  // expression.
+  return std::clamp(kde_->CdfAt(b) - kde_->CdfAt(a), 0.0, 1.0);
 }
 
 std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneEmpty() const {
@@ -124,7 +150,9 @@ Status KdeSelectivity::MergeFrom(const SelectivityEstimator& other) {
       options_.domain_hi != rhs.options_.domain_hi) {
     return Status::FailedPrecondition("MergeFrom: kde options mismatch");
   }
-  values_.insert(values_.end(), rhs.values_.begin(), rhs.values_.end());
+  MaterializeValues();
+  const std::span<const double> incoming = rhs.Values();
+  values_.insert(values_.end(), incoming.begin(), incoming.end());
   kde_.reset();  // refit from the merged buffer at the next query
   fitted_at_count_ = 0;
   return Status::OK();
@@ -139,11 +167,16 @@ Status KdeSelectivity::MergeTailFrom(const SelectivityEstimator& other,
       options_.domain_hi != rhs.options_.domain_hi) {
     return Status::FailedPrecondition("MergeTailFrom: kde options mismatch");
   }
+  if (rhs.sorted_view_) {
+    return Status::FailedPrecondition(
+        "MergeTailFrom: peer is a sorted view without stream positions");
+  }
   if (from_count > rhs.values_.size()) {
     return Status::InvalidArgument("MergeTailFrom: from_count past peer count");
   }
   // Append only the peer's tail; the fitted KDE stays (stale) so the next
   // refit delta-merges instead of rebuilding.
+  MaterializeValues();
   values_.insert(values_.end(), rhs.values_.begin() + static_cast<ptrdiff_t>(from_count),
                  rhs.values_.end());
   return Status::OK();
@@ -154,11 +187,10 @@ Status KdeSelectivity::SaveStateImpl(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, values_));
-  // Format v2 tail (the kd-tree itself is never persisted — it rebuilds
-  // lazily from the restored buffer); v1 payloads simply end at the vector
-  // and load with the tolerance defaulted to exact.
-  return io::WriteDouble(sink, options_.eval_tolerance);
+  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, Values()));
+  // Format v2 tail: the retired tree-evaluation tolerance, always 0.0 (every
+  // answer is exact now); v1 payloads simply end at the vector.
+  return io::WriteDouble(sink, 0.0);
 }
 
 Status KdeSelectivity::LoadStateImpl(io::Source& source) {
@@ -168,18 +200,22 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(source));
   WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at_count, io::ReadU64(source));
   WDE_ASSIGN_OR_RETURN(std::vector<double> values, io::ReadDoubleVector(source));
-  if (source.remaining() != 0) {  // v2 tail; absent in v1 payloads
-    WDE_ASSIGN_OR_RETURN(options.eval_tolerance, io::ReadDouble(source));
+  double tolerance = 0.0;  // v2 tail; absent in v1 payloads
+  if (source.remaining() != 0) {
+    WDE_ASSIGN_OR_RETURN(tolerance, io::ReadDouble(source));
   }
+  // The retired tolerance is validated, then ignored: snapshots saved with a
+  // positive tolerance restore as exact.
   if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
       !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      !std::isfinite(options.eval_tolerance) || options.eval_tolerance < 0.0 ||
+      !std::isfinite(tolerance) || tolerance < 0.0 ||
       fitted_at_count > values.size() || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt kde snapshot");
   }
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   values_ = std::move(values);
+  sorted_view_ = false;
   kde_.reset();
   fitted_at_count_ = 0;
   // Refit from the prefix the saved estimator had fitted on (the buffer only
@@ -191,15 +227,8 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
     auto buffer = std::make_shared<std::vector<double>>(
         values_.begin(), values_.begin() + static_cast<ptrdiff_t>(fitted_at_count));
     std::sort(buffer->begin(), buffer->end());
-    const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
-    Result<kernel::KernelDensityEstimator> kde =
-        kernel::KernelDensityEstimator::FromSorted(
-            kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
-            std::span<const double>(buffer->data(), buffer->size()), buffer);
-    if (kde.ok()) {
-      kde_ = std::move(kde).value();
-      fitted_at_count_ = static_cast<size_t>(fitted_at_count);
-    }
+    kde_ = FitSorted(std::move(buffer));
+    if (kde_.has_value()) fitted_at_count_ = static_cast<size_t>(fitted_at_count);
   }
   return Status::OK();
 }
@@ -208,12 +237,12 @@ Status KdeSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) const 
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.refit_interval));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.eval_tolerance));
+  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), 0.0));  // see SaveStateImpl
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), values_.size()));
+  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), count()));
   const bool has_kde = kde_.has_value();
   WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), has_kde ? 1 : 0));
-  writer.AddF64(values_);
+  writer.AddF64(Values());
   if (has_kde) {
     // The already-sorted fitted buffer plus its bandwidth: restore adopts
     // both verbatim instead of re-sorting and re-deriving.
@@ -228,7 +257,7 @@ Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.eval_tolerance, io::ReadDouble(reader.head()));
+  WDE_ASSIGN_OR_RETURN(const double tolerance, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t n_values, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint8_t has_kde, io::ReadU8(reader.head()));
@@ -241,9 +270,10 @@ Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
   if (has_kde == 1) {
     expected.push_back({memory::ColumnKind::kF64, static_cast<size_t>(fitted_at)});
   }
+  // The retired tolerance is validated, then ignored (see LoadStateImpl).
   if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
       !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      !std::isfinite(options.eval_tolerance) || options.eval_tolerance < 0.0 ||
+      !std::isfinite(tolerance) || tolerance < 0.0 ||
       has_kde > 1 || fitted_at > n_values ||
       (has_kde == 1 && !(std::isfinite(bandwidth) && bandwidth > 0.0)) ||
       reader.head().remaining() != 0 ||
@@ -265,6 +295,7 @@ Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   values_.assign(values.begin(), values.end());
+  sorted_view_ = false;
   kde_ = std::move(kde);
   fitted_at_count_ = kde_.has_value() ? static_cast<size_t>(fitted_at) : 0;
   return Status::OK();
@@ -285,7 +316,7 @@ void KdeSelectivity::AnswerImpl(std::span<const Query> queries,
     switch (q.kind) {
       case QueryKind::kLess:
       case QueryKind::kCdf:
-        out[i] = std::clamp(FittedCdf(q.a), 0.0, 1.0);
+        out[i] = std::clamp(kde_->CdfAt(q.a), 0.0, 1.0);
         break;
       case QueryKind::kQuantile:
         out[i] = QuantileByBisection(q.a);
@@ -299,7 +330,7 @@ void KdeSelectivity::AnswerImpl(std::span<const Query> queries,
         break;
       default: {
         const RangeQuery r = LowerToRange(q);
-        out[i] = std::clamp(FittedCdf(r.hi) - FittedCdf(r.lo), 0.0, 1.0);
+        out[i] = std::clamp(kde_->CdfAt(r.hi) - kde_->CdfAt(r.lo), 0.0, 1.0);
         break;
       }
     }

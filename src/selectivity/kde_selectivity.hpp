@@ -13,16 +13,10 @@ namespace selectivity {
 /// Kernel-density selectivity baseline: buffers the stream (unlike the
 /// wavelet sketch it is NOT bounded-memory), rebuilds an Epanechnikov KDE
 /// with the rule-of-thumb bandwidth when stale, and answers every range as a
-/// difference of windowed kernel antiderivatives
-/// (KernelDensityEstimator::CdfAt — O(log n + window) per endpoint instead
-/// of the former O(n) per-sample IntegrateRange sum; one-sided/CDF kinds use
-/// a single endpoint, bit-identical to the (-inf, x] lowering).
-///
-/// With `Options::eval_tolerance > 0` the endpoints run tree-pruned under
-/// the kd-tree's certified bound (kde_tree.hpp), so a range answer deviates
-/// from the exact kernel CDF difference by at most 2·eval_tolerance (one
-/// bound per endpoint) before clamping. Tolerance 0 — the default, and what
-/// every equivalence suite pins — is bit-identical to the exact path.
+/// difference of kernel antiderivatives (KernelDensityEstimator::CdfAt —
+/// O(log n + 64) per endpoint from the block prefix-moment index; one-sided/
+/// CDF kinds use a single endpoint, bit-identical to the (-inf, x]
+/// lowering).
 ///
 /// Mergeable: the sample buffers concatenate in merge order and the KDE
 /// refits from the merged buffer. Answers depend only on the *sorted
@@ -41,16 +35,21 @@ namespace selectivity {
 /// CloneForView copies and snapshot arenas, so a refit never mutates them).
 /// Both modes derive the bandwidth from the same sorted sequence, so their
 /// answers are bitwise-identical (refit_equivalence_test).
+///
+/// Sorted-only views: CloneForView() force-refits this estimator (the
+/// incremental tail merge) and returns a copy holding only the shared fitted
+/// KDE — no copy of the raw stream. A view's raw values ARE its sorted
+/// buffer, which changes nothing it answers (answers depend only on the
+/// sorted multiset). count(), SaveState/SaveFastState and MergeFrom-as-
+/// source read the sorted buffer; Insert/InsertBatch/MergeFrom/MergeTailFrom
+/// into a view first copy it back into the raw buffer. A view cannot be the
+/// peer of MergeTailFrom: stream positions mean nothing on a sorted buffer.
 class KdeSelectivity : public SelectivityEstimator {
  public:
   struct Options {
     double domain_lo = 0.0;
     double domain_hi = 1.0;
     size_t refit_interval = 1024;
-    /// Certified absolute error budget per CDF endpoint for tree-pruned
-    /// evaluation; 0 (default) answers exactly. Like refit_interval this is
-    /// an evaluation knob, not part of the merge-compatibility key.
-    double eval_tolerance = 0.0;
     /// How refits rebuild the sorted sample buffer (see the class comment).
     /// A pacing knob like refit_interval: not serialized, not part of the
     /// merge-compatibility key; snapshot restore preserves the live mode.
@@ -65,7 +64,9 @@ class KdeSelectivity : public SelectivityEstimator {
   /// contents to the scalar loop.
   void InsertBatch(std::span<const double> xs) override;
 
-  size_t count() const override { return values_.size(); }
+  size_t count() const override {
+    return sorted_view_ ? kde_->sample_size() : values_.size();
+  }
   std::string name() const override { return "kde-rot"; }
 
   /// The KDE's natural resolution is its bandwidth, but the bandwidth moves
@@ -84,7 +85,8 @@ class KdeSelectivity : public SelectivityEstimator {
   Status MergeFrom(const SelectivityEstimator& other) override;
   /// Tail-merge support for the sharded incremental merged-view refresh:
   /// appends only other's values from `from_count` onward and leaves the
-  /// fitted KDE intact (stale) for the next refit to delta-merge.
+  /// fitted KDE intact (stale) for the next refit to delta-merge. Fails when
+  /// `other` is a sorted-only view.
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
@@ -93,16 +95,14 @@ class KdeSelectivity : public SelectivityEstimator {
 
   bool supports_fast_snapshot() const override { return true; }
 
-  /// The copy shares the fitted KDE's sorted sample arena copy-on-write
-  /// (and its lazily built kd-tree, which copies share by design).
-  std::unique_ptr<SelectivityEstimator> CloneForView() const override {
-    return std::make_unique<KdeSelectivity>(*this);
-  }
+  /// Force-refits this estimator, then returns a sorted-only view sharing
+  /// the fitted KDE (sorted buffer and moment index) — see the class
+  /// comment. Below four values nothing is fitted and the copy is plain.
+  std::unique_ptr<SelectivityEstimator> CloneForView() const override;
 
  protected:
-  /// clamp(F̂(b) − F̂(a)) from the windowed (or tree-pruned, when
-  /// eval_tolerance > 0) kernel CDF; a (-inf, x] range (the Less/Cdf
-  /// lowering) is a single endpoint.
+  /// clamp(F̂(b) − F̂(a)) from the kernel CDF; a (-inf, x] range (the
+  /// Less/Cdf lowering) is a single endpoint.
   double EstimateRangeImpl(double a, double b) const override;
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
@@ -129,11 +129,19 @@ class KdeSelectivity : public SelectivityEstimator {
   void RefitIfStale() const;
   /// Unconditional refit at the current count, honoring refit_mode.
   void Refit() const;
-  /// Fitted kernel CDF at x, honoring eval_tolerance. Requires kde_.
-  double FittedCdf(double x) const;
+  /// The raw observations: values_, or the sorted buffer on a view.
+  std::span<const double> Values() const {
+    return sorted_view_ ? kde_->samples() : std::span<const double>(values_);
+  }
+  /// Turns a sorted-only view back into a writer: values_ = sorted buffer.
+  void MaterializeValues();
 
   Options options_;
+  /// Raw observations in arrival order; empty on a sorted-only view.
   std::vector<double> values_;
+  /// True on a sorted-only view: kde_ is fitted at the full count and its
+  /// sorted buffer stands in for values_.
+  bool sorted_view_ = false;
   mutable std::optional<kernel::KernelDensityEstimator> kde_;
   mutable size_t fitted_at_count_ = 0;
 };

@@ -262,25 +262,17 @@ TEST(BatchEquivalenceTest, KdeEvaluateManyAndCdfAtManyMatchScalarBitwise) {
     ASSERT_TRUE(kde.ok());
     const std::vector<double> xs = ProbePoints(rng, 400, -0.5, 1.5);
     std::vector<double> batch(xs.size());
-    // tolerance 0 (the default): the SIMD-gathered windowed pass must be
-    // bit-identical to the scalar evaluation; positive tolerances must
-    // dispatch to the same tree-pruned path the scalar overload runs.
-    for (double tol : {0.0, 1e-4}) {
-      kde->EvaluateMany(xs, batch, tol);
-      for (size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_EQ(batch[i], kde->Evaluate(xs[i], tol))
-            << kde->kernel().name() << " tol=" << tol << " x=" << xs[i];
-      }
-      kde->CdfAtMany(xs, batch, tol);
-      for (size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_EQ(batch[i], kde->CdfAt(xs[i], tol))
-            << kde->kernel().name() << " tol=" << tol << " x=" << xs[i];
-      }
+    // The SIMD-gathered windowed density pass and the batch CDF must be
+    // bit-identical to their scalar entry points.
+    kde->EvaluateMany(xs, batch);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(batch[i], kde->Evaluate(xs[i]))
+          << kde->kernel().name() << " x=" << xs[i];
     }
-    // And tolerance 0 equals the plain scalar entry points.
-    for (double x : xs) {
-      EXPECT_EQ(kde->Evaluate(x, 0.0), kde->Evaluate(x));
-      EXPECT_EQ(kde->CdfAt(x, 0.0), kde->CdfAt(x));
+    kde->CdfAtMany(xs, batch);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(batch[i], kde->CdfAt(xs[i]))
+          << kde->kernel().name() << " x=" << xs[i];
     }
   }
 }
@@ -346,42 +338,6 @@ TEST(BatchEquivalenceTest, KdeSelectivityBatchOverrides) {
   selectivity::KdeSelectivity scalar(options);
   selectivity::KdeSelectivity batch(options);
   ExpectStreamEquivalence(&scalar, &batch, 2002);
-}
-
-TEST(BatchEquivalenceTest, KdeSelectivityBoundedToleranceBatchOverrides) {
-  // The bounded tree-pruned evaluation mode must satisfy the same
-  // batch-equals-scalar bitwise contract as the exact default.
-  selectivity::KdeSelectivity::Options options;
-  options.refit_interval = 100;
-  options.eval_tolerance = 1e-5;
-  selectivity::KdeSelectivity scalar(options);
-  selectivity::KdeSelectivity batch(options);
-  ExpectStreamEquivalence(&scalar, &batch, 2112);
-}
-
-TEST(BatchEquivalenceTest, KdeSelectivityToleranceContractVsExact) {
-  // A range answer is CdfAt(hi) − CdfAt(lo), each endpoint within the
-  // certified eval_tolerance of exact, so the bounded estimator may deviate
-  // from the exact one by at most 2·tolerance (plus rounding slack).
-  const double tol = 1e-4;
-  selectivity::KdeSelectivity::Options exact_options;
-  selectivity::KdeSelectivity::Options bounded_options;
-  bounded_options.eval_tolerance = tol;
-  selectivity::KdeSelectivity exact(exact_options);
-  selectivity::KdeSelectivity bounded(bounded_options);
-  stats::Rng rng(2222);
-  std::vector<double> values(4000);
-  for (double& v : values) v = rng.UniformDouble();
-  exact.InsertBatch(values);
-  bounded.InsertBatch(values);
-  const std::vector<selectivity::RangeQuery> queries =
-      selectivity::UniformRangeWorkload(rng, 200, -0.1, 1.1);
-  for (const selectivity::RangeQuery& q : queries) {
-    EXPECT_LE(std::fabs(bounded.EstimateRange(q.lo, q.hi) -
-                        exact.EstimateRange(q.lo, q.hi)),
-              2.0 * tol + 1e-12)
-        << "[" << q.lo << ", " << q.hi << "]";
-  }
 }
 
 TEST(BatchEquivalenceTest, DefaultBatchImplementations) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "kernel/bandwidth.hpp"
@@ -63,6 +65,47 @@ TEST_P(KernelSweepTest, EvaluateManyBitIdenticalToScalar) {
   }
 }
 
+// Independently written antiderivatives ∫_{-R}^{u} K, for |u| < R.
+double ReferenceCdf(KernelType type, double u) {
+  switch (type) {
+    case KernelType::kEpanechnikov:
+      return (2.0 + 3.0 * u - u * u * u) / 4.0;
+    case KernelType::kGaussian:
+      return 0.5 * std::erfc(-u / std::sqrt(2.0));
+    case KernelType::kBiweight:
+      return (8.0 + 15.0 * u - 10.0 * std::pow(u, 3) + 3.0 * std::pow(u, 5)) / 16.0;
+    case KernelType::kTriangular:
+      return u < 0.0 ? (1.0 + u) * (1.0 + u) / 2.0 : 1.0 - (1.0 - u) * (1.0 - u) / 2.0;
+  }
+  return 0.0;
+}
+
+TEST_P(KernelSweepTest, CdfIsTheClosedFormAntiderivative) {
+  const Kernel k(GetParam());
+  const double r = k.support_radius();
+  double prev = 0.0;
+  for (int i = -1000; i <= 1000; ++i) {
+    const double u = r * static_cast<double>(i) / 1000.0;
+    const double c = k.Cdf(u);
+    if (std::fabs(u) < r) {
+      EXPECT_NEAR(c, ReferenceCdf(GetParam(), u), 1e-15) << k.name() << " u=" << u;
+    }
+    EXPECT_GE(c, prev) << k.name() << " u=" << u;  // monotone
+    prev = c;
+  }
+  // Exact saturation at ±R, continuous into it.
+  EXPECT_EQ(k.Cdf(-r), 0.0);
+  EXPECT_EQ(k.Cdf(r), 1.0);
+  EXPECT_NEAR(k.Cdf(std::nextafter(r, 0.0)), 1.0, 1e-14);
+  EXPECT_NEAR(k.Cdf(std::nextafter(-r, 0.0)), 0.0, 1e-14);
+  // The CDF's derivative is the kernel.
+  for (double u : {-0.7 * r, -0.2 * r, 0.1 * r, 0.55 * r}) {
+    const double d = 1e-6;
+    EXPECT_NEAR((k.Cdf(u + d) - k.Cdf(u - d)) / (2.0 * d), k.Evaluate(u), 1e-8)
+        << k.name() << " u=" << u;
+  }
+}
+
 TEST_P(KernelSweepTest, SelfConvolutionIsADensity) {
   const Kernel k(GetParam());
   const double mass = numerics::IntegrateFunction(
@@ -86,7 +129,7 @@ TEST(EpanechnikovTest, ClosedFormValues) {
   EXPECT_DOUBLE_EQ(k.Evaluate(1.1), 0.0);
   // CDF closed form: (2 + 3u − u³)/4.
   for (double u : {-0.5, 0.0, 0.3, 0.9}) {
-    EXPECT_NEAR(k.Cdf(u), 0.25 * (2.0 + 3.0 * u - u * u * u), 1e-6);
+    EXPECT_NEAR(k.Cdf(u), 0.25 * (2.0 + 3.0 * u - u * u * u), 1e-15);
   }
   // Roughness ∫K² = 3/5.
   EXPECT_NEAR(k.Roughness(), 0.6, 1e-5);
@@ -180,6 +223,171 @@ TEST(KdeTest, GridEvaluationMatchesPointwise) {
   const std::vector<double> grid = kde->EvaluateOnGrid(0.0, 1.0, 11);
   for (size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(grid[i], kde->Evaluate(0.1 * static_cast<double>(i)));
+  }
+}
+
+// ------------------------------------------------- KDE CDF vs long double
+
+// The O(n) oracle: every sample's closed-form Epanechnikov CDF term in long
+// double, saturating at |u| >= 1.
+double OracleEpanechnikovCdf(const std::vector<double>& data, double h,
+                             double x) {
+  long double acc = 0.0L;
+  for (double xi : data) {
+    const long double u =
+        (static_cast<long double>(x) - static_cast<long double>(xi)) / h;
+    if (u >= 1.0L) {
+      acc += 1.0L;
+    } else if (u > -1.0L) {
+      acc += 0.5L + 0.75L * u - 0.25L * u * u * u;
+    }
+  }
+  return static_cast<double>(acc / static_cast<long double>(data.size()));
+}
+
+// Uniform probes overhanging the data's range by a fifth on each side, plus
+// queries exactly at samples and at x_i ± h (the saturation boundaries),
+// from a spread subset of the samples.
+std::vector<double> OracleQueries(const std::vector<double>& data, double h,
+                                  size_t uniform, size_t per_sample) {
+  stats::Rng rng(41);
+  const auto [min, max] = std::minmax_element(data.begin(), data.end());
+  const double margin = 0.2 * (*max - *min);
+  std::vector<double> xs;
+  for (size_t i = 0; i < uniform; ++i) {
+    xs.push_back(rng.Uniform(*min - margin, *max + margin));
+  }
+  const size_t stride = std::max<size_t>(1, data.size() / per_sample);
+  for (size_t i = 0; i < data.size(); i += stride) {
+    xs.push_back(data[i]);
+    xs.push_back(data[i] + h);
+    xs.push_back(data[i] - h);
+  }
+  return xs;
+}
+
+void ExpectCdfMatchesOracle(const std::vector<double>& data, double h,
+                            size_t uniform, size_t per_sample) {
+  const auto kde =
+      KernelDensityEstimator::Create(Kernel(KernelType::kEpanechnikov), h, data);
+  ASSERT_TRUE(kde.ok());
+  double worst = 0.0;
+  for (double x : OracleQueries(data, h, uniform, per_sample)) {
+    const double got = kde->CdfAt(x);
+    worst = std::max(worst, std::fabs(got - OracleEpanechnikovCdf(data, h, x)));
+    EXPECT_GE(got, 0.0);
+    EXPECT_LE(got, 1.0);
+  }
+  EXPECT_LE(worst, 1e-12) << "n=" << data.size() << " h=" << h;
+}
+
+std::vector<double> UniformSample(uint64_t seed, size_t n) {
+  stats::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = rng.UniformDouble();
+  return xs;
+}
+
+TEST(KdeCdfOracleTest, BlockBoundarySizes) {
+  // Below, at and around one block of 64, and a few blocks plus a tail.
+  for (size_t n : {4u, 63u, 64u, 65u, 199u}) {
+    const std::vector<double> data = UniformSample(n, n);
+    for (double h : {RuleOfThumbBandwidth(data), 0.02, 0.3, 2.0}) {
+      ExpectCdfMatchesOracle(data, h, 200, 64);
+    }
+  }
+}
+
+TEST(KdeCdfOracleTest, LargeSample) {
+  const std::vector<double> data = UniformSample(7, 100000);
+  for (double h : {RuleOfThumbBandwidth(data), 0.2}) {
+    ExpectCdfMatchesOracle(data, h, 100, 40);
+  }
+}
+
+TEST(KdeCdfOracleTest, TieHeavyData) {
+  // Nine distinct values: whole blocks of ties, windows that start and end
+  // inside runs of equal samples.
+  stats::Rng rng(43);
+  std::vector<double> data(5000);
+  for (double& x : data) x = static_cast<double>(rng.UniformInt(9)) / 8.0;
+  for (double h : {RuleOfThumbBandwidth(data), 0.05, 0.125}) {
+    ExpectCdfMatchesOracle(data, h, 200, 60);
+  }
+}
+
+TEST(KdeCdfOracleTest, AllEqualButOne) {
+  // Zero IQR: the rule-of-thumb falls back to the tiny standard deviation,
+  // the hardest case for cancellation (domain spread / h is large).
+  std::vector<double> data(4096, 0.3);
+  data.push_back(0.9);
+  for (double h : {RuleOfThumbBandwidth(data), 0.01, 0.7}) {
+    ExpectCdfMatchesOracle(data, h, 200, 60);
+  }
+}
+
+TEST(KdeCdfOracleTest, SamplesAtTheDomainEdges) {
+  stats::Rng rng(47);
+  std::vector<double> data(3000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 1.0 : rng.UniformDouble());
+  }
+  for (double h : {RuleOfThumbBandwidth(data), 0.03}) {
+    ExpectCdfMatchesOracle(data, h, 200, 60);
+  }
+}
+
+TEST(KdeCdfOracleTest, ShiftedAndScaledData) {
+  // Far from the origin and on a wide scale: the moments are centred on the
+  // data, so neither costs accuracy.
+  std::vector<double> data = UniformSample(61, 20000);
+  for (double& x : data) x = 1e6 + 250.0 * x;
+  for (double h : {RuleOfThumbBandwidth(data), 3.0}) {
+    ExpectCdfMatchesOracle(data, h, 200, 60);
+  }
+}
+
+TEST(KdeCdfOracleTest, ExtremeScalesFallBackToTheWindowSum) {
+  // Spread over 1e8 bandwidths, and a bandwidth below 1e-60: no moment
+  // index, the window is summed sample by sample — still exact.
+  std::vector<double> wide = UniformSample(67, 5000);
+  for (double& x : wide) x *= 1e8;
+  ExpectCdfMatchesOracle(wide, 1.0, 200, 60);
+  std::vector<double> tiny = UniformSample(71, 5000);
+  for (double& x : tiny) x *= 1e-70;
+  ExpectCdfMatchesOracle(tiny, RuleOfThumbBandwidth(tiny), 200, 60);
+}
+
+TEST(KdeCdfOracleTest, OtherKernelsMatchThePerSampleSum) {
+  const std::vector<double> data = UniformSample(53, 3000);
+  for (KernelType type :
+       {KernelType::kGaussian, KernelType::kBiweight, KernelType::kTriangular}) {
+    const auto kde = KernelDensityEstimator::Create(Kernel(type), 0.04, data);
+    ASSERT_TRUE(kde.ok());
+    for (double x : OracleQueries(data, 0.04, 100, 30)) {
+      EXPECT_NEAR(kde->CdfAt(x),
+                  kde->IntegrateRange(-std::numeric_limits<double>::infinity(), x),
+                  1e-13)
+          << kde->kernel().name() << " x=" << x;
+    }
+  }
+}
+
+TEST(KdeCdfOracleTest, RestoredFromSortedAnswersBitwise) {
+  // The index is derived from the sorted buffer alone, so an estimator
+  // adopting the same buffer (snapshot restore) answers bit-identically.
+  const std::vector<double> data = UniformSample(59, 10000);
+  const double h = RuleOfThumbBandwidth(data);
+  const auto live =
+      KernelDensityEstimator::Create(Kernel(KernelType::kEpanechnikov), h, data);
+  ASSERT_TRUE(live.ok());
+  const auto restored = KernelDensityEstimator::FromSorted(
+      Kernel(KernelType::kEpanechnikov), h, live->samples(), nullptr);
+  ASSERT_TRUE(restored.ok());
+  const KernelDensityEstimator copy = *live;
+  for (double x : OracleQueries(data, h, 200, 50)) {
+    EXPECT_EQ(restored->CdfAt(x), live->CdfAt(x)) << "x=" << x;
+    EXPECT_EQ(copy.CdfAt(x), live->CdfAt(x)) << "x=" << x;
   }
 }
 

@@ -4,7 +4,9 @@
 #include <limits>
 #include <memory>
 
+#include "io/serialize.hpp"
 #include "processes/target_density.hpp"
+#include "selectivity/estimator_registry.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
@@ -429,6 +431,132 @@ TEST(KdeSelectivityTest, TinySampleFallback) {
   kde.Insert(0.3);
   kde.Insert(0.6);
   EXPECT_NEAR(kde.EstimateRange(0.0, 0.5), 0.5, 1e-12);
+}
+
+// ------------------------------------------------------- KDE sorted views
+
+std::vector<double> UnitValues(uint64_t seed, size_t n) {
+  stats::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = rng.UniformDouble();
+  return xs;
+}
+
+std::vector<double> MixedAnswers(const SelectivityEstimator& est) {
+  stats::Rng rng(61);
+  const std::vector<Query> queries = MixedQueryWorkload(rng, 96, 0.0, 1.0);
+  std::vector<double> out(queries.size());
+  est.Answer(queries, out);
+  return out;
+}
+
+std::vector<uint8_t> PortableBytes(const SelectivityEstimator& est) {
+  io::VectorSink sink;
+  WDE_CHECK_OK(SaveEstimatorSnapshot(est, sink));
+  return sink.TakeBytes();
+}
+
+std::vector<uint8_t> FastBytes(const SelectivityEstimator& est) {
+  io::VectorSink sink;
+  WDE_CHECK_OK(SaveEstimatorSnapshotFast(est, sink));
+  return sink.TakeBytes();
+}
+
+std::unique_ptr<SelectivityEstimator> Load(const std::vector<uint8_t>& bytes) {
+  io::SpanSource source(bytes);
+  Result<std::unique_ptr<SelectivityEstimator>> loaded =
+      LoadEstimatorSnapshot(source);
+  WDE_CHECK_OK(loaded.status());
+  return std::move(loaded).value();
+}
+
+// A writer mid refit interval: its first query fitted 3000 values, the
+// remaining 2003 are an unfitted tail.
+KdeSelectivity StaleWriter() {
+  KdeSelectivity::Options options;
+  options.refit_interval = 4096;
+  KdeSelectivity writer(options);
+  const std::vector<double> xs = UnitValues(71, 5003);
+  writer.InsertBatch(std::span<const double>(xs).first(3000));
+  (void)writer.EstimateRange(0.2, 0.4);
+  writer.InsertBatch(std::span<const double>(xs).subspan(3000));
+  return writer;
+}
+
+TEST(KdeViewTest, ViewAnswersBitwiseEqualToItsWriter) {
+  KdeSelectivity writer = StaleWriter();
+  const std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
+  EXPECT_EQ(view->count(), writer.count());
+  // The clone force-refitted the writer, so both serve the full-count fit.
+  EXPECT_EQ(MixedAnswers(*view), MixedAnswers(writer));
+  KdeSelectivity fitted(KdeSelectivity::Options{});
+  fitted.InsertBatch(UnitValues(71, 5003));
+  fitted.ForceRefit();
+  EXPECT_EQ(MixedAnswers(*view), MixedAnswers(fitted));
+  // A view of a view is a view too.
+  const std::unique_ptr<SelectivityEstimator> again = view->CloneForView();
+  EXPECT_EQ(again->count(), writer.count());
+  EXPECT_EQ(MixedAnswers(*again), MixedAnswers(writer));
+}
+
+TEST(KdeViewTest, InsertIntoViewMatchesFreshEstimatorOfTheMultiset) {
+  KdeSelectivity writer = StaleWriter();
+  std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
+  const std::vector<double> more = UnitValues(73, 1500);
+  view->InsertBatch(std::span<const double>(more).first(1000));
+  for (double x : std::span<const double>(more).subspan(1000)) view->Insert(x);
+
+  // The same multiset, in arrival order, into a never-viewed estimator.
+  KdeSelectivity fresh(KdeSelectivity::Options{});
+  fresh.InsertBatch(UnitValues(71, 5003));
+  fresh.InsertBatch(more);
+  EXPECT_EQ(view->count(), fresh.count());
+  view->ForceRefit();
+  fresh.ForceRefit();
+  EXPECT_EQ(MixedAnswers(*view), MixedAnswers(fresh));
+}
+
+TEST(KdeViewTest, ViewSnapshotsRoundTripBitwise) {
+  KdeSelectivity writer = StaleWriter();
+  const std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
+  const std::vector<double> answers = MixedAnswers(*view);
+  for (const auto& save : {PortableBytes, FastBytes}) {
+    const std::vector<uint8_t> bytes = save(*view);
+    const std::unique_ptr<SelectivityEstimator> restored = Load(bytes);
+    EXPECT_EQ(restored->count(), view->count());
+    EXPECT_EQ(MixedAnswers(*restored), answers);
+    // The restored estimator re-saves to the very same bytes.
+    EXPECT_EQ(save(*restored), bytes);
+  }
+}
+
+TEST(KdeViewTest, ViewIsAMergeFromSource) {
+  KdeSelectivity writer = StaleWriter();
+  const std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
+  KdeSelectivity from_view(KdeSelectivity::Options{});
+  KdeSelectivity from_writer(KdeSelectivity::Options{});
+  from_view.InsertBatch(UnitValues(79, 700));
+  from_writer.InsertBatch(UnitValues(79, 700));
+  ASSERT_TRUE(from_view.MergeFrom(*view).ok());
+  ASSERT_TRUE(from_writer.MergeFrom(writer).ok());
+  EXPECT_EQ(from_view.count(), from_writer.count());
+  EXPECT_EQ(MixedAnswers(from_view), MixedAnswers(from_writer));
+}
+
+TEST(KdeViewTest, MergeTailFromRejectsAViewPeer) {
+  KdeSelectivity writer = StaleWriter();
+  const std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
+  KdeSelectivity target(KdeSelectivity::Options{});
+  const Status status = target.MergeTailFrom(*view, 0);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(target.count(), 0u);
+  // A view can still be the target: it takes the writer's tail.
+  writer.InsertBatch(UnitValues(83, 300));
+  std::unique_ptr<SelectivityEstimator> grown = writer.CloneForView();
+  ASSERT_TRUE(view->MergeTailFrom(writer, view->count()).ok());
+  EXPECT_EQ(view->count(), writer.count());
+  view->ForceRefit();
+  EXPECT_EQ(MixedAnswers(*view), MixedAnswers(*grown));
 }
 
 // ------------------------------------------------------------------ workload

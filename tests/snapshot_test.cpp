@@ -438,6 +438,43 @@ TEST(HostileInputTest, UnknownTypeTagIsNotFound) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotCompatTest, KdeRetiredToleranceIsValidatedThenIgnored) {
+  // The portable kde-rot state ends in the retired tree-evaluation tolerance
+  // (written as 0.0). Snapshots saved with a positive tolerance restore as
+  // exact; a negative or non-finite one is still corrupt.
+  selectivity::KdeSelectivity kde(selectivity::KdeSelectivity::Options{});
+  kde.InsertBatch(UnitStream(31, 3000));
+  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<double> exact = AnswersOf(kde, queries);
+  const std::vector<uint8_t> bytes = SnapshotBytesOf(kde);
+  io::SpanSource parse(bytes);
+  ASSERT_TRUE(io::ReadSnapshotHeader(parse).ok());
+  Result<io::Chunk> type = io::ReadChunk(parse);
+  Result<io::Chunk> state = io::ReadChunk(parse);
+  ASSERT_TRUE(type.ok() && state.ok());
+  ASSERT_GE(state->payload.size(), 8u);
+  for (double tolerance : {1e-3, 0.0, -1e-3, std::nan("")}) {
+    io::VectorSink tail;
+    ASSERT_TRUE(io::WriteDouble(tail, tolerance).ok());
+    std::vector<uint8_t> payload = state->payload;
+    std::copy(tail.bytes().begin(), tail.bytes().end(), payload.end() - 8);
+    io::VectorSink rebuilt;
+    ASSERT_TRUE(io::WriteSnapshotHeader(rebuilt).ok());
+    ASSERT_TRUE(io::WriteChunk(rebuilt, type->tag, type->payload).ok());
+    ASSERT_TRUE(io::WriteChunk(rebuilt, state->tag, payload).ok());
+    io::SpanSource source(rebuilt.bytes());
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    if (tolerance >= 0.0) {
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(AnswersOf(**loaded, queries), exact) << "tolerance=" << tolerance;
+      EXPECT_EQ(SnapshotBytesOf(**loaded), bytes);  // re-saved as 0.0
+    } else {
+      EXPECT_FALSE(loaded.ok()) << "tolerance=" << tolerance;
+    }
+  }
+}
+
 // ------------------------------------------- cross-process-style merging
 
 TEST(SnapshotMergeTest, IntegerStateEstimatorsMergeFromSnapshotsBitExactly) {
