@@ -157,30 +157,6 @@ inline bool CheckBuildForTiming(bool check_mode) {
   return true;
 }
 
-/// Build-type gate for the google-benchmark drivers, which have no --check
-/// mode: writing a JSON baseline (--benchmark_out=...) is how committed
-/// BENCH_*.json artifacts are produced, so a debug binary refuses it outright
-/// — the stale debug BENCH_selectivity_batch.json this guards against was
-/// committed exactly that way — and loudly stamps plain timing runs. Returns
-/// false when the driver must exit non-zero.
-inline bool CheckBuildForBaseline(int argc, char** argv) {
-  if (kReleaseBuild) return true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) {
-      std::fprintf(stderr,
-                   "FAIL: --benchmark_out requires a release (NDEBUG) build; "
-                   "this binary is a debug build and its numbers must never "
-                   "become a committed baseline. Rebuild with "
-                   "--preset release.\n");
-      return false;
-    }
-  }
-  std::fprintf(stderr,
-               "WARNING: debug (assertions-on) build; timings below are NOT "
-               "comparable to committed BENCH_*.json numbers.\n");
-  return true;
-}
-
 /// Writes the uniform `"host": {...},` JSON line (with trailing comma).
 inline void WriteHostJson(std::FILE* out) {
   std::fprintf(out,

@@ -1,29 +1,21 @@
 // Snapshot-subsystem bench: per registered estimator, ingest a stream, then
-// measure snapshot size and save/load throughput through the registry's
-// whole-snapshot paths — the portable element-wise encoding AND the fast
-// arena encoding (in-memory and the mmap file restore). Produces the
-// committed BENCH_snapshot.json artifact (see docs/BENCHMARKS.md) with a
-// per-row round-trip verdict: answers of every restored estimator (portable,
-// fast, mmapped) must be bit-identical to the saved one on a range workload.
+// measure snapshot size and in-memory save/load time through the registry's
+// whole-snapshot path (SaveEstimatorSnapshot / LoadEstimatorSnapshot), plus
+// the peak-RSS delta of one load. Produces the committed BENCH_snapshot.json
+// artifact (see docs/BENCHMARKS.md) with a per-row round-trip verdict: the
+// restored estimator must answer a range workload bit-identically to the
+// saved one and re-save to the very same bytes.
 //
-// Besides throughput, each row records the restore *latency* of the mmapped
-// fast path (the warm-standby metric: how long until a restored estimator
-// can answer) and the peak-RSS delta of loading (portable decode
-// materializes every buffer; the mmap path touches only headers until
-// queries fault pages in). RSS deltas come from /proc/self/status VmHWM
-// around a clear_refs peak reset — Linux-only, reported as 0 elsewhere.
-//
-// No google-benchmark dependency: plain steady_clock timing, best of
-// --repeats runs, so the binary builds everywhere and CI can always produce
-// the artifact.
+// RSS deltas come from /proc/self/status VmHWM around a clear_refs peak
+// reset — Linux-only, reported as 0 elsewhere. Plain steady_clock timing,
+// best of --repeats runs.
 //
 // Usage: perf_snapshot [--n=200000] [--queries=256] [--repeats=5]
 //                      [--out=BENCH_snapshot.json] [--check]
 //
-// --check: exit 1 if any estimator fails to round-trip bit-identically on
-// any path, or if any fast restore disagrees with the portable restore —
+// --check: exit 1 if any estimator fails to round-trip bit-identically —
 // the fidelity contract at bench scale, not just test sizes.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +24,6 @@
 #include <malloc.h>
 #endif
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -141,22 +132,14 @@ size_t PeakRssDeltaOf(Fn&& fn) {
   return peak > before ? peak - before : 0;
 }
 
-struct PathStats {
-  size_t bytes = 0;
-  double save_seconds = 0.0;
-  double load_seconds = 0.0;
-};
-
 struct Row {
   std::string tag;
   std::string name;
-  PathStats portable;             // in-memory, element-wise encoding
-  PathStats fast;                 // in-memory, arena (ARNA) encoding
-  double mmap_load_seconds = 0.0; // restore latency from the mmapped file
-  size_t portable_peak_rss_bytes = 0;
-  size_t mmap_peak_rss_bytes = 0;
-  bool roundtrip_bit_identical = false;  // portable restore == saved
-  bool fast_equals_portable = false;     // fast + mmap restores == saved
+  size_t bytes = 0;
+  double save_seconds = 0.0;
+  double load_seconds = 0.0;
+  size_t load_peak_rss_bytes = 0;
+  bool roundtrip_bit_identical = false;  // restored answers + re-saved bytes
 };
 
 double MbPerS(size_t bytes, double seconds) {
@@ -176,7 +159,6 @@ int main(int argc, char** argv) {
   const size_t repeats = std::max<size_t>(1, ArgSize(argc, argv, "repeats", 5));
   const std::string out_path =
       ArgString(argc, argv, "out", "BENCH_snapshot.json");
-  const std::string tmp_path = out_path + ".fastsnap.tmp";
 
   stats::Rng data_rng(1);
   std::vector<double> stream(n);
@@ -195,94 +177,50 @@ int main(int argc, char** argv) {
     row.tag = estimator->snapshot_type_tag();
     row.name = estimator->name();
 
-    // ---- portable encoding, in-memory ----
-    std::vector<uint8_t> portable_bytes;
-    row.portable.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
+    std::vector<uint8_t> bytes;
+    row.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
       io::VectorSink sink;
       WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(*estimator, sink));
-      portable_bytes = sink.TakeBytes();
+      bytes = sink.TakeBytes();
     });
-    row.portable.bytes = portable_bytes.size();
+    row.bytes = bytes.size();
 
     std::unique_ptr<selectivity::SelectivityEstimator> restored;
-    row.portable.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      io::SpanSource source(portable_bytes);
+    row.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
+      restored.reset();  // one restored estimator alive at a time
+      io::SpanSource source(bytes);
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
           selectivity::LoadEstimatorSnapshot(source);
       WDE_CHECK(loaded.ok(), loaded.status().ToString().c_str());
       restored = std::move(loaded).value();
     });
-    row.portable_peak_rss_bytes = PeakRssDeltaOf([&] {
-      io::SpanSource source(portable_bytes);
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
-          selectivity::LoadEstimatorSnapshot(source);
-      WDE_CHECK(loaded.ok());
-      std::vector<double> probe(queries.size());
-      (*loaded)->EstimateBatch(queries, probe);
-    });
 
     std::vector<double> after(queries.size());
     restored->EstimateBatch(queries, after);
-    row.roundtrip_bit_identical =
-        restored->count() == estimator->count() && after == before;
-
-    // ---- fast (arena) encoding, in-memory ----
-    std::vector<uint8_t> fast_bytes;
-    row.fast.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      io::VectorSink sink;
-      WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFast(*estimator, sink));
-      fast_bytes = sink.TakeBytes();
-    });
-    row.fast.bytes = fast_bytes.size();
-
-    std::unique_ptr<selectivity::SelectivityEstimator> fast_restored;
-    row.fast.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      io::SpanSource source(fast_bytes);
+    io::VectorSink resaved;
+    WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(*restored, resaved));
+    row.roundtrip_bit_identical = restored->count() == estimator->count() &&
+                                  after == before &&
+                                  std::ranges::equal(resaved.bytes(), bytes);
+    restored.reset();
+    row.load_peak_rss_bytes = PeakRssDeltaOf([&] {
+      io::SpanSource source(bytes);
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
           selectivity::LoadEstimatorSnapshot(source);
-      WDE_CHECK(loaded.ok(), loaded.status().ToString().c_str());
-      fast_restored = std::move(loaded).value();
-    });
-    std::vector<double> fast_after(queries.size());
-    fast_restored->EstimateBatch(queries, fast_after);
-
-    // ---- fast encoding, mmapped file restore (the warm-standby path) ----
-    WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFastFile(*estimator, tmp_path));
-    std::unique_ptr<selectivity::SelectivityEstimator> mapped_restored;
-    row.mmap_load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
-          selectivity::LoadEstimatorSnapshotFileMapped(tmp_path);
-      WDE_CHECK(loaded.ok(), loaded.status().ToString().c_str());
-      mapped_restored = std::move(loaded).value();
-    });
-    std::vector<double> mapped_after(queries.size());
-    mapped_restored->EstimateBatch(queries, mapped_after);
-    mapped_restored.reset();
-    row.mmap_peak_rss_bytes = PeakRssDeltaOf([&] {
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
-          selectivity::LoadEstimatorSnapshotFileMapped(tmp_path);
       WDE_CHECK(loaded.ok());
       std::vector<double> probe(queries.size());
       (*loaded)->EstimateBatch(queries, probe);
     });
-    std::remove(tmp_path.c_str());
 
-    row.fast_equals_portable = fast_after == before && mapped_after == before;
     rows.push_back(row);
     std::printf(
-        "%-28s portable %9zu B  save %8.1f MB/s  load %8.1f MB/s | "
-        "fast %9zu B  load %8.1f MB/s  mmap-restore %8.1f us  "
-        "rss %5.1f -> %5.1f MB | %s\n",
-        row.name.c_str(), row.portable.bytes,
-        MbPerS(row.portable.bytes, row.portable.save_seconds),
-        MbPerS(row.portable.bytes, row.portable.load_seconds), row.fast.bytes,
-        MbPerS(row.fast.bytes, row.fast.load_seconds),
-        row.mmap_load_seconds * 1e6,
-        static_cast<double>(row.portable_peak_rss_bytes) / 1e6,
-        static_cast<double>(row.mmap_peak_rss_bytes) / 1e6,
-        row.roundtrip_bit_identical && row.fast_equals_portable
-            ? "bit-identical"
-            : "MISMATCH");
+        "%-28s %9zu B  save %8.3f ms (%8.1f MB/s)  load %8.3f ms (%8.1f MB/s)  "
+        "rss %5.1f MB | %s\n",
+        row.name.c_str(), row.bytes, row.save_seconds * 1e3,
+        MbPerS(row.bytes, row.save_seconds), row.load_seconds * 1e3,
+        MbPerS(row.bytes, row.load_seconds),
+        static_cast<double>(row.load_peak_rss_bytes) / 1e6,
+        row.roundtrip_bit_identical ? "bit-identical" : "MISMATCH");
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -298,36 +236,14 @@ int main(int argc, char** argv) {
     std::fprintf(out, "    {\"tag\": \"%s\", \"estimator\": \"%s\",\n",
                  row.tag.c_str(), row.name.c_str());
     std::fprintf(out,
-                 "     \"portable\": {\"bytes\": %zu, \"save_seconds\": %.6e, "
+                 "     \"bytes\": %zu, \"save_seconds\": %.6e, "
                  "\"save_mb_per_s\": %.1f, \"load_seconds\": %.6e, "
-                 "\"load_mb_per_s\": %.1f, \"load_peak_rss_bytes\": %zu},\n",
-                 row.portable.bytes, row.portable.save_seconds,
-                 MbPerS(row.portable.bytes, row.portable.save_seconds),
-                 row.portable.load_seconds,
-                 MbPerS(row.portable.bytes, row.portable.load_seconds),
-                 row.portable_peak_rss_bytes);
-    std::fprintf(out,
-                 "     \"fast\": {\"bytes\": %zu, \"save_seconds\": %.6e, "
-                 "\"save_mb_per_s\": %.1f, \"load_seconds\": %.6e, "
-                 "\"load_mb_per_s\": %.1f},\n",
-                 row.fast.bytes, row.fast.save_seconds,
-                 MbPerS(row.fast.bytes, row.fast.save_seconds),
-                 row.fast.load_seconds,
-                 MbPerS(row.fast.bytes, row.fast.load_seconds));
-    std::fprintf(out,
-                 "     \"mmap\": {\"load_seconds\": %.6e, "
-                 "\"load_mb_per_s\": %.1f, \"load_peak_rss_bytes\": %zu},\n",
-                 row.mmap_load_seconds,
-                 MbPerS(row.fast.bytes, row.mmap_load_seconds),
-                 row.mmap_peak_rss_bytes);
-    std::fprintf(out,
-                 "     \"load_speedup_fast_vs_portable\": %.2f, "
-                 "\"roundtrip_bit_identical\": %s, "
-                 "\"fast_equals_portable\": %s}%s\n",
-                 MbPerS(row.fast.bytes, row.fast.load_seconds) /
-                     MbPerS(row.portable.bytes, row.portable.load_seconds),
+                 "\"load_mb_per_s\": %.1f, \"load_peak_rss_bytes\": %zu,\n",
+                 row.bytes, row.save_seconds, MbPerS(row.bytes, row.save_seconds),
+                 row.load_seconds, MbPerS(row.bytes, row.load_seconds),
+                 row.load_peak_rss_bytes);
+    std::fprintf(out, "     \"roundtrip_bit_identical\": %s}%s\n",
                  row.roundtrip_bit_identical ? "true" : "false",
-                 row.fast_equals_portable ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -343,16 +259,9 @@ int main(int argc, char** argv) {
                      row.name.c_str());
         ++violations;
       }
-      if (!row.fast_equals_portable) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s fast/mmap restore disagrees with the "
-                     "portable restore\n",
-                     row.name.c_str());
-        ++violations;
-      }
     }
     if (violations > 0) return 1;
-    std::printf("round-trip fidelity checks passed (portable, fast, mmap)\n");
+    std::printf("round-trip fidelity checks passed\n");
   }
   return 0;
 }

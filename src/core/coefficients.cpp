@@ -74,8 +74,8 @@ EmpiricalCoefficients& EmpiricalCoefficients::operator=(
 }
 
 void EmpiricalCoefficients::BindLevels() {
-  // Shallow bind: the spans view the current storage, which may be shared or
-  // borrowed. Every mutator funnels through EnsureOwnedSums first, so writes
+  // Shallow bind: the spans view the current storage, which may be shared.
+  // Every mutator funnels through EnsureOwnedSums first, so writes
   // never reach storage another accumulator (or a published view) can see.
   const auto bind = [this](CoefficientLevel* level, size_t column) {
     const std::span<const double> s1 = sums_.F64(column);
@@ -266,40 +266,6 @@ Result<EmpiricalCoefficients> EmpiricalCoefficients::Deserialize(
   }
   coeffs->count_ = static_cast<size_t>(count);
   return coeffs;
-}
-
-Status EmpiricalCoefficients::RestoreSums(
-    uint64_t count, std::span<const std::span<const double>> sums) {
-  if (sums.size() != 2 * (details_.size() + 1)) {
-    return Status::InvalidArgument(
-        Format("restored sums carry %zu columns, accumulator has %zu",
-               sums.size(), 2 * (details_.size() + 1)));
-  }
-  const auto check_level = [&sums](const CoefficientLevel& level,
-                                   size_t column) {
-    return sums[column].size() == level.s1.size() &&
-           sums[column + 1].size() == level.s2.size();
-  };
-  bool sizes_ok = check_level(scaling_, 0);
-  for (size_t i = 0; i < details_.size(); ++i) {
-    sizes_ok = sizes_ok && check_level(details_[i], 2 + 2 * i);
-  }
-  if (!sizes_ok) {
-    return Status::InvalidArgument(
-        "restored sums do not match the level geometry of this basis");
-  }
-  EnsureOwnedSums();
-  const auto fill_level = [&sums](CoefficientLevel* level, size_t column) {
-    std::copy(sums[column].begin(), sums[column].end(), level->s1.begin());
-    std::copy(sums[column + 1].begin(), sums[column + 1].end(),
-              level->s2.begin());
-  };
-  fill_level(&scaling_, 0);
-  for (size_t i = 0; i < details_.size(); ++i) {
-    fill_level(&details_[i], 2 + 2 * i);
-  }
-  count_ = static_cast<size_t>(count);
-  return Status::OK();
 }
 
 const CoefficientLevel& EmpiricalCoefficients::detail_level(int j) const {

@@ -24,7 +24,7 @@ namespace core {
 ///
 /// The sums are views into the owning accumulator's columnar arena (two
 /// 64-byte-aligned columns per level): flat element-wise buffers the merge
-/// loop vectorizes over and the snapshot fast path serializes verbatim.
+/// loop vectorizes over.
 struct CoefficientLevel {
   int j = 0;
   bool is_scaling = false;
@@ -108,14 +108,6 @@ class EmpiricalCoefficients {
   EmpiricalCoefficients& operator=(const EmpiricalCoefficients& other);
   EmpiricalCoefficients(EmpiricalCoefficients&&) noexcept = default;
   EmpiricalCoefficients& operator=(EmpiricalCoefficients&&) noexcept = default;
-
-  /// Snapshot fast path: overwrites the running sums and count with
-  /// persisted values. `sums` holds [scaling.s1, scaling.s2, detail_{j0}.s1,
-  /// detail_{j0}.s2, ...]; every span's size must match the level geometry
-  /// this accumulator derived from its basis (checked — hostile sizes yield
-  /// a Status).
-  Status RestoreSums(uint64_t count,
-                     std::span<const std::span<const double>> sums);
 
  private:
   EmpiricalCoefficients(wavelet::WaveletBasis basis, int j0, int j_max);

@@ -336,23 +336,6 @@ Result<WaveletDensityFit> WaveletDensityFit::CreateStreaming(
                            domain_hi - domain_lo);
 }
 
-Result<WaveletDensityFit> WaveletDensityFit::FromRestoredSums(
-    const wavelet::WaveletBasis& basis, int j0, int j_max, double domain_lo,
-    double domain_hi, uint64_t count,
-    std::span<const std::span<const double>> sums) {
-  if (!(domain_lo < domain_hi)) {
-    return Status::InvalidArgument("empty estimation domain");
-  }
-  // Create re-validates the level range, so hostile j0/j_max cannot size the
-  // windows; RestoreSums then checks every span against the re-derived
-  // geometry before copying a value.
-  Result<EmpiricalCoefficients> coeffs = EmpiricalCoefficients::Create(basis, j0, j_max);
-  if (!coeffs.ok()) return coeffs.status();
-  WDE_RETURN_IF_ERROR(coeffs->RestoreSums(count, sums));
-  return WaveletDensityFit(std::move(coeffs).value(), domain_lo,
-                           domain_hi - domain_lo);
-}
-
 void WaveletDensityFit::Add(double x) {
   const double t = (x - lo_) / width_;
   WDE_CHECK(t >= 0.0 && t <= 1.0, "observation outside the fit domain");

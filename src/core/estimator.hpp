@@ -124,16 +124,6 @@ class WaveletDensityFit {
                                                    double domain_lo = 0.0,
                                                    double domain_hi = 1.0);
 
-  /// Snapshot fast path: rebuilds a fit over `basis` from previously
-  /// accumulated coefficient sums (see EmpiricalCoefficients::RestoreSums
-  /// for the column order; geometry mismatches yield a Status). The basis
-  /// may itself be table-restored (WaveletBasis::FromTables); the rebuilt
-  /// fit reconstructs bit-identically to the one that saved the sums.
-  static Result<WaveletDensityFit> FromRestoredSums(
-      const wavelet::WaveletBasis& basis, int j0, int j_max, double domain_lo,
-      double domain_hi, uint64_t count,
-      std::span<const std::span<const double>> sums);
-
   /// Adds one observation (must lie inside the domain; checked).
   void Add(double x);
 

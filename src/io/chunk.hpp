@@ -8,7 +8,7 @@
 ///   u32 tag · u64 payload_size · payload bytes · u32 crc32(payload)
 ///
 /// (all integers little-endian; CRC-32 is the IEEE/zlib polynomial). The
-/// reader validates the magic, rejects versions newer than it understands,
+/// reader validates the magic, rejects every version but its own,
 /// bounds-checks every payload size against the bytes actually present, and
 /// verifies the CRC *before* any payload byte is parsed — so truncation and
 /// bit flips surface as Status errors, never as UB in a decoder. Chunks nest
@@ -30,20 +30,15 @@ namespace io {
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected, table-driven).
 uint32_t Crc32(std::span<const uint8_t> bytes);
 
-/// The snapshot format version this build writes and the newest it reads.
-/// Policy: readers accept any version <= kSnapshotFormatVersion (older
-/// writers), and reject newer ones with a descriptive error — forward
-/// compatibility is explicit, never silent misparsing.
-/// History: v1 — initial format; v2 — the kde-rot payload grew an optional
-/// eval-tolerance tail (readers parse both tails, so v1 payloads still load);
-/// v3 — estimator state may travel as one arena fast-path chunk (tag "ARNA",
-/// columnar image restored by pointer fixup) instead of the portable "STAT"
-/// chunk — readers dispatch on the tag, so v1/v2 payloads still load;
-/// v4 — estimators may declare dims() > 1: their envelopes carry a "DIMS"
-/// chunk (u32 dimensionality) between the TYPE chunk and the state chunk.
-/// 1-D envelopes omit it, so their bytes equal a v3 writer's, and v1–v3
-/// snapshots (necessarily 1-D) load unchanged.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// The snapshot format version this build writes and the only one it reads.
+/// Policy: one version at a time. A reader rejects every other version with
+/// a descriptive error — never silent misparsing — and a format change bumps
+/// the number instead of adding a compatibility branch.
+/// v5: every estimator envelope is TYPE · DIMS (u32 dimensionality, 1-D
+/// included) · STAT (the estimator's portable io-primitive state).
+/// Versions 1–4 were only ever written by this repository's own tests; see
+/// docs/ARCHITECTURE.md "Version policy".
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Writes the 12-byte snapshot header (magic + format version).
 Status WriteSnapshotHeader(Sink& sink);
@@ -70,8 +65,8 @@ Result<std::vector<uint8_t>> ReadChunkExpecting(Source& source, uint32_t tag);
 /// One framed chunk whose payload is a *view* when the source supports
 /// zero-copy (Source::View) and an owned copy otherwise. Either way the CRC
 /// is verified before the payload is handed out. A viewed payload lives as
-/// long as the source's buffer — anchor it with Source::backing(); an owned
-/// payload moves with the struct (`payload` tracks `owned`'s heap buffer).
+/// long as the source's buffer; an owned payload moves with the struct
+/// (`payload` tracks `owned`'s heap buffer).
 struct ChunkRef {
   uint32_t tag = 0;
   std::span<const uint8_t> payload;
@@ -79,8 +74,8 @@ struct ChunkRef {
 };
 
 /// Zero-copy counterpart of ReadChunk: identical validation, but avoids the
-/// payload copy for memory-backed sources (mmap'ed snapshots restore without
-/// ever duplicating the column region).
+/// payload copy for memory-backed sources, so restoring a large estimator
+/// never holds its state payload twice.
 Result<ChunkRef> ReadChunkRef(Source& source);
 
 }  // namespace io

@@ -1,14 +1,8 @@
 #include "io/serialize.hpp"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "util/string_util.hpp"
 
@@ -107,86 +101,53 @@ Result<FileSource> FileSource::Open(const std::string& path) {
   if (file == nullptr) {
     return Status::NotFound(Format("cannot open '%s' for reading", path.c_str()));
   }
-  auto buffer = std::make_shared<std::vector<uint8_t>>();
+  std::vector<uint8_t> buffer;
   uint8_t block[1 << 16];
   size_t got;
   while ((got = std::fread(block, 1, sizeof(block), file)) > 0) {
-    buffer->insert(buffer->end(), block, block + got);
+    buffer.insert(buffer.end(), block, block + got);
   }
   const bool failed = std::ferror(file) != 0;
   std::fclose(file);
   if (failed) {
     return Status::Internal(Format("error reading '%s'", path.c_str()));
   }
-  const uint8_t* data = buffer->data();
-  const size_t size = buffer->size();
-  return FileSource(std::move(buffer), data, size, /*mapped=*/false);
+  return FileSource(std::move(buffer));
 }
-
-#ifndef _WIN32
-namespace {
-
-/// Owns one live mmap region; shared_ptr aliasing keeps it alive for every
-/// zero-copy view carved out of the snapshot.
-struct FileMapping {
-  void* base = nullptr;
-  size_t length = 0;
-
-  ~FileMapping() {
-    if (base != nullptr) ::munmap(base, length);
-  }
-};
-
-}  // namespace
-
-Result<FileSource> FileSource::OpenMapped(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound(Format("cannot open '%s' for reading", path.c_str()));
-  }
-  struct ::stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return Status::Internal(Format("cannot stat '%s'", path.c_str()));
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  if (size == 0) {
-    // mmap rejects zero-length mappings; an empty artifact needs no backing.
-    ::close(fd);
-    return FileSource(nullptr, nullptr, 0, /*mapped=*/true);
-  }
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    return Status::Internal(Format("cannot mmap '%s'", path.c_str()));
-  }
-  auto mapping = std::make_shared<FileMapping>();
-  mapping->base = base;
-  mapping->length = size;
-  const uint8_t* data = static_cast<const uint8_t*>(base);
-  return FileSource(std::move(mapping), data, size, /*mapped=*/true);
-}
-#else
-Result<FileSource> FileSource::OpenMapped(const std::string& path) {
-  return Open(path);
-}
-#endif
 
 Status FileSource::Read(void* out, size_t size) {
   if (size > remaining()) {
     return Status::OutOfRange(
         Format("truncated input: need %zu bytes, have %zu", size, remaining()));
   }
-  if (size != 0) std::memcpy(out, data_ + offset_, size);
+  if (size != 0) std::memcpy(out, bytes_.data() + offset_, size);
   offset_ += size;
   return Status::OK();
 }
 
 const uint8_t* FileSource::View(size_t size) {
   if (size > remaining()) return nullptr;
-  const uint8_t* view = data_ + offset_;
+  const uint8_t* view = bytes_.data() + offset_;
   offset_ += size;
   return view;
+}
+
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(Sink&)>& write) {
+  const std::string tmp_path = path + ".tmp";
+  Result<FileSink> sink = FileSink::Open(tmp_path);
+  if (!sink.ok()) return sink.status();
+  Status written = write(*sink);
+  if (written.ok()) written = sink->Close();
+  if (!written.ok()) {
+    std::remove(tmp_path.c_str());
+    return written;
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return Status::Internal("cannot move finished file over '" + path + "'");
+  }
+  return Status::OK();
 }
 
 Status WriteU8(Sink& sink, uint8_t value) { return sink.Append(&value, 1); }
@@ -217,6 +178,10 @@ Status WriteString(Sink& sink, std::string_view value) {
 
 Status WriteDoubleVector(Sink& sink, std::span<const double> values) {
   WDE_RETURN_IF_ERROR(WriteU64(sink, values.size()));
+  return WriteDoubles(sink, values);
+}
+
+Status WriteDoubles(Sink& sink, std::span<const double> values) {
   if constexpr (std::endian::native == std::endian::little) {
     // The wire format *is* the host representation: one bulk append.
     return sink.Append(values.data(), values.size() * sizeof(double));

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -87,76 +87,55 @@ class Source {
   /// to the next `size` bytes and consumes them, or nullptr when the source
   /// cannot vend stable views (streaming source, or fewer than `size` bytes
   /// remain — the caller falls back to Read, which reports the truncation).
-  /// The pointer stays valid as long as the underlying buffer; anchor it
-  /// beyond the source's lifetime with backing().
+  /// The pointer stays valid as long as the underlying buffer.
   virtual const uint8_t* View(size_t size) {
     (void)size;
     return nullptr;
   }
-
-  /// Shared handle keeping any View() pointers alive independently of this
-  /// source object; nullptr when the source has no shareable backing (then
-  /// views die with the buffer the caller handed in).
-  virtual std::shared_ptr<const void> backing() const { return nullptr; }
 };
 
 /// Source over caller-owned bytes (e.g. a VectorSink buffer or one chunk's
-/// payload). Does not copy; the span must outlive the source. The optional
-/// keepalive is surfaced through backing() so nested decoders (the sharded
-/// estimator parsing per-replica envelopes out of a column) can anchor
-/// zero-copy views of a mapped snapshot.
+/// payload). Does not copy; the span must outlive the source.
 class SpanSource final : public Source {
  public:
   explicit SpanSource(std::span<const uint8_t> bytes) : bytes_(bytes) {}
-  SpanSource(std::span<const uint8_t> bytes,
-             std::shared_ptr<const void> keepalive)
-      : bytes_(bytes), keepalive_(std::move(keepalive)) {}
 
   size_t remaining() const override { return bytes_.size() - offset_; }
   Status Read(void* out, size_t size) override;
   const uint8_t* View(size_t size) override;
-  std::shared_ptr<const void> backing() const override { return keepalive_; }
 
  private:
   std::span<const uint8_t> bytes_;
   size_t offset_ = 0;
-  std::shared_ptr<const void> keepalive_;
 };
 
-/// Source over a whole file. Open() loads it into memory (snapshots are
+/// Source over a whole file, loaded into memory at Open() (snapshots are
 /// bounded artifacts; loading up front gives every decoder an exact
-/// remaining() to validate hostile length prefixes against); OpenMapped()
-/// maps it instead, so restoring a snapshot touches only the pages it
-/// actually reads and zero-copy consumers (the arena fast path) borrow the
-/// mapping directly. Both modes share the buffer via backing(), so views
-/// outlive the source.
+/// remaining() to validate hostile length prefixes against). Views point
+/// into the source's own buffer and live as long as the source.
 class FileSource final : public Source {
  public:
   static Result<FileSource> Open(const std::string& path);
-  /// mmap-backed on POSIX; transparently falls back to Open() elsewhere
-  /// (mapped() reports which one you got).
-  static Result<FileSource> OpenMapped(const std::string& path);
 
-  size_t remaining() const override { return size_ - offset_; }
+  size_t remaining() const override { return bytes_.size() - offset_; }
   Status Read(void* out, size_t size) override;
   const uint8_t* View(size_t size) override;
-  std::shared_ptr<const void> backing() const override { return backing_; }
-
-  /// True when the bytes come from a live file mapping.
-  bool mapped() const { return mapped_; }
 
  private:
-  FileSource(std::shared_ptr<const void> backing, const uint8_t* data,
-             size_t size, bool mapped)
-      : backing_(std::move(backing)), data_(data), size_(size),
-        mapped_(mapped) {}
+  explicit FileSource(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
 
-  std::shared_ptr<const void> backing_;
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
+  std::vector<uint8_t> bytes_;
   size_t offset_ = 0;
-  bool mapped_ = false;
 };
+
+/// Writes a file through `write` crash-safely: the bytes go to
+/// `path` + ".tmp", which is renamed over `path` only after every write and
+/// the close succeeded. A kill or a full disk midway leaves the previous
+/// file at `path` intact (checkpoint loops overwrite the same path); on any
+/// error the temporary file is removed. No fsync: the guarantee covers a
+/// killed process, not a power loss.
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(Sink&)>& write);
 
 // ------------------------------------------------------------- primitives
 //
@@ -175,6 +154,9 @@ Status WriteDouble(Sink& sink, double value);
 Status WriteString(Sink& sink, std::string_view value);
 /// u64 element count + per-element doubles.
 Status WriteDoubleVector(Sink& sink, std::span<const double> values);
+/// The per-element doubles alone (no count): lets a writer emit one
+/// WriteDoubleVector-compatible vector from several spans.
+Status WriteDoubles(Sink& sink, std::span<const double> values);
 
 Result<uint8_t> ReadU8(Source& source);
 Result<uint32_t> ReadU32(Source& source);

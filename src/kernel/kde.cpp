@@ -111,24 +111,18 @@ Result<KernelDensityEstimator> KernelDensityEstimator::Create(
   return KernelDensityEstimator(std::move(kernel), bandwidth, std::move(samples));
 }
 
-Result<KernelDensityEstimator> KernelDensityEstimator::FromSorted(
-    Kernel kernel, double bandwidth, std::span<const double> sorted,
-    std::shared_ptr<const void> keepalive) {
-  if (sorted.empty()) return Status::InvalidArgument("KDE requires data");
+Result<KernelDensityEstimator> KernelDensityEstimator::AdoptSorted(
+    Kernel kernel, double bandwidth, memory::Arena samples) {
+  if (samples.num_columns() != 1 || samples.column(0).count == 0) {
+    return Status::InvalidArgument("KDE requires one non-empty sample column");
+  }
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return Status::InvalidArgument("bandwidth must be positive and finite");
   }
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i - 1] > sorted[i]) {
-      return Status::InvalidArgument("FromSorted: samples are not ascending");
-    }
+  const std::span<const double> sorted = samples.F64(0);
+  if (!std::is_sorted(sorted.begin(), sorted.end())) {
+    return Status::InvalidArgument("AdoptSorted: samples are not ascending");
   }
-  const std::span<const uint8_t> bytes(
-      reinterpret_cast<const uint8_t*>(sorted.data()), sorted.size_bytes());
-  const memory::ColumnSpec specs[] = {
-      {memory::ColumnKind::kF64, sorted.size()}};
-  WDE_ASSIGN_OR_RETURN(memory::Arena samples,
-                       memory::Arena::FromImage(specs, bytes, std::move(keepalive)));
   return KernelDensityEstimator(std::move(kernel), bandwidth, std::move(samples));
 }
 

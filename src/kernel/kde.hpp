@@ -28,15 +28,14 @@ class KernelDensityEstimator {
   static Result<KernelDensityEstimator> Create(Kernel kernel, double bandwidth,
                                                std::span<const double> data);
 
-  /// Snapshot fast path: adopts an already-sorted sample buffer without
-  /// re-sorting. When `sorted` is 64-byte-aligned and `keepalive` anchors its
-  /// backing storage (an mmapped snapshot image), the estimator borrows the
-  /// bytes zero-copy; otherwise it copies them once. Ascending order is
-  /// verified in O(n) — out-of-order input yields a Status, never a silently
-  /// wrong estimator.
-  static Result<KernelDensityEstimator> FromSorted(
-      Kernel kernel, double bandwidth, std::span<const double> sorted,
-      std::shared_ptr<const void> keepalive);
+  /// Adopts `samples` — an arena of exactly one non-empty F64 column (a
+  /// different kind is a caller bug and aborts) whose values are already
+  /// ascending — as the sample storage, without copying or re-sorting it
+  /// (the selectivity layer's refits and snapshot restores build the sorted
+  /// column themselves). Ascending order is verified in O(n): out-of-order
+  /// input yields a Status, never a silently wrong estimator.
+  static Result<KernelDensityEstimator> AdoptSorted(Kernel kernel, double bandwidth,
+                                                    memory::Arena samples);
 
   double Evaluate(double x) const;
 

@@ -1,6 +1,9 @@
 #include "kernel/kernels.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "numerics/integration.hpp"
@@ -72,19 +75,23 @@ void SaturatedCdfMany(std::span<const double> us, std::span<double> out, double 
 
 }  // namespace
 
-Kernel::Kernel(KernelType type) : type_(type), radius_(RadiusFor(type)) {
-  // Self-convolution table on [-2R, 2R]; by symmetry compute t >= 0 and
-  // mirror.
+namespace {
+
+// Self-convolution table of one kernel on [-2R, 2R]; by symmetry compute
+// t >= 0 and mirror.
+std::shared_ptr<const numerics::UniformGridInterpolator> BuildConvTable(
+    KernelType type) {
+  const double radius = RadiusFor(type);
   const size_t kConvPoints = 2049;
-  const double conv_dx = 2.0 * radius_ / static_cast<double>(kConvPoints - 1);
+  const double conv_dx = 2.0 * radius / static_cast<double>(kConvPoints - 1);
   std::vector<double> half(kConvPoints);
   for (size_t i = 0; i < kConvPoints; ++i) {
     const double t = conv_dx * static_cast<double>(i);
-    const double lo = std::max(-radius_, t - radius_);
-    const double hi = std::min(radius_, t + radius_);
+    const double lo = std::max(-radius, t - radius);
+    const double hi = std::min(radius, t + radius);
     half[i] = hi > lo ? numerics::IntegrateFunction(
-                            [this, t](double u) {
-                              return RawKernel(type_, u) * RawKernel(type_, t - u);
+                            [type, t](double u) {
+                              return RawKernel(type, u) * RawKernel(type, t - u);
                             },
                             lo, hi, 256)
                       : 0.0;
@@ -94,8 +101,22 @@ Kernel::Kernel(KernelType type) : type_(type), radius_(RadiusFor(type)) {
     conv[kConvPoints - 1 + i] = half[i];
     conv[kConvPoints - 1 - i] = half[i];
   }
-  conv_table_ = std::make_shared<const numerics::UniformGridInterpolator>(
-      -2.0 * radius_, conv_dx, std::move(conv));
+  return std::make_shared<const numerics::UniformGridInterpolator>(
+      -2.0 * radius, conv_dx, std::move(conv));
+}
+
+}  // namespace
+
+Kernel::Kernel(KernelType type) : type_(type), radius_(RadiusFor(type)) {
+  // The table costs ~0.5M kernel evaluations and depends only on the type,
+  // so it is built once per type and shared: constructing a Kernel (every
+  // KDE refit and snapshot restore does) is then O(1).
+  static const std::array<std::shared_ptr<const numerics::UniformGridInterpolator>, 4>
+      tables = {BuildConvTable(KernelType::kEpanechnikov),
+                BuildConvTable(KernelType::kGaussian),
+                BuildConvTable(KernelType::kBiweight),
+                BuildConvTable(KernelType::kTriangular)};
+  conv_table_ = tables[static_cast<size_t>(type)];
 }
 
 double Kernel::Evaluate(double u) const { return RawKernel(type_, u); }

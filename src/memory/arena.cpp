@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/check.hpp"
-#include "util/string_util.hpp"
 
 namespace wde {
 namespace memory {
@@ -31,19 +30,12 @@ size_t ColumnKindSize(ColumnKind kind) {
   return 0;
 }
 
-bool IsValidColumnKind(uint8_t raw) {
-  return raw <= static_cast<uint8_t>(ColumnKind::kU8);
-}
-
 Result<std::vector<ColumnDesc>> ComputeColumnLayout(
     std::span<const ColumnSpec> specs, uint64_t* total_bytes) {
   std::vector<ColumnDesc> columns;
   columns.reserve(specs.size());
   uint64_t offset = 0;
   for (const ColumnSpec& spec : specs) {
-    if (!IsValidColumnKind(static_cast<uint8_t>(spec.kind))) {
-      return Status::InvalidArgument("invalid column kind");
-    }
     const uint64_t elem = ColumnKindSize(spec.kind);
     if (spec.count > std::numeric_limits<uint64_t>::max() / elem ||
         offset > std::numeric_limits<uint64_t>::max() - spec.count * elem) {
@@ -59,8 +51,7 @@ Result<std::vector<ColumnDesc>> ComputeColumnLayout(
     }
     offset = AlignUp(offset, kColumnAlignment);
   }
-  // Report the unpadded end of the last column: trailing pad carries no data
-  // and the serializer must not be forced to ship it.
+  // Report the unpadded end of the last column: trailing pad carries no data.
   uint64_t total = 0;
   if (!columns.empty()) {
     const ColumnDesc& last = columns.back();
@@ -71,30 +62,23 @@ Result<std::vector<ColumnDesc>> ComputeColumnLayout(
 }
 
 struct Arena::Storage {
-  /// Base of the payload; owned (aligned allocation) or borrowed.
-  const uint8_t* data = nullptr;
+  /// Base of the payload: an aligned allocation freed at destruction.
+  uint8_t* data = nullptr;
   size_t size = 0;
-  bool writable = false;
-  /// Owned mode: the allocation freed at destruction.
-  void* owned = nullptr;
-  /// Borrowed mode: keeps the external image alive.
-  std::shared_ptr<const void> keepalive;
 
-  ~Storage() { std::free(owned); }
+  ~Storage() { std::free(data); }
 };
 
 std::shared_ptr<Arena::Storage> Arena::AllocateOwned(size_t bytes) {
   auto storage = std::make_shared<Storage>();
   // aligned_alloc requires a size that is a multiple of the alignment; the
-  // pad bytes are zeroed with the rest and never serialized.
+  // pad bytes are zeroed with the rest and never read.
   const size_t padded =
       static_cast<size_t>(AlignUp(bytes == 0 ? 1 : bytes, kColumnAlignment));
-  storage->owned = std::aligned_alloc(kColumnAlignment, padded);
-  WDE_CHECK(storage->owned != nullptr, "arena allocation failed");
-  std::memset(storage->owned, 0, padded);
-  storage->data = static_cast<const uint8_t*>(storage->owned);
+  storage->data = static_cast<uint8_t*>(std::aligned_alloc(kColumnAlignment, padded));
+  WDE_CHECK(storage->data != nullptr, "arena allocation failed");
+  std::memset(storage->data, 0, padded);
   storage->size = bytes;
-  storage->writable = true;
   return storage;
 }
 
@@ -104,37 +88,6 @@ Arena Arena::Create(std::span<const ColumnSpec> specs) {
   WDE_CHECK(columns.ok(), columns.status().ToString().c_str());
   return Arena(AllocateOwned(static_cast<size_t>(total)),
                std::move(columns).value());
-}
-
-Result<Arena> Arena::FromImage(std::span<const ColumnSpec> specs,
-                               std::span<const uint8_t> payload,
-                               std::shared_ptr<const void> keepalive) {
-  uint64_t total = 0;
-  WDE_ASSIGN_OR_RETURN(std::vector<ColumnDesc> columns,
-                       ComputeColumnLayout(specs, &total));
-  if (total != payload.size()) {
-    return Status::InvalidArgument(
-        Format("arena image size %zu does not match its column layout (%llu)",
-               payload.size(), static_cast<unsigned long long>(total)));
-  }
-  const bool aligned =
-      reinterpret_cast<uintptr_t>(payload.data()) % kColumnAlignment == 0;
-  if (keepalive != nullptr && aligned) {
-    auto storage = std::make_shared<Storage>();
-    storage->data = payload.data();
-    storage->size = payload.size();
-    storage->writable = false;
-    storage->keepalive = std::move(keepalive);
-    return Arena(std::move(storage), std::move(columns));
-  }
-  // Misaligned or unanchored image: copy into owned aligned storage so the
-  // alignment contract holds regardless of where the bytes came from.
-  std::shared_ptr<Storage> storage = AllocateOwned(payload.size());
-  if (!payload.empty()) {
-    std::memcpy(const_cast<uint8_t*>(storage->data), payload.data(),
-                payload.size());
-  }
-  return Arena(std::move(storage), std::move(columns));
 }
 
 const ColumnDesc& Arena::column(size_t i) const {
@@ -185,16 +138,14 @@ std::span<uint8_t> Arena::MutableU8(size_t i) {
 
 void Arena::EnsureWritable() {
   if (storage_ == nullptr) return;
-  // use_count == 1 means this handle is the only owner: no other Arena (and
-  // no keepalive-holding borrower — those hold the Storage itself via
-  // storage_keepalive) can observe the mutation. The count can only
-  // over-report sharing for handles being destroyed concurrently, which at
-  // worst costs one redundant relocation.
-  if (storage_->writable && storage_.use_count() == 1) return;
+  // use_count == 1 means this handle is the only owner: no other Arena can
+  // observe the mutation. The count can only over-report sharing for
+  // handles being destroyed concurrently, which at worst costs one
+  // redundant relocation.
+  if (storage_.use_count() == 1) return;
   std::shared_ptr<Storage> fresh = AllocateOwned(storage_->size);
   if (storage_->size != 0) {
-    std::memcpy(const_cast<uint8_t*>(fresh->data), storage_->data,
-                storage_->size);
+    std::memcpy(fresh->data, storage_->data, storage_->size);
   }
   storage_ = std::move(fresh);
 }
@@ -207,16 +158,8 @@ size_t Arena::payload_bytes() const {
   return storage_ == nullptr ? 0 : storage_->size;
 }
 
-bool Arena::borrowed() const {
-  return storage_ != nullptr && !storage_->writable;
-}
-
 bool Arena::shares_storage_with(const Arena& other) const {
   return storage_ != nullptr && storage_ == other.storage_;
-}
-
-std::shared_ptr<const void> Arena::storage_keepalive() const {
-  return storage_;
 }
 
 }  // namespace memory

@@ -18,14 +18,6 @@ UniformGridInterpolator::UniformGridInterpolator(double x0, double dx,
   WDE_CHECK_GE(view_.size(), 2u, "need at least two grid points");
 }
 
-UniformGridInterpolator::UniformGridInterpolator(
-    double x0, double dx, std::span<const double> values,
-    std::shared_ptr<const void> keepalive)
-    : x0_(x0), dx_(dx), view_(values), keepalive_(std::move(keepalive)) {
-  WDE_CHECK_GT(dx_, 0.0, "grid spacing must be positive");
-  WDE_CHECK_GE(view_.size(), 2u, "need at least two grid points");
-}
-
 double UniformGridInterpolator::x1() const {
   return x0_ + dx_ * static_cast<double>(view_.size() - 1);
 }

@@ -13,18 +13,12 @@ namespace numerics {
 /// Evaluates to 0 outside the grid span (matching compactly supported
 /// functions, the main use case).
 ///
-/// The grid values are immutable and either owned (shared between copies) or
-/// *borrowed* from external storage — a snapshot-restored table viewing an
-/// arena column zero-copy — with a keepalive handle anchoring the bytes.
-/// Copies are cheap either way and never dangle.
+/// The grid values are immutable and shared between copies, so copies are
+/// cheap and never dangle.
 class UniformGridInterpolator {
  public:
   UniformGridInterpolator() : x0_(0.0), dx_(1.0) {}
   UniformGridInterpolator(double x0, double dx, std::vector<double> values);
-  /// Borrows `values` without copying; `keepalive` must anchor them for the
-  /// interpolator's lifetime (and that of all copies).
-  UniformGridInterpolator(double x0, double dx, std::span<const double> values,
-                          std::shared_ptr<const void> keepalive);
 
   double x0() const { return x0_; }
   double dx() const { return dx_; }
@@ -56,12 +50,10 @@ class UniformGridInterpolator {
  private:
   double x0_;
   double dx_;
-  /// Owned mode: the table, shared so default copy/move keep `view_` valid.
+  /// The table, shared so default copy/move keep `view_` valid.
   std::shared_ptr<const std::vector<double>> owned_;
-  /// Always the authoritative view (into `owned_` or the borrowed storage).
+  /// View into `owned_`.
   std::span<const double> view_;
-  /// Borrowed mode: anchors the external storage behind `view_`.
-  std::shared_ptr<const void> keepalive_;
 };
 
 }  // namespace numerics

@@ -1,7 +1,6 @@
 #include "selectivity/estimator_registry.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "core/thresholding.hpp"
@@ -367,62 +366,16 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshot(
   return estimator;
 }
 
-namespace {
-
-/// Shared write-then-rename wrapper so every file save is crash-safe: a kill
-/// or disk-full midway leaves the previous snapshot at `path` intact instead
-/// of a truncated file (checkpoint loops overwrite the same path).
-template <typename Saver>
-Status SaveSnapshotFileWith(const std::string& path, Saver&& saver) {
-  const std::string tmp_path = path + ".tmp";
-  Result<io::FileSink> sink = io::FileSink::Open(tmp_path);
-  if (!sink.ok()) return sink.status();
-  Status written = saver(*sink);
-  if (written.ok()) written = sink->Close();
-  if (!written.ok()) {
-    std::remove(tmp_path.c_str());
-    return written;
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Internal("cannot move finished snapshot over '" + path + "'");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status SaveEstimatorSnapshotFile(const SelectivityEstimator& estimator,
                                  const std::string& path) {
-  return SaveSnapshotFileWith(path, [&estimator](io::Sink& sink) {
+  return io::WriteFileAtomically(path, [&estimator](io::Sink& sink) {
     return SaveEstimatorSnapshot(estimator, sink);
   });
 }
 
 Status SaveEstimatorSnapshotFast(const SelectivityEstimator& estimator,
                                  io::Sink& sink) {
-  WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
-  // The envelope begins right after the 12-byte snapshot header; the offset
-  // lets the fast frame pad its column region to an absolute 64-byte file
-  // offset (see SelectivityEstimator::SaveStateFast).
-  return estimator.SaveStateFast(sink, 12);
-}
-
-Status SaveEstimatorSnapshotFastFile(const SelectivityEstimator& estimator,
-                                     const std::string& path) {
-  return SaveSnapshotFileWith(path, [&estimator](io::Sink& sink) {
-    return SaveEstimatorSnapshotFast(estimator, sink);
-  });
-}
-
-Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFileMapped(
-    const std::string& path) {
-  Result<io::FileSource> source = io::FileSource::OpenMapped(path);
-  if (!source.ok()) return source.status();
-  // The ordinary loader dispatches on the state chunk kind; with a mapped
-  // source the fast path borrows the mapping zero-copy, anchored by the
-  // source's backing handle for the estimator's lifetime.
-  return LoadEstimatorSnapshot(*source);
+  return SaveEstimatorSnapshot(estimator, sink);
 }
 
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFile(
@@ -430,25 +383,6 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFile(
   Result<io::FileSource> source = io::FileSource::Open(path);
   if (!source.ok()) return source.status();
   return LoadEstimatorSnapshot(*source);
-}
-
-Result<std::unique_ptr<SelectivityEstimator>> CloneViaSnapshot(
-    const SelectivityEstimator& estimator) {
-  if (!estimator.snapshotable()) {
-    return Status::FailedPrecondition(estimator.name() +
-                                      " does not support snapshots");
-  }
-  io::VectorSink sink;
-  WDE_RETURN_IF_ERROR(estimator.SaveState(sink));
-  io::SpanSource source(sink.bytes());
-  Result<std::unique_ptr<SelectivityEstimator>> clone =
-      LoadEstimatorEnvelope(source);
-  if (!clone.ok()) return clone.status();
-  if (source.remaining() != 0) {
-    return Status::Internal(estimator.name() +
-                            " wrote trailing bytes after its envelope");
-  }
-  return clone;
 }
 
 Status SelectivityEstimator::MergeFromSnapshot(io::Source& source) {

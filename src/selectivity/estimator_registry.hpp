@@ -107,34 +107,12 @@ Status SaveEstimatorSnapshotFile(const SelectivityEstimator& estimator,
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFile(
     const std::string& path);
 
-/// Fast-encoding counterparts: the snapshot carries the estimator's state as
-/// one ARNA fast-state chunk (see memory/fast_state.hpp) whose column region
-/// lands 64-byte aligned in the file, so LoadEstimatorSnapshotFileMapped can
-/// restore by header validation + pointer fixup into the mapping — no
-/// element-wise decode, no buffer copy, no refit. Estimators without a fast
-/// impl (and big-endian hosts) transparently save the portable envelope
-/// instead; every snapshot, fast or portable, loads through every loader.
+/// Identical to SaveEstimatorSnapshot. The name survives from a retired
+/// second state encoding only because the end-to-end benchmark
+/// (e2ebench/e2e_bench.cpp) still calls it; new code calls
+/// SaveEstimatorSnapshot.
 Status SaveEstimatorSnapshotFast(const SelectivityEstimator& estimator,
                                  io::Sink& sink);
-Status SaveEstimatorSnapshotFastFile(const SelectivityEstimator& estimator,
-                                     const std::string& path);
-
-/// Restores a whole-snapshot file through an mmap-backed source (POSIX;
-/// falls back to an ordinary read elsewhere). The returned estimator may
-/// borrow its fitted buffers from the mapping — the mapping stays alive for
-/// the estimator's lifetime via its keepalive handle.
-Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFileMapped(
-    const std::string& path);
-
-/// Deep-copies any snapshotable estimator through an in-memory envelope
-/// round trip (SaveState into a buffer, registry-restore out of it). By the
-/// restore-fidelity contract the copy answers Answer/EstimateBatch
-/// bit-identically to the original and shares no state with it — what the
-/// serving layer publishes as immutable epoch views for estimators that lack
-/// a cheaper view-extraction path (the sharded engine's ExtractMergedView).
-/// FailedPrecondition when the estimator does not support snapshots.
-Result<std::unique_ptr<SelectivityEstimator>> CloneViaSnapshot(
-    const SelectivityEstimator& estimator);
 
 }  // namespace selectivity
 }  // namespace wde

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "memory/fast_state.hpp"
 #include "multidim/grid2d.hpp"
 #include "numerics/simd.hpp"
 #include "util/check.hpp"
@@ -151,6 +150,13 @@ Status Grid2dHistogram::LoadStateImpl(io::Source& source) {
       have_pending > 1 || counts.size() != g * g || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt grid2d snapshot");
   }
+  // Each axis must span a finite, non-degenerate domain in doubles.
+  const double end0 = lo0 + w0 * static_cast<double>(g);
+  const double end1 = lo1 + w1 * static_cast<double>(g);
+  if (!(end0 > lo0) || !std::isfinite(end0) || !(end1 > lo1) || !std::isfinite(end1) ||
+      !internal::IsCountTable(counts, count)) {
+    return Status::InvalidArgument("corrupt grid2d snapshot: domain or counts");
+  }
   lo0_ = lo0;
   w0_ = w0;
   lo1_ = lo1;
@@ -168,66 +174,6 @@ Status Grid2dHistogram::LoadStateImpl(io::Source& source) {
   // at the first query reproduces identical answers.
   prefix_valid_ = false;
   prefix_built_at_count_ = 0;
-  return Status::OK();
-}
-
-Status Grid2dHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo0_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), w0_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo1_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), w1_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(writer.head(), grid_log2_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), have_pending_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), pending_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), prefix_valid_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), prefix_built_at_count_));
-  // Both columns travel verbatim: the counts are the data, the summed-area
-  // table is the derived cache that spares the restored grid its first
-  // rebuild pass.
-  writer.AddF64(cells_.F64(0));
-  writer.AddF64(cells_.F64(1));
-  return Status::OK();
-}
-
-Status Grid2dHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
-  WDE_ASSIGN_OR_RETURN(const double lo0, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double w0, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double lo1, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double w1, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const int32_t grid_log2, io::ReadI32(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t have_pending, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double pending, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t prefix_valid, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t prefix_built_at, io::ReadU64(reader.head()));
-  const size_t g = grid_log2 >= 1 && grid_log2 <= 10
-                       ? size_t{1} << grid_log2
-                       : 0;
-  const memory::ColumnSpec expected[] = {{memory::ColumnKind::kF64, g * g},
-                                         {memory::ColumnKind::kF64, g * g}};
-  if (!std::isfinite(lo0) || !std::isfinite(w0) || !(w0 > 0.0) ||
-      !std::isfinite(lo1) || !std::isfinite(w1) || !(w1 > 0.0) || g == 0 ||
-      have_pending > 1 || prefix_valid > 1 ||
-      (prefix_valid != 0 && prefix_built_at > count) ||
-      !memory::ColumnsMatch(reader.arena(), expected) ||
-      reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt grid2d fast state");
-  }
-  lo0_ = lo0;
-  w0_ = w0;
-  lo1_ = lo1;
-  w1_ = w1;
-  grid_log2_ = grid_log2;
-  g_ = g;
-  count_ = static_cast<size_t>(count);
-  have_pending_ = have_pending != 0;
-  pending_ = pending;
-  // Adopt the parsed arena wholesale — borrowed zero-copy from an mmapped
-  // image, in which case the first insert (not load) pays the un-share copy.
-  cells_ = std::move(reader.arena());
-  prefix_valid_ = prefix_valid != 0;
-  prefix_built_at_count_ = static_cast<size_t>(prefix_built_at);
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "memory/fast_state.hpp"
 #include "numerics/simd.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
@@ -150,6 +149,11 @@ Status EquiWidthHistogram::LoadStateImpl(io::Source& source) {
       counts.empty() || counts.size() > (1u << 26) || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt equi-width snapshot");
   }
+  // The domain must be finite and non-degenerate in doubles.
+  const double hi = lo + width * static_cast<double>(counts.size());
+  if (!(hi > lo) || !std::isfinite(hi) || !internal::IsCountTable(counts, count)) {
+    return Status::InvalidArgument("corrupt equi-width snapshot: domain or counts");
+  }
   lo_ = lo;
   width_ = width;
   count_ = static_cast<size_t>(count);
@@ -162,50 +166,6 @@ Status EquiWidthHistogram::LoadStateImpl(io::Source& source) {
   // the first query reproduces identical answers.
   prefix_valid_ = false;
   prefix_built_at_count_ = 0;
-  return Status::OK();
-}
-
-Status EquiWidthHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), width_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), buckets_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), prefix_valid_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), prefix_built_at_count_));
-  // Both columns travel verbatim: the counts are the data, the prefix table
-  // is the derived cache (always defined bytes — Create zero-fills) that
-  // spares the restored histogram its first rebuild pass.
-  writer.AddF64(bins_.F64(0));
-  writer.AddF64(bins_.F64(1));
-  return Status::OK();
-}
-
-Status EquiWidthHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double width, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t buckets, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t prefix_valid, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t prefix_built_at, io::ReadU64(reader.head()));
-  const memory::ColumnSpec expected[] = {
-      {memory::ColumnKind::kF64, static_cast<size_t>(buckets)},
-      {memory::ColumnKind::kF64, static_cast<size_t>(buckets)}};
-  if (!std::isfinite(lo) || !std::isfinite(width) || !(width > 0.0) ||
-      buckets == 0 || buckets > (1u << 26) || prefix_valid > 1 ||
-      (prefix_valid != 0 && prefix_built_at > count) ||
-      !memory::ColumnsMatch(reader.arena(), expected) ||
-      reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt equi-width fast state");
-  }
-  lo_ = lo;
-  width_ = width;
-  buckets_ = static_cast<size_t>(buckets);
-  count_ = static_cast<size_t>(count);
-  // Adopt the parsed arena wholesale — borrowed zero-copy from an mmapped
-  // image, in which case the first insert (not load) pays the un-share copy.
-  bins_ = std::move(reader.arena());
-  prefix_valid_ = prefix_valid != 0;
-  prefix_built_at_count_ = static_cast<size_t>(prefix_built_at);
   return Status::OK();
 }
 
@@ -374,6 +334,14 @@ Status EquiDepthHistogram::LoadStateImpl(io::Source& source) {
       buckets > (1 << 26) || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt equi-depth snapshot");
   }
+  // Insert clamps into [lo, hi] and drops non-finite values, so a value
+  // outside the domain (NaN included) was never inserted.
+  for (double x : values) {
+    if (!(x >= lo && x <= hi)) {
+      return Status::InvalidArgument(
+          "corrupt equi-depth snapshot: value outside the domain");
+    }
+  }
   lo_ = lo;
   hi_ = hi;
   buckets_ = buckets;
@@ -381,67 +349,6 @@ Status EquiDepthHistogram::LoadStateImpl(io::Source& source) {
   sorted_.clear();  // rebuilt (one full sort) at the first post-restore query
   boundaries_.clear();
   built_at_count_ = 0;
-  return Status::OK();
-}
-
-Status EquiDepthHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), hi_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(writer.head(), buckets_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), values_.size()));
-  const bool has_boundaries = !boundaries_.empty();
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), has_boundaries ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), built_at_count_));
-  writer.AddF64(values_);
-  // The derived boundary cache rides along when built: restore then skips
-  // the O(n log n) quantile sort the portable load pays at its first query.
-  if (has_boundaries) writer.AddF64(boundaries_);
-  return Status::OK();
-}
-
-Status EquiDepthHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double hi, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const int32_t buckets, io::ReadI32(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t n_values, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_boundaries, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t built_at, io::ReadU64(reader.head()));
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi) || buckets <= 0 ||
-      buckets > (1 << 26) || has_boundaries > 1 || built_at > n_values ||
-      reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt equi-depth fast state");
-  }
-  std::vector<memory::ColumnSpec> expected = {
-      {memory::ColumnKind::kF64, static_cast<size_t>(n_values)}};
-  if (has_boundaries != 0) {
-    expected.push_back({memory::ColumnKind::kF64,
-                        static_cast<size_t>(buckets) + 1});
-  }
-  if (!memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt equi-depth fast state columns");
-  }
-  std::vector<double> boundaries;
-  if (has_boundaries != 0) {
-    const std::span<const double> cached = reader.arena().F64(1);
-    // The boundary cache is consumed by binary search; a non-monotone or
-    // non-finite hostile cache must be rejected, not served.
-    for (size_t i = 0; i < cached.size(); ++i) {
-      if (!std::isfinite(cached[i]) || (i > 0 && cached[i] < cached[i - 1])) {
-        return Status::InvalidArgument("corrupt equi-depth boundary cache");
-      }
-    }
-    boundaries.assign(cached.begin(), cached.end());
-  }
-  // Values are append-mutated by Insert, so they stay a vector: one bulk
-  // copy out of the column, no element-wise decode.
-  const std::span<const double> values = reader.arena().F64(0);
-  lo_ = lo;
-  hi_ = hi;
-  buckets_ = buckets;
-  values_.assign(values.begin(), values.end());
-  sorted_.clear();  // rebuilt (one full sort) at the first stale rebuild
-  boundaries_ = std::move(boundaries);
-  built_at_count_ = static_cast<size_t>(built_at);
   return Status::OK();
 }
 

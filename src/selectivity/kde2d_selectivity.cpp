@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "kernel/bandwidth.hpp"
-#include "memory/fast_state.hpp"
 #include "multidim/prod_kde2d.hpp"
 #include "util/check.hpp"
 
@@ -93,7 +92,7 @@ void Kde2dSelectivity::Refit() const {
 std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
     size_t fit_n, const Fitted* prev) const {
   // Every fit builds a NEW arena: the previous fitted columns may be shared
-  // with CloneForView copies or borrowed zero-copy from a snapshot arena.
+  // with CloneForView copies.
   const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, fit_n},
                                       {memory::ColumnKind::kF64, fit_n},
                                       {memory::ColumnKind::kF64, fit_n},
@@ -277,6 +276,15 @@ Status Kde2dSelectivity::LoadStateImpl(io::Source& source) {
       fitted_at_count > xs.size() || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt kde2d snapshot");
   }
+  // Insert drops non-finite points and clamps both coordinates into their
+  // domains, so a coordinate outside them (NaN included) was never inserted.
+  // (The pending half-pair is raw by design and may be anything.)
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (!(xs[i] >= options.domain_lo0 && xs[i] <= options.domain_hi0) ||
+        !(ys[i] >= options.domain_lo1 && ys[i] <= options.domain_hi1)) {
+      return Status::InvalidArgument("corrupt kde2d snapshot: point outside the domain");
+    }
+  }
   options.cv_bandwidths = cv != 0;
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
@@ -298,129 +306,6 @@ Status Kde2dSelectivity::LoadStateImpl(io::Source& source) {
       fitted_ = std::move(fit);
       fitted_at_count_ = static_cast<size_t>(fitted_at_count);
     }
-  }
-  return Status::OK();
-}
-
-Status Kde2dSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo1));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi1));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.refit_interval));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.alpha));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), options_.cv_bandwidths ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), xs_.size()));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), have_pending_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), pending_));
-  const bool has_fit = fitted_.has_value();
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), has_fit ? 1 : 0));
-  writer.AddF64(xs_);
-  writer.AddF64(ys_);
-  if (has_fit) {
-    // The fitted columns plus both bandwidths: restore adopts everything
-    // verbatim instead of re-sorting and re-deriving (λ_max is re-derived —
-    // one max over the λ column — rather than trusted from the wire).
-    WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hx));
-    WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hy));
-    writer.AddF64(fitted_->sx());
-    writer.AddF64(fitted_->sy());
-    writer.AddF64(fitted_->ty());
-    writer.AddF64(fitted_->lambdas());
-  }
-  return Status::OK();
-}
-
-Status Kde2dSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo0, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi0, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.domain_lo1, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi1, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.alpha, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t cv, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t n_values, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t have_pending, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double pending, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_fit, io::ReadU8(reader.head()));
-  double hx = 0.0;
-  double hy = 0.0;
-  if (has_fit == 1) {
-    WDE_ASSIGN_OR_RETURN(hx, io::ReadDouble(reader.head()));
-    WDE_ASSIGN_OR_RETURN(hy, io::ReadDouble(reader.head()));
-  }
-  std::vector<memory::ColumnSpec> expected = {
-      {memory::ColumnKind::kF64, static_cast<size_t>(n_values)},
-      {memory::ColumnKind::kF64, static_cast<size_t>(n_values)}};
-  if (has_fit == 1) {
-    for (int c = 0; c < 4; ++c) {
-      expected.push_back(
-          {memory::ColumnKind::kF64, static_cast<size_t>(fitted_at)});
-    }
-  }
-  if (!std::isfinite(options.domain_lo0) || !std::isfinite(options.domain_hi0) ||
-      !(options.domain_lo0 < options.domain_hi0) ||
-      !std::isfinite(options.domain_lo1) || !std::isfinite(options.domain_hi1) ||
-      !(options.domain_lo1 < options.domain_hi1) ||
-      options.refit_interval == 0 || !std::isfinite(options.alpha) ||
-      options.alpha < 0.0 || options.alpha > 1.0 || cv > 1 ||
-      have_pending > 1 || has_fit > 1 || fitted_at > n_values ||
-      (has_fit == 1 && fitted_at < kMinFitSample) ||
-      (has_fit == 1 &&
-       !(std::isfinite(hx) && hx > 0.0 && std::isfinite(hy) && hy > 0.0)) ||
-      reader.head().remaining() != 0 ||
-      !memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt kde2d fast state");
-  }
-  double lambda_max = 1.0;
-  if (has_fit == 1) {
-    // The fitted columns are consumed by binary search (sx), the bandwidth
-    // rule (ty) and per-point scaling (λ): hostile orderings or non-finite
-    // entries must be rejected, not served.
-    const std::span<const double> sx = reader.arena().F64(2);
-    const std::span<const double> sy = reader.arena().F64(3);
-    const std::span<const double> ty = reader.arena().F64(4);
-    const std::span<const double> lambdas = reader.arena().F64(5);
-    if (!multidim::IsLexSorted(sx, sy)) {
-      return Status::InvalidArgument("corrupt kde2d fitted columns");
-    }
-    lambda_max = 0.0;
-    for (size_t i = 0; i < ty.size(); ++i) {
-      if (!std::isfinite(ty[i]) || (i > 0 && ty[i] < ty[i - 1]) ||
-          !std::isfinite(lambdas[i]) || !(lambdas[i] > 0.0)) {
-        return Status::InvalidArgument("corrupt kde2d fitted columns");
-      }
-      lambda_max = std::max(lambda_max, lambdas[i]);
-    }
-  }
-  const std::span<const double> xs = reader.arena().F64(0);
-  const std::span<const double> ys = reader.arena().F64(1);
-  options.cv_bandwidths = cv != 0;
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  xs_.assign(xs.begin(), xs.end());
-  ys_.assign(ys.begin(), ys.end());
-  have_pending_ = have_pending != 0;
-  pending_ = pending;
-  if (has_fit == 1) {
-    // Adopt the fitted columns in place (columns 2..5 of the parsed arena) —
-    // borrowed zero-copy from an mmapped image; refits build new arenas, so
-    // the mapping is never written through.
-    Fitted fit;
-    fit.arena = std::move(reader.arena());
-    fit.col0 = 2;
-    fit.n = static_cast<size_t>(fitted_at);
-    fit.hx = hx;
-    fit.hy = hy;
-    fit.lambda_max = lambda_max;
-    fitted_ = std::move(fit);
-    fitted_at_count_ = static_cast<size_t>(fitted_at);
-  } else {
-    fitted_.reset();
-    fitted_at_count_ = 0;
   }
   return Status::OK();
 }

@@ -43,8 +43,8 @@ namespace selectivity {
 /// lex-sorted prefix, sorts only the appended tail and merges —
 /// O(Δ log Δ + n) instead of O(n log n), bitwise-identical answers
 /// (refit_equivalence_test). Every refit builds a fresh arena: fitted
-/// columns may be shared with CloneForView copies or borrowed from a
-/// snapshot mapping, and are never mutated in place. The adaptive factors
+/// columns may be shared with CloneForView copies, and are never mutated in
+/// place. The adaptive factors
 /// and bandwidths are recomputed O(n) per refit in BOTH modes — they are
 /// global functions of the sorted sample, not mergeable state; the
 /// incremental win is the sort, not the fit.
@@ -103,8 +103,6 @@ class Kde2dSelectivity : public SelectivityEstimator {
   WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde2d-prod"; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   /// The copy shares the fitted arena (sorted coordinates, adaptive
   /// factors) copy-on-write; refits never mutate shared columns.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
@@ -120,12 +118,6 @@ class Kde2dSelectivity : public SelectivityEstimator {
                           double hi1) const override;
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
-  /// Fast state persists the raw coordinate buffers plus the fitted columns
-  /// (lex-sorted sx/sy, the sorted axis-1 shadow ty, the adaptive λ_i) and
-  /// both bandwidths, so restore adopts the fit verbatim — no re-sort, no
-  /// CV re-run, zero-copy from an mmapped snapshot.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
 
   /// Refits whenever any unfitted tail exists (not just past the interval),
   /// so a quiesced estimator is fitted at its full count.

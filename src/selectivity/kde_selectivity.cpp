@@ -6,24 +6,28 @@
 #include <memory>
 
 #include "kernel/bandwidth.hpp"
-#include "memory/fast_state.hpp"
+#include "memory/arena.hpp"
 
 namespace wde {
 namespace selectivity {
 namespace {
 
-// The rule-of-thumb Epanechnikov KDE over an ascending buffer, which it
+// A one-column arena for n samples, filled by the caller.
+memory::Arena SampleColumn(size_t n) {
+  const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, n}};
+  return memory::Arena::Create(specs);
+}
+
+// The rule-of-thumb Epanechnikov KDE over an ascending column, which it
 // adopts as its sample storage. The bandwidth comes from sorted order
 // statistics in O(1), so it is bitwise-reproducible from the sorted multiset
 // alone (insertion order never enters).
-std::optional<kernel::KernelDensityEstimator> FitSorted(
-    std::shared_ptr<std::vector<double>> buffer) {
-  const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
-  const std::span<const double> sorted(buffer->data(), buffer->size());
+std::optional<kernel::KernelDensityEstimator> FitSorted(memory::Arena sorted) {
+  const double bandwidth = kernel::RuleOfThumbBandwidthSorted(sorted.F64(0));
   Result<kernel::KernelDensityEstimator> kde =
-      kernel::KernelDensityEstimator::FromSorted(
-          kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth, sorted,
-          std::move(buffer));
+      kernel::KernelDensityEstimator::AdoptSorted(
+          kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
+          std::move(sorted));
   if (!kde.ok()) return std::nullopt;
   return std::move(kde).value();
 }
@@ -84,31 +88,30 @@ std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneForView() const {
 }
 
 void KdeSelectivity::Refit() const {
-  // Every refit builds a NEW owned buffer: the previous fitted buffer may be
-  // shared with CloneForView copies (published serving views) or borrowed
-  // zero-copy from a snapshot arena, so it must never be mutated in place.
-  auto buffer = std::make_shared<std::vector<double>>();
-  buffer->reserve(values_.size());
+  // Every refit builds a NEW sample column: the previous fitted column may be
+  // shared with CloneForView copies (published serving views), so it must
+  // never be mutated in place.
+  memory::Arena column = SampleColumn(values_.size());
+  const std::span<double> buffer = column.MutableF64(0);
   const bool incremental = options_.refit_mode == RefitMode::kIncremental &&
                            kde_.has_value() &&
                            kde_->samples().size() == fitted_at_count_ &&
                            fitted_at_count_ <= values_.size();
   if (incremental) {
-    // The previous fitted buffer is the sorted permutation of
+    // The previous fitted column is the sorted permutation of
     // values_[0..fitted_at_count_) (the buffer only ever appends): copy it,
     // append the unfitted tail, sort only the tail, one stable merge.
     // O(Δ log Δ + n) instead of O(n log n), identical sorted sequence.
     const std::span<const double> prev = kde_->samples();
-    buffer->assign(prev.begin(), prev.end());
-    buffer->insert(buffer->end(), values_.begin() + prev.size(), values_.end());
-    const auto mid = buffer->begin() + static_cast<ptrdiff_t>(prev.size());
-    std::sort(mid, buffer->end());
-    std::inplace_merge(buffer->begin(), mid, buffer->end());
+    const auto mid = std::copy(prev.begin(), prev.end(), buffer.begin());
+    std::copy(values_.begin() + static_cast<ptrdiff_t>(prev.size()), values_.end(), mid);
+    std::sort(mid, buffer.end());
+    std::inplace_merge(buffer.begin(), mid, buffer.end());
   } else {
-    buffer->assign(values_.begin(), values_.end());
-    std::sort(buffer->begin(), buffer->end());
+    std::copy(values_.begin(), values_.end(), buffer.begin());
+    std::sort(buffer.begin(), buffer.end());
   }
-  std::optional<kernel::KernelDensityEstimator> kde = FitSorted(std::move(buffer));
+  std::optional<kernel::KernelDensityEstimator> kde = FitSorted(std::move(column));
   if (kde.has_value()) {
     kde_ = std::move(kde);
     fitted_at_count_ = values_.size();
@@ -187,10 +190,15 @@ Status KdeSelectivity::SaveStateImpl(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, Values()));
-  // Format v2 tail: the retired tree-evaluation tolerance, always 0.0 (every
-  // answer is exact now); v1 payloads simply end at the vector.
-  return io::WriteDouble(sink, 0.0);
+  // One vector: the fitted sorted sample (a permutation of the first
+  // fitted_at_count_ observations), then the unfitted tail in stream order.
+  // Restore adopts the sorted prefix as is, so it never re-sorts.
+  const std::span<const double> fitted =
+      kde_.has_value() ? kde_->samples() : std::span<const double>();
+  const std::span<const double> tail = Values().subspan(fitted.size());
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted.size() + tail.size()));
+  WDE_RETURN_IF_ERROR(io::WriteDoubles(sink, fitted));
+  return io::WriteDoubles(sink, tail);
 }
 
 Status KdeSelectivity::LoadStateImpl(io::Source& source) {
@@ -198,106 +206,42 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(source));
   WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(source));
   WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at_count, io::ReadU64(source));
+  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at, io::ReadU64(source));
   WDE_ASSIGN_OR_RETURN(std::vector<double> values, io::ReadDoubleVector(source));
-  double tolerance = 0.0;  // v2 tail; absent in v1 payloads
-  if (source.remaining() != 0) {
-    WDE_ASSIGN_OR_RETURN(tolerance, io::ReadDouble(source));
-  }
-  // The retired tolerance is validated, then ignored: snapshots saved with a
-  // positive tolerance restore as exact.
+  // A live estimator fits only at four or more values, so a fitted prefix
+  // of one to three values is corrupt.
   if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
       !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      !std::isfinite(tolerance) || tolerance < 0.0 ||
-      fitted_at_count > values.size() || source.remaining() != 0) {
+      fitted_at > values.size() || (fitted_at > 0 && fitted_at < 4) ||
+      source.remaining() != 0) {
     return Status::InvalidArgument("corrupt kde snapshot");
+  }
+  // Insert clamps into the domain and drops non-finite values, so a value
+  // outside [domain_lo, domain_hi] (NaN included) was never inserted.
+  for (double x : values) {
+    if (!(x >= options.domain_lo && x <= options.domain_hi)) {
+      return Status::InvalidArgument("corrupt kde snapshot: value outside the domain");
+    }
+  }
+  // Refit on the saved sorted prefix without sorting, reproducing the saved
+  // estimator's KDE — bandwidth and all — exactly (the sorted-order-statistics
+  // recipe the live refit uses). AdoptSorted rejects a prefix out of order.
+  std::optional<kernel::KernelDensityEstimator> kde;
+  if (fitted_at > 0) {
+    memory::Arena column = SampleColumn(static_cast<size_t>(fitted_at));
+    std::copy(values.begin(), values.begin() + static_cast<ptrdiff_t>(fitted_at),
+              column.MutableF64(0).begin());
+    kde = FitSorted(std::move(column));
+    if (!kde.has_value()) {
+      return Status::InvalidArgument("corrupt kde snapshot: unfittable sample");
+    }
   }
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   values_ = std::move(values);
   sorted_view_ = false;
-  kde_.reset();
-  fitted_at_count_ = 0;
-  // Refit from the prefix the saved estimator had fitted on (the buffer only
-  // ever appends), reproducing its cached KDE — bandwidth and all — exactly:
-  // sort the prefix and run the same sorted-order-statistics recipe the live
-  // refit uses, so even the degenerate StdDev fallback sums in the same
-  // (sorted) order and the restored bandwidth is bit-exact.
-  if (fitted_at_count >= 4) {
-    auto buffer = std::make_shared<std::vector<double>>(
-        values_.begin(), values_.begin() + static_cast<ptrdiff_t>(fitted_at_count));
-    std::sort(buffer->begin(), buffer->end());
-    kde_ = FitSorted(std::move(buffer));
-    if (kde_.has_value()) fitted_at_count_ = static_cast<size_t>(fitted_at_count);
-  }
-  return Status::OK();
-}
-
-Status KdeSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.refit_interval));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), 0.0));  // see SaveStateImpl
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), count()));
-  const bool has_kde = kde_.has_value();
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), has_kde ? 1 : 0));
-  writer.AddF64(Values());
-  if (has_kde) {
-    // The already-sorted fitted buffer plus its bandwidth: restore adopts
-    // both verbatim instead of re-sorting and re-deriving.
-    WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), kde_->bandwidth()));
-    writer.AddF64(kde_->samples());
-  }
-  return Status::OK();
-}
-
-Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const double tolerance, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t n_values, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_kde, io::ReadU8(reader.head()));
-  double bandwidth = 0.0;
-  if (has_kde == 1) {
-    WDE_ASSIGN_OR_RETURN(bandwidth, io::ReadDouble(reader.head()));
-  }
-  std::vector<memory::ColumnSpec> expected = {
-      {memory::ColumnKind::kF64, static_cast<size_t>(n_values)}};
-  if (has_kde == 1) {
-    expected.push_back({memory::ColumnKind::kF64, static_cast<size_t>(fitted_at)});
-  }
-  // The retired tolerance is validated, then ignored (see LoadStateImpl).
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      !std::isfinite(tolerance) || tolerance < 0.0 ||
-      has_kde > 1 || fitted_at > n_values ||
-      (has_kde == 1 && !(std::isfinite(bandwidth) && bandwidth > 0.0)) ||
-      reader.head().remaining() != 0 ||
-      !memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt kde fast state");
-  }
-  std::optional<kernel::KernelDensityEstimator> kde;
-  if (has_kde == 1) {
-    // FromSorted verifies ascending order in O(n) — the only scan the fast
-    // restore pays — and borrows the column zero-copy; the arena's storage
-    // keepalive anchors the bytes whether they live in an mmapped image or
-    // in the reader's own heap copy.
-    WDE_ASSIGN_OR_RETURN(
-        kde, kernel::KernelDensityEstimator::FromSorted(
-                 kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
-                 reader.arena().F64(1), reader.arena().storage_keepalive()));
-  }
-  const std::span<const double> values = reader.arena().F64(0);
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  values_.assign(values.begin(), values.end());
-  sorted_view_ = false;
   kde_ = std::move(kde);
-  fitted_at_count_ = kde_.has_value() ? static_cast<size_t>(fitted_at) : 0;
+  fitted_at_count_ = static_cast<size_t>(fitted_at);
   return Status::OK();
 }
 

@@ -31,8 +31,8 @@ namespace selectivity {
 /// refit; kIncremental (the default) reuses the previously fitted KDE's
 /// sorted sample buffer as a sorted prefix, sorts only the new tail and does
 /// one stable in-place merge — O(Δ log Δ + n) instead of O(n log n) — into a
-/// freshly allocated buffer (fitted buffers are shared copy-on-write with
-/// CloneForView copies and snapshot arenas, so a refit never mutates them).
+/// freshly allocated buffer (fitted buffers are shared with CloneForView
+/// copies, so a refit never mutates them).
 /// Both modes derive the bandwidth from the same sorted sequence, so their
 /// answers are bitwise-identical (refit_equivalence_test).
 ///
@@ -40,8 +40,8 @@ namespace selectivity {
 /// incremental tail merge) and returns a copy holding only the shared fitted
 /// KDE — no copy of the raw stream. A view's raw values ARE its sorted
 /// buffer, which changes nothing it answers (answers depend only on the
-/// sorted multiset). count(), SaveState/SaveFastState and MergeFrom-as-
-/// source read the sorted buffer; Insert/InsertBatch/MergeFrom/MergeTailFrom
+/// sorted multiset). count(), SaveState and MergeFrom-as-source read the
+/// sorted buffer; Insert/InsertBatch/MergeFrom/MergeTailFrom
 /// into a view first copy it back into the raw buffer. A view cannot be the
 /// peer of MergeTailFrom: stream positions mean nothing on a sorted buffer.
 class KdeSelectivity : public SelectivityEstimator {
@@ -93,8 +93,6 @@ class KdeSelectivity : public SelectivityEstimator {
   WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde-rot"; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   /// Force-refits this estimator, then returns a sorted-only view sharing
   /// the fitted KDE (sorted buffer and moment index) — see the class
   /// comment. Below four values nothing is fitted and the copy is plain.
@@ -104,15 +102,14 @@ class KdeSelectivity : public SelectivityEstimator {
   /// clamp(F̂(b) − F̂(a)) from the kernel CDF; a (-inf, x] range (the
   /// Less/Cdf lowering) is a single endpoint.
   double EstimateRangeImpl(double a, double b) const override;
+  /// State: options, the fit point, and one vector holding the fitted
+  /// KDE's sorted sample followed by the unfitted tail in stream order.
+  /// Restore validates every value (finite, inside the domain, the prefix
+  /// ascending) and adopts the prefix as the fitted sample without sorting.
+  /// A restored writer's raw buffer therefore holds its fitted prefix in
+  /// sorted order, which changes nothing it answers or saves.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
-  /// Fast state persists the fitted KDE's *sorted* sample buffer and
-  /// bandwidth alongside the raw values, so restore adopts it via
-  /// KernelDensityEstimator::FromSorted — no re-sort, no bandwidth
-  /// re-derivation, and from an mmapped snapshot the sorted buffer is
-  /// borrowed zero-copy.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
 
   /// Batched queries: one staleness check/refit, then kernel-CDF integrals
   /// (windowed for one-sided kinds) straight off the fitted KDE; quantiles

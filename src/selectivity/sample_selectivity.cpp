@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "memory/fast_state.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
 
@@ -119,56 +118,17 @@ Status ReservoirSampleSelectivity::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(const uint8_t have_spare, io::ReadU8(source));
   WDE_ASSIGN_OR_RETURN(rng.spare_gaussian, io::ReadDouble(source));
   rng.have_spare_gaussian = have_spare != 0;
+  // Insert drops non-finite values, so the sample never holds one.
   if (capacity == 0 ||
       reservoir.size() != std::min<uint64_t>(seen, capacity) ||
+      !std::all_of(reservoir.begin(), reservoir.end(),
+                   [](double x) { return std::isfinite(x); }) ||
       source.remaining() != 0) {
     return Status::InvalidArgument("corrupt reservoir snapshot");
   }
   capacity_ = static_cast<size_t>(capacity);
   seen_ = static_cast<size_t>(seen);
   reservoir_ = std::move(reservoir);
-  rng_.RestoreState(rng);
-  return Status::OK();
-}
-
-Status ReservoirSampleSelectivity::SaveFastStateImpl(
-    memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), capacity_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), seen_));
-  const stats::Rng::State rng = rng_.SaveState();
-  for (uint64_t word : rng.state) {
-    WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), word));
-  }
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), rng.seed));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), rng.have_spare_gaussian ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), rng.spare_gaussian));
-  writer.AddF64(reservoir_);
-  return Status::OK();
-}
-
-Status ReservoirSampleSelectivity::LoadFastStateImpl(
-    memory::FastStateReader& reader) {
-  WDE_ASSIGN_OR_RETURN(const uint64_t capacity, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t seen, io::ReadU64(reader.head()));
-  stats::Rng::State rng;
-  for (uint64_t& word : rng.state) {
-    WDE_ASSIGN_OR_RETURN(word, io::ReadU64(reader.head()));
-  }
-  WDE_ASSIGN_OR_RETURN(rng.seed, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t have_spare, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(rng.spare_gaussian, io::ReadDouble(reader.head()));
-  rng.have_spare_gaussian = have_spare != 0;
-  const memory::ColumnSpec specs[] = {
-      {memory::ColumnKind::kF64,
-       static_cast<size_t>(std::min<uint64_t>(seen, capacity))}};
-  if (capacity == 0 || have_spare > 1 || reader.head().remaining() != 0 ||
-      !memory::ColumnsMatch(reader.arena(), specs)) {
-    return Status::InvalidArgument("corrupt reservoir fast state");
-  }
-  const std::span<const double> sample = reader.arena().F64(0);
-  capacity_ = static_cast<size_t>(capacity);
-  seen_ = static_cast<size_t>(seen);
-  reservoir_.assign(sample.begin(), sample.end());
   rng_.RestoreState(rng);
   return Status::OK();
 }

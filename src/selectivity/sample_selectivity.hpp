@@ -50,8 +50,6 @@ class ReservoirSampleSelectivity : public SelectivityEstimator {
 
   const std::vector<double>& reservoir() const { return reservoir_; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<ReservoirSampleSelectivity>(*this);
   }
@@ -62,10 +60,6 @@ class ReservoirSampleSelectivity : public SelectivityEstimator {
   /// acceptance sequence the saved one would have produced.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: RNG + counters in the head, the sample as one F64 column
-  /// (restored with a single bulk copy).
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
 
  private:
   size_t capacity_;

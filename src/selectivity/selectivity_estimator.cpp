@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "io/chunk.hpp"
-#include "memory/fast_state.hpp"
 #include "numerics/optimize.hpp"
 
 namespace wde {
@@ -80,14 +79,17 @@ Query Normalize(const Query& q) {
   return fixed;
 }
 
-/// The 4-byte DIMS chunk payload: one little-endian u32 dimensionality.
-Status WriteDimsChunk(io::Sink& sink, int dims) {
-  io::VectorSink payload;
-  WDE_RETURN_IF_ERROR(io::WriteU32(payload, static_cast<uint32_t>(dims)));
-  return io::WriteChunk(sink, internal::kChunkEstimatorDims, payload.bytes());
-}
-
 }  // namespace
+
+bool internal::IsCountTable(std::span<const double> counts, uint64_t total) {
+  // Integer-valued doubles add exactly up to 2^53, far beyond any count.
+  double sum = 0.0;
+  for (double c : counts) {
+    if (!(c >= 0.0 && c <= 0x1p53) || c != std::floor(c)) return false;
+    sum += c;
+  }
+  return sum == static_cast<double>(total);
+}
 
 void SelectivityEstimator::Answer(std::span<const Query> queries,
                                   std::span<double> out) const {
@@ -217,45 +219,13 @@ Status SelectivityEstimator::SaveState(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteChunk(
       sink, internal::kChunkEstimatorType,
       std::span(reinterpret_cast<const uint8_t*>(tag.data()), tag.size())));
-  // Multi-dimensional envelopes carry their dimensionality ahead of the
-  // state (snapshot v4); 1-D envelopes omit the chunk and stay byte-for-byte
-  // what a v3 writer produced.
-  if (dims() != 1) WDE_RETURN_IF_ERROR(WriteDimsChunk(sink, dims()));
+  io::VectorSink dims;
+  WDE_RETURN_IF_ERROR(io::WriteU32(dims, static_cast<uint32_t>(this->dims())));
+  WDE_RETURN_IF_ERROR(io::WriteChunk(sink, internal::kChunkEstimatorDims, dims.bytes()));
   // Buffer the state so the chunk framing can length-prefix and checksum it.
   io::VectorSink state;
   WDE_RETURN_IF_ERROR(SaveStateImpl(state));
   return io::WriteChunk(sink, internal::kChunkEstimatorState, state.bytes());
-}
-
-Status SelectivityEstimator::SaveStateFast(io::Sink& sink,
-                                           uint64_t base_offset) const {
-  // The fast encoding is an optimization, never a capability: estimators
-  // without a fast impl — and big-endian hosts, whose column bytes would not
-  // be the wire's little-endian — transparently write the portable envelope,
-  // which every reader accepts through the same LoadState dispatch.
-  if (!supports_fast_snapshot() || !memory::FastStateSupportedOnHost()) {
-    return SaveState(sink);
-  }
-  if (!snapshotable()) {
-    return Status::FailedPrecondition(name() + " does not support snapshots");
-  }
-  const std::string_view tag = snapshot_type_tag();
-  WDE_RETURN_IF_ERROR(io::WriteChunk(
-      sink, internal::kChunkEstimatorType,
-      std::span(reinterpret_cast<const uint8_t*>(tag.data()), tag.size())));
-  if (dims() != 1) WDE_RETURN_IF_ERROR(WriteDimsChunk(sink, dims()));
-  memory::FastStateWriter writer;
-  WDE_RETURN_IF_ERROR(SaveFastStateImpl(writer));
-  // The ARNA payload starts after the TYPE chunk (16 bytes of framing + the
-  // tag), the 20-byte DIMS chunk when present, and the ARNA chunk's own
-  // 12-byte tag/size header; the writer pads its column region to a 64-byte
-  // offset relative to that absolute position, so an mmapped artifact
-  // presents the columns aligned.
-  const uint64_t payload_offset = base_offset + 16 + tag.size() +
-                                  (dims() != 1 ? 20 : 0) + 12;
-  io::VectorSink frame;
-  WDE_RETURN_IF_ERROR(writer.Finish(frame, payload_offset));
-  return io::WriteChunk(sink, internal::kChunkEstimatorArena, frame.bytes());
 }
 
 Status SelectivityEstimator::LoadState(io::Source& source) {
@@ -274,60 +244,30 @@ Status SelectivityEstimator::LoadState(io::Source& source) {
 }
 
 Status SelectivityEstimator::LoadEnvelopeState(io::Source& source) {
-  // Zero-copy read: for memory-backed sources (SpanSource over a blob, the
-  // mmapped FileSource) the payload is a view into the source's buffer,
-  // anchored below by source.backing(); only byte-stream sources pay a copy.
-  WDE_ASSIGN_OR_RETURN(io::ChunkRef chunk, io::ReadChunkRef(source));
-  if (chunk.tag == internal::kChunkEstimatorDims) {
-    // Snapshot v4 dimensionality tag: validated against the target BEFORE
-    // any state byte is parsed. Absence (every v1–v3 envelope, and every
-    // v4 1-D envelope) implies dimensionality 1, checked below.
-    if (chunk.payload.size() != 4) {
-      return Status::InvalidArgument("malformed estimator DIMS chunk");
-    }
-    io::SpanSource dims_source(chunk.payload);
-    WDE_ASSIGN_OR_RETURN(const uint32_t snapshot_dims,
-                         io::ReadU32(dims_source));
-    if (snapshot_dims != static_cast<uint32_t>(dims())) {
-      return Status::FailedPrecondition(
-          "snapshot dimensionality does not match " + name());
-    }
-    WDE_ASSIGN_OR_RETURN(chunk, io::ReadChunkRef(source));
-  } else if (dims() != 1) {
-    return Status::FailedPrecondition(
-        "snapshot lacks the dimensionality tag required by " + name());
+  // The dimensionality is checked against the target BEFORE any state byte
+  // is parsed.
+  WDE_ASSIGN_OR_RETURN(const io::ChunkRef dims, io::ReadChunkRef(source));
+  if (dims.tag != internal::kChunkEstimatorDims || dims.payload.size() != 4) {
+    return Status::InvalidArgument("estimator envelope lacks its DIMS chunk");
   }
-  if (chunk.tag == internal::kChunkEstimatorState) {
-    io::SpanSource state(chunk.payload);
-    // Payload exhaustion is part of the LoadStateImpl contract and must be
-    // validated there BEFORE committing (a wrapper-side check here would fire
-    // only after the implementation already replaced the estimator's state,
-    // silently breaking the untouched-on-error guarantee).
-    return LoadStateImpl(state);
+  io::SpanSource dims_source(dims.payload);
+  WDE_ASSIGN_OR_RETURN(const uint32_t snapshot_dims, io::ReadU32(dims_source));
+  if (snapshot_dims != static_cast<uint32_t>(this->dims())) {
+    return Status::FailedPrecondition("snapshot dimensionality does not match " + name());
   }
-  if (chunk.tag == internal::kChunkEstimatorArena) {
-    // Anchor the payload bytes for the life of the restored estimator: the
-    // fast path hands column spans straight into fitted state, so the image
-    // must outlive this call. A viewed payload borrows the source's backing
-    // (the mmap or caller-owned blob); a copied payload is promoted into a
-    // shared buffer the reader keeps alive.
-    std::shared_ptr<const void> keepalive;
-    if (!chunk.owned.empty()) {
-      // Moving the vector relocates the struct, not the heap buffer, so
-      // chunk.payload keeps pointing at the promoted bytes.
-      keepalive = std::make_shared<const std::vector<uint8_t>>(
-          std::move(chunk.owned));
-    } else {
-      keepalive = source.backing();
-    }
-    WDE_ASSIGN_OR_RETURN(
-        memory::FastStateReader reader,
-        memory::FastStateReader::Parse(chunk.payload, std::move(keepalive)));
-    // Same parse-validate-commit contract as the portable branch, including
-    // full consumption of reader.head().
-    return LoadFastStateImpl(reader);
+  // Zero-copy read: for memory-backed sources (SpanSource over a blob, a
+  // FileSource) the payload is a view into the source's buffer; only
+  // byte-stream sources pay a copy.
+  WDE_ASSIGN_OR_RETURN(const io::ChunkRef state, io::ReadChunkRef(source));
+  if (state.tag != internal::kChunkEstimatorState) {
+    return Status::InvalidArgument("estimator envelope lacks its STAT chunk");
   }
-  return Status::InvalidArgument("estimator envelope has an unknown state chunk");
+  io::SpanSource state_source(state.payload);
+  // Payload exhaustion is part of the LoadStateImpl contract and must be
+  // validated there BEFORE committing (a wrapper-side check here would fire
+  // only after the implementation already replaced the estimator's state,
+  // silently breaking the untouched-on-error guarantee).
+  return LoadStateImpl(state_source);
 }
 
 Status SelectivityEstimator::SaveStateImpl(io::Sink& sink) const {
@@ -338,19 +278,6 @@ Status SelectivityEstimator::SaveStateImpl(io::Sink& sink) const {
 Status SelectivityEstimator::LoadStateImpl(io::Source& source) {
   (void)source;
   return Status::FailedPrecondition(name() + " does not implement LoadStateImpl");
-}
-
-Status SelectivityEstimator::SaveFastStateImpl(
-    memory::FastStateWriter& writer) const {
-  (void)writer;
-  return Status::FailedPrecondition(name() +
-                                    " does not implement SaveFastStateImpl");
-}
-
-Status SelectivityEstimator::LoadFastStateImpl(memory::FastStateReader& reader) {
-  (void)reader;
-  return Status::FailedPrecondition(name() +
-                                    " does not implement LoadFastStateImpl");
 }
 
 }  // namespace selectivity

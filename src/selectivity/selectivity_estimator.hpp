@@ -45,34 +45,24 @@
 #include "util/result.hpp"
 
 namespace wde {
-
-namespace memory {
-class FastStateReader;
-class FastStateWriter;
-}  // namespace memory
-
 namespace selectivity {
 
 class SelectivityEstimator;
 
 namespace internal {
-/// Chunk tags of the estimator envelope (see io/chunk.hpp for the framing):
-/// a type-tag chunk naming the concrete estimator, then one state chunk
-/// whose payload is the estimator's own serialized configuration + data. The
-/// state chunk comes in two interchangeable encodings: STAT carries the
-/// portable io-primitive stream (any host), ARNA carries the zero-copy
-/// fast-state frame of memory/fast_state.hpp (little-endian hosts; restores
-/// by header validation + pointer fixup instead of element-wise decoding).
-/// Every estimator reads both; which one a save emits is the caller's choice.
+/// Chunk tags of the estimator envelope (see io/chunk.hpp for the framing),
+/// always in this order: TYPE names the concrete estimator; DIMS holds its
+/// dimensionality (u32, 1-D included), so a reader rejects a mismatch
+/// before parsing any state; STAT holds the estimator's own configuration
+/// and data as portable little-endian io primitives.
 inline constexpr uint32_t kChunkEstimatorType = 0x45505954;   // "TYPE"
+inline constexpr uint32_t kChunkEstimatorDims = 0x534D4944;   // "DIMS"
 inline constexpr uint32_t kChunkEstimatorState = 0x54415453;  // "STAT"
-inline constexpr uint32_t kChunkEstimatorArena = 0x414E5241;  // "ARNA"
-/// Snapshot v4: estimators with dims() != 1 write one DIMS chunk (u32
-/// dimensionality) between TYPE and the state chunk, so a reader rejects a
-/// dimensionality mismatch before parsing any state. 1-D envelopes omit it —
-/// their bytes are identical to v3 — and v1–v3 snapshots (which can only
-/// contain 1-D estimators) load unchanged.
-inline constexpr uint32_t kChunkEstimatorDims = 0x534D4944;  // "DIMS"
+
+/// Snapshot-load check for histogram-style state: true when every entry of
+/// `counts` is a non-negative integer and they sum to exactly `total` — the
+/// only count tables Insert and MergeFrom can produce.
+bool IsCountTable(std::span<const double> counts, uint64_t total);
 }  // namespace internal
 
 /// Restores one estimator envelope through the tag → factory registry; see
@@ -375,46 +365,26 @@ class SelectivityEstimator {
   /// True when this estimator supports SaveState()/LoadState().
   bool snapshotable() const { return snapshot_type_tag() != nullptr; }
 
-  /// Writes this estimator's envelope (type-tag chunk + CRC-framed state
-  /// chunk). Composable: callers embedding estimators in larger artifacts
+  /// Writes this estimator's envelope (TYPE, DIMS and STAT chunks, each
+  /// CRC-framed). Composable: callers embedding estimators in larger artifacts
   /// (e.g. the sharded checkpoint) call this per estimator; whole-file
   /// snapshots add the magic/version header via SaveEstimatorSnapshot.
   Status SaveState(io::Sink& sink) const;
 
-  /// Restores an envelope written by SaveState. The envelope's type tag must
-  /// match this estimator's; configuration and data are then fully replaced.
-  /// On any error the estimator is untouched. Accepts both state encodings
-  /// (portable STAT and fast ARNA); when the source is backed by stable bytes
-  /// (SpanSource with a keepalive, mmapped FileSource), the fast path adopts
-  /// column buffers zero-copy instead of decoding them.
+  /// Restores an envelope written by SaveState. The envelope's type tag and
+  /// dimensionality must match this estimator's; configuration and data are
+  /// then fully replaced. On any error the estimator is untouched. The state
+  /// payload is parsed in place when the source is memory-backed
+  /// (Source::View), so a restore never holds the payload twice.
   Status LoadState(io::Source& source);
 
-  /// Saves this estimator's envelope with the fast ARNA state encoding:
-  /// TYPE chunk, then one fast-state frame (memory/fast_state.hpp) holding
-  /// the fitted buffers verbatim plus re-derivation products (bandwidths,
-  /// prefix/boundary tables, basis tables) that the portable load would
-  /// recompute. `base_offset` is the absolute artifact offset at which this
-  /// envelope begins (a whole-file snapshot's header is 12 bytes, so the
-  /// registry passes 12); the frame pads its column region to a 64-byte
-  /// absolute offset so an mmapped artifact restores zero-copy. Answers
-  /// restore bit-identically to SaveState. Falls back to the portable
-  /// SaveState when the estimator has no fast impl or the host is
-  /// big-endian — either way the artifact loads through LoadState.
-  Status SaveStateFast(io::Sink& sink, uint64_t base_offset) const;
-
-  /// True when the concrete estimator implements the fast-state impls.
-  virtual bool supports_fast_snapshot() const { return false; }
-
-  /// A deep, independent copy of this estimator carrying all fitted state —
-  /// the cheap view-extraction path the serving layer publishes epochs from.
-  /// Estimators whose fitted buffers live in a memory::Arena share them
-  /// copy-on-write, so the clone costs O(columns), not O(data); the first
-  /// mutation on either side un-shares. Returns nullptr when unsupported
-  /// (callers fall back to CloneViaSnapshot, which is equivalent but pays a
-  /// full serialize + parse).
-  virtual std::unique_ptr<SelectivityEstimator> CloneForView() const {
-    return nullptr;
-  }
+  /// An independent copy of this estimator carrying all fitted state that
+  /// answers bit-identically to it — the view-extraction path the serving
+  /// layer publishes epochs from. Fitted buffers that are never mutated in
+  /// place (arena columns, a KDE's sorted sample) are shared, so the clone
+  /// costs O(columns) plus whatever raw state the estimator copies; the
+  /// first mutation on either side un-shares.
+  virtual std::unique_ptr<SelectivityEstimator> CloneForView() const = 0;
 
   /// Restores any registered estimator from a whole snapshot (header +
   /// envelope) and folds it into this one via MergeFrom — the cross-process
@@ -430,24 +400,17 @@ class SelectivityEstimator {
   /// must parse everything into locals, validate — including that the
   /// payload is fully consumed — and only then commit, so failures leave the
   /// estimator untouched. Defaults report unsupported.
+  ///
+  /// Validation covers values, not just framing: a loader that keeps raw
+  /// observations rejects non-finite ones, and one whose Insert clamps into
+  /// a domain rejects values outside it — state a live estimator could never
+  /// hold must not load (InvalidArgument).
   virtual Status SaveStateImpl(io::Sink& sink) const;
   virtual Status LoadStateImpl(io::Source& source);
 
-  /// Fast-state extension points (see memory/fast_state.hpp). SaveFastStateImpl
-  /// writes scalar configuration into writer.head() with io primitives and
-  /// registers each bulk fitted buffer as one arena column; LoadFastStateImpl
-  /// reads the head back (consuming it fully), validates, and adopts the
-  /// reader's arena columns — zero-copy when the frame's keepalive anchors
-  /// them (mmapped snapshot), copied otherwise. Same parse-validate-commit
-  /// discipline as the portable impls: hostile bytes yield a Status and leave
-  /// the estimator untouched. Defaults report unsupported; estimators that
-  /// override both also override supports_fast_snapshot().
-  virtual Status SaveFastStateImpl(memory::FastStateWriter& writer) const;
-  virtual Status LoadFastStateImpl(memory::FastStateReader& reader);
-
  private:
-  /// Reads the state chunk and dispatches to LoadStateImpl (shared by
-  /// LoadState and the registry's restore-by-tag path, which has already
+  /// Reads the DIMS and STAT chunks and dispatches to LoadStateImpl (shared
+  /// by LoadState and the registry's restore-by-tag path, which has already
   /// consumed the type-tag chunk).
   Status LoadEnvelopeState(io::Source& source);
 

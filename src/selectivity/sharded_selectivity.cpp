@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "io/chunk.hpp"
-#include "memory/fast_state.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "util/string_util.hpp"
 
@@ -344,123 +343,6 @@ Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
   return Status::OK();
 }
 
-Status ShardedSelectivityEstimator::SaveFastStateImpl(
-    memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), replicas_.size()));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.block_size));
-  WDE_RETURN_IF_ERROR(
-      io::WriteU64(writer.head(), options_.merge_refresh_interval));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), position_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), pending_since_merge_));
-  // The prototype is an empty configuration keeper — a few dozen bytes — so
-  // its portable envelope lives in the head.
-  WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*prototype_, writer.head()));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), merged_ != nullptr ? 1 : 0));
-  // One U8 column per replica, each holding that estimator's own fast
-  // envelope. base_offset 0: a column starts on a 64-byte boundary of the
-  // outer region, so the nested pad computed against offset 0 keeps the
-  // nested column region 64-byte aligned whenever the outer one is.
-  for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-    io::VectorSink frame;
-    WDE_RETURN_IF_ERROR(replica->SaveStateFast(frame, 0));
-    writer.AddU8Owned(frame.TakeBytes());
-  }
-  if (merged_ != nullptr) {
-    io::VectorSink frame;
-    WDE_RETURN_IF_ERROR(merged_->SaveStateFast(frame, 0));
-    writer.AddU8Owned(frame.TakeBytes());
-  }
-  return Status::OK();
-}
-
-Status ShardedSelectivityEstimator::LoadFastStateImpl(
-    memory::FastStateReader& reader) {
-  WDE_ASSIGN_OR_RETURN(const uint64_t shards, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t block_size, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t refresh, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t position, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t pending, io::ReadU64(reader.head()));
-  if (shards == 0 || shards > 65536 || block_size == 0 || refresh == 0) {
-    return Status::InvalidArgument("corrupt sharded fast state layout");
-  }
-  Result<std::unique_ptr<SelectivityEstimator>> prototype =
-      LoadEstimatorEnvelope(reader.head());
-  if (!prototype.ok()) return prototype.status();
-  if (!(*prototype)->mergeable()) {
-    return Status::InvalidArgument(
-        "corrupt sharded fast state: prototype is not mergeable");
-  }
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_merged, io::ReadU8(reader.head()));
-  if (has_merged > 1 || reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt sharded fast state");
-  }
-  const memory::Arena& arena = reader.arena();
-  if (arena.num_columns() != static_cast<size_t>(shards) + has_merged) {
-    return Status::InvalidArgument("corrupt sharded fast state columns");
-  }
-  for (const memory::ColumnDesc& column : arena.columns()) {
-    if (column.kind != memory::ColumnKind::kU8) {
-      return Status::InvalidArgument("corrupt sharded fast state columns");
-    }
-  }
-  std::vector<std::unique_ptr<SelectivityEstimator>> replicas;
-  replicas.reserve(static_cast<size_t>(shards));
-  for (uint64_t s = 0; s < shards; ++s) {
-    // Pass the arena's storage keepalive down so a replica's own zero-copy
-    // borrows (e.g. a KDE sample buffer) anchor the outer storage — the
-    // mmapped image, or the reader's heap copy on the in-memory path.
-    io::SpanSource column(arena.U8(static_cast<size_t>(s)),
-                          arena.storage_keepalive());
-    Result<std::unique_ptr<SelectivityEstimator>> replica =
-        LoadEstimatorEnvelope(column);
-    if (!replica.ok()) return replica.status();
-    if (column.remaining() != 0) {
-      return Status::InvalidArgument(
-          "corrupt sharded fast state: trailing replica bytes");
-    }
-    if ((*replica)->merge_type_tag() != (*prototype)->merge_type_tag()) {
-      return Status::InvalidArgument(
-          "corrupt sharded fast state: heterogeneous shard replicas");
-    }
-    replicas.push_back(std::move(replica).value());
-  }
-  std::unique_ptr<SelectivityEstimator> merged;
-  if (has_merged != 0) {
-    io::SpanSource column(arena.U8(static_cast<size_t>(shards)),
-                          arena.storage_keepalive());
-    Result<std::unique_ptr<SelectivityEstimator>> loaded =
-        LoadEstimatorEnvelope(column);
-    if (!loaded.ok()) return loaded.status();
-    if (column.remaining() != 0 ||
-        (*loaded)->merge_type_tag() != (*prototype)->merge_type_tag()) {
-      return Status::InvalidArgument(
-          "corrupt sharded fast state: merged view mismatch");
-    }
-    merged = std::move(loaded).value();
-  }
-  // Same carve-out as the portable load: a paced merged view never crosses a
-  // restore boundary.
-  if (pending != 0) merged.reset();
-  options_.shards = static_cast<size_t>(shards);
-  options_.block_size = static_cast<size_t>(block_size);
-  options_.merge_refresh_interval = static_cast<size_t>(refresh);
-  prototype_ = std::move(prototype).value();
-  replicas_ = std::move(replicas);
-  position_ = static_cast<size_t>(position);
-  pending_since_merge_ = static_cast<size_t>(pending);
-  merged_ = std::move(merged);
-  // Re-anchor the delta-refresh marks. A view only survives the restore when
-  // pending == 0, i.e. it holds exactly the replica counts.
-  merged_hw_.clear();
-  if (merged_ != nullptr) {
-    merged_hw_.reserve(replicas_.size());
-    for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-      merged_hw_.push_back(replica->count());
-    }
-  }
-  return Status::OK();
-}
-
 Status ShardedSelectivityEstimator::Checkpoint(const std::string& path) const {
   return SaveEstimatorSnapshotFile(*this, path);
 }
@@ -471,20 +353,19 @@ Status ShardedSelectivityEstimator::Restore(const std::string& path) {
   if (!file.ok()) return file.status();
   std::vector<uint8_t> bytes(file->remaining());
   WDE_RETURN_IF_ERROR(file->Read(bytes.data(), bytes.size()));
-  // Structural pass first — header, both envelope chunks (CRC-validated), no
-  // trailing bytes — so the commit pass below cannot fail on framing and the
-  // strong guarantee (untouched on error) holds for the whole file.
+  // Structural pass first — header and the three envelope chunks
+  // (CRC-validated), no trailing bytes — so the commit pass below cannot fail
+  // on framing and the strong guarantee (untouched on error) holds for the
+  // whole file.
   {
     io::SpanSource probe(bytes);
     WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(probe).status());
     WDE_RETURN_IF_ERROR(
         io::ReadChunkExpecting(probe, internal::kChunkEstimatorType).status());
-    // The state travels as either encoding (portable STAT or fast ARNA).
-    WDE_ASSIGN_OR_RETURN(const io::Chunk state, io::ReadChunk(probe));
-    if (state.tag != internal::kChunkEstimatorState &&
-        state.tag != internal::kChunkEstimatorArena) {
-      return Status::InvalidArgument("checkpoint has an unknown state chunk");
-    }
+    WDE_RETURN_IF_ERROR(
+        io::ReadChunkExpecting(probe, internal::kChunkEstimatorDims).status());
+    WDE_RETURN_IF_ERROR(
+        io::ReadChunkExpecting(probe, internal::kChunkEstimatorState).status());
     if (probe.remaining() != 0) {
       return Status::InvalidArgument("checkpoint has trailing bytes");
     }

@@ -152,7 +152,12 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// answer. Answers are bit-identical either way.
   std::unique_ptr<SelectivityEstimator> ExtractMergedView() const;
 
-  bool supports_fast_snapshot() const override { return true; }
+  /// A sharded engine's view is its merged extract (ExtractMergedView): one
+  /// single estimator of the prototype's type, cheaper to query than the
+  /// wrapper.
+  std::unique_ptr<SelectivityEstimator> CloneForView() const override {
+    return ExtractMergedView();
+  }
 
  protected:
   double EstimateRangeImpl(double a, double b) const override;
@@ -175,13 +180,6 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// optional merged view through the registry's envelope framing.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: partition metadata and the (config-only) prototype envelope
-  /// in the head; each replica — and the merged view when present — rides as
-  /// one U8 column holding that estimator's own fast envelope, so the per-
-  /// shard columns restore through the same zero-copy path as a standalone
-  /// snapshot.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
 
   /// Quiesce: refresh the merged view to the live replica state (resetting
   /// the pacing budget) and force-refit it, so subsequent queries are pure

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "memory/fast_state.hpp"
 #include "util/string_util.hpp"
 #include "wavelet/filter.hpp"
 
@@ -282,129 +281,6 @@ Status StreamingWaveletSelectivity::LoadStateImpl(io::Source& source) {
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   fit_ = std::move(fit).value();
-  fitted_at_count_ = static_cast<size_t>(fitted_at_count);
-  estimate_ = std::move(estimate);
-  cv_ = std::move(cv);
-  cv_cache_ = core::CvCache{};  // cold start: the first refit re-ranks fully
-  insert_scratch_.clear();
-  return Status::OK();
-}
-
-Status StreamingWaveletSelectivity::SaveFastStateImpl(
-    memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
-  WDE_RETURN_IF_ERROR(io::WriteI32(writer.head(), options_.j0));
-  WDE_RETURN_IF_ERROR(io::WriteI32(writer.head(), options_.j_max));
-  WDE_RETURN_IF_ERROR(
-      io::WriteU8(writer.head(), static_cast<uint8_t>(options_.kind)));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.refit_interval));
-  const wavelet::WaveletBasis& basis = fit_.coefficients().basis();
-  WDE_RETURN_IF_ERROR(io::WriteString(writer.head(), basis.filter().name()));
-  WDE_RETURN_IF_ERROR(
-      io::WriteU32(writer.head(), static_cast<uint32_t>(basis.table_levels())));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), fit_.count()));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), estimate_.has_value() ? 1 : 0));
-  if (estimate_.has_value()) {
-    WDE_RETURN_IF_ERROR(estimate_->Serialize(writer.head()));
-  }
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), cv_.has_value() ? 1 : 0));
-  if (cv_.has_value()) {
-    WDE_RETURN_IF_ERROR(SerializeCvResult(*cv_, writer.head()));
-  }
-  // Columns 0-3: the cascade-product tables, so restore never reruns the
-  // cascade. Columns 4+: the (S1, S2) running sums, scaling level first,
-  // then each detail level in order.
-  writer.AddF64(basis.phi_table());
-  writer.AddF64(basis.psi_table());
-  writer.AddF64(basis.phi_cdf_table());
-  writer.AddF64(basis.psi_cdf_table());
-  const core::EmpiricalCoefficients& coeffs = fit_.coefficients();
-  writer.AddF64(coeffs.scaling_level().s1);
-  writer.AddF64(coeffs.scaling_level().s2);
-  for (int j = coeffs.j0(); j <= coeffs.j_max(); ++j) {
-    writer.AddF64(coeffs.detail_level(j).s1);
-    writer.AddF64(coeffs.detail_level(j).s2);
-  }
-  return Status::OK();
-}
-
-Status StreamingWaveletSelectivity::LoadFastStateImpl(
-    memory::FastStateReader& reader) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.j0, io::ReadI32(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.j_max, io::ReadI32(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t kind, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const std::string filter_name,
-                       io::ReadString(reader.head(), 64));
-  WDE_ASSIGN_OR_RETURN(const uint32_t table_levels, io::ReadU32(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at_count, io::ReadU64(reader.head()));
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || kind > 1 ||
-      options.refit_interval == 0 || options.j0 < 0 ||
-      options.j_max < options.j0 || options.j_max > 26 || table_levels < 1 ||
-      table_levels > 20 || fitted_at_count > count) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state");
-  }
-  options.kind = static_cast<core::ThresholdKind>(kind);
-  // Column geometry: 4 basis tables + (S1, S2) per level (scaling + each
-  // detail level). Kinds are checked by hand before any typed access; the
-  // table and sum sizes are re-validated by FromTables / RestoreSums.
-  const size_t n_sum_columns =
-      2 * (static_cast<size_t>(options.j_max - options.j0) + 2);
-  const memory::Arena& arena = reader.arena();
-  if (arena.num_columns() != 4 + n_sum_columns) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state columns");
-  }
-  for (const memory::ColumnDesc& column : arena.columns()) {
-    if (column.kind != memory::ColumnKind::kF64) {
-      return Status::InvalidArgument("corrupt wavelet sketch fast state columns");
-    }
-  }
-  WDE_ASSIGN_OR_RETURN(const wavelet::WaveletFilter filter,
-                       wavelet::WaveletFilter::FromName(filter_name));
-  WDE_ASSIGN_OR_RETURN(
-      const wavelet::WaveletBasis basis,
-      wavelet::WaveletBasis::FromTables(
-          filter, static_cast<int>(table_levels), arena.F64(0), arena.F64(1),
-          arena.F64(2), arena.F64(3), arena.storage_keepalive()));
-  std::vector<std::span<const double>> sums;
-  sums.reserve(n_sum_columns);
-  for (size_t i = 0; i < n_sum_columns; ++i) sums.push_back(arena.F64(4 + i));
-  WDE_ASSIGN_OR_RETURN(
-      core::WaveletDensityFit fit,
-      core::WaveletDensityFit::FromRestoredSums(
-          basis, options.j0, options.j_max, options.domain_lo,
-          options.domain_hi, count, sums));
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_estimate, io::ReadU8(reader.head()));
-  if (has_estimate > 1) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state");
-  }
-  std::optional<core::WaveletEstimate> estimate;
-  if (has_estimate != 0) {
-    WDE_ASSIGN_OR_RETURN(estimate, core::WaveletEstimate::Deserialize(
-                                       fit.coefficients().basis(), reader.head()));
-  }
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_cv, io::ReadU8(reader.head()));
-  if (has_cv > 1) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state");
-  }
-  std::optional<core::CrossValidationResult> cv;
-  if (has_cv != 0) {
-    WDE_ASSIGN_OR_RETURN(cv, DeserializeCvResult(reader.head()));
-  }
-  if (reader.head().remaining() != 0) {
-    return Status::InvalidArgument(
-        "corrupt wavelet sketch fast state: trailing bytes");
-  }
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  fit_ = std::move(fit);
   fitted_at_count_ = static_cast<size_t>(fitted_at_count);
   estimate_ = std::move(estimate);
   cv_ = std::move(cv);

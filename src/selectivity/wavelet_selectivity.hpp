@@ -93,8 +93,6 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
     return RangeQuery{options_.domain_lo, options_.domain_hi};
   }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   /// O(levels), not O(coefficients): the copy shares the (S1, S2) sums
   /// arena copy-on-write (see EmpiricalCoefficients's copy constructor).
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
@@ -123,12 +121,6 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   /// persisting it keeps mid-refit-interval saves bit-identical on restore.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
-  /// Fast state persists the basis cascade-product tables (φ, ψ and their
-  /// antiderivatives) and the per-level (S1, S2) sums as bulk F64 columns,
-  /// so restore skips the cascade re-derivation entirely: the tables are
-  /// borrowed zero-copy from an mmapped image via WaveletBasis::FromTables.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
 
  private:
   StreamingWaveletSelectivity(core::WaveletDensityFit fit, const Options& options)

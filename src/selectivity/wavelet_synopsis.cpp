@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "memory/fast_state.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
 
@@ -132,6 +131,9 @@ Status WaveletSynopsisSelectivity::LoadStateImpl(io::Source& source) {
       counts.size() != (1ULL << options.grid_log2)) {
     return Status::InvalidArgument("corrupt synopsis snapshot");
   }
+  if (!internal::IsCountTable(counts, count)) {
+    return Status::InvalidArgument("corrupt synopsis snapshot: counts");
+  }
   WDE_ASSIGN_OR_RETURN(const uint8_t has_cache, io::ReadU8(source));
   std::vector<double> reconstructed;
   uint64_t retained = 0;
@@ -140,7 +142,12 @@ Status WaveletSynopsisSelectivity::LoadStateImpl(io::Source& source) {
     WDE_ASSIGN_OR_RETURN(reconstructed, io::ReadDoubleVector(source));
     WDE_ASSIGN_OR_RETURN(retained, io::ReadU64(source));
     WDE_ASSIGN_OR_RETURN(built_at_count, io::ReadU64(source));
-    if (reconstructed.size() != counts.size() || built_at_count > count) {
+    if (reconstructed.size() != counts.size() || built_at_count > count ||
+        retained > reconstructed.size() ||
+        // A thresholded reconstruction never outweighs the counts it was
+        // built from; bounding it keeps every range sum finite.
+        !std::all_of(reconstructed.begin(), reconstructed.end(),
+                     [](double v) { return std::abs(v) <= 0x1p53; })) {
       return Status::InvalidArgument("corrupt synopsis reconstruction cache");
     }
   }
@@ -153,65 +160,6 @@ Status WaveletSynopsisSelectivity::LoadStateImpl(io::Source& source) {
   reconstructed_ = std::move(reconstructed);
   retained_ = static_cast<size_t>(retained);
   built_at_count_ = static_cast<size_t>(built_at_count);
-  return Status::OK();
-}
-
-Status WaveletSynopsisSelectivity::SaveFastStateImpl(
-    memory::FastStateWriter& writer) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
-  WDE_RETURN_IF_ERROR(io::WriteI32(writer.head(), options_.grid_log2));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.budget));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.rebuild_interval));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), count_));
-  const bool has_cache = !reconstructed_.empty();
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), has_cache ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), retained_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), built_at_count_));
-  writer.AddF64(counts_);
-  if (has_cache) writer.AddF64(reconstructed_);
-  return Status::OK();
-}
-
-Status WaveletSynopsisSelectivity::LoadFastStateImpl(
-    memory::FastStateReader& reader) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.grid_log2, io::ReadI32(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.budget, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.rebuild_interval, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_cache, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t retained, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t built_at, io::ReadU64(reader.head()));
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || options.grid_log2 < 2 ||
-      options.grid_log2 > 22 || options.budget == 0 ||
-      options.rebuild_interval == 0 || has_cache > 1 ||
-      (has_cache != 0 && built_at > count) ||
-      reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt synopsis fast state");
-  }
-  const size_t cells = static_cast<size_t>(1) << options.grid_log2;
-  std::vector<memory::ColumnSpec> expected = {
-      {memory::ColumnKind::kF64, cells}};
-  if (has_cache != 0) expected.push_back({memory::ColumnKind::kF64, cells});
-  if (!memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt synopsis fast state columns");
-  }
-  const std::span<const double> counts = reader.arena().F64(0);
-  std::vector<double> reconstructed;
-  if (has_cache != 0) {
-    const std::span<const double> cache = reader.arena().F64(1);
-    reconstructed.assign(cache.begin(), cache.end());
-  }
-  options_ = options;
-  count_ = static_cast<size_t>(count);
-  counts_.assign(counts.begin(), counts.end());
-  reconstructed_ = std::move(reconstructed);
-  retained_ = has_cache != 0 ? static_cast<size_t>(retained) : 0;
-  built_at_count_ = has_cache != 0 ? static_cast<size_t>(built_at) : 0;
   return Status::OK();
 }
 
@@ -230,7 +178,9 @@ double WaveletSynopsisSelectivity::EstimateRangeImpl(double a, double b) const {
                            std::max(ta, static_cast<double>(i));
     if (overlap > 0.0) acc += reconstructed_[i] * overlap;
   }
-  return acc / static_cast<double>(count_);
+  // Dropped detail coefficients can push a partial range below 0 or above
+  // 1; clamp to the probability range like every other estimator.
+  return std::clamp(acc / static_cast<double>(count_), 0.0, 1.0);
 }
 
 size_t WaveletSynopsisSelectivity::RetainedCoefficients() const {

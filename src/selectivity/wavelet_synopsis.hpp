@@ -21,7 +21,8 @@ namespace selectivity {
 /// side.
 ///
 /// Maintains the count grid incrementally; the compressed transform is
-/// rebuilt lazily when stale.
+/// rebuilt lazily when stale. The truncated reconstruction can dip below
+/// zero or overshoot, so range answers are clamped to [0, 1].
 ///
 /// Mergeable: the frequency grid is exact integer cell counts, so merging
 /// replicas over disjoint sub-streams is bit-identical to one synopsis over
@@ -62,8 +63,6 @@ class WaveletSynopsisSelectivity : public SelectivityEstimator {
   /// Number of non-zero retained coefficients after the last rebuild.
   size_t RetainedCoefficients() const;
 
-  bool supports_fast_snapshot() const override { return true; }
-
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::unique_ptr<SelectivityEstimator>(
         new WaveletSynopsisSelectivity(*this));
@@ -77,11 +76,6 @@ class WaveletSynopsisSelectivity : public SelectivityEstimator {
   /// possibly stale — answers the saved synopsis was serving.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: grid and reconstruction cache as bulk F64 columns (the
-  /// cache rides along just as in the portable format — it cannot be
-  /// re-derived once the grid has moved on).
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
   /// Quiesce: rebuild the compressed transform at the current count (the
   /// interval gate of RebuildIfStale does not apply to a forced refit).
   void ForceRefitImpl() const override {

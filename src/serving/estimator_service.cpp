@@ -1,9 +1,8 @@
 #include "serving/estimator_service.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "io/chunk.hpp"
 #include "selectivity/estimator_registry.hpp"
@@ -15,7 +14,7 @@ namespace serving {
 namespace {
 
 /// Chunk tag of the service checkpoint metadata ("SRVC"): epoch + pacing
-/// position, framed ahead of the writer estimator's PR 4 envelope.
+/// position, framed ahead of the writer estimator's envelope.
 constexpr uint32_t kChunkServiceState = 0x43565253;
 
 /// Monotone id source for readers' thread-local view pins; starts at 1 so a
@@ -29,7 +28,6 @@ EstimatorService::EstimatorService(
     const ServiceOptions& options)
     : options_(options),
       writer_(std::move(writer)),
-      sharded_(ShardedOf(writer_.get())),
       last_publish_(std::chrono::steady_clock::now()),
       service_id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)) {
   if (options_.cache_shards != 0) {
@@ -47,7 +45,7 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
   if (!writer->snapshotable()) {
     return Status::FailedPrecondition(
         writer->name() +
-        " does not support snapshots and cannot publish views or checkpoint");
+        " does not support snapshots and cannot checkpoint");
   }
   if (options.cache_shards != 0 && options.cache_slots_per_shard == 0) {
     return Status::InvalidArgument(
@@ -74,36 +72,12 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
   return Create(std::move(writer).value(), options);
 }
 
-selectivity::ShardedSelectivityEstimator* EstimatorService::ShardedOf(
-    selectivity::SelectivityEstimator* writer) {
-  const char* tag = writer->snapshot_type_tag();
-  if (tag != nullptr && std::string_view(tag) == "sharded") {
-    // Registry tags are unique per concrete type, so "sharded" IS the
-    // sharded engine — the same identity argument merge tags make.
-    return static_cast<selectivity::ShardedSelectivityEstimator*>(writer);
-  }
-  return nullptr;
-}
-
 uint64_t EstimatorService::PublishLocked(uint64_t epoch_floor) {
-  std::unique_ptr<selectivity::SelectivityEstimator> fresh;
-  if (sharded_ != nullptr) {
-    fresh = sharded_->ExtractMergedView();
-  } else if ((fresh = writer_->CloneForView()) != nullptr) {
-    // The cheap path: a CoW copy sharing the writer's fitted arenas — no
-    // serialize/parse round trip on the publish cadence.
-  } else {
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> clone =
-        selectivity::CloneViaSnapshot(*writer_);
-    // Create() verified the writer snapshots; a failure here is a broken
-    // SaveState/LoadState implementation, not a runtime condition.
-    WDE_CHECK(clone.ok(), clone.status().ToString().c_str());
-    fresh = std::move(clone).value();
-  }
+  std::unique_ptr<selectivity::SelectivityEstimator> fresh = writer_->CloneForView();
   // Quiesce the view: bring every lazily fitted cache up to date with ALL
   // data it holds — not merely the interval-gated refresh a first query would
   // run, so a published view is always fitted at its full count — then prime
-  // any remaining query-path state (e.g. a KDE's kd-tree) with one query.
+  // any remaining query-path state (e.g. a KDE's CDF index) with one query.
   // After the swap below, concurrent readers only ever read the view.
   fresh->ForceRefit();
   (void)fresh->Answer(selectivity::Query::Cdf(fresh->Domain().hi));
@@ -244,33 +218,17 @@ CacheStats EstimatorService::cache_stats() const {
 
 Status EstimatorService::Checkpoint(const std::string& path) const {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  io::VectorSink sink;
-  WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
-  io::VectorSink meta;
-  // Publishes happen under writer_mu_ (held here), so this epoch is the one
-  // the checkpointed writer state belongs to.
-  WDE_RETURN_IF_ERROR(
-      io::WriteU64(meta, published_epoch_.load(std::memory_order_acquire)));
-  WDE_RETURN_IF_ERROR(io::WriteU64(meta, inserts_since_publish_));
-  WDE_RETURN_IF_ERROR(io::WriteChunk(sink, kChunkServiceState, meta.bytes()));
-  WDE_RETURN_IF_ERROR(writer_->SaveState(sink));
-  // Write-then-rename so a kill or disk-full midway leaves the previous
-  // checkpoint intact (the same discipline as SaveEstimatorSnapshotFile).
-  const std::string tmp_path = path + ".tmp";
-  Result<io::FileSink> file = io::FileSink::Open(tmp_path);
-  if (!file.ok()) return file.status();
-  Status written = file->Append(sink.bytes().data(), sink.bytes().size());
-  if (written.ok()) written = file->Close();
-  if (!written.ok()) {
-    std::remove(tmp_path.c_str());
-    return written;
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Internal("cannot move finished checkpoint over '" + path +
-                            "'");
-  }
-  return Status::OK();
+  return io::WriteFileAtomically(path, [this](io::Sink& sink) {
+    WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
+    io::VectorSink meta;
+    // Publishes happen under writer_mu_ (held here), so this epoch is the one
+    // the checkpointed writer state belongs to.
+    WDE_RETURN_IF_ERROR(
+        io::WriteU64(meta, published_epoch_.load(std::memory_order_acquire)));
+    WDE_RETURN_IF_ERROR(io::WriteU64(meta, inserts_since_publish_));
+    WDE_RETURN_IF_ERROR(io::WriteChunk(sink, kChunkServiceState, meta.bytes()));
+    return writer_->SaveState(sink);
+  });
 }
 
 Status EstimatorService::Restore(const std::string& path) {
@@ -301,33 +259,9 @@ Status EstimatorService::Restore(const std::string& path) {
   // and held view is invalidated by epoch comparison alone.
   std::lock_guard<std::mutex> lock(writer_mu_);
   writer_ = std::move(writer).value();
-  sharded_ = ShardedOf(writer_.get());
   inserts_since_publish_ = static_cast<size_t>(pending);
   PublishLocked(saved_epoch);
   return Status::OK();
-}
-
-AdmissionBatcher::AdmissionBatcher(const EstimatorService& service,
-                                   size_t batch_size)
-    : service_(service), batch_size_(std::max<size_t>(1, batch_size)) {
-  queries_.reserve(batch_size_);
-  outs_.reserve(batch_size_);
-}
-
-void AdmissionBatcher::Enqueue(const selectivity::Query& query, double* out) {
-  WDE_CHECK(out != nullptr, "Enqueue needs a destination");
-  queries_.push_back(query);
-  outs_.push_back(out);
-  if (queries_.size() >= batch_size_) Flush();
-}
-
-void AdmissionBatcher::Flush() {
-  if (queries_.empty()) return;
-  values_.resize(queries_.size());
-  service_.Answer(queries_, values_);
-  for (size_t i = 0; i < outs_.size(); ++i) *outs_[i] = values_[i];
-  queries_.clear();
-  outs_.clear();
 }
 
 }  // namespace serving

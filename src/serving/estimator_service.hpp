@@ -30,9 +30,8 @@
 ///
 /// Layered on top: an epoch-invalidated, sharded hot-query result cache
 /// keyed by the typed `Query` (see query_cache.hpp — strictly best-effort,
-/// bit-identical to recomputation), a client-side `AdmissionBatcher` that
-/// coalesces scalar point reads into batched admissions, and
-/// Checkpoint/Restore through the PR 4 snapshot envelope so a warm standby
+/// bit-identical to recomputation), and Checkpoint/Restore through the
+/// snapshot envelope so a warm standby
 /// can restore a leader's checkpoint and begin serving at a strictly newer
 /// epoch (the epoch bump on restore is a contract: no cached result or held
 /// view from before the restore can be confused with post-restore state).
@@ -52,11 +51,9 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/selectivity_estimator.hpp"
-#include "selectivity/sharded_selectivity.hpp"
 #include "serving/query_cache.hpp"
 #include "util/result.hpp"
 
@@ -99,11 +96,8 @@ class EstimatorService {
   };
 
   /// Wraps `writer` (which must support snapshots — every shipped estimator
-  /// does) and publishes its empty state as epoch 1. When the writer is the
-  /// sharded engine, views are extracted with ExtractMergedView (one merged
-  /// single-estimator copy, cheaper to query than the wrapper); any other
-  /// estimator publishes via CloneForView (a copy-on-write arena share) when
-  /// it offers one, falling back to the CloneViaSnapshot deep-copy path.
+  /// does) and publishes its empty state as epoch 1. Views are the writer's
+  /// CloneForView copies (for the sharded engine, its merged extract).
   static Result<std::unique_ptr<EstimatorService>> Create(
       std::unique_ptr<selectivity::SelectivityEstimator> writer,
       const ServiceOptions& options);
@@ -187,10 +181,6 @@ class EstimatorService {
   /// view_mu_ otherwise.
   View AcquireView() const;
 
-  /// Re-derives the sharded fast path after writer_ changes.
-  static selectivity::ShardedSelectivityEstimator* ShardedOf(
-      selectivity::SelectivityEstimator* writer);
-
   void MaybePublishLocked();
 
   ServiceOptions options_;
@@ -198,7 +188,6 @@ class EstimatorService {
   /// Writer state, all guarded by writer_mu_.
   mutable std::mutex writer_mu_;
   std::unique_ptr<selectivity::SelectivityEstimator> writer_;
-  selectivity::ShardedSelectivityEstimator* sharded_ = nullptr;  // view of writer_
   size_t inserts_since_publish_ = 0;
   std::chrono::steady_clock::time_point last_publish_;
 
@@ -216,37 +205,6 @@ class EstimatorService {
   const uint64_t service_id_;
 
   std::unique_ptr<QueryResultCache> cache_;  // nullptr when disabled
-};
-
-/// Client-side admission batching for scalar point-read traffic: buffers
-/// (query, destination) pairs and admits them to the service as one batched
-/// Answer() call when `batch_size` accumulate, on Flush(), or at
-/// destruction. All queries of one flush are answered at one epoch (one view
-/// load), and per-query virtual dispatch, cache probing and view loading
-/// amortize across the batch. Results are bit-identical to issuing each
-/// query alone. Not thread-safe — one batcher per client thread.
-class AdmissionBatcher {
- public:
-  AdmissionBatcher(const EstimatorService& service, size_t batch_size);
-  ~AdmissionBatcher() { Flush(); }
-
-  AdmissionBatcher(const AdmissionBatcher&) = delete;
-  AdmissionBatcher& operator=(const AdmissionBatcher&) = delete;
-
-  /// Queues `query`; `*out` is written by the flush that admits it.
-  void Enqueue(const selectivity::Query& query, double* out);
-
-  /// Admits everything queued (no-op when empty).
-  void Flush();
-
-  size_t pending() const { return queries_.size(); }
-
- private:
-  const EstimatorService& service_;
-  const size_t batch_size_;
-  std::vector<selectivity::Query> queries_;
-  std::vector<double*> outs_;
-  std::vector<double> values_;  // flush scratch
 };
 
 }  // namespace serving

@@ -76,42 +76,6 @@ Result<WaveletBasis> WaveletBasis::Create(const WaveletFilter& filter,
                       std::move(psi_cdf));
 }
 
-Result<WaveletBasis> WaveletBasis::FromTables(
-    const WaveletFilter& filter, int table_levels, std::span<const double> phi,
-    std::span<const double> psi, std::span<const double> phi_cdf,
-    std::span<const double> psi_cdf, std::shared_ptr<const void> keepalive) {
-  if (table_levels < 4 || table_levels > 20) {
-    return Status::InvalidArgument("table_levels must be in [4, 20]");
-  }
-  // The cascade grid covers [0, support_length] at step 2^-table_levels.
-  const size_t expected =
-      static_cast<size_t>(filter.support_length()) *
-          (static_cast<size_t>(1) << table_levels) +
-      1;
-  if (phi.size() != expected || psi.size() != expected ||
-      phi_cdf.size() != expected || psi_cdf.size() != expected) {
-    return Status::InvalidArgument(
-        Format("basis tables have the wrong size for %s at 2^-%d (want %zu)",
-               filter.name().c_str(), table_levels, expected));
-  }
-  const double dx = 1.0 / static_cast<double>(1 << table_levels);
-  auto phi_table = std::make_shared<const numerics::UniformGridInterpolator>(
-      0.0, dx, phi, keepalive);
-  auto psi_table = std::make_shared<const numerics::UniformGridInterpolator>(
-      0.0, dx, psi, keepalive);
-  auto phi_cdf_table =
-      std::make_shared<const numerics::UniformGridInterpolator>(0.0, dx,
-                                                                phi_cdf,
-                                                                keepalive);
-  auto psi_cdf_table =
-      std::make_shared<const numerics::UniformGridInterpolator>(0.0, dx,
-                                                                psi_cdf,
-                                                                keepalive);
-  return WaveletBasis(std::make_shared<const WaveletFilter>(filter),
-                      table_levels, std::move(phi_table), std::move(psi_table),
-                      std::move(phi_cdf_table), std::move(psi_cdf_table));
-}
-
 void WaveletBasis::EvaluateMany(MotherFunction f, std::span<const double> xs,
                                 std::span<double> out) const {
   (f == MotherFunction::kPhi ? phi_ : psi_)->EvaluateMany(xs, out);

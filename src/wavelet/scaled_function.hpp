@@ -235,34 +235,12 @@ class WaveletBasis {
   static Result<WaveletBasis> Create(const WaveletFilter& filter,
                                      int table_levels = 12);
 
-  /// Rebuilds a basis from previously computed tables — the snapshot fast
-  /// path, which persists the cascade products so restore skips rerunning
-  /// the cascade. The four spans must be the tables Create(filter,
-  /// table_levels) produces (the cascade is deterministic, so persisted
-  /// tables are bitwise the rebuilt ones); geometry is validated, and the
-  /// spans are *borrowed* zero-copy with `keepalive` anchoring them.
-  static Result<WaveletBasis> FromTables(const WaveletFilter& filter,
-                                         int table_levels,
-                                         std::span<const double> phi,
-                                         std::span<const double> psi,
-                                         std::span<const double> phi_cdf,
-                                         std::span<const double> psi_cdf,
-                                         std::shared_ptr<const void> keepalive);
-
   const WaveletFilter& filter() const { return *filter_; }
   int support_length() const { return filter_->support_length(); }
   /// The dyadic table resolution this basis was built at. Together with
   /// `filter().name()` this identifies the basis exactly — what snapshots
   /// store so a restored estimator rebuilds bit-identical tables.
   int table_levels() const { return table_levels_; }
-
-  /// The raw cascade-product tables (values on the dyadic grid). What the
-  /// snapshot fast path persists verbatim so FromTables can rebuild this
-  /// basis without rerunning the cascade.
-  std::span<const double> phi_table() const { return phi_->values(); }
-  std::span<const double> psi_table() const { return psi_->values(); }
-  std::span<const double> phi_cdf_table() const { return phi_cdf_->values(); }
-  std::span<const double> psi_cdf_table() const { return psi_cdf_->values(); }
 
   /// Mother function values (0 outside [0, support_length]).
   double Phi(double x) const { return phi_->Evaluate(x); }

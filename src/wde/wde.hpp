@@ -7,8 +7,8 @@
 ///
 ///   util        — Status/Result error model, WDE_CHECK, string helpers
 ///   io          — versioned snapshot wire format (sinks/sources, CRC chunks)
-///   memory      — columnar copy-on-write arenas + the mmap-able fast-state
-///                 frame under every estimator's fitted buffers
+///   memory      — columnar copy-on-write arenas under the estimators'
+///                 fitted buffers
 ///   parallel    — the shared ThreadPool executor behind every parallel path
 ///   numerics    — integration, interpolation, linear algebra, optimisation
 ///   stats       — RNG, descriptive stats, empirical CDF, losses, bootstrap
@@ -23,7 +23,7 @@
 ///                 wrapper over any mergeable estimator
 ///   serving     — the concurrent serving engine: epoch-published immutable
 ///                 estimator views with lock-free steady-state readers, the
-///                 typed-query result cache, admission batching, checkpoints
+///                 typed-query result cache, checkpoints
 ///   diagnostics — mixing/covariance-decay diagnostics
 ///   harness     — Monte-Carlo replication harness and experiment configs
 ///
@@ -45,10 +45,8 @@
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
 
-// memory — depends on io, util. Columnar copy-on-write arenas and the ARN1
-// fast-state frame behind the zero-copy snapshot path.
+// memory — depends on util. Columnar copy-on-write arenas.
 #include "memory/arena.hpp"
-#include "memory/fast_state.hpp"
 
 // parallel — depends on util.
 #include "parallel/thread_pool.hpp"

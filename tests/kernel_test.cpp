@@ -8,6 +8,7 @@
 #include "kernel/bandwidth.hpp"
 #include "kernel/kde.hpp"
 #include "kernel/kernels.hpp"
+#include "memory/arena.hpp"
 #include "numerics/integration.hpp"
 #include "numerics/special_functions.hpp"
 #include "stats/descriptive.hpp"
@@ -381,9 +382,21 @@ TEST(KdeCdfOracleTest, RestoredFromSortedAnswersBitwise) {
   const auto live =
       KernelDensityEstimator::Create(Kernel(KernelType::kEpanechnikov), h, data);
   ASSERT_TRUE(live.ok());
-  const auto restored = KernelDensityEstimator::FromSorted(
-      Kernel(KernelType::kEpanechnikov), h, live->samples(), nullptr);
+  const auto sorted_column = [&live](bool reversed) {
+    const memory::ColumnSpec specs[] = {
+        {memory::ColumnKind::kF64, live->sample_size()}};
+    memory::Arena column = memory::Arena::Create(specs);
+    std::copy(live->samples().begin(), live->samples().end(),
+              column.MutableF64(0).begin());
+    if (reversed) std::reverse(column.MutableF64(0).begin(), column.MutableF64(0).end());
+    return column;
+  };
+  const auto restored = KernelDensityEstimator::AdoptSorted(
+      Kernel(KernelType::kEpanechnikov), h, sorted_column(false));
   ASSERT_TRUE(restored.ok());
+  EXPECT_FALSE(KernelDensityEstimator::AdoptSorted(Kernel(KernelType::kEpanechnikov),
+                                                   h, sorted_column(true))
+                   .ok());
   const KernelDensityEstimator copy = *live;
   for (double x : OracleQueries(data, h, 200, 50)) {
     EXPECT_EQ(restored->CdfAt(x), live->CdfAt(x)) << "x=" << x;

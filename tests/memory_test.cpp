@@ -1,13 +1,12 @@
-// Tier-1 tests for the memory module (arena + snapshot fast path): canonical
-// column layout, 64-byte alignment of every column, zero-initialization,
-// copy-on-write sharing and first-mutation divergence, zero-copy borrowing
-// from aligned images with keepalive (and the copy fallback), bitwise
-// relocation, the ARN1 fast-state frame (round trip, absolute-offset
-// alignment of the column region, hostile-input rejection), zero-copy chunk
-// reads, the slicing-by-8 CRC's equivalence to the bytewise definition, and
-// the mmap-backed FileSource. Run under ASan in CI.
+// Tier-1 tests for the memory module's arenas and the io byte plumbing
+// under them: canonical column layout, 64-byte alignment of every column,
+// zero-initialization, copy-on-write sharing and first-mutation divergence,
+// bitwise relocation, zero-copy chunk reads, the slicing-by-8 CRC's
+// equivalence to the bytewise definition, the whole-file FileSource, and the
+// write-then-rename file helper. Run under ASan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -20,7 +19,7 @@
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
 #include "memory/arena.hpp"
-#include "memory/fast_state.hpp"
+#include "util/check.hpp"
 
 namespace wde {
 namespace {
@@ -107,180 +106,7 @@ TEST(Arena, EnsureWritableIsNoOpForSoleOwner) {
   EXPECT_EQ(arena.payload(), before);
 }
 
-TEST(Arena, FromImageBorrowsAlignedAnchoredBytes) {
-  const ColumnSpec specs[] = {{ColumnKind::kF64, 2}, {ColumnKind::kF64, 2}};
-  Arena source = Arena::Create(specs);
-  std::iota(source.MutableF64(0).begin(), source.MutableF64(0).end(), 1.0);
-  std::iota(source.MutableF64(1).begin(), source.MutableF64(1).end(), 3.0);
-
-  std::span<const uint8_t> image(source.payload(), source.payload_bytes());
-  auto borrowed = Arena::FromImage(specs, image, source.storage_keepalive());
-  ASSERT_TRUE(borrowed.ok());
-  EXPECT_TRUE(borrowed->borrowed());
-  EXPECT_EQ(borrowed->payload(), source.payload());  // zero-copy
-  EXPECT_EQ(borrowed->F64(1)[1], 4.0);
-
-  // First mutation relocates away from the image, bitwise.
-  borrowed->MutableF64(0)[0] = -1.0;
-  EXPECT_FALSE(borrowed->borrowed());
-  EXPECT_NE(borrowed->payload(), source.payload());
-  EXPECT_EQ(borrowed->F64(1)[1], 4.0);
-  EXPECT_EQ(source.F64(0)[0], 1.0);  // the image never changes
-}
-
-TEST(Arena, FromImageCopiesUnanchoredOrMisalignedBytes) {
-  const ColumnSpec specs[] = {{ColumnKind::kU8, 8}};
-  std::vector<uint8_t> image = {1, 2, 3, 4, 5, 6, 7, 8};
-  auto copied = Arena::FromImage(specs, image, nullptr);
-  ASSERT_TRUE(copied.ok());
-  EXPECT_FALSE(copied->borrowed());
-  EXPECT_TRUE(Aligned(copied->payload()));
-  EXPECT_EQ(copied->U8(0)[7], 8);
-
-  // Anchored but misaligned: the copy fallback still restores alignment.
-  auto misaligned_holder = std::make_shared<std::vector<uint8_t>>(
-      kColumnAlignment + image.size(), 0);
-  uint8_t* base = misaligned_holder->data();
-  while (Aligned(base)) ++base;  // guaranteed misaligned within one line
-  std::memcpy(base, image.data(), image.size());
-  auto fixed = Arena::FromImage(specs, {base, image.size()}, misaligned_holder);
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_FALSE(fixed->borrowed());
-  EXPECT_TRUE(Aligned(fixed->payload()));
-  EXPECT_EQ(fixed->U8(0)[0], 1);
-}
-
-TEST(Arena, FromImageRejectsSizeMismatch) {
-  const ColumnSpec specs[] = {{ColumnKind::kF64, 4}};
-  std::vector<uint8_t> image(31, 0);  // needs 32
-  EXPECT_FALSE(Arena::FromImage(specs, image, nullptr).ok());
-}
-
-// ------------------------------------------------------------- fast state
-
-/// Builds a writer with a recognizable head and three columns.
-void FillWriter(memory::FastStateWriter& writer,
-                const std::vector<double>& f64s,
-                const std::vector<int64_t>& i64s,
-                const std::vector<uint8_t>& u8s) {
-  EXPECT_TRUE(io::WriteU32(writer.head(), 0xFEEDBEEF).ok());
-  EXPECT_TRUE(io::WriteDouble(writer.head(), 2.5).ok());
-  writer.AddF64(f64s);
-  writer.AddI64(i64s);
-  writer.AddU8(u8s);
-}
-
-TEST(FastState, RoundTripsHeadAndColumns) {
-  const std::vector<double> f64s = {1.0, -2.0, 3.5};
-  const std::vector<int64_t> i64s = {-7, 1 << 20};
-  const std::vector<uint8_t> u8s = {9, 8, 7, 6};
-
-  memory::FastStateWriter writer;
-  FillWriter(writer, f64s, i64s, u8s);
-  io::VectorSink sink;
-  const uint64_t payload_offset = 24;  // an arbitrary artifact position
-  ASSERT_TRUE(writer.Finish(sink, payload_offset).ok());
-
-  auto reader = memory::FastStateReader::Parse(sink.bytes(), nullptr);
-  ASSERT_TRUE(reader.ok());
-  auto magic = io::ReadU32(reader->head());
-  auto scale = io::ReadDouble(reader->head());
-  ASSERT_TRUE(magic.ok() && scale.ok());
-  EXPECT_EQ(*magic, 0xFEEDBEEFu);
-  EXPECT_EQ(*scale, 2.5);
-  EXPECT_EQ(reader->head().remaining(), 0u);
-
-  const Arena& arena = reader->arena();
-  ASSERT_EQ(arena.num_columns(), 3u);
-  EXPECT_TRUE(std::equal(f64s.begin(), f64s.end(), arena.F64(0).begin()));
-  EXPECT_TRUE(std::equal(i64s.begin(), i64s.end(), arena.I64(1).begin()));
-  EXPECT_TRUE(std::equal(u8s.begin(), u8s.end(), arena.U8(2).begin()));
-}
-
-TEST(FastState, ColumnRegionLandsAtAlignedArtifactOffset) {
-  for (uint64_t payload_offset : {0ull, 1ull, 24ull, 63ull, 64ull, 1000ull}) {
-    memory::FastStateWriter writer;
-    std::vector<double> f64s = {1.0};
-    writer.AddF64(f64s);
-    io::VectorSink sink;
-    ASSERT_TRUE(writer.Finish(sink, payload_offset).ok());
-
-    // The first column's bytes must sit at a 64-byte absolute offset, so a
-    // page-aligned mapping presents them aligned in memory.
-    auto reader = memory::FastStateReader::Parse(sink.bytes(), nullptr);
-    ASSERT_TRUE(reader.ok());
-    uint64_t region_pos = 0;
-    while (region_pos + sizeof(double) <= sink.bytes().size()) {
-      double v;
-      std::memcpy(&v, sink.bytes().data() + region_pos, sizeof v);
-      if (v == 1.0) break;
-      ++region_pos;
-    }
-    EXPECT_EQ((payload_offset + region_pos) % kColumnAlignment, 0u)
-        << "payload_offset=" << payload_offset;
-  }
-}
-
-TEST(FastState, BorrowsWhenImageIsAnchoredAndAligned) {
-  memory::FastStateWriter writer;
-  std::vector<double> f64s(100, 0.5);
-  writer.AddF64(f64s);
-  io::VectorSink sink;
-  // Offset 0 + a 64-byte-aligned base below makes the region aligned.
-  ASSERT_TRUE(writer.Finish(sink, 0).ok());
-
-  auto holder = std::make_shared<std::vector<uint8_t>>(
-      sink.bytes().size() + kColumnAlignment, 0);
-  uint8_t* base = holder->data();
-  while (!Aligned(base)) ++base;
-  std::memcpy(base, sink.bytes().data(), sink.bytes().size());
-
-  auto reader = memory::FastStateReader::Parse({base, sink.bytes().size()},
-                                               holder);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(reader->arena().borrowed());
-  EXPECT_GE(reader->arena().F64(0).data(),
-            reinterpret_cast<const double*>(base));  // points into the image
-  EXPECT_EQ(reader->arena().F64(0)[99], 0.5);
-}
-
-TEST(FastState, RejectsHostileFrames) {
-  memory::FastStateWriter writer;
-  std::vector<double> f64s = {1.0, 2.0};
-  writer.AddF64(f64s);
-  io::VectorSink sink;
-  ASSERT_TRUE(writer.Finish(sink, 0).ok());
-  const std::vector<uint8_t> good(sink.bytes().begin(), sink.bytes().end());
-
-  // Bad magic.
-  {
-    std::vector<uint8_t> bad = good;
-    bad[0] ^= 0xFF;
-    EXPECT_FALSE(memory::FastStateReader::Parse(bad, nullptr).ok());
-  }
-  // Truncation at every prefix length must degrade into a Status.
-  for (size_t len = 0; len < good.size(); ++len) {
-    std::span<const uint8_t> prefix(good.data(), len);
-    EXPECT_FALSE(memory::FastStateReader::Parse(prefix, nullptr).ok());
-  }
-  // Invalid column kind in the directory (kind byte follows the count u32
-  // after magic + head-length prefix + empty head).
-  {
-    std::vector<uint8_t> bad = good;
-    const size_t kind_pos = 4 + 4 + 0 + 4;
-    bad[kind_pos] = 0x7F;
-    EXPECT_FALSE(memory::FastStateReader::Parse(bad, nullptr).ok());
-  }
-  // Oversized pad.
-  {
-    std::vector<uint8_t> bad = good;
-    const size_t pad_pos = 4 + 4 + 0 + 4 + 9 + 8;
-    bad[pad_pos] = 0xFF;
-    EXPECT_FALSE(memory::FastStateReader::Parse(bad, nullptr).ok());
-  }
-}
-
-// ----------------------------------------------------- chunk + crc + mmap
+// ------------------------------------------------------ chunk + crc + file
 
 TEST(ChunkRef, ViewsPayloadZeroCopyAndValidatesCrc) {
   io::VectorSink artifact;
@@ -326,8 +152,8 @@ TEST(Crc32, SlicedImplementationMatchesBytewiseDefinition) {
   }
 }
 
-TEST(FileSource, MappedModeReadsViewsAndAnchors) {
-  const std::string path = "wde_memory_test_mapped.bin";
+TEST(FileSource, ReadsAndViewsTheWholeFile) {
+  const std::string path = "wde_memory_test_source.bin";
   std::vector<uint8_t> bytes(1000);
   for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<uint8_t>(i);
   {
@@ -337,7 +163,7 @@ TEST(FileSource, MappedModeReadsViewsAndAnchors) {
     ASSERT_TRUE(sink->Close().ok());
   }
 
-  auto source = io::FileSource::OpenMapped(path);
+  auto source = io::FileSource::Open(path);
   ASSERT_TRUE(source.ok());
   EXPECT_EQ(source->remaining(), bytes.size());
 
@@ -345,19 +171,45 @@ TEST(FileSource, MappedModeReadsViewsAndAnchors) {
   ASSERT_TRUE(source->Read(first, sizeof first).ok());
   EXPECT_TRUE(std::equal(first, first + sizeof first, bytes.begin()));
 
+  // Views point into the source's own buffer, which moves with the source.
   const uint8_t* view = source->View(100);
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view[0], bytes[10]);
+  io::FileSource moved = std::move(source).value();
+  EXPECT_EQ(view[89], bytes[99]);
+  EXPECT_EQ(moved.remaining(), bytes.size() - 110);
+  EXPECT_EQ(moved.View(bytes.size()), nullptr);  // past the end: no view
 
-  // The backing handle keeps viewed bytes alive past the source object.
-  std::shared_ptr<const void> keepalive = source->backing();
-  source = io::FileSource::OpenMapped(path);  // drop the original source
-  ASSERT_TRUE(source.ok());
-  if (keepalive != nullptr) {
-    EXPECT_EQ(view[89], bytes[99]);
-  }
+  EXPECT_FALSE(io::FileSource::Open("does_not_exist.bin").ok());
+  std::remove(path.c_str());
+}
 
-  EXPECT_FALSE(io::FileSource::OpenMapped("does_not_exist.bin").ok());
+TEST(WriteFileAtomically, ReplacesOnSuccessAndKeepsThePreviousFileOnFailure) {
+  const std::string path = "wde_memory_test_atomic.bin";
+  const auto write_bytes = [](std::vector<uint8_t> bytes) {
+    return [bytes](io::Sink& sink) { return sink.Append(bytes.data(), bytes.size()); };
+  };
+  const auto read_all = [&path]() {
+    auto source = io::FileSource::Open(path);
+    std::vector<uint8_t> bytes(source.ok() ? source->remaining() : 0);
+    if (source.ok()) WDE_CHECK_OK(source->Read(bytes.data(), bytes.size()));
+    return bytes;
+  };
+  ASSERT_TRUE(io::WriteFileAtomically(path, write_bytes({1, 2, 3})).ok());
+  EXPECT_EQ(read_all(), (std::vector<uint8_t>{1, 2, 3}));
+  ASSERT_TRUE(io::WriteFileAtomically(path, write_bytes({4, 5})).ok());
+  EXPECT_EQ(read_all(), (std::vector<uint8_t>{4, 5}));
+
+  // A writer that fails midway leaves the previous file and no temporary.
+  const Status failed = io::WriteFileAtomically(path, [](io::Sink& sink) {
+    WDE_RETURN_IF_ERROR(sink.Append("xyz", 3));
+    return Status::Internal("disk full");
+  });
+  EXPECT_EQ(failed.code(), StatusCode::kInternal);
+  EXPECT_EQ(read_all(), (std::vector<uint8_t>{4, 5}));
+  EXPECT_FALSE(io::FileSource::Open(path + ".tmp").ok());
+
+  // An unwritable destination directory fails cleanly.
+  EXPECT_FALSE(io::WriteFileAtomically("no_such_dir/x.bin", write_bytes({1})).ok());
   std::remove(path.c_str());
 }
 

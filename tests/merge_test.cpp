@@ -538,6 +538,9 @@ class NotMergeableEstimator : public selectivity::SelectivityEstimator {
   void Insert(double) override {}
   size_t count() const override { return 0; }
   std::string name() const override { return "not-mergeable"; }
+  std::unique_ptr<selectivity::SelectivityEstimator> CloneForView() const override {
+    return std::make_unique<NotMergeableEstimator>(*this);
+  }
 
  protected:
   double EstimateRangeImpl(double, double) const override { return 0.0; }

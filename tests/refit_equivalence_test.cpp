@@ -70,7 +70,7 @@ std::unique_ptr<selectivity::SelectivityEstimator> Make(
   return std::move(estimator).value();
 }
 
-std::unique_ptr<selectivity::SelectivityEstimator> CloneViaSnapshotRoundTrip(
+std::unique_ptr<selectivity::SelectivityEstimator> RoundTripThroughSnapshot(
     const selectivity::SelectivityEstimator& estimator) {
   io::VectorSink sink;
   WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(estimator, sink));
@@ -187,7 +187,7 @@ TEST(RefitEquivalenceTest, MidIntervalSnapshotRestoreContinuesBitIdentically) {
       (void)Answers(*live, queries);  // fit some caches pre-save
 
       std::unique_ptr<selectivity::SelectivityEstimator> restored =
-          CloneViaSnapshotRoundTrip(*live);
+          RoundTripThroughSnapshot(*live);
       EXPECT_EQ(Answers(*restored, queries), Answers(*live, queries));
 
       live->InsertBatch(tail);

@@ -456,12 +456,6 @@ std::vector<uint8_t> PortableBytes(const SelectivityEstimator& est) {
   return sink.TakeBytes();
 }
 
-std::vector<uint8_t> FastBytes(const SelectivityEstimator& est) {
-  io::VectorSink sink;
-  WDE_CHECK_OK(SaveEstimatorSnapshotFast(est, sink));
-  return sink.TakeBytes();
-}
-
 std::unique_ptr<SelectivityEstimator> Load(const std::vector<uint8_t>& bytes) {
   io::SpanSource source(bytes);
   Result<std::unique_ptr<SelectivityEstimator>> loaded =
@@ -519,15 +513,12 @@ TEST(KdeViewTest, InsertIntoViewMatchesFreshEstimatorOfTheMultiset) {
 TEST(KdeViewTest, ViewSnapshotsRoundTripBitwise) {
   KdeSelectivity writer = StaleWriter();
   const std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
-  const std::vector<double> answers = MixedAnswers(*view);
-  for (const auto& save : {PortableBytes, FastBytes}) {
-    const std::vector<uint8_t> bytes = save(*view);
-    const std::unique_ptr<SelectivityEstimator> restored = Load(bytes);
-    EXPECT_EQ(restored->count(), view->count());
-    EXPECT_EQ(MixedAnswers(*restored), answers);
-    // The restored estimator re-saves to the very same bytes.
-    EXPECT_EQ(save(*restored), bytes);
-  }
+  const std::vector<uint8_t> bytes = PortableBytes(*view);
+  const std::unique_ptr<SelectivityEstimator> restored = Load(bytes);
+  EXPECT_EQ(restored->count(), view->count());
+  EXPECT_EQ(MixedAnswers(*restored), MixedAnswers(*view));
+  // The restored estimator re-saves to the very same bytes.
+  EXPECT_EQ(PortableBytes(*restored), bytes);
 }
 
 TEST(KdeViewTest, ViewIsAMergeFromSource) {
@@ -587,6 +578,9 @@ TEST(WorkloadTest, AccuracyOfPerfectEstimatorIsIdeal) {
     void Insert(double) override {}
     size_t count() const override { return 1; }
     std::string name() const override { return "oracle"; }
+    std::unique_ptr<SelectivityEstimator> CloneForView() const override {
+      return std::make_unique<Oracle>(*this);
+    }
 
    protected:
     double EstimateRangeImpl(double a, double b) const override { return (b - a); }
@@ -608,6 +602,9 @@ TEST(WorkloadTest, AccuracyDetectsBias) {
     void Insert(double) override {}
     size_t count() const override { return 1; }
     std::string name() const override { return "biased"; }
+    std::unique_ptr<SelectivityEstimator> CloneForView() const override {
+      return std::make_unique<Biased>(*this);
+    }
 
    protected:
     double EstimateRangeImpl(double a, double b) const override {

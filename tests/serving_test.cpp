@@ -3,8 +3,7 @@
 // of held views across later publishes (the RCU pinning contract), reader
 // answers bit-identical to the quiesced merged view at the same epoch, the
 // typed-query result cache's hit/miss/epoch-invalidation semantics and its
-// cache-on ≡ cache-off bit-identity, admission batching, and the
-// checkpoint → kill → restore → continue cycle including the strict epoch
+// cache-on ≡ cache-off bit-identity, and the checkpoint → kill → restore → continue cycle including the strict epoch
 // bump on restore. The multi-threaded hammering of the same surface lives in
 // serving_stress_test.cpp (tsan CI job).
 #include <gtest/gtest.h>
@@ -353,30 +352,9 @@ TEST(EstimatorServiceTest, RestoreRejectsCorruptCheckpointsUntouched) {
   std::remove(path.c_str());
 }
 
-TEST(EstimatorServiceTest, AdmissionBatcherMatchesDirectAnswersBitwise) {
-  serving::ServiceOptions options;
-  options.publish_interval = 0;
-  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
-  service->InsertBatch(UnitStream(81, 4000));
-  service->Publish();
-
-  const std::vector<selectivity::Query> queries = MixedWorkload(82, 100);
-  const std::vector<double> direct = Answers(*service, queries);
-
-  std::vector<double> batched(queries.size(), -1.0);
-  {
-    serving::AdmissionBatcher batcher(*service, 16);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      batcher.Enqueue(queries[i], &batched[i]);
-      EXPECT_LT(batcher.pending(), 16u);  // auto-flush keeps the buffer bounded
-    }
-  }  // destructor flushes the partial tail
-  EXPECT_EQ(batched, direct);
-}
-
 TEST(EstimatorServiceTest, ServesEveryRegisteredWriterIncludingUnmergeable) {
-  // The reservoir cannot be sharded (no MergeFrom), but the service's
-  // snapshot-clone publish path serves it all the same.
+  // The reservoir cannot be sharded (no MergeFrom), but the service
+  // publishes its CloneForView copies all the same.
   selectivity::EstimatorSpec spec;
   spec.tag = "reservoir";
   spec.capacity = 256;

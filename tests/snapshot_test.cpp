@@ -1,19 +1,22 @@
-// Tier-1 tests for the versioned snapshot/restore subsystem (PR 4): the io
+// Tier-1 tests for the versioned snapshot/restore subsystem: the io
 // primitives and chunk framing, round-trip fidelity — every registered
 // estimator answers bit-identically after save → load, including saves taken
 // mid refit/rebuild interval where lazily fitted caches are stale — hostile
-// input (truncated, bit-flipped, wrong magic, future version, hostile length
-// prefixes) degrading into Status errors rather than UB, the registry's
+// input (truncated, bit-flipped, wrong magic, other versions, hostile length
+// prefixes, and state payloads truncated or mutated under a valid CRC for
+// every tag) degrading into Status errors rather than UB, value validation
+// (non-finite and out-of-domain observations rejected), the registry's
 // restore-without-naming-the-type path, cross-process-style snapshot merges
 // matching sequential ingest, and the sharded engine's checkpoint → restore →
 // continue-ingesting cycle. Run under ASan in CI.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,12 +69,27 @@ std::vector<double> AnswersOf(const selectivity::SelectivityEstimator& est,
   return out;
 }
 
-selectivity::StreamingWaveletSelectivity MakeSketch(size_t refit_interval) {
+/// A coarse basis (db2 tables at 2^-6, levels 2..4) for the small
+/// instances: a wavelet-cv load rebuilds its basis, which at the default
+/// sym8/2^-12 resolution would dominate the byte-by-byte sweeps.
+const wavelet::WaveletBasis& CoarseBasis() {
+  static const wavelet::WaveletBasis basis = []() {
+    Result<wavelet::WaveletBasis> b =
+        wavelet::WaveletBasis::Create(*wavelet::WaveletFilter::Daubechies(2), 6);
+    WDE_CHECK(b.ok());
+    return *b;
+  }();
+  return basis;
+}
+
+selectivity::StreamingWaveletSelectivity MakeSketch(
+    size_t refit_interval, const wavelet::WaveletBasis& basis = Sym8Basis(),
+    int j_max = 8) {
   selectivity::StreamingWaveletSelectivity::Options options;
   options.j0 = 2;
-  options.j_max = 8;
+  options.j_max = j_max;
   options.refit_interval = refit_interval;
-  return *selectivity::StreamingWaveletSelectivity::Create(Sym8Basis(), options);
+  return *selectivity::StreamingWaveletSelectivity::Create(basis, options);
 }
 
 /// One ingested instance of every registered estimator. Stream lengths are
@@ -79,8 +97,8 @@ selectivity::StreamingWaveletSelectivity MakeSketch(size_t refit_interval) {
 /// mid-interval with stale fitted caches — the hard case for bit-exact
 /// restore.
 std::vector<std::unique_ptr<selectivity::SelectivityEstimator>>
-MakeIngestedEstimators() {
-  const std::vector<double> xs = UnitStream(1, 5000);
+MakeIngestedEstimators(size_t n = 5000, bool coarse = false) {
+  const std::vector<double> xs = UnitStream(1, n);
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> estimators;
 
   estimators.push_back(
@@ -93,13 +111,14 @@ MakeIngestedEstimators() {
   kde_options.refit_interval = 2048;
   estimators.push_back(std::make_unique<selectivity::KdeSelectivity>(kde_options));
   selectivity::WaveletSynopsisSelectivity::Options synopsis_options;
-  synopsis_options.grid_log2 = 8;
-  synopsis_options.budget = 48;
+  synopsis_options.grid_log2 = coarse ? 5 : 8;
+  synopsis_options.budget = coarse ? 12 : 48;
   synopsis_options.rebuild_interval = 2048;
   estimators.push_back(std::make_unique<selectivity::WaveletSynopsisSelectivity>(
       *selectivity::WaveletSynopsisSelectivity::Create(synopsis_options)));
   estimators.push_back(
-      std::make_unique<selectivity::StreamingWaveletSelectivity>(MakeSketch(2048)));
+      std::make_unique<selectivity::StreamingWaveletSelectivity>(
+          coarse ? MakeSketch(2048, CoarseBasis(), 4) : MakeSketch(2048)));
   {
     selectivity::EquiWidthHistogram prototype(0.0, 1.0, 32);
     selectivity::ShardedSelectivityEstimator::Options options;
@@ -116,8 +135,27 @@ MakeIngestedEstimators() {
   estimators.push_back(
       std::make_unique<selectivity::Kde2dSelectivity>(kde2d_options));
   estimators.push_back(
-      std::make_unique<selectivity::Grid2dHistogram>(0.0, 1.0, 0.0, 1.0, 6));
+      std::make_unique<selectivity::Grid2dHistogram>(0.0, 1.0, 0.0, 1.0,
+                                                     coarse ? 4 : 6));
   for (auto& est : estimators) est->InsertBatch(xs);
+  return estimators;
+}
+
+/// A 64-value instance of every tag in MakeIngestedEstimators() (the sketch
+/// on the coarse basis, coarse synopsis and grid): queried
+/// after 48 values, so the lazily fitted state exists, then fed 16 more, so
+/// every state payload carries both fitted and unfitted parts. Small enough
+/// for byte-by-byte hostility sweeps.
+std::vector<std::unique_ptr<selectivity::SelectivityEstimator>>
+MakeSmallEstimators() {
+  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> estimators =
+      MakeIngestedEstimators(0, /*coarse=*/true);
+  const std::vector<double> xs = UnitStream(2, 64);
+  for (auto& est : estimators) {
+    est->InsertBatch(std::span<const double>(xs).first(48));
+    AnswersOf(*est, Workload());
+    est->InsertBatch(std::span<const double>(xs).subspan(48));
+  }
   return estimators;
 }
 
@@ -125,6 +163,53 @@ std::vector<uint8_t> SnapshotBytesOf(const selectivity::SelectivityEstimator& es
   io::VectorSink sink;
   WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(est, sink));
   return sink.TakeBytes();
+}
+
+/// A whole snapshot split into its parts: the TYPE and DIMS chunks and the
+/// STAT payload.
+struct SplitSnapshot {
+  io::Chunk type;
+  io::Chunk dims;
+  std::vector<uint8_t> state;
+};
+
+SplitSnapshot Split(const std::vector<uint8_t>& bytes) {
+  io::SpanSource source(bytes);
+  WDE_CHECK(io::ReadSnapshotHeader(source).ok());
+  SplitSnapshot split;
+  split.type = *io::ReadChunk(source);
+  split.dims = *io::ReadChunk(source);
+  split.state = io::ReadChunk(source)->payload;
+  WDE_CHECK_EQ(source.remaining(), 0u);
+  return split;
+}
+
+/// Re-frames `state` as the STAT payload of `split`'s envelope, with a valid
+/// CRC: what a corrupted or hostile writer would produce.
+std::vector<uint8_t> Reframe(const SplitSnapshot& split,
+                             std::span<const uint8_t> state) {
+  io::VectorSink sink;
+  WDE_CHECK_OK(io::WriteSnapshotHeader(sink));
+  WDE_CHECK_OK(io::WriteChunk(sink, split.type.tag, split.type.payload));
+  WDE_CHECK_OK(io::WriteChunk(sink, split.dims.tag, split.dims.payload));
+  WDE_CHECK_OK(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorState, state));
+  return sink.TakeBytes();
+}
+
+/// Every position below `size`, or 4096 evenly strided ones when there are
+/// more — bounds the byte-by-byte sweeps under the sanitizer lanes.
+std::vector<size_t> SweepPositions(size_t size) {
+  constexpr size_t kMaxPositions = 4096;
+  std::vector<size_t> positions;
+  const size_t count = std::min(size, kMaxPositions);
+  for (size_t i = 0; i < count; ++i) positions.push_back(i * size / count);
+  return positions;
+}
+
+Result<std::unique_ptr<selectivity::SelectivityEstimator>> Load(
+    std::span<const uint8_t> bytes) {
+  io::SpanSource source(bytes);
+  return selectivity::LoadEstimatorSnapshot(source);
 }
 
 // ---------------------------------------------------------- io primitives
@@ -340,45 +425,74 @@ TEST(SnapshotRoundTripTest, FileSnapshotsRoundTrip) {
 // ------------------------------------------------------- hostile input
 
 TEST(HostileInputTest, EveryTruncationOfASnapshotErrorsCleanly) {
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 8);
-  hist.InsertBatch(UnitStream(8, 300));
-  const std::vector<uint8_t> bytes = SnapshotBytesOf(hist);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    io::SpanSource source(std::span(bytes.data(), len));
-    EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok()) << "len=" << len;
+  for (const auto& est : MakeSmallEstimators()) {
+    const std::vector<uint8_t> bytes = SnapshotBytesOf(*est);
+    for (size_t len : SweepPositions(bytes.size())) {
+      EXPECT_FALSE(Load(std::span(bytes.data(), len)).ok())
+          << est->name() << " len=" << len;
+    }
   }
 }
 
 TEST(HostileInputTest, EverySingleBitFlipErrorsCleanly) {
-  // CRC framing covers the payloads; magic/version/chunk-header bytes have
-  // their own validation. No flip may crash or be silently accepted — except
-  // in the version field itself, where a flip can land on a valid *older*
-  // version, which readers accept by design (the field gates format features,
-  // it is not integrity-protected; the chunk CRCs are).
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
-  hist.InsertBatch(UnitStream(9, 100));
-  const std::vector<uint8_t> bytes = SnapshotBytesOf(hist);
-  std::vector<uint8_t> corrupt(bytes);
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    const bool in_version_field = byte >= 8 && byte < 12;
-    for (int bit = 0; bit < 8; ++bit) {
-      corrupt[byte] = bytes[byte] ^ static_cast<uint8_t>(1 << bit);
-      if (in_version_field) {
-        uint32_t version = 0;
-        std::memcpy(&version, corrupt.data() + 8, 4);
-        if constexpr (std::endian::native != std::endian::little) {
-          version = __builtin_bswap32(version);
-        }
-        if (version >= 1 && version <= io::kSnapshotFormatVersion) {
-          corrupt[byte] = bytes[byte];
-          continue;  // a valid older version: acceptance is the contract
+  // CRC framing covers the payloads; magic, version and chunk-header bytes
+  // have their own validation, and the reader accepts exactly one version.
+  // No flip may crash or be silently accepted.
+  for (const auto& est : MakeSmallEstimators()) {
+    const std::vector<uint8_t> bytes = SnapshotBytesOf(*est);
+    std::vector<uint8_t> corrupt(bytes);
+    for (size_t byte : SweepPositions(bytes.size())) {
+      for (int bit = 0; bit < 8; ++bit) {
+        corrupt[byte] = bytes[byte] ^ static_cast<uint8_t>(1 << bit);
+        EXPECT_FALSE(Load(corrupt).ok())
+            << est->name() << " byte=" << byte << " bit=" << bit;
+      }
+      corrupt[byte] = bytes[byte];
+    }
+  }
+}
+
+TEST(HostileInputTest, EveryReframedTruncationOfAStatePayloadErrors) {
+  // A truncated state payload under a valid CRC reaches the estimator's own
+  // decoder, which must notice the missing bytes.
+  for (const auto& est : MakeSmallEstimators()) {
+    const SplitSnapshot split = Split(SnapshotBytesOf(*est));
+    for (size_t len : SweepPositions(split.state.size())) {
+      const std::vector<uint8_t> bytes =
+          Reframe(split, std::span(split.state.data(), len));
+      EXPECT_FALSE(Load(bytes).ok()) << est->name() << " len=" << len;
+    }
+  }
+}
+
+TEST(HostileInputTest, EveryReframedByteMutationErrorsOrLoadsSane) {
+  // A mutated state payload under a valid CRC either fails validation or
+  // loads an estimator whose answers are still probabilities.
+  const std::vector<selectivity::RangeQuery> queries = Workload();
+  for (const auto& est : MakeSmallEstimators()) {
+    const SplitSnapshot split = Split(SnapshotBytesOf(*est));
+    std::vector<uint8_t> state = split.state;
+    size_t insane = 0;
+    std::string first_insane;
+    for (size_t byte : SweepPositions(state.size())) {
+      for (const uint8_t mask :
+           {uint8_t{0xFF}, uint8_t{0x40}, static_cast<uint8_t>(1u << (byte % 8))}) {
+        state[byte] = split.state[byte] ^ mask;
+        Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored =
+            Load(Reframe(split, state));
+        if (!restored.ok()) continue;
+        for (double answer : AnswersOf(**restored, queries)) {
+          if (answer >= 0.0 && answer <= 1.0) continue;
+          if (insane++ == 0) {
+            first_insane = "byte=" + std::to_string(byte) + " mask=" +
+                           std::to_string(mask) + " answer=" + std::to_string(answer);
+          }
+          break;
         }
       }
-      io::SpanSource source(corrupt);
-      EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok())
-          << "byte=" << byte << " bit=" << bit;
+      state[byte] = split.state[byte];
     }
-    corrupt[byte] = bytes[byte];
+    EXPECT_EQ(insane, 0u) << est->name() << ": first at " << first_insane;
   }
 }
 
@@ -394,13 +508,16 @@ TEST(HostileInputTest, WrongMagicAndFutureVersionsAreRejected) {
   ASSERT_FALSE(magic_result.ok());
   EXPECT_NE(magic_result.status().message().find("magic"), std::string::npos);
 
-  std::vector<uint8_t> future(bytes);
-  future[8] = 0xFF;  // version u32 little-endian follows the 8-byte magic
-  io::SpanSource future_source(future);
-  Result<std::unique_ptr<selectivity::SelectivityEstimator>> future_result =
-      selectivity::LoadEstimatorSnapshot(future_source);
-  ASSERT_FALSE(future_result.ok());
-  EXPECT_NE(future_result.status().message().find("version"), std::string::npos);
+  // The version u32 (little-endian) follows the 8-byte magic; every version
+  // but the current one is rejected, older ones included.
+  for (uint8_t version : {uint8_t{0xFF}, uint8_t{4}, uint8_t{1}, uint8_t{0}}) {
+    std::vector<uint8_t> other(bytes);
+    other[8] = version;
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> other_result =
+        Load(other);
+    ASSERT_FALSE(other_result.ok()) << int{version};
+    EXPECT_NE(other_result.status().message().find("version"), std::string::npos);
+  }
 }
 
 TEST(HostileInputTest, ValidFramingWithGarbagePayloadErrors) {
@@ -413,11 +530,28 @@ TEST(HostileInputTest, ValidFramingWithGarbagePayloadErrors) {
                              std::span(reinterpret_cast<const uint8_t*>(tag.data()),
                                        tag.size()))
                   .ok());
+  const std::vector<uint8_t> dims = {1, 0, 0, 0};
+  ASSERT_TRUE(
+      io::WriteChunk(sink, selectivity::internal::kChunkEstimatorDims, dims).ok());
   const std::vector<uint8_t> garbage(64, 0xA5);
   ASSERT_TRUE(
       io::WriteChunk(sink, selectivity::internal::kChunkEstimatorState, garbage).ok());
   io::SpanSource source(sink.bytes());
   EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
+}
+
+TEST(HostileInputTest, EnvelopesWithoutTheirDimsChunkAreRejected) {
+  // Every envelope carries DIMS, 1-D included; absence no longer means 1.
+  for (const auto& est : MakeSmallEstimators()) {
+    const SplitSnapshot split = Split(SnapshotBytesOf(*est));
+    io::VectorSink sink;
+    ASSERT_TRUE(io::WriteSnapshotHeader(sink).ok());
+    ASSERT_TRUE(io::WriteChunk(sink, split.type.tag, split.type.payload).ok());
+    ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorState,
+                               split.state)
+                    .ok());
+    EXPECT_FALSE(Load(sink.bytes()).ok()) << est->name();
+  }
 }
 
 TEST(HostileInputTest, UnknownTypeTagIsNotFound) {
@@ -438,41 +572,100 @@ TEST(HostileInputTest, UnknownTypeTagIsNotFound) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
-TEST(SnapshotCompatTest, KdeRetiredToleranceIsValidatedThenIgnored) {
-  // The portable kde-rot state ends in the retired tree-evaluation tolerance
-  // (written as 0.0). Snapshots saved with a positive tolerance restore as
-  // exact; a negative or non-finite one is still corrupt.
-  selectivity::KdeSelectivity kde(selectivity::KdeSelectivity::Options{});
-  kde.InsertBatch(UnitStream(31, 3000));
+/// Replaces, in the state payload of `bytes`, the encoding of the first
+/// inserted value that the payload holds with `to`; re-framed with a valid
+/// CRC.
+std::vector<uint8_t> ReplaceValue(const std::vector<uint8_t>& bytes,
+                                  std::span<const double> inserted, double to) {
+  SplitSnapshot split = Split(bytes);
+  io::VectorSink to_sink;
+  WDE_CHECK_OK(io::WriteDouble(to_sink, to));
+  for (double from : inserted) {
+    io::VectorSink from_sink;
+    WDE_CHECK_OK(io::WriteDouble(from_sink, from));
+    const auto at = std::search(split.state.begin(), split.state.end(),
+                                from_sink.bytes().begin(), from_sink.bytes().end());
+    if (at == split.state.end()) continue;
+    std::copy(to_sink.bytes().begin(), to_sink.bytes().end(), at);
+    return Reframe(split, split.state);
+  }
+  WDE_CHECK(false, "no inserted value in the state payload");
+  return {};
+}
+
+TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainValues) {
+  // The loaders that keep raw observations validate them: Insert drops
+  // non-finite values, and the clamping ones never hold a value outside
+  // their domain. A rejected load leaves the target untouched.
+  const std::vector<double> xs = UnitStream(41, 600);
   const std::vector<selectivity::RangeQuery> queries = Workload();
-  const std::vector<double> exact = AnswersOf(kde, queries);
-  const std::vector<uint8_t> bytes = SnapshotBytesOf(kde);
-  io::SpanSource parse(bytes);
-  ASSERT_TRUE(io::ReadSnapshotHeader(parse).ok());
-  Result<io::Chunk> type = io::ReadChunk(parse);
-  Result<io::Chunk> state = io::ReadChunk(parse);
-  ASSERT_TRUE(type.ok() && state.ok());
-  ASSERT_GE(state->payload.size(), 8u);
-  for (double tolerance : {1e-3, 0.0, -1e-3, std::nan("")}) {
-    io::VectorSink tail;
-    ASSERT_TRUE(io::WriteDouble(tail, tolerance).ok());
-    std::vector<uint8_t> payload = state->payload;
-    std::copy(tail.bytes().begin(), tail.bytes().end(), payload.end() - 8);
-    io::VectorSink rebuilt;
-    ASSERT_TRUE(io::WriteSnapshotHeader(rebuilt).ok());
-    ASSERT_TRUE(io::WriteChunk(rebuilt, type->tag, type->payload).ok());
-    ASSERT_TRUE(io::WriteChunk(rebuilt, state->tag, payload).ok());
-    io::SpanSource source(rebuilt.bytes());
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
-        selectivity::LoadEstimatorSnapshot(source);
-    if (tolerance >= 0.0) {
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(AnswersOf(**loaded, queries), exact) << "tolerance=" << tolerance;
-      EXPECT_EQ(SnapshotBytesOf(**loaded), bytes);  // re-saved as 0.0
-    } else {
-      EXPECT_FALSE(loaded.ok()) << "tolerance=" << tolerance;
+  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> targets =
+      MakeIngestedEstimators(300);
+  for (const auto& est : MakeIngestedEstimators(0)) {
+    const std::string tag = est->snapshot_type_tag();
+    const bool keeps_values = tag == "kde-rot" || tag == "equi-depth" ||
+                              tag == "kde2d-prod" || tag == "reservoir";
+    if (!keeps_values) continue;
+    selectivity::SelectivityEstimator& target = **std::find_if(
+        targets.begin(), targets.end(),
+        [&tag](const auto& t) { return t->snapshot_type_tag() == tag; });
+    est->InsertBatch(xs);
+    AnswersOf(*est, queries);  // fit, so a kde-rot payload leads with its sorted sample
+    const std::vector<uint8_t> bytes = SnapshotBytesOf(*est);
+    std::vector<double> replacements = {std::nan(""),
+                                        std::numeric_limits<double>::infinity()};
+    // The reservoir declares no domain; the others clamp into [0, 1].
+    if (tag != "reservoir") replacements.insert(replacements.end(), {7.5, -0.25});
+    for (double bad : replacements) {
+      const std::vector<uint8_t> corrupt = ReplaceValue(bytes, xs, bad);
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded = Load(corrupt);
+      ASSERT_FALSE(loaded.ok()) << tag << " value=" << bad;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << tag;
+
+      const std::vector<double> before = AnswersOf(target, queries);
+      const size_t count_before = target.count();
+      io::SpanSource source(corrupt);
+      ASSERT_TRUE(io::ReadSnapshotHeader(source).ok());
+      EXPECT_FALSE(target.LoadState(source).ok()) << tag;
+      EXPECT_EQ(target.count(), count_before) << tag << " was touched";
+      EXPECT_EQ(AnswersOf(target, queries), before) << tag << " was touched";
     }
   }
+}
+
+TEST(SnapshotValidationTest, KdeRestoreAdoptsTheSortedPrefixAndRejectsDisorder) {
+  // The kde-rot payload leads with the fitted sample in sorted order; restore
+  // refits on it without sorting, bitwise: same answers, same bandwidth, same
+  // re-saved bytes. A prefix out of order is corrupt.
+  selectivity::KdeSelectivity::Options options;
+  options.refit_interval = 4096;
+  selectivity::KdeSelectivity kde(options);
+  const std::vector<double> xs = UnitStream(43, 5000);
+  kde.InsertBatch(std::span<const double>(xs).first(3000));
+  const std::vector<selectivity::RangeQuery> queries = Workload();
+  AnswersOf(kde, queries);  // fits 3000; the rest stays an unfitted tail
+  kde.InsertBatch(std::span<const double>(xs).subspan(3000));
+  const std::vector<uint8_t> bytes = SnapshotBytesOf(kde);
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored = Load(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SnapshotBytesOf(**restored), bytes);
+  EXPECT_EQ(AnswersOf(**restored, queries), AnswersOf(kde, queries));
+  EXPECT_EQ((*restored)->Answer(selectivity::Query::Quantile(0.3)),
+            kde.Answer(selectivity::Query::Quantile(0.3)));
+
+  // Swap the first two sorted values: still finite and in the domain, but
+  // no longer ascending.
+  SplitSnapshot split = Split(bytes);
+  constexpr size_t kVectorStart = 8 + 8 + 8 + 8 + 8;  // domain, interval, fit point, count
+  ASSERT_GT(split.state.size(), kVectorStart + 16);
+  std::swap_ranges(split.state.begin() + kVectorStart,
+                   split.state.begin() + kVectorStart + 8,
+                   split.state.begin() + kVectorStart + 8);
+  ASSERT_NE(Reframe(split, split.state), bytes);
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> disordered =
+      Load(Reframe(split, split.state));
+  ASSERT_FALSE(disordered.ok());
+  EXPECT_EQ(disordered.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------- cross-process-style merging
@@ -696,93 +889,8 @@ TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
   EXPECT_EQ(AnswersOf(combiner, queries), AnswersOf(sequential, queries));
 }
 
-// ------------------------------------------------- fast (arena) snapshots
-
-std::vector<uint8_t> FastSnapshotBytesOf(
-    const selectivity::SelectivityEstimator& est) {
-  io::VectorSink sink;
-  WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFast(est, sink));
-  return sink.TakeBytes();
-}
-
-TEST(FastSnapshotTest, EveryRegisteredEstimatorRoundTripsBitIdentically) {
-  // The fast (ARNA) encoding must be answer-equivalent to the portable one
-  // for every registered tag: both restores agree bitwise with the saved
-  // estimator, queried or not.
-  const std::vector<selectivity::RangeQuery> queries = Workload();
-  for (const bool query_first : {true, false}) {
-    for (const auto& est : MakeIngestedEstimators()) {
-      EXPECT_TRUE(est->supports_fast_snapshot()) << est->name();
-      if (query_first) AnswersOf(*est, queries);  // warm the lazy caches
-      const std::vector<double> before = AnswersOf(*est, queries);
-
-      const std::vector<uint8_t> fast_bytes = FastSnapshotBytesOf(*est);
-      io::SpanSource fast_source(fast_bytes);
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> fast =
-          selectivity::LoadEstimatorSnapshot(fast_source);
-      ASSERT_TRUE(fast.ok()) << est->name() << ": " << fast.status().ToString();
-      EXPECT_EQ((*fast)->name(), est->name());
-      EXPECT_EQ((*fast)->count(), est->count());
-      EXPECT_EQ(AnswersOf(**fast, queries), before) << est->name();
-
-      const std::vector<uint8_t> portable_bytes = SnapshotBytesOf(*est);
-      io::SpanSource portable_source(portable_bytes);
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> portable =
-          selectivity::LoadEstimatorSnapshot(portable_source);
-      ASSERT_TRUE(portable.ok()) << est->name();
-      EXPECT_EQ(AnswersOf(**portable, queries), before) << est->name();
-    }
-  }
-}
-
-TEST(FastSnapshotTest, MappedFileRestoreMatchesPortableForEveryTag) {
-  const std::string path = testing::TempDir() + "/wde_fast_snapshot.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
-  for (const auto& est : MakeIngestedEstimators()) {
-    const std::vector<double> before = AnswersOf(*est, queries);
-    ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFastFile(*est, path).ok())
-        << est->name();
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> mapped =
-        selectivity::LoadEstimatorSnapshotFileMapped(path);
-    ASSERT_TRUE(mapped.ok()) << est->name() << ": " << mapped.status().ToString();
-    EXPECT_EQ(AnswersOf(**mapped, queries), before) << est->name();
-    // A mapped restore may borrow the file's pages zero-copy; mutating the
-    // estimator must un-share (CoW) rather than write through the mapping,
-    // and the estimator keeps working after further ingest.
-    (*mapped)->InsertBatch(UnitStream(20, 500));
-    // A d-dimensional estimator consumes d interleaved values per observation.
-    EXPECT_EQ((*mapped)->count(),
-              est->count() + 500 / static_cast<size_t>(est->dims()))
-        << est->name();
-    AnswersOf(**mapped, queries);  // must not crash or corrupt
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FastSnapshotTest, RestoredEstimatorContinuesIngestingIdentically) {
-  // The fast state must capture everything the portable one does, RNG
-  // included: the reservoir's acceptance sequence is the sharpest probe.
-  const std::vector<double> head = UnitStream(17, 6000);
-  const std::vector<double> tail = UnitStream(18, 2000);
-  selectivity::ReservoirSampleSelectivity twin(128, 31);
-  twin.InsertBatch(head);
-  const std::vector<uint8_t> bytes = FastSnapshotBytesOf(twin);
-  io::SpanSource source(bytes);
-  Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored =
-      selectivity::LoadEstimatorSnapshot(source);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  twin.InsertBatch(tail);
-  (*restored)->InsertBatch(tail);
-  auto& reservoir =
-      static_cast<selectivity::ReservoirSampleSelectivity&>(**restored);
-  EXPECT_EQ(reservoir.reservoir(), twin.reservoir());
-  EXPECT_EQ(reservoir.count(), twin.count());
-}
-
-TEST(FastSnapshotTest, ShardedCheckpointRestoresFromEitherEncoding) {
-  // Restore() accepts a checkpoint written by either saver; the fast one
-  // restores to the same answers.
-  const std::string path = testing::TempDir() + "/wde_fast_checkpoint.snap";
+TEST(ShardedCheckpointTest, KdeReplicasRestoreBitwise) {
+  const std::string path = testing::TempDir() + "/wde_kde_checkpoint.snap";
   const std::vector<selectivity::RangeQuery> queries = Workload();
   selectivity::KdeSelectivity::Options proto_options;
   proto_options.refit_interval = 512;
@@ -794,7 +902,7 @@ TEST(FastSnapshotTest, ShardedCheckpointRestoresFromEitherEncoding) {
       *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
   node.InsertBatch(UnitStream(19, 9000));
   const std::vector<double> before = AnswersOf(node, queries);
-  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFastFile(node, path).ok());
+  ASSERT_TRUE(node.Checkpoint(path).ok());
 
   selectivity::ShardedSelectivityEstimator restored =
       *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
@@ -804,101 +912,29 @@ TEST(FastSnapshotTest, ShardedCheckpointRestoresFromEitherEncoding) {
   std::remove(path.c_str());
 }
 
-TEST(FastSnapshotHostileTest, EveryTruncationErrorsCleanly) {
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 8);
-  hist.InsertBatch(UnitStream(8, 300));
-  AnswersOf(hist, Workload());  // populate the prefix cache column
-  const std::vector<uint8_t> bytes = FastSnapshotBytesOf(hist);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    io::SpanSource source(std::span(bytes.data(), len));
-    EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok()) << "len=" << len;
+// --------------------------------------------- restore, then keep ingesting
+
+TEST(SnapshotRoundTripTest, EveryTagContinuesIngestingLikeItsLiveTwin) {
+  // restore ≡ live: a restored estimator and its never-serialized twin take
+  // the same further ingest and keep answering bitwise alike, and the
+  // restored one re-saves to the bytes it was loaded from.
+  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<double> tail = UnitStream(20, 500);
+  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> twins =
+      MakeIngestedEstimators();
+  for (auto& twin : twins) {
+    AnswersOf(*twin, queries);  // warm the lazy caches before the save
+    const std::vector<uint8_t> bytes = SnapshotBytesOf(*twin);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored = Load(bytes);
+    ASSERT_TRUE(restored.ok()) << twin->name() << ": " << restored.status().ToString();
+    EXPECT_EQ(SnapshotBytesOf(**restored), bytes) << twin->name();
+    twin->InsertBatch(tail);
+    (*restored)->InsertBatch(tail);
+    EXPECT_EQ((*restored)->count(), twin->count()) << twin->name();
+    twin->ForceRefit();
+    (*restored)->ForceRefit();
+    EXPECT_EQ(AnswersOf(**restored, queries), AnswersOf(*twin, queries)) << twin->name();
   }
-}
-
-TEST(FastSnapshotHostileTest, EverySingleBitFlipErrorsCleanly) {
-  // Identical contract to the portable artifact: the ARNA chunk is CRC-framed
-  // like every other chunk, so no flip may crash or be silently accepted
-  // (version-field flips landing on a valid older version excepted, as ever).
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
-  hist.InsertBatch(UnitStream(9, 100));
-  const std::vector<uint8_t> bytes = FastSnapshotBytesOf(hist);
-  std::vector<uint8_t> corrupt(bytes);
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    const bool in_version_field = byte >= 8 && byte < 12;
-    for (int bit = 0; bit < 8; ++bit) {
-      corrupt[byte] = bytes[byte] ^ static_cast<uint8_t>(1 << bit);
-      if (in_version_field) {
-        uint32_t version = 0;
-        std::memcpy(&version, corrupt.data() + 8, 4);
-        if constexpr (std::endian::native != std::endian::little) {
-          version = __builtin_bswap32(version);
-        }
-        if (version >= 1 && version <= io::kSnapshotFormatVersion) {
-          corrupt[byte] = bytes[byte];
-          continue;
-        }
-      }
-      io::SpanSource source(corrupt);
-      EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok())
-          << "byte=" << byte << " bit=" << bit;
-    }
-    corrupt[byte] = bytes[byte];
-  }
-}
-
-TEST(FastSnapshotHostileTest, ValidFramingWithGarbageArenaPayloadErrors) {
-  // A well-formed envelope whose ARNA payload is noise must be caught by the
-  // frame parser or the estimator's own validation, never trusted.
-  io::VectorSink sink;
-  ASSERT_TRUE(io::WriteSnapshotHeader(sink).ok());
-  const std::string tag = "equi-width";
-  ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorType,
-                             std::span(reinterpret_cast<const uint8_t*>(tag.data()),
-                                       tag.size()))
-                  .ok());
-  const std::vector<uint8_t> garbage(128, 0xA5);
-  ASSERT_TRUE(
-      io::WriteChunk(sink, selectivity::internal::kChunkEstimatorArena, garbage).ok());
-  io::SpanSource source(sink.bytes());
-  EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
-}
-
-TEST(FastSnapshotHostileTest, ColumnDirectoryMismatchIsRejected) {
-  // A structurally valid ARN1 frame whose column directory disagrees with the
-  // head (wrong kind and wrong count) must fail the shape check, not abort in
-  // a typed accessor.
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
-  hist.InsertBatch(UnitStream(21, 50));
-  io::VectorSink sink;
-  ASSERT_TRUE(hist.SaveStateFast(sink, 12).ok());
-  std::vector<uint8_t> envelope = sink.TakeBytes();
-  // Locate the ARNA payload: header-less envelope = TYPE chunk then ARNA
-  // chunk; the payload starts 12 bytes into the second chunk.
-  const size_t type_chunk = 16 + std::string("equi-width").size();
-  uint32_t head_bytes = 0;
-  std::memcpy(&head_bytes, envelope.data() + type_chunk + 12 + 4, 4);
-  // Flip the first column's kind byte (column_count u32 precedes it). The
-  // CRC no longer matches, so re-frame the chunk instead of patching bytes:
-  // parse out the payload, corrupt, rewrite.
-  io::SpanSource parse(std::span<const uint8_t>(envelope).subspan(type_chunk));
-  Result<io::Chunk> arena_chunk = io::ReadChunk(parse);
-  ASSERT_TRUE(arena_chunk.ok());
-  std::vector<uint8_t> payload = arena_chunk->payload;
-  const size_t kind_at = 8 + head_bytes + 4;
-  ASSERT_LT(kind_at, payload.size());
-  payload[kind_at] = 2;  // kF64 -> kU8: element size shrinks, head disagrees
-  io::VectorSink rebuilt;
-  ASSERT_TRUE(io::WriteSnapshotHeader(rebuilt).ok());
-  const std::string tag = "equi-width";
-  ASSERT_TRUE(io::WriteChunk(rebuilt, selectivity::internal::kChunkEstimatorType,
-                             std::span(reinterpret_cast<const uint8_t*>(tag.data()),
-                                       tag.size()))
-                  .ok());
-  ASSERT_TRUE(
-      io::WriteChunk(rebuilt, selectivity::internal::kChunkEstimatorArena, payload)
-          .ok());
-  io::SpanSource source(rebuilt.bytes());
-  EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
 }
 
 }  // namespace
