@@ -96,13 +96,9 @@ inline CvFits FitBothCv(const std::vector<double>& xs) {
 
 namespace perf {
 
-inline double SecondsBetween(std::chrono::steady_clock::time_point start,
-                             std::chrono::steady_clock::time_point end) {
-  return std::chrono::duration<double>(end - start).count();
-}
-
 inline double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return SecondsBetween(start, std::chrono::steady_clock::now());
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 /// Best-of-N wall time of fn(); best-of (not mean) because the drivers run

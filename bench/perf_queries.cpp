@@ -1,6 +1,6 @@
 // Query-taxonomy bench: every registered estimator (built declaratively from
 // one EstimatorSpec per tag) ingests a uniform stream, then answers
-//   (a) a range-only batch        (the legacy workload shape),
+//   (a) a range-only batch        (the classic optimizer workload shape),
 //   (b) a mixed-kind batch        (ranges, points, one-sided, CDF, quantiles
 //                                  through the one Answer() surface),
 //   (c) the mixed batch as a per-query scalar loop (the batch path's
@@ -8,8 +8,7 @@
 // Produces the committed BENCH_query_taxonomy.json artifact (see
 // docs/BENCHMARKS.md): per-estimator timings, queries/second and the batch
 // speedup, plus the correctness evidence — mixed batch ≡ scalar loop
-// bitwise, Answer(kRange) ≡ legacy EstimateRange bitwise, and the
-// CDF/quantile round-trip error max_p |F(F^{-1}(p)) - p|.
+// bitwise and the CDF/quantile round-trip error max_p |F(F^{-1}(p)) - p|.
 //
 // No google-benchmark dependency: plain steady_clock timing, best of
 // --repeats runs, so the binary builds everywhere and CI can always produce
@@ -18,12 +17,11 @@
 // Usage: perf_queries [--n=200000] [--queries=1024] [--repeats=3]
 //                     [--out=BENCH_query_taxonomy.json] [--check]
 //
-// --check turns the three correctness fields into a gate: exit 1 if any
-// estimator's mixed batch is not bit-identical to its scalar loop, if
-// Answer(kRange) differs from EstimateRange, or if the round-trip error
-// exceeds 0.08 (estimator granularity: reservoir jumps, bucket fractions,
-// signed-estimate wiggle). CI runs with --check so the taxonomy contract is
-// enforced at production scale, not just at test sizes.
+// --check turns the two correctness fields into a gate: exit 1 if any
+// estimator's mixed batch is not bit-identical to its scalar loop, or if the
+// round-trip error exceeds 0.08 (estimator granularity: reservoir jumps,
+// bucket fractions, signed-estimate wiggle). CI runs with --check so the
+// taxonomy contract is enforced at production scale, not just at test sizes.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -54,7 +52,6 @@ struct Row {
   double mixed_batch_qps = 0.0;
   double batch_speedup_vs_scalar = 0.0;
   bool mixed_batch_bit_identical_to_scalar = true;
-  bool range_answer_bit_identical_to_legacy = true;
   double cdf_quantile_roundtrip_max_error = 0.0;
 };
 
@@ -91,14 +88,9 @@ int main(int argc, char** argv) {
   for (double& x : stream) x = data_rng.UniformDouble();
 
   stats::Rng query_rng(5);
-  const std::vector<selectivity::RangeQuery> range_workload =
+  const std::vector<selectivity::Query> range_workload =
       selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02,
                                          0.3);
-  std::vector<selectivity::Query> ranges_as_queries;
-  ranges_as_queries.reserve(range_workload.size());
-  for (const selectivity::RangeQuery& q : range_workload) {
-    ranges_as_queries.push_back(selectivity::Query::Range(q.lo, q.hi));
-  }
   const std::vector<selectivity::Query> mixed_workload =
       selectivity::MixedQueryWorkload(query_rng, query_count, 0.0, 1.0);
 
@@ -134,7 +126,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> range_answers(range_workload.size());
     row.seconds_range_batch =
-        TimeAnswer(est, ranges_as_queries, range_answers, repeats);
+        TimeAnswer(est, range_workload, range_answers, repeats);
 
     std::vector<double> mixed_answers(mixed_workload.size());
     row.seconds_mixed_batch =
@@ -165,15 +157,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Answer(kRange) ≡ legacy EstimateRange, bitwise.
-    for (size_t i = 0; i < range_workload.size(); ++i) {
-      if (range_answers[i] !=
-          est.EstimateRange(range_workload[i].lo, range_workload[i].hi)) {
-        row.range_answer_bit_identical_to_legacy = false;
-        break;
-      }
-    }
-
     // CDF/quantile round trip on a fixed level grid.
     for (double p = 0.05; p < 1.0; p += 0.05) {
       const double quantile = est.Answer(selectivity::Query::Quantile(p));
@@ -184,12 +167,11 @@ int main(int argc, char** argv) {
 
     std::printf(
         "%-14s range %.4fs  mixed %.4fs (%.3g q/s)  scalar %.4fs  "
-        "speedup %.2fx  bitwise %s/%s  roundtrip %.3g\n",
+        "speedup %.2fx  bitwise %s  roundtrip %.3g\n",
         tag.c_str(), row.seconds_range_batch, row.seconds_mixed_batch,
         row.mixed_batch_qps, row.seconds_mixed_scalar,
         row.batch_speedup_vs_scalar,
         row.mixed_batch_bit_identical_to_scalar ? "yes" : "NO",
-        row.range_answer_bit_identical_to_legacy ? "yes" : "NO",
         row.cdf_quantile_roundtrip_max_error);
     rows.push_back(row);
   }
@@ -214,13 +196,11 @@ int main(int argc, char** argv) {
         "\"seconds_mixed_scalar\": %.6f, \"mixed_batch_qps\": %.1f, "
         "\"batch_speedup_vs_scalar\": %.4f, "
         "\"mixed_batch_bit_identical_to_scalar\": %s, "
-        "\"range_answer_bit_identical_to_legacy\": %s, "
         "\"cdf_quantile_roundtrip_max_error\": %.3e}%s\n",
         row.tag.c_str(), row.name.c_str(), row.seconds_range_batch,
         row.seconds_mixed_batch, row.seconds_mixed_scalar, row.mixed_batch_qps,
         row.batch_speedup_vs_scalar,
         row.mixed_batch_bit_identical_to_scalar ? "true" : "false",
-        row.range_answer_bit_identical_to_legacy ? "true" : "false",
         row.cdf_quantile_roundtrip_max_error,
         i + 1 < rows.size() ? "," : "");
   }
@@ -234,13 +214,6 @@ int main(int argc, char** argv) {
       if (!row.mixed_batch_bit_identical_to_scalar) {
         std::fprintf(stderr,
                      "CHECK FAILED: %s mixed batch differs from scalar loop\n",
-                     row.tag.c_str());
-        ++violations;
-      }
-      if (!row.range_answer_bit_identical_to_legacy) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s Answer(kRange) differs from "
-                     "EstimateRange\n",
                      row.tag.c_str());
         ++violations;
       }

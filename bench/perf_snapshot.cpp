@@ -55,7 +55,7 @@ const wavelet::WaveletBasis& Sym8Basis() {
 }
 
 /// One ingest-ready instance per registered estimator, at production-ish
-/// configurations (the sketch at the perf_sharded level budget).
+/// configurations (the sketch on a sym8 basis with 12 table levels).
 std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> MakeEstimators() {
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> estimators;
   estimators.push_back(
@@ -164,14 +164,14 @@ int main(int argc, char** argv) {
   std::vector<double> stream(n);
   for (double& x : stream) x = data_rng.UniformDouble();
   stats::Rng query_rng(5);
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<selectivity::Query> queries =
       selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3);
 
   std::vector<Row> rows;
   for (auto& estimator : MakeEstimators()) {
     estimator->InsertBatch(stream);
     std::vector<double> before(queries.size());
-    estimator->EstimateBatch(queries, before);  // realistic: fitted cache exists
+    estimator->Answer(queries, before);  // realistic: fitted cache exists
 
     Row row;
     row.tag = estimator->snapshot_type_tag();
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     });
 
     std::vector<double> after(queries.size());
-    restored->EstimateBatch(queries, after);
+    restored->Answer(queries, after);
     io::VectorSink resaved;
     WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(*restored, resaved));
     row.roundtrip_bit_identical = restored->count() == estimator->count() &&
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
           selectivity::LoadEstimatorSnapshot(source);
       WDE_CHECK(loaded.ok());
       std::vector<double> probe(queries.size());
-      (*loaded)->EstimateBatch(queries, probe);
+      (*loaded)->Answer(queries, probe);
     });
 
     rows.push_back(row);

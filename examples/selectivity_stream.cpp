@@ -88,10 +88,10 @@ int main() {
               kStreamLength);
 
   // A short-range-scan workload; ground truth from the generating density.
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<selectivity::Query> queries =
       selectivity::CenteredRangeWorkload(rng, 400, 0.0, 1.0, 0.02, 0.25);
-  const auto truth = [&](const selectivity::RangeQuery& q) {
-    return density->Cdf(q.hi) - density->Cdf(q.lo);
+  const auto truth = [&](const selectivity::Query& q) {
+    return density->Cdf(q.b) - density->Cdf(q.a);
   };
 
   harness::TextTable table(
@@ -149,9 +149,10 @@ int main() {
     sketch->Insert(v);
     equi_width.Insert(v);
   }
+  const selectivity::Query hot = selectivity::Query::Range(0.45, 0.55);
   std::printf("P(0.45 <= X <= 0.55) after drift: wavelet %.3f, equi-width %.3f "
               "(stationary truth was %.3f)\n",
-              sketch->EstimateRange(0.45, 0.55), equi_width.EstimateRange(0.45, 0.55),
+              sketch->Answer(hot), equi_width.Answer(hot),
               density->Cdf(0.55) - density->Cdf(0.45));
   std::printf("\nthe wavelet sketch used %zu inserts, no buffered rows, and "
               "cross-validated its own smoothing.\n",
@@ -186,8 +187,9 @@ int main() {
   std::vector<double> resumed = stream.Sample(8192, rng);
   sketch->InsertBatch(resumed);        // the never-killed twin
   (*restored)->InsertBatch(resumed);   // the restored node
-  const double twin = sketch->EstimateRange(0.1, 0.3);
-  const double revived = (*restored)->EstimateRange(0.1, 0.3);
+  const selectivity::Query probe = selectivity::Query::Range(0.1, 0.3);
+  const double twin = sketch->Answer(probe);
+  const double revived = (*restored)->Answer(probe);
   std::printf("P(0.1 <= X <= 0.3) after 8192 more rows: twin %.6f, restored %.6f "
               "(bit-identical: %s)\n",
               twin, revived, twin == revived ? "yes" : "NO");

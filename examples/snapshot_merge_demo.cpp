@@ -157,7 +157,7 @@ int RunCombine(int argc, char** argv) {
   seq_sketch.InsertBatch(stream);
 
   stats::Rng query_rng(kQuerySeed);
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<selectivity::Query> queries =
       selectivity::CenteredRangeWorkload(query_rng, 256, 0.0, 1.0, 0.02, 0.3);
   std::vector<double> merged_answers(queries.size());
   std::vector<double> seq_answers(queries.size());
@@ -166,8 +166,8 @@ int RunCombine(int argc, char** argv) {
   const auto check = [&](const selectivity::SelectivityEstimator& merged,
                          const selectivity::SelectivityEstimator& sequential,
                          bool bit_exact) {
-    merged.EstimateBatch(queries, merged_answers);
-    sequential.EstimateBatch(queries, seq_answers);
+    merged.Answer(queries, merged_answers);
+    sequential.Answer(queries, seq_answers);
     double max_err = 0.0;
     bool identical = merged.count() == sequential.count();
     for (size_t i = 0; i < queries.size(); ++i) {

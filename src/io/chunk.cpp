@@ -89,41 +89,45 @@ Status WriteChunk(Sink& sink, uint32_t tag, std::span<const uint8_t> payload) {
   return WriteU32(sink, Crc32(payload));
 }
 
-Result<Chunk> ReadChunk(Source& source) {
-  Chunk chunk;
-  WDE_ASSIGN_OR_RETURN(chunk.tag, ReadU32(source));
+namespace {
+
+struct ChunkHeader {
+  uint32_t tag = 0;
+  size_t size = 0;
+};
+
+/// Reads a chunk's tag and payload size. The CRC trailer also still has to
+/// fit: catches truncation and hostile sizes before any allocation.
+Result<ChunkHeader> ReadChunkHeader(Source& source) {
+  ChunkHeader header;
+  WDE_ASSIGN_OR_RETURN(header.tag, ReadU32(source));
   WDE_ASSIGN_OR_RETURN(const uint64_t size, ReadU64(source));
-  // The CRC trailer also still has to fit: catches truncation and hostile
-  // sizes before any allocation.
   if (size > source.remaining() || source.remaining() - size < 4) {
     return Status::OutOfRange(
         Format("corrupt chunk size %llu exceeds remaining %zu bytes",
                static_cast<unsigned long long>(size), source.remaining()));
   }
-  chunk.payload.resize(static_cast<size_t>(size));
-  WDE_RETURN_IF_ERROR(source.Read(chunk.payload.data(), chunk.payload.size()));
-  WDE_ASSIGN_OR_RETURN(const uint32_t crc, ReadU32(source));
-  if (crc != Crc32(chunk.payload)) {
-    return Status::InvalidArgument(
-        Format("chunk 0x%08x failed CRC validation", chunk.tag));
-  }
-  return chunk;
+  header.size = static_cast<size_t>(size);
+  return header;
+}
+
+}  // namespace
+
+Result<Chunk> ReadChunk(Source& source) {
+  WDE_ASSIGN_OR_RETURN(ChunkRef ref, ReadChunkRef(source));
+  if (ref.owned.empty()) ref.owned.assign(ref.payload.begin(), ref.payload.end());
+  return Chunk{ref.tag, std::move(ref.owned)};
 }
 
 Result<ChunkRef> ReadChunkRef(Source& source) {
+  WDE_ASSIGN_OR_RETURN(const ChunkHeader header, ReadChunkHeader(source));
   ChunkRef chunk;
-  WDE_ASSIGN_OR_RETURN(chunk.tag, ReadU32(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t size, ReadU64(source));
-  if (size > source.remaining() || source.remaining() - size < 4) {
-    return Status::OutOfRange(
-        Format("corrupt chunk size %llu exceeds remaining %zu bytes",
-               static_cast<unsigned long long>(size), source.remaining()));
-  }
-  if (const uint8_t* view = source.View(static_cast<size_t>(size));
-      view != nullptr || size == 0) {
-    chunk.payload = {view, static_cast<size_t>(size)};
+  chunk.tag = header.tag;
+  if (const uint8_t* view = source.View(header.size);
+      view != nullptr || header.size == 0) {
+    chunk.payload = {view, header.size};
   } else {
-    chunk.owned.resize(static_cast<size_t>(size));
+    chunk.owned.resize(header.size);
     WDE_RETURN_IF_ERROR(source.Read(chunk.owned.data(), chunk.owned.size()));
     chunk.payload = chunk.owned;
   }
@@ -133,6 +137,16 @@ Result<ChunkRef> ReadChunkRef(Source& source) {
         Format("chunk 0x%08x failed CRC validation", chunk.tag));
   }
   return chunk;
+}
+
+Status SkipChunk(Source& source) {
+  WDE_ASSIGN_OR_RETURN(const ChunkHeader header, ReadChunkHeader(source));
+  // The header check guarantees the payload and trailer remain, so only a
+  // source that vends no views can refuse.
+  if (source.View(header.size + 4) == nullptr) {
+    return Status::FailedPrecondition("SkipChunk needs a memory-backed source");
+  }
+  return Status::OK();
 }
 
 Result<std::vector<uint8_t>> ReadChunkExpecting(Source& source, uint32_t tag) {

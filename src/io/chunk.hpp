@@ -59,6 +59,13 @@ Status WriteChunk(Sink& sink, uint32_t tag, std::span<const uint8_t> payload);
 /// returning.
 Result<Chunk> ReadChunk(Source& source);
 
+/// Skips the next chunk of a memory-backed source (Source::View): reads its
+/// tag and size with ReadChunk's bounds checks, then passes over the payload
+/// and CRC trailer WITHOUT verifying the CRC. For a framing-only walk —
+/// finding where a run of chunks ends — ahead of a pass that reads the same
+/// chunks with CRC verification.
+Status SkipChunk(Source& source);
+
 /// Reads the next chunk and requires its tag; returns the payload.
 Result<std::vector<uint8_t>> ReadChunkExpecting(Source& source, uint32_t tag);
 

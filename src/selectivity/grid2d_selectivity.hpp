@@ -45,8 +45,8 @@ class Grid2dHistogram : public SelectivityEstimator {
 
   /// One axis-0 cell: the grid's resolution along the first attribute.
   double EqualityWidth() const override { return w0_ / static_cast<double>(g_); }
-  RangeQuery Domain() const override {
-    return RangeQuery{lo0_, lo0_ + w0_};
+  Interval Domain() const override {
+    return Interval{lo0_, lo0_ + w0_};
   }
   int dims() const override { return 2; }
 

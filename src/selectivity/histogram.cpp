@@ -20,8 +20,8 @@ EquiWidthHistogram::EquiWidthHistogram(double lo, double hi, int buckets) : lo_(
   bins_ = memory::Arena::Create(specs);
 }
 
-RangeQuery EquiWidthHistogram::Domain() const {
-  return RangeQuery{lo_, lo_ + width_ * static_cast<double>(buckets_)};
+Interval EquiWidthHistogram::Domain() const {
+  return Interval{lo_, lo_ + width_ * static_cast<double>(buckets_)};
 }
 
 void EquiWidthHistogram::Insert(double x) {

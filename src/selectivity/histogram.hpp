@@ -33,7 +33,7 @@ class EquiWidthHistogram : public SelectivityEstimator {
 
   /// One bucket: the histogram's resolution is its equality width.
   double EqualityWidth() const override { return width_; }
-  RangeQuery Domain() const override;
+  Interval Domain() const override;
 
   std::unique_ptr<SelectivityEstimator> CloneEmpty() const override;
   /// Adds `other`'s bucket counts element-wise; requires identical domain
@@ -112,7 +112,7 @@ class EquiDepthHistogram : public SelectivityEstimator {
   double EqualityWidth() const override {
     return (hi_ - lo_) / static_cast<double>(buckets_);
   }
-  RangeQuery Domain() const override { return RangeQuery{lo_, hi_}; }
+  Interval Domain() const override { return Interval{lo_, hi_}; }
 
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<EquiDepthHistogram>(*this);

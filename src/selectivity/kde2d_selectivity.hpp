@@ -83,8 +83,8 @@ class Kde2dSelectivity : public SelectivityEstimator {
   double EqualityWidth() const override {
     return (options_.domain_hi0 - options_.domain_lo0) / 1024.0;
   }
-  RangeQuery Domain() const override {
-    return RangeQuery{options_.domain_lo0, options_.domain_hi0};
+  Interval Domain() const override {
+    return Interval{options_.domain_lo0, options_.domain_hi0};
   }
   int dims() const override { return 2; }
 

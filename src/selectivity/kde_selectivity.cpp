@@ -273,7 +273,7 @@ void KdeSelectivity::AnswerImpl(std::span<const Query> queries,
         out[i] = AnswerOne(q);
         break;
       default: {
-        const RangeQuery r = LowerToRange(q);
+        const Interval r = LowerToRange(q);
         out[i] = std::clamp(kde_->CdfAt(r.hi) - kde_->CdfAt(r.lo), 0.0, 1.0);
         break;
       }

@@ -75,8 +75,8 @@ class KdeSelectivity : public SelectivityEstimator {
   double EqualityWidth() const override {
     return (options_.domain_hi - options_.domain_lo) / 1024.0;
   }
-  RangeQuery Domain() const override {
-    return RangeQuery{options_.domain_lo, options_.domain_hi};
+  Interval Domain() const override {
+    return Interval{options_.domain_lo, options_.domain_hi};
   }
 
   std::unique_ptr<SelectivityEstimator> CloneEmpty() const override;

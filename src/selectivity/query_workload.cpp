@@ -10,30 +10,40 @@
 namespace wde {
 namespace selectivity {
 
-std::vector<RangeQuery> UniformRangeWorkload(stats::Rng& rng, size_t count,
-                                             double domain_lo, double domain_hi) {
+namespace {
+
+/// Two uniform draws over [lo, hi] in draw order, sorted: one interval.
+std::pair<double, double> SortedUniformPair(stats::Rng& rng, double lo, double hi) {
+  double a = rng.Uniform(lo, hi);
+  double b = rng.Uniform(lo, hi);
+  if (b < a) std::swap(a, b);
+  return {a, b};
+}
+
+}  // namespace
+
+std::vector<Query> UniformRangeWorkload(stats::Rng& rng, size_t count,
+                                        double domain_lo, double domain_hi) {
   WDE_CHECK_LT(domain_lo, domain_hi);
-  std::vector<RangeQuery> out(count);
-  for (RangeQuery& q : out) {
-    double a = rng.Uniform(domain_lo, domain_hi);
-    double b = rng.Uniform(domain_lo, domain_hi);
-    if (b < a) std::swap(a, b);
-    q = {a, b};
+  std::vector<Query> out(count);
+  for (Query& q : out) {
+    const auto [a, b] = SortedUniformPair(rng, domain_lo, domain_hi);
+    q = Query::Range(a, b);
   }
   return out;
 }
 
-std::vector<RangeQuery> CenteredRangeWorkload(stats::Rng& rng, size_t count,
-                                              double domain_lo, double domain_hi,
-                                              double min_width, double max_width) {
+std::vector<Query> CenteredRangeWorkload(stats::Rng& rng, size_t count,
+                                         double domain_lo, double domain_hi,
+                                         double min_width, double max_width) {
   WDE_CHECK_LT(domain_lo, domain_hi);
   WDE_CHECK(min_width > 0.0 && max_width >= min_width);
-  std::vector<RangeQuery> out(count);
-  for (RangeQuery& q : out) {
+  std::vector<Query> out(count);
+  for (Query& q : out) {
     const double width = rng.Uniform(min_width, max_width);
     const double center = rng.Uniform(domain_lo, domain_hi);
-    q.lo = std::max(domain_lo, center - width / 2.0);
-    q.hi = std::min(domain_hi, center + width / 2.0);
+    q = Query::Range(std::max(domain_lo, center - width / 2.0),
+                     std::min(domain_hi, center + width / 2.0));
   }
   return out;
 }
@@ -62,9 +72,7 @@ std::vector<Query> MixedQueryWorkload(stats::Rng& rng, size_t count,
     }
     switch (static_cast<QueryKind>(kind)) {
       case QueryKind::kRange: {
-        double a = rng.Uniform(domain_lo, domain_hi);
-        double b = rng.Uniform(domain_lo, domain_hi);
-        if (b < a) std::swap(a, b);
+        const auto [a, b] = SortedUniformPair(rng, domain_lo, domain_hi);
         q = Query::Range(a, b);
         break;
       }
@@ -84,30 +92,20 @@ std::vector<Query> MixedQueryWorkload(stats::Rng& rng, size_t count,
         q = Query::Quantile(rng.UniformDouble());
         break;
       case QueryKind::kRect: {
-        double a = rng.Uniform(domain_lo, domain_hi);
-        double b = rng.Uniform(domain_lo, domain_hi);
-        if (b < a) std::swap(a, b);
-        double c = rng.Uniform(domain_lo, domain_hi);
-        double d = rng.Uniform(domain_lo, domain_hi);
-        if (d < c) std::swap(c, d);
+        const auto [a, b] = SortedUniformPair(rng, domain_lo, domain_hi);
+        const auto [c, d] = SortedUniformPair(rng, domain_lo, domain_hi);
         q = Query::Rect(a, b, c, d);
         break;
       }
       case QueryKind::kMarginal: {
         const uint8_t axis = rng.UniformDouble() < 0.5 ? 0 : 1;
-        double a = rng.Uniform(domain_lo, domain_hi);
-        double b = rng.Uniform(domain_lo, domain_hi);
-        if (b < a) std::swap(a, b);
+        const auto [a, b] = SortedUniformPair(rng, domain_lo, domain_hi);
         q = Query::Marginal(axis, a, b);
         break;
       }
       case QueryKind::kConditional: {
-        double a = rng.Uniform(domain_lo, domain_hi);
-        double b = rng.Uniform(domain_lo, domain_hi);
-        if (b < a) std::swap(a, b);
-        double c = rng.Uniform(domain_lo, domain_hi);
-        double d = rng.Uniform(domain_lo, domain_hi);
-        if (d < c) std::swap(c, d);
+        const auto [a, b] = SortedUniformPair(rng, domain_lo, domain_hi);
+        const auto [c, d] = SortedUniformPair(rng, domain_lo, domain_hi);
         q = Query::Conditional(a, b, c, d);
         break;
       }
@@ -117,18 +115,17 @@ std::vector<Query> MixedQueryWorkload(stats::Rng& rng, size_t count,
 }
 
 SelectivityAccuracy EvaluateAccuracy(
-    const SelectivityEstimator& estimator, std::span<const RangeQuery> queries,
-    const std::function<double(const RangeQuery&)>& truth, double qerror_floor) {
+    const SelectivityEstimator& estimator, std::span<const Query> queries,
+    const std::function<double(const Query&)>& truth, double qerror_floor) {
   SelectivityAccuracy acc;
   acc.queries = queries.size();
   if (queries.empty()) return acc;
   std::vector<double> estimates(queries.size());
-  estimator.EstimateBatch(queries, estimates);
+  estimator.Answer(queries, estimates);
   double sq_sum = 0.0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const RangeQuery& q = queries[i];
     const double est = estimates[i];
-    const double ref = truth(q);
+    const double ref = truth(queries[i]);
     const double abs_err = std::fabs(est - ref);
     acc.mean_abs_error += abs_err;
     sq_sum += abs_err * abs_err;

@@ -11,17 +11,17 @@
 namespace wde {
 namespace selectivity {
 
-/// Generates `count` queries with both endpoints uniform over the domain
-/// (sorted per query).
-std::vector<RangeQuery> UniformRangeWorkload(stats::Rng& rng, size_t count,
-                                             double domain_lo, double domain_hi);
+/// Generates `count` kRange queries with both endpoints uniform over the
+/// domain (sorted per query).
+std::vector<Query> UniformRangeWorkload(stats::Rng& rng, size_t count,
+                                        double domain_lo, double domain_hi);
 
-/// Generates `count` queries with uniform centers and widths in
+/// Generates `count` kRange queries with uniform centers and widths in
 /// [min_width, max_width], clipped to the domain — the typical analytic
 /// "short range scan" workload.
-std::vector<RangeQuery> CenteredRangeWorkload(stats::Rng& rng, size_t count,
-                                              double domain_lo, double domain_hi,
-                                              double min_width, double max_width);
+std::vector<Query> CenteredRangeWorkload(stats::Rng& rng, size_t count,
+                                         double domain_lo, double domain_hi,
+                                         double min_width, double max_width);
 
 /// Relative frequencies of the query kinds in a mixed workload (normalized
 /// internally; a zero weight drops the kind). The default mix resembles an
@@ -54,7 +54,7 @@ std::vector<Query> MixedQueryWorkload(stats::Rng& rng, size_t count,
 /// Accuracy aggregates of an estimator against a ground-truth selectivity
 /// oracle. The q-error is max(est, truth)/min(est, truth) with both floored
 /// at `qerror_floor` (the DB-standard multiplicative error measure).
-/// Scoring runs through the estimator's batch query path (EstimateBatch).
+/// Scoring runs through the estimator's batch query path (Answer).
 struct SelectivityAccuracy {
   double mean_abs_error = 0.0;
   double rmse = 0.0;
@@ -64,8 +64,8 @@ struct SelectivityAccuracy {
 };
 
 SelectivityAccuracy EvaluateAccuracy(
-    const SelectivityEstimator& estimator, std::span<const RangeQuery> queries,
-    const std::function<double(const RangeQuery&)>& truth,
+    const SelectivityEstimator& estimator, std::span<const Query> queries,
+    const std::function<double(const Query&)>& truth,
     double qerror_floor = 1e-4);
 
 }  // namespace selectivity

@@ -26,11 +26,11 @@ void ReservoirSampleSelectivity::Insert(double x) {
   if (slot < capacity_) reservoir_[static_cast<size_t>(slot)] = x;
 }
 
-RangeQuery ReservoirSampleSelectivity::Domain() const {
+Interval ReservoirSampleSelectivity::Domain() const {
   if (reservoir_.empty()) return SelectivityEstimator::Domain();
   const auto [min_it, max_it] =
       std::minmax_element(reservoir_.begin(), reservoir_.end());
-  return RangeQuery{*min_it, *max_it};
+  return Interval{*min_it, *max_it};
 }
 
 double ReservoirSampleSelectivity::EstimateRangeImpl(double a, double b) const {

@@ -38,7 +38,7 @@ class ReservoirSampleSelectivity : public SelectivityEstimator {
   /// Domain() reports the span of the current sample (quantile answers are
   /// bracketed by the observed data); the interface default [0, 1] applies
   /// while the reservoir is empty.
-  RangeQuery Domain() const override;
+  Interval Domain() const override;
 
   /// Clones carry the capacity and the construction seed (fresh RNG stream).
   std::unique_ptr<SelectivityEstimator> CloneEmpty() const override;

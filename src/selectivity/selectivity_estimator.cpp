@@ -1,7 +1,6 @@
 #include "selectivity/selectivity_estimator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <string_view>
@@ -120,38 +119,19 @@ void SelectivityEstimator::Answer(std::span<const Query> queries,
   }
 }
 
-void SelectivityEstimator::EstimateBatch(std::span<const RangeQuery> queries,
-                                         std::span<double> out) const {
-  WDE_CHECK_EQ(queries.size(), out.size(), "EstimateBatch spans must match");
-  if (queries.empty()) return;
-  // Chunked conversion through a stack buffer: bounded storage regardless of
-  // batch size, and Answer() runs its normalization per chunk (query answers
-  // are independent, so chunking cannot change them).
-  std::array<Query, 256> buffer;
-  size_t offset = 0;
-  while (offset < queries.size()) {
-    const size_t n = std::min(buffer.size(), queries.size() - offset);
-    for (size_t i = 0; i < n; ++i) {
-      buffer[i] = Query::Range(queries[offset + i].lo, queries[offset + i].hi);
-    }
-    Answer(std::span<const Query>(buffer.data(), n), out.subspan(offset, n));
-    offset += n;
-  }
-}
-
-RangeQuery SelectivityEstimator::LowerToRange(const Query& query) const {
+Interval SelectivityEstimator::LowerToRange(const Query& query) const {
   switch (query.kind) {
     case QueryKind::kRange:
-      return RangeQuery{query.a, query.b};
+      return Interval{query.a, query.b};
     case QueryKind::kPoint: {
       const double half = 0.5 * EqualityWidth();
-      return RangeQuery{query.a - half, query.a + half};
+      return Interval{query.a - half, query.a + half};
     }
     case QueryKind::kLess:
     case QueryKind::kCdf:
-      return RangeQuery{-kInf, query.a};
+      return Interval{-kInf, query.a};
     case QueryKind::kGreater:
-      return RangeQuery{query.a, kInf};
+      return Interval{query.a, kInf};
     case QueryKind::kQuantile:
     case QueryKind::kRect:
     case QueryKind::kMarginal:
@@ -159,7 +139,7 @@ RangeQuery SelectivityEstimator::LowerToRange(const Query& query) const {
       break;
   }
   WDE_CHECK(false, "query kind has no 1-D range lowering");
-  return RangeQuery{};
+  return Interval{};
 }
 
 double SelectivityEstimator::AnswerMultiDim(const Query& query) const {
@@ -199,13 +179,13 @@ double SelectivityEstimator::AnswerOne(const Query& query) const {
     default:
       break;
   }
-  const RangeQuery range = LowerToRange(query);
+  const Interval range = LowerToRange(query);
   return EstimateRangeImpl(range.lo, range.hi);
 }
 
 double SelectivityEstimator::QuantileByBisection(double p) const {
   if (count() == 0) return 0.0;
-  const RangeQuery domain = Domain();
+  const Interval domain = Domain();
   return numerics::BisectMonotone(
       [this](double x) { return EstimateRangeImpl(-kInf, x); }, p, domain.lo,
       domain.hi);

@@ -13,7 +13,7 @@
 /// (non-finite values are dropped, out-of-domain values clamped); mass-kind
 /// answers approximate probabilities in [0, 1] up to estimator bias; all
 /// edge-case normalization (inverted ranges, NaN parameters, quantile levels
-/// outside [0, 1]) happens ONCE in the non-virtual wrappers, so no
+/// outside [0, 1]) happens ONCE in the non-virtual Answer(), so no
 /// implementation can drift on it. The scalar virtuals
 /// (Insert/EstimateRangeImpl) are the minimal extension point; `AnswerImpl`
 /// is the batch extension point (defaulting to the documented lowering of
@@ -70,9 +70,10 @@ bool IsCountTable(std::span<const double> counts, uint64_t total);
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
     io::Source& source);
 
-/// A closed range predicate [lo, hi] — the legacy query type, kept as the
-/// payload of Query::Range and for the EstimateBatch compatibility wrapper.
-struct RangeQuery {
+/// A closed interval [lo, hi] of the value axis: what Domain() declares and
+/// what LowerToRange() lowers a 1-D mass query to. Not a query — every
+/// question goes through Query and Answer().
+struct Interval {
   double lo = 0.0;
   double hi = 0.0;
 };
@@ -227,19 +228,6 @@ class SelectivityEstimator {
     return out;
   }
 
-  /// Legacy range entry point: identical to Answer(Query::Range(a, b)).
-  double EstimateRange(double a, double b) const {
-    return Answer(Query::Range(a, b));
-  }
-
-  /// Legacy range-batch entry point: identical to Answer() over
-  /// Query::Range(q.lo, q.hi) per query. Thin wrapper: ranges are converted
-  /// through a fixed-size stack buffer (no heap allocation, no full-batch
-  /// copy) and answered by Answer(), so both entry points share one
-  /// normalization and one extension point.
-  void EstimateBatch(std::span<const RangeQuery> queries,
-                     std::span<double> out) const;
-
   /// Width of the equality interval a Point(x) query denotes: the
   /// estimator's declared resolution (bucket width, grid cell, finest
   /// wavelet cell, ...). The interface default 0 degenerates the lowering to
@@ -252,7 +240,7 @@ class SelectivityEstimator {
   /// default is the library-wide default domain [0, 1]; estimators with
   /// configurable domains override. (The reservoir sample, which declares no
   /// domain, reports the span of its current sample.)
-  virtual RangeQuery Domain() const { return RangeQuery{0.0, 1.0}; }
+  virtual Interval Domain() const { return Interval{0.0, 1.0}; }
 
   virtual size_t count() const = 0;
   virtual std::string name() const = 0;
@@ -345,10 +333,10 @@ class SelectivityEstimator {
   // envelope of io/chunk.hpp: SaveState writes a self-describing
   // [type tag | state] chunk pair, LoadState restores it into an estimator of
   // the same concrete type, fully replacing configuration and data. The
-  // contract: a restored estimator answers Answer/EstimateBatch
-  // bit-identically to the estimator that saved — lazily fitted caches are
-  // persisted (or reconstructed from exactly the data they were fitted on),
-  // so answers match even when the save landed mid refit-interval — and is
+  // contract: a restored estimator answers Answer() bit-identically to the
+  // estimator that saved — lazily fitted caches are persisted (or
+  // reconstructed from exactly the data they were fitted on), so answers
+  // match even when the save landed mid refit-interval — and is
   // merge-compatible with it under the ordinary MergeFrom rules. Decoding
   // hostile bytes (truncated, bit-flipped, wrong magic, future version)
   // yields a non-OK Status, never UB or an abort, and a failed LoadState
@@ -494,7 +482,7 @@ class SelectivityEstimator {
   /// multi-dimensional kinds have no range lowering (route them through
   /// AnswerOne instead — AnswerImpl overrides with a default branch that
   /// calls LowerToRange directly must divert those kinds first).
-  RangeQuery LowerToRange(const Query& query) const;
+  Interval LowerToRange(const Query& query) const;
 
   /// The documented lowering of the multi-dimensional kinds, shared by
   /// AnswerOne and every AnswerImpl override:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "io/chunk.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "util/string_util.hpp"
 
@@ -177,7 +176,7 @@ void ShardedSelectivityEstimator::ForceRefitImpl() const {
 }
 
 double ShardedSelectivityEstimator::EstimateRangeImpl(double a, double b) const {
-  return Merged().EstimateRange(a, b);
+  return Merged().Answer(Query::Range(a, b));
 }
 
 void ShardedSelectivityEstimator::AnswerImpl(std::span<const Query> queries,
@@ -320,7 +319,7 @@ Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
   // running, bounded by its merge_refresh_interval), serving it in a new
   // process would extend a stale view's lifetime across the restart. Drop it
   // and let the first query rebuild from the replicas — the restored engine
-  // answers at least as fresh as the saver, never staler (see Restore()).
+  // answers at least as fresh as the saver, never staler.
   if (pending != 0) merged.reset();
   // Commit. The executor pool is a runtime resource, not state: keep ours.
   options_.shards = static_cast<size_t>(shards);
@@ -341,38 +340,6 @@ Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
     }
   }
   return Status::OK();
-}
-
-Status ShardedSelectivityEstimator::Checkpoint(const std::string& path) const {
-  return SaveEstimatorSnapshotFile(*this, path);
-}
-
-Status ShardedSelectivityEstimator::Restore(const std::string& path) {
-  // One disk read; both passes below run over the same in-memory bytes.
-  Result<io::FileSource> file = io::FileSource::Open(path);
-  if (!file.ok()) return file.status();
-  std::vector<uint8_t> bytes(file->remaining());
-  WDE_RETURN_IF_ERROR(file->Read(bytes.data(), bytes.size()));
-  // Structural pass first — header and the three envelope chunks
-  // (CRC-validated), no trailing bytes — so the commit pass below cannot fail
-  // on framing and the strong guarantee (untouched on error) holds for the
-  // whole file.
-  {
-    io::SpanSource probe(bytes);
-    WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(probe).status());
-    WDE_RETURN_IF_ERROR(
-        io::ReadChunkExpecting(probe, internal::kChunkEstimatorType).status());
-    WDE_RETURN_IF_ERROR(
-        io::ReadChunkExpecting(probe, internal::kChunkEstimatorDims).status());
-    WDE_RETURN_IF_ERROR(
-        io::ReadChunkExpecting(probe, internal::kChunkEstimatorState).status());
-    if (probe.remaining() != 0) {
-      return Status::InvalidArgument("checkpoint has trailing bytes");
-    }
-  }
-  io::SpanSource source(bytes);
-  WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(source).status());
-  return LoadState(source);
 }
 
 }  // namespace selectivity

@@ -96,7 +96,7 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// the configuration keeper, so a sharded estimator lowers point and
   /// quantile queries exactly like its underlying type.
   double EqualityWidth() const override { return prototype_->EqualityWidth(); }
-  RangeQuery Domain() const override { return prototype_->Domain(); }
+  Interval Domain() const override { return prototype_->Domain(); }
   /// A sharded multi-dimensional estimator is itself multi-dimensional:
   /// Create() requires block_size % dims == 0, so blocks begin at observation
   /// boundaries and the interleaved coordinates of one observation always
@@ -110,28 +110,6 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   Status MergeFrom(const SelectivityEstimator& other) override;
   WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "sharded"; }
-
-  /// Writes a whole-file snapshot of this engine — partition metadata
-  /// (K, block size, refresh cadence, stream position) plus one nested
-  /// envelope per shard replica and the merged query view when present — so
-  /// an ingest node can persist its state and a restart (or another process)
-  /// can Restore() and continue ingesting at the exact stream position, with
-  /// bit-identical answers.
-  Status Checkpoint(const std::string& path) const;
-
-  /// Restores a checkpoint written by Checkpoint(): fully replaces shard
-  /// layout and state (the executor pool is a runtime resource and is kept).
-  /// On any error this estimator is untouched.
-  ///
-  /// A paced merged view never crosses a restore boundary: when the
-  /// checkpoint's view predates pending inserts (it was stale within the
-  /// merge_refresh_interval budget when saved), the restored engine discards
-  /// it and rebuilds from the replicas on first query, so a restart can only
-  /// tighten staleness, never extend a stale view's lifetime into the new
-  /// process. This is the one deliberate carve-out from bit-identical
-  /// restore: it changes answers only in the mid-pacing-window case, and
-  /// only to the fresher answers a rebuild gives.
-  Status Restore(const std::string& path);
 
   size_t shards() const { return replicas_.size(); }
   const SelectivityEstimator& shard(size_t i) const { return *replicas_[i]; }
@@ -176,9 +154,24 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
 
-  /// Nested envelopes: partition metadata, then prototype, replicas and the
-  /// optional merged view through the registry's envelope framing.
+  /// Nested envelopes: partition metadata (K, block size, refresh cadence,
+  /// stream position), then prototype, replicas and the optional merged view
+  /// through the registry's envelope framing, so a restored engine continues
+  /// ingesting at the exact stream position with bit-identical answers.
   Status SaveStateImpl(io::Sink& sink) const override;
+
+  /// Fully replaces shard layout and state; the executor pool and refit mode
+  /// are runtime resources and are kept. On any error this estimator is
+  /// untouched.
+  ///
+  /// A paced merged view never crosses a restore boundary: when the
+  /// snapshot's view predates pending inserts (it was stale within the
+  /// merge_refresh_interval budget when saved), the restored engine discards
+  /// it and rebuilds from the replicas on first query, so a restart can only
+  /// tighten staleness, never extend a stale view's lifetime into the new
+  /// process. This is the one deliberate carve-out from bit-identical
+  /// restore: it changes answers only in the mid-pacing-window case, and
+  /// only to the fresher answers a rebuild gives.
   Status LoadStateImpl(io::Source& source) override;
 
   /// Quiesce: refresh the merged view to the live replica state (resetting

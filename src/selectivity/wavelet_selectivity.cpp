@@ -159,7 +159,7 @@ void StreamingWaveletSelectivity::AnswerImpl(std::span<const Query> queries,
       out[i] = AnswerOne(q);
       continue;
     }
-    const RangeQuery r = LowerToRange(q);
+    const Interval r = LowerToRange(q);
     a.push_back(r.lo);
     b.push_back(r.hi);
     position.push_back(i);

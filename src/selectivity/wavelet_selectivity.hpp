@@ -77,7 +77,7 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   /// unchanged count implies unchanged sums and an identical re-derivation.
   void Refit() const;
 
-  /// Point density estimate (refits lazily like EstimateRange).
+  /// Point density estimate (refits lazily like Answer()).
   double EstimateDensity(double x) const;
 
   /// The most recent cross-validation result, if any refit has happened.
@@ -89,8 +89,8 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
     return (options_.domain_hi - options_.domain_lo) *
            std::ldexp(1.0, -options_.j_max);
   }
-  RangeQuery Domain() const override {
-    return RangeQuery{options_.domain_lo, options_.domain_hi};
+  Interval Domain() const override {
+    return Interval{options_.domain_lo, options_.domain_hi};
   }
 
   /// O(levels), not O(coefficients): the copy shares the (S1, S2) sums

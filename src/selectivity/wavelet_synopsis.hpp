@@ -49,8 +49,8 @@ class WaveletSynopsisSelectivity : public SelectivityEstimator {
     return (options_.domain_hi - options_.domain_lo) /
            static_cast<double>(counts_.size());
   }
-  RangeQuery Domain() const override {
-    return RangeQuery{options_.domain_lo, options_.domain_hi};
+  Interval Domain() const override {
+    return Interval{options_.domain_lo, options_.domain_hi};
   }
 
   std::unique_ptr<SelectivityEstimator> CloneEmpty() const override;

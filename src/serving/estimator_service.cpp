@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "io/chunk.hpp"
-#include "selectivity/estimator_registry.hpp"
 #include "util/check.hpp"
 
 namespace wde {
@@ -232,8 +231,13 @@ Status EstimatorService::Checkpoint(const std::string& path) const {
 }
 
 Status EstimatorService::Restore(const std::string& path) {
-  // Parse everything before mutating anything: on any error the service —
-  // writer, views, epochs — is untouched.
+  // Validate the whole file before mutating anything: the header, the
+  // service chunk, and the framing of the writer envelope's three chunks
+  // with nothing after them. LoadState then verifies every CRC and parses
+  // the state fully before it commits, so on any error the service —
+  // writer, views, epochs — is untouched. The framing walk skips the CRCs
+  // LoadState checks anyway: a second pass over a multi-megabyte state
+  // would add its whole cost to every restore.
   Result<io::FileSource> file = io::FileSource::Open(path);
   if (!file.ok()) return file.status();
   WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(*file).status());
@@ -246,19 +250,26 @@ Status EstimatorService::Restore(const std::string& path) {
     return Status::InvalidArgument(
         "corrupt service checkpoint: oversized service chunk");
   }
-  Result<std::unique_ptr<selectivity::SelectivityEstimator>> writer =
-      selectivity::LoadEstimatorEnvelope(*file);
-  if (!writer.ok()) return writer.status();
-  if (file->remaining() != 0) {
-    return Status::InvalidArgument("service checkpoint has trailing bytes");
+  const size_t envelope_size = file->remaining();
+  const std::span<const uint8_t> envelope(file->View(envelope_size), envelope_size);
+  {
+    io::SpanSource probe(envelope);
+    for (int chunk = 0; chunk < 3; ++chunk) {  // TYPE, DIMS, STAT
+      WDE_RETURN_IF_ERROR(io::SkipChunk(probe));
+    }
+    if (probe.remaining() != 0) {
+      return Status::InvalidArgument("service checkpoint has trailing bytes");
+    }
   }
-  // Commit. The restored writer replaces ours and a FRESH view is rebuilt
-  // from it — a checkpointed (possibly pacing-stale) view never crosses the
+  // Commit. The state loads into our own writer, which keeps its runtime
+  // settings (refit mode, thread pool), and a FRESH view is rebuilt from
+  // it — a checkpointed (possibly pacing-stale) view never crosses the
   // restore boundary — at an epoch strictly above both the checkpoint's and
   // everything this service has published, so every pre-restore cache entry
   // and held view is invalidated by epoch comparison alone.
+  io::SpanSource source(envelope);
   std::lock_guard<std::mutex> lock(writer_mu_);
-  writer_ = std::move(writer).value();
+  WDE_RETURN_IF_ERROR(writer_->LoadState(source));
   inserts_since_publish_ = static_cast<size_t>(pending);
   PublishLocked(saved_epoch);
   return Status::OK();

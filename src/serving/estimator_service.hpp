@@ -160,12 +160,16 @@ class EstimatorService {
   Status Checkpoint(const std::string& path) const;
 
   /// Restores a checkpoint written by Checkpoint() (possibly by another
-  /// process — the warm-standby path): fully replaces the writer estimator,
+  /// process — the warm-standby path): loads the checkpointed state into the
+  /// live writer in place (LoadState), so the writer keeps its runtime
+  /// settings — its refit mode and, when sharded, the caller's pool — then
   /// rebuilds a FRESH view from the restored state (a checkpointed view
   /// never crosses the restore boundary) and publishes it at an epoch
   /// strictly greater than both the checkpoint's epoch and every epoch this
   /// service has published — so all pre-restore cache entries and held views
-  /// are invalidated by epoch. On error the service is untouched.
+  /// are invalidated by epoch. The checkpoint's writer must have the live
+  /// writer's type tag; a different one fails with FailedPrecondition. On
+  /// any error the service is untouched.
   Status Restore(const std::string& path);
 
  private:

@@ -21,7 +21,7 @@ long EnvInt(const char* name, long fallback);
 double EnvDouble(const char* name, double fallback);
 
 // Command-line flag helpers shared by the bench and example drivers
-// (perf_sharded, perf_snapshot, snapshot_merge_demo): scan argv for
+// (perf_snapshot, perf_queries, snapshot_merge_demo): scan argv for
 // "--name=value" / bare "--name"; the first occurrence wins.
 
 /// Value of "--name=value", or `fallback` when the flag is absent.

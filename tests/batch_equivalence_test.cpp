@@ -1,6 +1,6 @@
 // Property tests for the batch-first hot paths: every batch entry point
 // (EvaluateMany / AntiderivativeMany / AddAll / AddBatch / InsertBatch /
-// EstimateBatch and the hoisted per-level evaluators) must produce results
+// batched Answer() and the hoisted per-level evaluators) must produce results
 // BIT-IDENTICAL to the scalar loop it replaces, across all estimators and
 // random domains. These tests are the contract that lets the scalar virtuals
 // stay the extension point while the batch paths carry production traffic.
@@ -306,20 +306,19 @@ void ExpectStreamEquivalence(selectivity::SelectivityEstimator* scalar,
     batch->InsertBatch(values);
     ASSERT_EQ(scalar->count(), batch->count()) << scalar->name();
 
-    const std::vector<selectivity::RangeQuery> queries =
+    const std::vector<selectivity::Query> queries =
         selectivity::UniformRangeWorkload(query_rng, 50, -0.1, 1.1);
     std::vector<double> batch_answers(queries.size());
-    batch->EstimateBatch(queries, batch_answers);
+    batch->Answer(queries, batch_answers);
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(batch_answers[i],
-                scalar->EstimateRange(queries[i].lo, queries[i].hi))
-          << scalar->name() << " [" << queries[i].lo << ", " << queries[i].hi
+      EXPECT_EQ(batch_answers[i], scalar->Answer(queries[i]))
+          << scalar->name() << " [" << queries[i].a << ", " << queries[i].b
           << "] after " << scalar->count() << " inserts";
     }
   }
 }
 
-TEST(BatchEquivalenceTest, WaveletSketchInsertBatchAndEstimateBatch) {
+TEST(BatchEquivalenceTest, WaveletSketchInsertBatchAndAnswerBatch) {
   selectivity::StreamingWaveletSelectivity::Options options;
   options.j0 = 2;
   options.j_max = 8;
@@ -363,7 +362,7 @@ TEST(BatchEquivalenceTest, DefaultBatchImplementations) {
   ExpectStreamEquivalence(&syn_scalar.value(), &syn_batch.value(), 6006);
 }
 
-TEST(BatchEquivalenceTest, ShardedWrapperInsertBatchAndEstimateBatch) {
+TEST(BatchEquivalenceTest, ShardedWrapperInsertBatchAndAnswerBatch) {
   // The sharded engine routes scalar inserts and batch inserts through the
   // same position-based partition, so the wrapper satisfies the bitwise
   // equivalence contract like any other estimator.
@@ -460,50 +459,20 @@ TEST(BatchEquivalenceTest, AnswerMixedKindBatchMatchesScalarLoop) {
   }
 }
 
-TEST(BatchEquivalenceTest, AnswerRangeMatchesLegacyEstimateRange) {
-  // The acceptance contract of the redesign: Answer({kRange}) and the legacy
-  // EstimateRange/EstimateBatch wrappers are one path, bitwise.
-  for (const std::string& tag : selectivity::EstimatorRegistry::Global().Tags()) {
-    selectivity::EstimatorSpec spec;
-    spec.tag = tag;
-    spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(tag);
-    spec.j_max = 7;
-    spec.grid_log2 = 7;
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> est =
-        selectivity::MakeEstimator(spec);
-    ASSERT_TRUE(est.ok()) << tag;
-    stats::Rng rng(4242);
-    std::vector<double> values(2000);
-    for (double& v : values) v = rng.UniformDouble();
-    (*est)->InsertBatch(values);
-    const std::vector<selectivity::RangeQuery> ranges =
-        selectivity::UniformRangeWorkload(rng, 100, -0.1, 1.1);
-    std::vector<double> legacy(ranges.size());
-    (*est)->EstimateBatch(ranges, legacy);
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      const selectivity::Query q =
-          selectivity::Query::Range(ranges[i].lo, ranges[i].hi);
-      EXPECT_EQ(legacy[i], (*est)->Answer(q)) << tag;
-      EXPECT_EQ(legacy[i], (*est)->EstimateRange(ranges[i].lo, ranges[i].hi))
-          << tag;
-    }
-  }
-}
-
 TEST(BatchEquivalenceTest, WorkloadScoringUsesBatchPathConsistently) {
-  // EvaluateAccuracy now routes through EstimateBatch; its aggregates must
-  // match a hand-rolled scalar evaluation exactly.
+  // EvaluateAccuracy scores through the batched Answer(); its aggregates
+  // must match a hand-rolled scalar evaluation exactly.
   selectivity::EquiWidthHistogram hist(0.0, 1.0, 32);
   stats::Rng rng(7007);
   for (int i = 0; i < 5000; ++i) hist.Insert(rng.UniformDouble());
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<selectivity::Query> queries =
       selectivity::CenteredRangeWorkload(rng, 200, 0.0, 1.0, 0.05, 0.3);
-  const auto truth = [](const selectivity::RangeQuery& q) { return q.hi - q.lo; };
+  const auto truth = [](const selectivity::Query& q) { return q.b - q.a; };
   const selectivity::SelectivityAccuracy acc =
       selectivity::EvaluateAccuracy(hist, queries, truth);
   double mean_abs = 0.0;
-  for (const selectivity::RangeQuery& q : queries) {
-    mean_abs += std::fabs(hist.EstimateRange(q.lo, q.hi) - truth(q));
+  for (const selectivity::Query& q : queries) {
+    mean_abs += std::fabs(hist.Answer(q) - truth(q));
   }
   mean_abs /= static_cast<double>(queries.size());
   EXPECT_EQ(acc.mean_abs_error, mean_abs);

@@ -22,6 +22,8 @@
 namespace wde {
 namespace {
 
+using selectivity::Query;
+
 const wavelet::WaveletBasis& Sym8Basis() {
   static const wavelet::WaveletBasis basis = []() {
     Result<wavelet::WaveletBasis> b =
@@ -168,10 +170,10 @@ TEST(SelectivityStackTest, WaveletSketchBeatsCoarseHistogramOnBimodalStream) {
     sketch->Insert(x);
     coarse.Insert(x);
   }
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<Query> queries =
       selectivity::CenteredRangeWorkload(rng, 200, 0.0, 1.0, 0.02, 0.2);
-  const auto truth = [&](const selectivity::RangeQuery& q) {
-    return density->Cdf(q.hi) - density->Cdf(q.lo);
+  const auto truth = [&](const Query& q) {
+    return density->Cdf(q.b) - density->Cdf(q.a);
   };
   const selectivity::SelectivityAccuracy wavelet_acc =
       selectivity::EvaluateAccuracy(*sketch, queries, truth);
@@ -192,9 +194,9 @@ TEST(SelectivityStackTest, SketchTracksDistributionDrift) {
   ASSERT_TRUE(sketch.ok());
   stats::Rng rng(66);
   for (int i = 0; i < 4096; ++i) sketch->Insert(rng.UniformDouble());
-  const double before = sketch->EstimateRange(0.4, 0.6);
+  const double before = sketch->Answer(Query::Range(0.4, 0.6));
   for (int i = 0; i < 32768; ++i) sketch->Insert(rng.Uniform(0.45, 0.55));
-  const double after = sketch->EstimateRange(0.4, 0.6);
+  const double after = sketch->Answer(Query::Range(0.4, 0.6));
   EXPECT_NEAR(before, 0.2, 0.05);
   EXPECT_GT(after, 0.6);
 }

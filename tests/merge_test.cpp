@@ -27,6 +27,8 @@
 namespace wde {
 namespace {
 
+using selectivity::Query;
+
 const wavelet::WaveletBasis& Sym8Basis() {
   static const wavelet::WaveletBasis basis = []() {
     Result<wavelet::WaveletBasis> b =
@@ -280,7 +282,8 @@ TEST(SelectivityMergeTest, EquiWidthMergeIsExact) {
   ASSERT_TRUE(left.MergeFrom(right).ok());
   EXPECT_EQ(left.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    EXPECT_EQ(left.EstimateRange(a, a + 0.1), sequential.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(left.Answer(Query::Range(a, a + 0.1)),
+              sequential.Answer(Query::Range(a, a + 0.1)));
   }
 }
 
@@ -307,8 +310,10 @@ TEST(SelectivityMergeTest, EquiDepthAndKdeMergeMatchSequential) {
   // MergeFrom appends in order, so the merged buffers equal the sequential
   // buffers element-for-element: answers are bit-identical.
   for (double a = 0.0; a < 0.9; a += 0.11) {
-    EXPECT_EQ(ed_left.EstimateRange(a, a + 0.08), ed_seq.EstimateRange(a, a + 0.08));
-    EXPECT_EQ(kde_left.EstimateRange(a, a + 0.08), kde_seq.EstimateRange(a, a + 0.08));
+    EXPECT_EQ(ed_left.Answer(Query::Range(a, a + 0.08)),
+              ed_seq.Answer(Query::Range(a, a + 0.08)));
+    EXPECT_EQ(kde_left.Answer(Query::Range(a, a + 0.08)),
+              kde_seq.Answer(Query::Range(a, a + 0.08)));
   }
 }
 
@@ -330,7 +335,8 @@ TEST(SelectivityMergeTest, SynopsisMergeIsExact) {
   right.InsertBatch(all.subspan(2700));
   ASSERT_TRUE(left.MergeFrom(right).ok());
   for (double a = 0.0; a < 0.9; a += 0.09) {
-    EXPECT_EQ(left.EstimateRange(a, a + 0.1), sequential.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(left.Answer(Query::Range(a, a + 0.1)),
+              sequential.Answer(Query::Range(a, a + 0.1)));
   }
 }
 
@@ -348,8 +354,8 @@ TEST(SelectivityMergeTest, SketchMergeMatchesSequentialWithinTolerance) {
   ASSERT_TRUE(left.MergeFrom(right).ok());
   EXPECT_EQ(left.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    ExpectRelNear(left.EstimateRange(a, a + 0.1),
-                  sequential.EstimateRange(a, a + 0.1), 1e-12);
+    ExpectRelNear(left.Answer(Query::Range(a, a + 0.1)),
+                  sequential.Answer(Query::Range(a, a + 0.1)), 1e-12);
   }
 }
 
@@ -460,7 +466,7 @@ TEST(ReservoirMergeTest, WeightedUnionSamplesBothSidesProportionally) {
   ASSERT_TRUE(a.MergeFrom(b).ok());
   EXPECT_EQ(a.count(), 60000u);
   // Binomial sd at p=2/3, n=1024 is ~0.015; 0.08 is a > 5 sigma margin.
-  EXPECT_NEAR(a.EstimateRange(0.0, 0.5), 2.0 / 3.0, 0.08);
+  EXPECT_NEAR(a.Answer(Query::Range(0.0, 0.5)), 2.0 / 3.0, 0.08);
 }
 
 TEST(ReservoirMergeTest, RejectsCapacityMismatchAndSelfMerge) {
@@ -495,7 +501,7 @@ TEST(ReservoirMergeTest, ShardedReservoirIsDeterministicAcrossPoolWidths) {
     sharded.InsertBatch(xs);
     std::vector<double> answers;
     for (double a = 0.0; a < 0.9; a += 0.1) {
-      answers.push_back(sharded.EstimateRange(a, a + 0.1));
+      answers.push_back(sharded.Answer(Query::Range(a, a + 0.1)));
     }
     return answers;
   };
@@ -579,12 +585,12 @@ TEST(ShardedTest, ShardedHistogramMatchesSequentialExactly) {
 
   EXPECT_EQ(sharded.count(), sequential.count());
   stats::Rng rng(121);
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<Query> queries =
       selectivity::UniformRangeWorkload(rng, 100, 0.0, 1.0);
   std::vector<double> got(queries.size());
-  sharded.EstimateBatch(queries, got);
+  sharded.Answer(queries, got);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i], sequential.EstimateRange(queries[i].lo, queries[i].hi));
+    EXPECT_EQ(got[i], sequential.Answer(queries[i]));
   }
 }
 
@@ -594,30 +600,33 @@ TEST(ShardedTest, ShardedSketchMatchesSequentialWithinTolerance) {
   sequential.InsertBatch(xs);
 
   const selectivity::StreamingWaveletSelectivity prototype = MakeSketch(1 << 30);
-  selectivity::ShardedSelectivityEstimator::Options options;
-  options.shards = 4;
-  options.block_size = 512;
-  selectivity::ShardedSelectivityEstimator sharded =
-      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
-  sharded.InsertBatch(xs);
+  for (size_t shards : {1, 2, 4, 8}) {
+    selectivity::ShardedSelectivityEstimator::Options options;
+    options.shards = shards;
+    options.block_size = 512;
+    selectivity::ShardedSelectivityEstimator sharded =
+        *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
+    sharded.InsertBatch(xs);
 
-  EXPECT_EQ(sharded.count(), sequential.count());
-  for (double a = 0.0; a < 0.9; a += 0.07) {
-    ExpectRelNear(sharded.EstimateRange(a, a + 0.1),
-                  sequential.EstimateRange(a, a + 0.1), 1e-12);
+    EXPECT_EQ(sharded.count(), sequential.count()) << "K=" << shards;
+    for (double a = 0.0; a < 0.9; a += 0.07) {
+      SCOPED_TRACE(testing::Message() << "K=" << shards << " a=" << a);
+      ExpectRelNear(sharded.Answer(Query::Range(a, a + 0.1)),
+                    sequential.Answer(Query::Range(a, a + 0.1)), 1e-12);
+    }
   }
 }
 
 TEST(ShardedTest, FixedShardCountIsBitIdenticalAcrossPoolSizes) {
   const std::vector<double> xs = UnitStream(14, 1 << 14);
   stats::Rng rng(141);
-  const std::vector<selectivity::RangeQuery> queries =
+  const std::vector<Query> queries =
       selectivity::UniformRangeWorkload(rng, 64, 0.0, 1.0);
 
-  const auto run = [&](parallel::ThreadPool* pool) {
+  const auto run = [&](size_t shards, parallel::ThreadPool* pool) {
     const selectivity::StreamingWaveletSelectivity prototype = MakeSketch(2048);
     selectivity::ShardedSelectivityEstimator::Options options;
-    options.shards = 4;
+    options.shards = shards;
     options.block_size = 777;  // deliberately unaligned with the batch sizes
     options.pool = pool;
     selectivity::ShardedSelectivityEstimator sharded =
@@ -628,17 +637,19 @@ TEST(ShardedTest, FixedShardCountIsBitIdenticalAcrossPoolSizes) {
     sharded.InsertBatch(all.subspan(5000, 3));
     sharded.InsertBatch(all.subspan(5003));
     std::vector<double> answers(queries.size());
-    sharded.EstimateBatch(queries, answers);
+    sharded.Answer(queries, answers);
     return answers;
   };
 
   parallel::ThreadPool serial(0);
   parallel::ThreadPool narrow(1);
   parallel::ThreadPool wide(4);
-  const std::vector<double> baseline = run(&serial);
-  EXPECT_EQ(baseline, run(&narrow));
-  EXPECT_EQ(baseline, run(&wide));
-  EXPECT_EQ(baseline, run(nullptr));  // shared pool
+  for (size_t shards : {1, 2, 4, 8}) {
+    const std::vector<double> baseline = run(shards, &serial);
+    EXPECT_EQ(baseline, run(shards, &narrow)) << "K=" << shards;
+    EXPECT_EQ(baseline, run(shards, &wide)) << "K=" << shards;
+    EXPECT_EQ(baseline, run(shards, nullptr)) << "K=" << shards;  // shared pool
+  }
 }
 
 TEST(ShardedTest, ScalarInsertMatchesInsertBatchBitwise) {
@@ -659,7 +670,8 @@ TEST(ShardedTest, ScalarInsertMatchesInsertBatchBitwise) {
     EXPECT_EQ(scalar.shard(s).count(), batch.shard(s).count()) << "shard " << s;
   }
   for (double a = 0.0; a < 0.9; a += 0.05) {
-    EXPECT_EQ(scalar.EstimateRange(a, a + 0.1), batch.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(scalar.Answer(Query::Range(a, a + 0.1)),
+              batch.Answer(Query::Range(a, a + 0.1)));
   }
 }
 
@@ -670,8 +682,8 @@ TEST(ShardedTest, EmptyBatchesAreNoOps) {
   sharded.InsertBatch(std::span<const double>());
   sharded.InsertBatch(std::span<const double>(static_cast<const double*>(nullptr), 0));
   EXPECT_EQ(sharded.count(), 0u);
-  sharded.EstimateBatch({}, {});
-  EXPECT_DOUBLE_EQ(sharded.EstimateRange(0.2, 0.8), 0.0);
+  sharded.Answer({}, {});
+  EXPECT_DOUBLE_EQ(sharded.Answer(Query::Range(0.2, 0.8)), 0.0);
 }
 
 TEST(ShardedTest, MergeRefreshIntervalAnswersFromStaleView) {
@@ -694,11 +706,11 @@ TEST(ShardedTest, MergeRefreshIntervalAnswersFromStaleView) {
   // 50 < 100 pending values: the view is allowed to stay stale...
   EXPECT_EQ(sharded.count(), 60u);
   EXPECT_EQ(sharded.MergedView().count(), 10u);
-  EXPECT_DOUBLE_EQ(sharded.EstimateRange(0.5, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(sharded.Answer(Query::Range(0.5, 1.0)), 0.0);
   // ...until the cadence is crossed, which refreshes it.
   sharded.InsertBatch(second);
   EXPECT_EQ(sharded.MergedView().count(), 110u);
-  EXPECT_NEAR(sharded.EstimateRange(0.5, 1.0), 100.0 / 110.0, 1e-12);
+  EXPECT_NEAR(sharded.Answer(Query::Range(0.5, 1.0)), 100.0 / 110.0, 1e-12);
 }
 
 TEST(ShardedTest, ShardedMergesShardWise) {
@@ -720,8 +732,8 @@ TEST(ShardedTest, ShardedMergesShardWise) {
   sequential.InsertBatch(all);
   EXPECT_EQ(node_a.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.06) {
-    EXPECT_EQ(node_a.EstimateRange(a, a + 0.1),
-              sequential.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(node_a.Answer(Query::Range(a, a + 0.1)),
+              sequential.Answer(Query::Range(a, a + 0.1)));
   }
 
   // Layout mismatches are rejected.

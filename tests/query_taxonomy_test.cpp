@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "selectivity/estimator_registry.hpp"
@@ -166,26 +167,22 @@ TEST(QueryTaxonomyTest, SpecValidationRejectsBadFields) {
 }
 
 TEST(QueryTaxonomyTest, EveryKindLowersOntoTheRangePrimitive) {
-  // The documented lowering, asserted bitwise against the legacy range entry
-  // point for every estimator — including the ones with cheaper per-kind
-  // override paths (prefix sums, windowed kernel CDF, batched signed-CDF).
+  // The documented lowering, asserted bitwise against the range query for
+  // every estimator — including the ones with cheaper per-kind override
+  // paths (prefix sums, windowed kernel CDF, batched signed-CDF).
   for (auto& est : MakeIngestedEstimators(1201, 4000)) {
     stats::Rng rng(7);
     for (int rep = 0; rep < 40; ++rep) {
       const double x = rng.Uniform(-0.1, 1.1);
-      EXPECT_EQ(est->Answer(Query::Less(x)), est->EstimateRange(-kInf, x))
-          << est->name() << " x=" << x;
-      EXPECT_EQ(est->Answer(Query::Cdf(x)), est->EstimateRange(-kInf, x))
-          << est->name() << " x=" << x;
-      EXPECT_EQ(est->Answer(Query::Greater(x)), est->EstimateRange(x, kInf))
+      const double below = est->Answer(Query::Range(-kInf, x));
+      EXPECT_EQ(est->Answer(Query::Less(x)), below) << est->name() << " x=" << x;
+      EXPECT_EQ(est->Answer(Query::Cdf(x)), below) << est->name() << " x=" << x;
+      EXPECT_EQ(est->Answer(Query::Greater(x)), est->Answer(Query::Range(x, kInf)))
           << est->name() << " x=" << x;
       const double half = 0.5 * est->EqualityWidth();
       EXPECT_EQ(est->Answer(Query::Point(x)),
-                est->EstimateRange(x - half, x + half))
+                est->Answer(Query::Range(x - half, x + half)))
           << est->name() << " x=" << x;
-      const double y = rng.Uniform(-0.1, 1.1);
-      EXPECT_EQ(est->Answer(Query::Range(x, y)), est->EstimateRange(x, y))
-          << est->name();
     }
   }
 }
@@ -200,23 +197,21 @@ TEST(QueryTaxonomyTest, NanParametersAnswerZeroForEveryKind) {
     EXPECT_EQ(est->Answer(Query::Greater(kNan)), 0.0) << est->name();
     EXPECT_EQ(est->Answer(Query::Cdf(kNan)), 0.0) << est->name();
     EXPECT_EQ(est->Answer(Query::Quantile(kNan)), 0.0) << est->name();
-    // The legacy entry points inherit the same normalization.
-    EXPECT_EQ(est->EstimateRange(kNan, 0.5), 0.0) << est->name();
-    EXPECT_EQ(est->EstimateRange(0.5, kNan), 0.0) << est->name();
-    const std::vector<RangeQuery> queries{{0.2, 0.8}, {kNan, 0.5}, {0.1, 0.9}};
-    std::vector<double> answers(queries.size());
-    est->EstimateBatch(queries, answers);
-    EXPECT_EQ(answers[0], est->EstimateRange(0.2, 0.8)) << est->name();
-    EXPECT_EQ(answers[1], 0.0) << est->name();
-    EXPECT_EQ(answers[2], est->EstimateRange(0.1, 0.9)) << est->name();
   }
 }
 
 TEST(QueryTaxonomyTest, InvertedRangesAndOutOfRangeQuantilesNormalize) {
+  // Range(a, b) with a > b denotes the same predicate as [b, a]: the swap
+  // lives in the non-virtual Answer(), so every implementation answers both
+  // orders identically, out-of-domain endpoints included.
   for (auto& est : MakeIngestedEstimators(1401, 2000)) {
-    EXPECT_EQ(est->Answer(Query::Range(0.8, 0.2)),
-              est->Answer(Query::Range(0.2, 0.8)))
-        << est->name();
+    for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
+             {0.2, 0.8}, {0.2, 0.7}, {0.0, 1.0}, {0.45, 0.55}, {-0.5, 1.5}}) {
+      const double inverted = est->Answer(Query::Range(hi, lo));
+      EXPECT_EQ(inverted, est->Answer(Query::Range(lo, hi)))
+          << est->name() << " [" << hi << ", " << lo << "]";
+      EXPECT_GE(inverted, 0.0) << est->name();
+    }
     EXPECT_EQ(est->Answer(Query::Quantile(-0.5)),
               est->Answer(Query::Quantile(0.0)))
         << est->name();
@@ -280,7 +275,8 @@ TEST(QueryTaxonomyTest, MultiDimKindsLowerAsDocumented) {
       double a = rng.Uniform(-0.1, 1.1);
       double b = rng.Uniform(-0.1, 1.1);
       if (b < a) std::swap(a, b);
-      EXPECT_EQ(est->Answer(Query::Marginal(0, a, b)), est->EstimateRange(a, b))
+      EXPECT_EQ(est->Answer(Query::Marginal(0, a, b)),
+                est->Answer(Query::Range(a, b)))
           << est->name();
     }
     EXPECT_EQ(est->Answer(Query::Marginal(7, 0.2, 0.8)), 0.0) << est->name();
@@ -316,7 +312,7 @@ TEST(QueryTaxonomyTest, MultiDimKindsLowerAsDocumented) {
 
 TEST(QueryTaxonomyTest, InfiniteEndpointsAreLegalRangeLimits) {
   for (auto& est : MakeIngestedEstimators(1501, 2000)) {
-    const double total = est->EstimateRange(-kInf, kInf);
+    const double total = est->Answer(Query::Range(-kInf, kInf));
     EXPECT_GE(total, 0.9) << est->name();
     EXPECT_LE(total, 1.0 + 1e-9) << est->name();
     EXPECT_EQ(est->Answer(Query::Less(kInf)), total) << est->name();
@@ -325,7 +321,7 @@ TEST(QueryTaxonomyTest, InfiniteEndpointsAreLegalRangeLimits) {
 
 TEST(QueryTaxonomyTest, QuantilesLandInsideTheDomainAndMatchUniformTruth) {
   for (auto& est : MakeIngestedEstimators(1601, 6000)) {
-    const RangeQuery domain = est->Domain();
+    const Interval domain = est->Domain();
     for (double p : {0.0, 0.1, 0.5, 0.9, 1.0}) {
       const double q = est->Answer(Query::Quantile(p));
       EXPECT_GE(q, domain.lo) << est->name() << " p=" << p;

@@ -36,17 +36,17 @@ TEST(EquiWidthTest, ExactForAlignedRanges) {
   EquiWidthHistogram hist(0.0, 1.0, 10);
   for (int i = 0; i < 1000; ++i) hist.Insert((i % 10) / 10.0 + 0.05);
   EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_NEAR(hist.EstimateRange(0.0, 0.5), 0.5, 1e-12);
-  EXPECT_NEAR(hist.EstimateRange(0.3, 0.4), 0.1, 1e-12);
-  EXPECT_NEAR(hist.EstimateRange(0.0, 1.0), 1.0, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 0.5)), 0.5, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.3, 0.4)), 0.1, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 1.0)), 1.0, 1e-12);
 }
 
 TEST(EquiWidthTest, InterpolatesWithinBuckets) {
   EquiWidthHistogram hist(0.0, 1.0, 2);
   for (int i = 0; i < 100; ++i) hist.Insert(0.25);  // all in bucket [0, 0.5)
   // Continuous-uniform assumption: half of bucket 0 -> half the mass.
-  EXPECT_NEAR(hist.EstimateRange(0.0, 0.25), 0.5, 1e-12);
-  EXPECT_NEAR(hist.EstimateRange(0.5, 1.0), 0.0, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 0.25)), 0.5, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.5, 1.0)), 0.0, 1e-12);
 }
 
 TEST(EquiWidthTest, ClampsOutOfDomainValues) {
@@ -54,12 +54,12 @@ TEST(EquiWidthTest, ClampsOutOfDomainValues) {
   hist.Insert(-3.0);
   hist.Insert(7.0);
   EXPECT_EQ(hist.count(), 2u);
-  EXPECT_NEAR(hist.EstimateRange(0.0, 1.0), 1.0, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 1.0)), 1.0, 1e-12);
 }
 
 TEST(EquiWidthTest, EmptyHistogramReturnsZero) {
   EquiWidthHistogram hist(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(hist.EstimateRange(0.2, 0.8), 0.0);
+  EXPECT_DOUBLE_EQ(hist.Answer(Query::Range(0.2, 0.8)), 0.0);
 }
 
 TEST(EquiDepthTest, QuantileBoundaries) {
@@ -67,8 +67,8 @@ TEST(EquiDepthTest, QuantileBoundaries) {
   stats::Rng rng(3);
   for (int i = 0; i < 4000; ++i) hist.Insert(rng.UniformDouble());
   // Uniform data: equi-depth ≈ equi-width.
-  EXPECT_NEAR(hist.EstimateRange(0.0, 0.25), 0.25, 0.03);
-  EXPECT_NEAR(hist.EstimateRange(0.25, 0.75), 0.5, 0.03);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 0.25)), 0.25, 0.03);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.25, 0.75)), 0.5, 0.03);
 }
 
 TEST(EquiDepthTest, AdaptsToSkew) {
@@ -84,16 +84,16 @@ TEST(EquiDepthTest, AdaptsToSkew) {
     wide.Insert(x);
   }
   const double truth = 0.45;  // P(X <= 0.05)
-  EXPECT_NEAR(deep.EstimateRange(0.0, 0.05), truth, 0.05);
-  EXPECT_GT(std::fabs(wide.EstimateRange(0.0, 0.05) - truth), 0.2);
+  EXPECT_NEAR(deep.Answer(Query::Range(0.0, 0.05)), truth, 0.05);
+  EXPECT_GT(std::fabs(wide.Answer(Query::Range(0.0, 0.05)) - truth), 0.2);
 }
 
 TEST(EquiDepthTest, RebuildIsLazyButConsistent) {
   EquiDepthHistogram hist(0.0, 1.0, 4);
   for (int i = 1; i <= 100; ++i) hist.Insert(i / 101.0);
-  const double first = hist.EstimateRange(0.0, 0.5);
+  const double first = hist.Answer(Query::Range(0.0, 0.5));
   for (int i = 1; i <= 100; ++i) hist.Insert(i / 101.0);
-  const double second = hist.EstimateRange(0.0, 0.5);
+  const double second = hist.Answer(Query::Range(0.0, 0.5));
   EXPECT_NEAR(first, second, 0.02);  // same distribution, rebuilt boundaries
 }
 
@@ -104,7 +104,7 @@ TEST(ReservoirTest, KeepsEverythingBelowCapacity) {
   for (int i = 0; i < 50; ++i) res.Insert(i / 50.0);
   EXPECT_EQ(res.reservoir().size(), 50u);
   EXPECT_EQ(res.count(), 50u);
-  EXPECT_NEAR(res.EstimateRange(0.0, 0.5), 0.5, 0.03);
+  EXPECT_NEAR(res.Answer(Query::Range(0.0, 0.5)), 0.5, 0.03);
 }
 
 TEST(ReservoirTest, CapacityBounded) {
@@ -118,7 +118,7 @@ TEST(ReservoirTest, UnbiasedOnStream) {
   ReservoirSampleSelectivity res(512, 9);
   stats::Rng rng(11);
   for (int i = 0; i < 50000; ++i) res.Insert(rng.UniformDouble());
-  EXPECT_NEAR(res.EstimateRange(0.2, 0.6), 0.4, 0.08);
+  EXPECT_NEAR(res.Answer(Query::Range(0.2, 0.6)), 0.4, 0.08);
 }
 
 // ---------------------------------------------------------- wavelet sketch
@@ -160,7 +160,7 @@ TEST(StreamingWaveletTest, MatchesBatchEstimate) {
   streaming->Refit();
   for (const auto& [a, b] : std::vector<std::pair<double, double>>{
            {0.1, 0.4}, {0.0, 1.0}, {0.6, 0.61}}) {
-    EXPECT_NEAR(streaming->EstimateRange(a, b),
+    EXPECT_NEAR(streaming->Answer(Query::Range(a, b)),
                 std::clamp(estimate.IntegrateRange(a, b), 0.0, 1.0), 1e-12);
   }
 }
@@ -178,7 +178,7 @@ TEST(StreamingWaveletTest, AccurateOnBimodalStream) {
   for (const auto& [a, b] : std::vector<std::pair<double, double>>{
            {0.25, 0.35}, {0.6, 0.7}, {0.45, 0.55}, {0.0, 0.5}}) {
     const double truth = density.Cdf(b) - density.Cdf(a);
-    EXPECT_NEAR(sketch->EstimateRange(a, b), truth, 0.05)
+    EXPECT_NEAR(sketch->Answer(Query::Range(a, b)), truth, 0.05)
         << "[" << a << "," << b << "]";
   }
 }
@@ -188,7 +188,7 @@ TEST(StreamingWaveletTest, EmptySketchReturnsZero) {
   Result<StreamingWaveletSelectivity> sketch =
       StreamingWaveletSelectivity::Create(Sym8Basis(), options);
   ASSERT_TRUE(sketch.ok());
-  EXPECT_DOUBLE_EQ(sketch->EstimateRange(0.1, 0.9), 0.0);
+  EXPECT_DOUBLE_EQ(sketch->Answer(Query::Range(0.1, 0.9)), 0.0);
   EXPECT_DOUBLE_EQ(sketch->EstimateDensity(0.5), 0.0);
 }
 
@@ -239,8 +239,8 @@ TEST(WaveletSynopsisTest, ExactOnUniformWithGenerousBudget) {
       WaveletSynopsisSelectivity::Create(options);
   ASSERT_TRUE(synopsis.ok());
   for (int i = 0; i < 6400; ++i) synopsis->Insert((i % 64 + 0.5) / 64.0);
-  EXPECT_NEAR(synopsis->EstimateRange(0.0, 0.5), 0.5, 1e-9);
-  EXPECT_NEAR(synopsis->EstimateRange(0.25, 0.75), 0.5, 1e-9);
+  EXPECT_NEAR(synopsis->Answer(Query::Range(0.0, 0.5)), 0.5, 1e-9);
+  EXPECT_NEAR(synopsis->Answer(Query::Range(0.25, 0.75)), 0.5, 1e-9);
 }
 
 TEST(WaveletSynopsisTest, BudgetBoundsRetainedCoefficients) {
@@ -269,7 +269,7 @@ TEST(WaveletSynopsisTest, CapturesCoarseStructureUnderTightBudget) {
     synopsis->Insert(rng.Bernoulli(0.8) ? rng.Uniform(0.0, 0.25)
                                         : rng.Uniform(0.25, 1.0));
   }
-  EXPECT_NEAR(synopsis->EstimateRange(0.0, 0.25), 0.8, 0.05);
+  EXPECT_NEAR(synopsis->Answer(Query::Range(0.0, 0.25)), 0.8, 0.05);
 }
 
 TEST(WaveletSynopsisTest, AdaptiveSketchBeatsSynopsisOnSharpBimodal) {
@@ -293,10 +293,10 @@ TEST(WaveletSynopsisTest, AdaptiveSketchBeatsSynopsisOnSharpBimodal) {
     synopsis->Insert(x);
     sketch->Insert(x);
   }
-  const std::vector<RangeQuery> queries =
+  const std::vector<Query> queries =
       CenteredRangeWorkload(rng, 200, 0.0, 1.0, 0.02, 0.15);
-  const auto truth = [&](const RangeQuery& q) {
-    return density.Cdf(q.hi) - density.Cdf(q.lo);
+  const auto truth = [&](const Query& q) {
+    return density.Cdf(q.b) - density.Cdf(q.a);
   };
   const SelectivityAccuracy syn_acc = EvaluateAccuracy(*synopsis, queries, truth);
   const SelectivityAccuracy sketch_acc = EvaluateAccuracy(*sketch, queries, truth);
@@ -331,53 +331,9 @@ TEST(DirtyInputTest, NonFiniteValuesAreDropped) {
     est->Insert(-kInf);
     EXPECT_EQ(est->count(), 1u) << est->name();
     // Queries still work after dirty input.
-    const double sel = est->EstimateRange(0.0, 1.0);
+    const double sel = est->Answer(Query::Range(0.0, 1.0));
     EXPECT_GE(sel, 0.0) << est->name();
     EXPECT_LE(sel, 1.0 + 1e-9) << est->name();
-  }
-}
-
-// ----------------------------------------------------------- inverted ranges
-
-TEST(InvertedRangeTest, EstimateRangeNormalizesSwappedEndpoints) {
-  // One documented choice, made at the interface: EstimateRange(a, b) with
-  // a > b denotes the same predicate as [b, a] — every implementation (and
-  // any future one: the swap lives in the non-virtual entry point) must give
-  // identical answers for both orders.
-  EquiWidthHistogram ew(0.0, 1.0, 16);
-  EquiDepthHistogram ed(0.0, 1.0, 8);
-  ReservoirSampleSelectivity res(128);
-  KdeSelectivity kde(KdeSelectivity::Options{});
-  Result<StreamingWaveletSelectivity> sketch =
-      StreamingWaveletSelectivity::Create(Sym8Basis(), {});
-  ASSERT_TRUE(sketch.ok());
-  Result<WaveletSynopsisSelectivity> synopsis =
-      WaveletSynopsisSelectivity::Create({});
-  ASSERT_TRUE(synopsis.ok());
-
-  stats::Rng rng(43);
-  std::vector<SelectivityEstimator*> all{&ew,             &ed,
-                                         &res,            &kde,
-                                         &sketch.value(), &synopsis.value()};
-  for (int i = 0; i < 3000; ++i) {
-    const double x = rng.UniformDouble();
-    for (SelectivityEstimator* est : all) est->Insert(x);
-  }
-  for (SelectivityEstimator* est : all) {
-    for (const auto& [a, b] : std::vector<std::pair<double, double>>{
-             {0.2, 0.7}, {0.0, 1.0}, {0.45, 0.55}, {-0.5, 1.5}}) {
-      EXPECT_EQ(est->EstimateRange(b, a), est->EstimateRange(a, b))
-          << est->name() << " [" << b << ", " << a << "]";
-      EXPECT_GE(est->EstimateRange(b, a), 0.0) << est->name();
-    }
-    // The batch path answers inverted queries identically to the scalar path.
-    const std::vector<RangeQuery> inverted{{0.7, 0.2}, {1.0, 0.0}, {0.55, 0.45}};
-    std::vector<double> answers(inverted.size());
-    est->EstimateBatch(inverted, answers);
-    for (size_t i = 0; i < inverted.size(); ++i) {
-      EXPECT_EQ(answers[i], est->EstimateRange(inverted[i].lo, inverted[i].hi))
-          << est->name();
-    }
   }
 }
 
@@ -401,17 +357,20 @@ TEST(EmptySpanTest, BatchEntryPointsAreNoOps) {
   // Zero-length spans — default-constructed and over null data — must leave
   // the estimator untouched before and after real inserts.
   const std::span<const double> null_span(static_cast<const double*>(nullptr), 0);
+  const std::span<const Query> null_queries(static_cast<const Query*>(nullptr), 0);
+  const std::span<double> null_out(static_cast<double*>(nullptr), 0);
   for (SelectivityEstimator* est : all) {
     est->InsertBatch({});
     est->InsertBatch(null_span);
     EXPECT_EQ(est->count(), 0u) << est->name();
-    est->EstimateBatch({}, {});  // zero queries: touches nothing
+    est->Answer({}, {});  // zero queries: touches nothing
     est->Insert(0.5);
     est->InsertBatch(null_span);
     EXPECT_EQ(est->count(), 1u) << est->name();
-    const double before = est->EstimateRange(0.0, 1.0);
-    est->EstimateBatch(std::span<const RangeQuery>(), std::span<double>());
-    EXPECT_EQ(est->EstimateRange(0.0, 1.0), before) << est->name();
+    const double before = est->Answer(Query::Range(0.0, 1.0));
+    est->Answer(std::span<const Query>(), std::span<double>());
+    est->Answer(null_queries, null_out);
+    EXPECT_EQ(est->Answer(Query::Range(0.0, 1.0)), before) << est->name();
   }
 }
 
@@ -422,7 +381,7 @@ TEST(KdeSelectivityTest, MatchesTruthOnUniform) {
   KdeSelectivity kde(options);
   stats::Rng rng(23);
   for (int i = 0; i < 4000; ++i) kde.Insert(rng.UniformDouble());
-  EXPECT_NEAR(kde.EstimateRange(0.2, 0.7), 0.5, 0.05);
+  EXPECT_NEAR(kde.Answer(Query::Range(0.2, 0.7)), 0.5, 0.05);
 }
 
 TEST(KdeSelectivityTest, TinySampleFallback) {
@@ -430,7 +389,7 @@ TEST(KdeSelectivityTest, TinySampleFallback) {
   KdeSelectivity kde(options);
   kde.Insert(0.3);
   kde.Insert(0.6);
-  EXPECT_NEAR(kde.EstimateRange(0.0, 0.5), 0.5, 1e-12);
+  EXPECT_NEAR(kde.Answer(Query::Range(0.0, 0.5)), 0.5, 1e-12);
 }
 
 // ------------------------------------------------------- KDE sorted views
@@ -472,7 +431,7 @@ KdeSelectivity StaleWriter() {
   KdeSelectivity writer(options);
   const std::vector<double> xs = UnitValues(71, 5003);
   writer.InsertBatch(std::span<const double>(xs).first(3000));
-  (void)writer.EstimateRange(0.2, 0.4);
+  (void)writer.Answer(Query::Range(0.2, 0.4));
   writer.InsertBatch(std::span<const double>(xs).subspan(3000));
   return writer;
 }
@@ -554,19 +513,21 @@ TEST(KdeViewTest, MergeTailFromRejectsAViewPeer) {
 
 TEST(WorkloadTest, UniformQueriesAreOrderedAndInDomain) {
   stats::Rng rng(29);
-  for (const RangeQuery& q : UniformRangeWorkload(rng, 200, -2.0, 3.0)) {
-    EXPECT_LE(q.lo, q.hi);
-    EXPECT_GE(q.lo, -2.0);
-    EXPECT_LE(q.hi, 3.0);
+  for (const Query& q : UniformRangeWorkload(rng, 200, -2.0, 3.0)) {
+    EXPECT_EQ(q.kind, QueryKind::kRange);
+    EXPECT_LE(q.a, q.b);
+    EXPECT_GE(q.a, -2.0);
+    EXPECT_LE(q.b, 3.0);
   }
 }
 
 TEST(WorkloadTest, CenteredQueriesRespectWidths) {
   stats::Rng rng(31);
-  for (const RangeQuery& q : CenteredRangeWorkload(rng, 200, 0.0, 1.0, 0.05, 0.2)) {
-    EXPECT_LE(q.hi - q.lo, 0.2 + 1e-12);
-    EXPECT_GE(q.lo, 0.0);
-    EXPECT_LE(q.hi, 1.0);
+  for (const Query& q : CenteredRangeWorkload(rng, 200, 0.0, 1.0, 0.05, 0.2)) {
+    EXPECT_EQ(q.kind, QueryKind::kRange);
+    EXPECT_LE(q.b - q.a, 0.2 + 1e-12);
+    EXPECT_GE(q.a, 0.0);
+    EXPECT_LE(q.b, 1.0);
   }
 }
 
@@ -586,10 +547,10 @@ TEST(WorkloadTest, AccuracyOfPerfectEstimatorIsIdeal) {
     double EstimateRangeImpl(double a, double b) const override { return (b - a); }
   };
   stats::Rng rng(37);
-  const std::vector<RangeQuery> queries = UniformRangeWorkload(rng, 100, 0.0, 1.0);
+  const std::vector<Query> queries = UniformRangeWorkload(rng, 100, 0.0, 1.0);
   const Oracle oracle;
   const SelectivityAccuracy acc = EvaluateAccuracy(
-      oracle, queries, [](const RangeQuery& q) { return q.hi - q.lo; });
+      oracle, queries, [](const Query& q) { return q.b - q.a; });
   EXPECT_DOUBLE_EQ(acc.mean_abs_error, 0.0);
   EXPECT_DOUBLE_EQ(acc.rmse, 0.0);
   EXPECT_DOUBLE_EQ(acc.mean_qerror, 1.0);
@@ -612,11 +573,11 @@ TEST(WorkloadTest, AccuracyDetectsBias) {
     }
   };
   stats::Rng rng(41);
-  const std::vector<RangeQuery> queries =
+  const std::vector<Query> queries =
       CenteredRangeWorkload(rng, 100, 0.0, 1.0, 0.1, 0.3);
   const Biased biased;
   const SelectivityAccuracy acc = EvaluateAccuracy(
-      biased, queries, [](const RangeQuery& q) { return q.hi - q.lo; });
+      biased, queries, [](const Query& q) { return q.b - q.a; });
   EXPECT_NEAR(acc.mean_qerror, 2.0, 1e-9);
   EXPECT_GT(acc.mean_abs_error, 0.05);
 }

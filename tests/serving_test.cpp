@@ -3,21 +3,28 @@
 // of held views across later publishes (the RCU pinning contract), reader
 // answers bit-identical to the quiesced merged view at the same epoch, the
 // typed-query result cache's hit/miss/epoch-invalidation semantics and its
-// cache-on ≡ cache-off bit-identity, and the checkpoint → kill → restore → continue cycle including the strict epoch
-// bump on restore. The multi-threaded hammering of the same surface lives in
-// serving_stress_test.cpp (tsan CI job).
+// cache-on ≡ cache-off bit-identity, and the checkpoint → kill → restore →
+// continue cycle including the strict epoch bump on restore and a restored
+// writer keeping the caller's thread pool. The multi-threaded hammering of
+// the same surface lives in serving_stress_test.cpp (tsan CI job).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "io/serialize.hpp"
+#include "parallel/thread_pool.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
@@ -328,27 +335,160 @@ TEST(EstimatorServiceTest, RestoreEpochExceedsBothHistories) {
 
 TEST(EstimatorServiceTest, RestoreRejectsCorruptCheckpointsUntouched) {
   const std::string path = testing::TempDir() + "/wde_service_corrupt.snap";
+  const std::string other_path = path + ".reservoir";
   serving::ServiceOptions options;
   options.publish_interval = 0;
   std::unique_ptr<serving::EstimatorService> leader = MakeService(options);
   leader->InsertBatch(UnitStream(71, 500));
   ASSERT_TRUE(leader->Checkpoint(path).ok());
+  Result<io::FileSource> file = io::FileSource::Open(path);
+  ASSERT_TRUE(file.ok());
+  std::vector<uint8_t> bytes(file->remaining());
+  ASSERT_TRUE(file->Read(bytes.data(), bytes.size()).ok());
+  // A reservoir writer's checkpoint carries another type tag.
+  selectivity::EstimatorSpec reservoir;
+  reservoir.tag = "reservoir";
+  ASSERT_TRUE(MakeService(options, reservoir)->Checkpoint(other_path).ok());
 
-  // Truncate the checkpoint; Restore must fail and change nothing.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-    const long size = std::ftell(f);
-    ASSERT_EQ(std::fclose(f), 0);
-    ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  }
   std::unique_ptr<serving::EstimatorService> target = MakeService(options);
   target->InsertBatch(UnitStream(72, 50));
   const uint64_t epoch_before = target->Publish();
-  EXPECT_FALSE(target->Restore(path).ok());
+  const std::vector<selectivity::Query> queries = MixedWorkload(74, 32);
+  const std::vector<double> answers_before = Answers(*target, queries);
+  EXPECT_EQ(target->Restore(other_path).code(), StatusCode::kFailedPrecondition);
+  // Truncated, one trailing byte, and a flipped byte inside the writer's
+  // state payload (its CRC no longer matches): each Restore must fail.
+  std::vector<uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  std::vector<uint8_t> flipped = bytes;
+  flipped[flipped.size() - 8] ^= 0x01;
+  const std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + bytes.size() / 2);
+  for (const std::vector<uint8_t>& corrupt : {truncated, trailing, flipped}) {
+    ASSERT_TRUE(io::WriteFileAtomically(path, [&corrupt](io::Sink& sink) {
+                  return sink.Append(corrupt.data(), corrupt.size());
+                }).ok());
+    EXPECT_FALSE(target->Restore(path).ok());
+  }
+  // Nothing changed: a committed load would show in the count, a republish
+  // in the epoch.
   EXPECT_EQ(target->count(), 50u);
   EXPECT_EQ(target->epoch(), epoch_before);
+  EXPECT_EQ(Answers(*target, queries), answers_before);
+  std::remove(path.c_str());
+  std::remove(other_path.c_str());
+}
+
+// The threads that ran ThreadProbeEstimator inserts. Each InsertBatch waits
+// until `inside` reaches 2, so after a reset the next batch over two shards
+// provably runs one shard on a pool worker, not both on the calling thread.
+struct IngestThreads {
+  std::mutex mu;
+  std::condition_variable cv;
+  int inside = 0;
+  std::set<std::thread::id> seen;
+};
+
+IngestThreads& Ingest() {
+  static IngestThreads threads;
+  return threads;
+}
+
+/// A mergeable, snapshotable value counter that answers nothing but records
+/// the thread of every insert batch (see IngestThreads).
+class ThreadProbeEstimator : public selectivity::SelectivityEstimator {
+ public:
+  static constexpr const char* kTag = "test-thread-probe";
+  static Result<std::unique_ptr<selectivity::SelectivityEstimator>> Make(
+      const selectivity::EstimatorSpec&) {
+    return std::unique_ptr<selectivity::SelectivityEstimator>(
+        std::make_unique<ThreadProbeEstimator>());
+  }
+
+  void Insert(double x) override { InsertBatch(std::span<const double>(&x, 1)); }
+  void InsertBatch(std::span<const double> xs) override {
+    IngestThreads& threads = Ingest();
+    std::unique_lock<std::mutex> lock(threads.mu);
+    threads.seen.insert(std::this_thread::get_id());
+    ++threads.inside;
+    threads.cv.notify_all();
+    threads.cv.wait_for(lock, std::chrono::seconds(30),
+                        [&threads] { return threads.inside >= 2; });
+    count_ += xs.size();
+  }
+  size_t count() const override { return count_; }
+  std::string name() const override { return kTag; }
+  std::unique_ptr<selectivity::SelectivityEstimator> CloneEmpty() const override {
+    return std::make_unique<ThreadProbeEstimator>();
+  }
+  Status MergeFrom(const selectivity::SelectivityEstimator& other) override {
+    WDE_RETURN_IF_ERROR(CheckMergePeer(other));
+    count_ += static_cast<const ThreadProbeEstimator&>(other).count_;
+    return Status::OK();
+  }
+  WDE_SELECTIVITY_MERGE_TAG()
+  const char* snapshot_type_tag() const override { return kTag; }
+  std::unique_ptr<selectivity::SelectivityEstimator> CloneForView() const override {
+    return std::make_unique<ThreadProbeEstimator>(*this);
+  }
+
+ protected:
+  double EstimateRangeImpl(double, double) const override { return 0.0; }
+  Status SaveStateImpl(io::Sink& sink) const override {
+    return io::WriteU64(sink, count_);
+  }
+  Status LoadStateImpl(io::Source& source) override {
+    WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
+    if (source.remaining() != 0) return Status::InvalidArgument("trailing state");
+    count_ = static_cast<size_t>(count);
+    return Status::OK();
+  }
+
+ private:
+  size_t count_ = 0;
+};
+
+TEST(EstimatorServiceTest, RestoredShardedWriterKeepsTheCallersPool) {
+  // Restore loads into the live writer, so a sharded service built on a
+  // caller-owned pool keeps ingesting on that pool afterwards instead of
+  // falling back to ThreadPool::Shared().
+  selectivity::EstimatorRegistry& registry = selectivity::EstimatorRegistry::Global();
+  if (!registry.Contains(ThreadProbeEstimator::kTag)) {
+    ASSERT_TRUE(
+        registry.Register(ThreadProbeEstimator::kTag, ThreadProbeEstimator::Make).ok());
+  }
+  const std::string path = testing::TempDir() + "/wde_service_pool.snap";
+  parallel::ThreadPool pool(1);
+  std::promise<std::thread::id> worker;
+  pool.Submit([&worker] { worker.set_value(std::this_thread::get_id()); });
+  selectivity::ShardedSelectivityEstimator::Options sharding;
+  sharding.shards = 2;
+  sharding.block_size = 4;
+  sharding.pool = &pool;
+  Result<selectivity::ShardedSelectivityEstimator> writer =
+      selectivity::ShardedSelectivityEstimator::Create(ThreadProbeEstimator(), sharding);
+  ASSERT_TRUE(writer.ok());
+  Result<std::unique_ptr<serving::EstimatorService>> service =
+      serving::EstimatorService::Create(
+          std::make_unique<selectivity::ShardedSelectivityEstimator>(
+              std::move(writer).value()),
+          serving::ServiceOptions{});
+  ASSERT_TRUE(service.ok());
+  const std::vector<double> batch(8, 0.5);  // one block per shard
+  (*service)->InsertBatch(batch);
+  ASSERT_TRUE((*service)->Checkpoint(path).ok());
+  ASSERT_TRUE((*service)->Restore(path).ok());
+
+  IngestThreads& threads = Ingest();
+  {
+    std::lock_guard<std::mutex> lock(threads.mu);
+    threads.seen.clear();
+    threads.inside = 0;
+  }
+  (*service)->InsertBatch(batch);
+  EXPECT_EQ((*service)->count(), 16u);
+  std::lock_guard<std::mutex> lock(threads.mu);
+  EXPECT_EQ(threads.seen, (std::set<std::thread::id>{std::this_thread::get_id(),
+                                                      worker.get_future().get()}));
   std::remove(path.c_str());
 }
 

@@ -40,6 +40,8 @@
 namespace wde {
 namespace {
 
+using selectivity::Query;
+
 const wavelet::WaveletBasis& Sym8Basis() {
   static const wavelet::WaveletBasis basis = []() {
     Result<wavelet::WaveletBasis> b =
@@ -57,15 +59,15 @@ std::vector<double> UnitStream(uint64_t seed, size_t n) {
   return xs;
 }
 
-std::vector<selectivity::RangeQuery> Workload() {
+std::vector<Query> Workload() {
   stats::Rng rng(99);
   return selectivity::UniformRangeWorkload(rng, 64, 0.0, 1.0);
 }
 
 std::vector<double> AnswersOf(const selectivity::SelectivityEstimator& est,
-                              const std::vector<selectivity::RangeQuery>& queries) {
+                              const std::vector<Query>& queries) {
   std::vector<double> out(queries.size());
-  est.EstimateBatch(queries, out);
+  est.Answer(queries, out);
   return out;
 }
 
@@ -324,7 +326,7 @@ TEST(CoreSnapshotTest, BinnedFitRoundTripsBinCountsBitExactly) {
 // ----------------------------------------------- estimator round trips
 
 TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   size_t covered = 0;
   for (const auto& est : MakeIngestedEstimators()) {
     ASSERT_TRUE(est->snapshotable()) << est->name();
@@ -351,7 +353,7 @@ TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
 TEST(SnapshotRoundTripTest, UnqueriedEstimatorsRoundTripToo) {
   // Save before any query: caches are empty and the first fit happens on
   // both sides after restore — answers must still agree bitwise.
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   for (const auto& est : MakeIngestedEstimators()) {
     const std::vector<uint8_t> bytes = SnapshotBytesOf(*est);
     io::SpanSource source(bytes);
@@ -397,7 +399,7 @@ TEST(SnapshotRoundTripTest, LoadStateRestoresIntoExistingInstance) {
   ASSERT_TRUE(target.LoadState(source).ok());
   EXPECT_EQ(target.buckets(), 64);
   EXPECT_EQ(target.count(), saved.count());
-  EXPECT_EQ(target.EstimateRange(0.2, 0.7), saved.EstimateRange(0.2, 0.7));
+  EXPECT_EQ(target.Answer(Query::Range(0.2, 0.7)), saved.Answer(Query::Range(0.2, 0.7)));
 
   // A different concrete type must refuse the same envelope, untouched.
   selectivity::EquiDepthHistogram wrong_type(0.0, 1.0, 8);
@@ -409,7 +411,7 @@ TEST(SnapshotRoundTripTest, LoadStateRestoresIntoExistingInstance) {
 
 TEST(SnapshotRoundTripTest, FileSnapshotsRoundTrip) {
   const std::string path = testing::TempDir() + "/wde_snapshot_test.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   selectivity::StreamingWaveletSelectivity sketch = MakeSketch(2048);
   sketch.InsertBatch(UnitStream(7, 5000));
   const std::vector<double> before = AnswersOf(sketch, queries);
@@ -468,7 +470,7 @@ TEST(HostileInputTest, EveryReframedTruncationOfAStatePayloadErrors) {
 TEST(HostileInputTest, EveryReframedByteMutationErrorsOrLoadsSane) {
   // A mutated state payload under a valid CRC either fails validation or
   // loads an estimator whose answers are still probabilities.
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   for (const auto& est : MakeSmallEstimators()) {
     const SplitSnapshot split = Split(SnapshotBytesOf(*est));
     std::vector<uint8_t> state = split.state;
@@ -598,7 +600,7 @@ TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainV
   // non-finite values, and the clamping ones never hold a value outside
   // their domain. A rejected load leaves the target untouched.
   const std::vector<double> xs = UnitStream(41, 600);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> targets =
       MakeIngestedEstimators(300);
   for (const auto& est : MakeIngestedEstimators(0)) {
@@ -642,7 +644,7 @@ TEST(SnapshotValidationTest, KdeRestoreAdoptsTheSortedPrefixAndRejectsDisorder) 
   selectivity::KdeSelectivity kde(options);
   const std::vector<double> xs = UnitStream(43, 5000);
   kde.InsertBatch(std::span<const double>(xs).first(3000));
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   AnswersOf(kde, queries);  // fits 3000; the rest stays an unfitted tail
   kde.InsertBatch(std::span<const double>(xs).subspan(3000));
   const std::vector<uint8_t> bytes = SnapshotBytesOf(kde);
@@ -673,7 +675,7 @@ TEST(SnapshotValidationTest, KdeRestoreAdoptsTheSortedPrefixAndRejectsDisorder) 
 TEST(SnapshotMergeTest, IntegerStateEstimatorsMergeFromSnapshotsBitExactly) {
   const std::vector<double> xs = UnitStream(10, 8000);
   const std::span<const double> all(xs);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
 
   const auto check = [&](auto make) {
     auto sequential = make();
@@ -723,8 +725,8 @@ TEST(SnapshotMergeTest, SketchMergeFromSnapshotsMatchesSequentialWithinTolerance
   ASSERT_TRUE(combiner.MergeFromSnapshot(source_b).ok());
   EXPECT_EQ(combiner.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    const double got = combiner.EstimateRange(a, a + 0.1);
-    const double want = sequential.EstimateRange(a, a + 0.1);
+    const double got = combiner.Answer(Query::Range(a, a + 0.1));
+    const double want = sequential.Answer(Query::Range(a, a + 0.1));
     EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::fabs(want)));
   }
 }
@@ -746,11 +748,20 @@ TEST(SnapshotMergeTest, MergeFromSnapshotRejectsIncompatibleConfigs) {
 
 // ------------------------------------------------- sharded checkpointing
 
+/// Restores a whole-file snapshot in place: the header, then the envelope
+/// through LoadState, which keeps the target's runtime resources.
+Status LoadFileInPlace(selectivity::SelectivityEstimator& target,
+                       const std::string& path) {
+  WDE_ASSIGN_OR_RETURN(io::FileSource file, io::FileSource::Open(path));
+  WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(file).status());
+  return target.LoadState(file);
+}
+
 TEST(ShardedCheckpointTest, CheckpointRestoreContinueMatchesUninterruptedRun) {
   const std::string path = testing::TempDir() + "/wde_sharded_checkpoint.snap";
   const std::vector<double> xs = UnitStream(13, 40000);
   const std::span<const double> all(xs);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
 
   const auto make = []() {
     selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
@@ -767,10 +778,10 @@ TEST(ShardedCheckpointTest, CheckpointRestoreContinueMatchesUninterruptedRun) {
   {
     selectivity::ShardedSelectivityEstimator node = make();
     node.InsertBatch(all.first(17000));
-    ASSERT_TRUE(node.Checkpoint(path).ok());
+    ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(node, path).ok());
   }
   selectivity::ShardedSelectivityEstimator restored = make();
-  ASSERT_TRUE(restored.Restore(path).ok());
+  ASSERT_TRUE(LoadFileInPlace(restored, path).ok());
   EXPECT_EQ(restored.count(), 17000u);
   restored.InsertBatch(all.subspan(17000));
   EXPECT_EQ(restored.count(), uninterrupted.count());
@@ -787,9 +798,9 @@ TEST(ShardedCheckpointTest, RestoreRejectsCorruptCheckpointsUntouched) {
   selectivity::ShardedSelectivityEstimator node =
       *selectivity::ShardedSelectivityEstimator::Create(prototype, {});
   node.InsertBatch(UnitStream(14, 2000));
-  ASSERT_TRUE(node.Checkpoint(path).ok());
+  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(node, path).ok());
 
-  // Truncate the file: Restore must fail and leave the target untouched.
+  // Truncate the file: the load must fail and leave the target untouched.
   {
     Result<io::FileSource> full = io::FileSource::Open(path);
     ASSERT_TRUE(full.ok());
@@ -803,7 +814,7 @@ TEST(ShardedCheckpointTest, RestoreRejectsCorruptCheckpointsUntouched) {
   selectivity::ShardedSelectivityEstimator target =
       *selectivity::ShardedSelectivityEstimator::Create(prototype, {});
   target.InsertBatch(UnitStream(15, 100));
-  EXPECT_FALSE(target.Restore(path).ok());
+  EXPECT_FALSE(LoadFileInPlace(target, path).ok());
   EXPECT_EQ(target.count(), 100u);  // untouched
   std::remove(path.c_str());
 }
@@ -830,17 +841,17 @@ TEST(ShardedCheckpointTest, PacedMergedViewNeverCrossesARestoreBoundary) {
 
   selectivity::ShardedSelectivityEstimator node = make();
   node.InsertBatch(low);
-  const double stale = node.EstimateRange(0.5, 1.0);  // builds the view
+  const double stale = node.Answer(Query::Range(0.5, 1.0));  // builds the view
   EXPECT_EQ(stale, 0.0);  // nothing above 0.5 yet
   node.InsertBatch(high);  // pending < interval: the stale view keeps serving
-  EXPECT_EQ(node.EstimateRange(0.5, 1.0), stale);
-  ASSERT_TRUE(node.Checkpoint(path).ok());
+  EXPECT_EQ(node.Answer(Query::Range(0.5, 1.0)), stale);
+  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(node, path).ok());
 
   // Pre-restore the live node still paces; the RESTORED engine must not.
   selectivity::ShardedSelectivityEstimator restored = make();
-  ASSERT_TRUE(restored.Restore(path).ok());
+  ASSERT_TRUE(LoadFileInPlace(restored, path).ok());
   EXPECT_EQ(restored.count(), 8000u);
-  const double fresh = restored.EstimateRange(0.5, 1.0);
+  const double fresh = restored.Answer(Query::Range(0.5, 1.0));
   EXPECT_NEAR(fresh, 0.5, 0.05);
   // And the rebuilt answer is exactly a quiesced merge of the same stream:
   // an engine with refresh interval 1 over the identical ingest agrees
@@ -853,7 +864,7 @@ TEST(ShardedCheckpointTest, PacedMergedViewNeverCrossesARestoreBoundary) {
       *selectivity::ShardedSelectivityEstimator::Create(prototype, eager_options);
   eager.InsertBatch(low);
   eager.InsertBatch(high);
-  EXPECT_EQ(fresh, eager.EstimateRange(0.5, 1.0));
+  EXPECT_EQ(fresh, eager.Answer(Query::Range(0.5, 1.0)));
   std::remove(path.c_str());
 }
 
@@ -863,7 +874,7 @@ TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
   // answers exactly like one node over the whole stream.
   const std::vector<double> xs = UnitStream(16, 30000);
   const std::span<const double> all(xs);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   const auto make = []() {
     selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
     selectivity::ShardedSelectivityEstimator::Options options;
@@ -891,7 +902,7 @@ TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
 
 TEST(ShardedCheckpointTest, KdeReplicasRestoreBitwise) {
   const std::string path = testing::TempDir() + "/wde_kde_checkpoint.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   selectivity::KdeSelectivity::Options proto_options;
   proto_options.refit_interval = 512;
   selectivity::KdeSelectivity prototype(proto_options);
@@ -902,11 +913,11 @@ TEST(ShardedCheckpointTest, KdeReplicasRestoreBitwise) {
       *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
   node.InsertBatch(UnitStream(19, 9000));
   const std::vector<double> before = AnswersOf(node, queries);
-  ASSERT_TRUE(node.Checkpoint(path).ok());
+  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(node, path).ok());
 
   selectivity::ShardedSelectivityEstimator restored =
       *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
-  ASSERT_TRUE(restored.Restore(path).ok());
+  ASSERT_TRUE(LoadFileInPlace(restored, path).ok());
   EXPECT_EQ(restored.count(), node.count());
   EXPECT_EQ(AnswersOf(restored, queries), before);
   std::remove(path.c_str());
@@ -918,7 +929,7 @@ TEST(SnapshotRoundTripTest, EveryTagContinuesIngestingLikeItsLiveTwin) {
   // restore ≡ live: a restored estimator and its never-serialized twin take
   // the same further ingest and keep answering bitwise alike, and the
   // restored one re-saves to the bytes it was loaded from.
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<Query> queries = Workload();
   const std::vector<double> tail = UnitStream(20, 500);
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> twins =
       MakeIngestedEstimators();
