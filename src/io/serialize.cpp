@@ -239,15 +239,19 @@ Result<std::vector<double>> ReadDoubleVector(Source& source) {
                static_cast<unsigned long long>(count), source.remaining()));
   }
   std::vector<double> values(static_cast<size_t>(count));
+  WDE_RETURN_IF_ERROR(ReadDoubles(source, values));
+  return values;
+}
+
+Status ReadDoubles(Source& source, std::span<double> out) {
   if constexpr (std::endian::native == std::endian::little) {
-    WDE_RETURN_IF_ERROR(
-        source.Read(values.data(), values.size() * sizeof(double)));
+    return source.Read(out.data(), out.size() * sizeof(double));
   } else {
-    for (double& v : values) {
+    for (double& v : out) {
       WDE_ASSIGN_OR_RETURN(v, ReadDouble(source));
     }
+    return Status::OK();
   }
-  return values;
 }
 
 }  // namespace io

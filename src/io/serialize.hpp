@@ -166,6 +166,10 @@ Result<double> ReadDouble(Source& source);
 /// Rejects lengths beyond the remaining bytes or `max_size`.
 Result<std::string> ReadString(Source& source, size_t max_size = 1 << 20);
 Result<std::vector<double>> ReadDoubleVector(Source& source);
+/// The per-element doubles alone (no count) into `out`: the twin of
+/// WriteDoubles, for a reader that splits one vector across buffers it
+/// sized itself (after checking the count against remaining()).
+Status ReadDoubles(Source& source, std::span<double> out);
 
 }  // namespace io
 }  // namespace wde

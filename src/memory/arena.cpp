@@ -18,16 +18,8 @@ uint64_t AlignUp(uint64_t value, uint64_t alignment) {
 }  // namespace
 
 size_t ColumnKindSize(ColumnKind kind) {
-  switch (kind) {
-    case ColumnKind::kF64:
-      return sizeof(double);
-    case ColumnKind::kI64:
-      return sizeof(int64_t);
-    case ColumnKind::kU8:
-      return 1;
-  }
-  WDE_CHECK(false, "invalid ColumnKind");
-  return 0;
+  WDE_CHECK(kind == ColumnKind::kF64, "invalid ColumnKind");
+  return sizeof(double);
 }
 
 Result<std::vector<ColumnDesc>> ComputeColumnLayout(
@@ -112,27 +104,8 @@ std::span<const double> Arena::F64(size_t i) const {
           static_cast<size_t>(column(i).count)};
 }
 
-std::span<const int64_t> Arena::I64(size_t i) const {
-  return {reinterpret_cast<const int64_t*>(ColumnBase(i, ColumnKind::kI64)),
-          static_cast<size_t>(column(i).count)};
-}
-
-std::span<const uint8_t> Arena::U8(size_t i) const {
-  return {ColumnBase(i, ColumnKind::kU8), static_cast<size_t>(column(i).count)};
-}
-
 std::span<double> Arena::MutableF64(size_t i) {
   return {reinterpret_cast<double*>(MutableColumnBase(i, ColumnKind::kF64)),
-          static_cast<size_t>(column(i).count)};
-}
-
-std::span<int64_t> Arena::MutableI64(size_t i) {
-  return {reinterpret_cast<int64_t*>(MutableColumnBase(i, ColumnKind::kI64)),
-          static_cast<size_t>(column(i).count)};
-}
-
-std::span<uint8_t> Arena::MutableU8(size_t i) {
-  return {MutableColumnBase(i, ColumnKind::kU8),
           static_cast<size_t>(column(i).count)};
 }
 

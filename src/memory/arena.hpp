@@ -1,7 +1,7 @@
 /// \file memory/arena.hpp
 /// Entry header of the `memory` module: aligned, relocatable columnar
 /// storage for estimator fitted state. An `Arena` carves a fixed set of
-/// typed columns (`f64`, `i64`, raw bytes) out of ONE contiguous
+/// typed columns (`f64`) out of ONE contiguous
 /// allocation, every column starting on a 64-byte boundary
 /// (`kColumnAlignment`) — the layout the SIMD batch kernels want.
 ///
@@ -40,8 +40,6 @@ inline constexpr size_t kColumnAlignment = 64;
 /// Element type of one column.
 enum class ColumnKind : uint8_t {
   kF64 = 0,
-  kI64 = 1,
-  kU8 = 2,
 };
 
 /// Element size in bytes.
@@ -49,7 +47,7 @@ size_t ColumnKindSize(ColumnKind kind);
 
 /// Requested column: element kind + element count.
 struct ColumnSpec {
-  ColumnKind kind = ColumnKind::kU8;
+  ColumnKind kind = ColumnKind::kF64;
   uint64_t count = 0;
 };
 
@@ -57,7 +55,7 @@ struct ColumnSpec {
 /// arena payload. Offsets are a pure function of the spec sequence (the
 /// canonical 64-byte-aligned packing of ComputeColumnLayout).
 struct ColumnDesc {
-  ColumnKind kind = ColumnKind::kU8;
+  ColumnKind kind = ColumnKind::kF64;
   uint64_t count = 0;
   uint64_t offset = 0;
 };
@@ -92,15 +90,11 @@ class Arena {
 
   /// Typed read-only element spans. The column's kind must match (checked).
   std::span<const double> F64(size_t i) const;
-  std::span<const int64_t> I64(size_t i) const;
-  std::span<const uint8_t> U8(size_t i) const;
 
   /// Typed writable element spans. Un-shares storage first (see
   /// EnsureWritable), so the returned span is exclusively owned; any
   /// previously obtained span into this arena may be invalidated.
   std::span<double> MutableF64(size_t i);
-  std::span<int64_t> MutableI64(size_t i);
-  std::span<uint8_t> MutableU8(size_t i);
 
   /// Guarantees exclusively owned storage: relocates into a fresh
   /// 64-byte-aligned allocation when the current block is shared with

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "numerics/simd.hpp"
+#include "selectivity/sorted_prefix.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
 
@@ -178,27 +179,17 @@ EquiDepthHistogram::EquiDepthHistogram(double lo, double hi, int buckets,
 
 void EquiDepthHistogram::Insert(double x) {
   if (!std::isfinite(x)) return;
-  values_.push_back(std::clamp(x, lo_, hi_));
+  tail_.push_back(std::clamp(x, lo_, hi_));
 }
 
 void EquiDepthHistogram::RebuildIfStale() const {
-  if (!boundaries_.empty() && built_at_count_ == values_.size()) return;
-  if (refit_mode_ == RefitMode::kIncremental) {
-    // Extend the sorted shadow by the appended delta only: sort the tail,
-    // one stable merge — O(Δ log Δ + n) against the scratch path's full
-    // O(n log n) sort, identical sorted sequence.
-    const size_t prev = sorted_.size();
-    sorted_.insert(sorted_.end(), values_.begin() + static_cast<ptrdiff_t>(prev),
-                   values_.end());
-    const auto mid = sorted_.begin() + static_cast<ptrdiff_t>(prev);
-    std::sort(mid, sorted_.end());
-    std::inplace_merge(sorted_.begin(), mid, sorted_.end());
-    BuildBoundariesFromSorted(sorted_);
-  } else {
-    std::vector<double> sorted = values_;
-    std::sort(sorted.begin(), sorted.end());
-    BuildBoundariesFromSorted(sorted);
+  // The boundaries derive from the prefix alone: stale while a tail exists.
+  if (!boundaries_.empty() && tail_.empty()) return;
+  if (!tail_.empty()) {
+    prefix_ = FoldSortedTail(Prefix(), tail_, refit_mode_);
+    tail_ = std::vector<double>();  // release it: the prefix holds the values now
   }
+  BuildBoundariesFromSorted(Prefix());
 }
 
 void EquiDepthHistogram::BuildBoundariesFromSorted(
@@ -206,7 +197,6 @@ void EquiDepthHistogram::BuildBoundariesFromSorted(
   boundaries_.assign(static_cast<size_t>(buckets_) + 1, lo_);
   if (sorted.empty()) {
     boundaries_.back() = hi_;
-    built_at_count_ = 0;
     return;
   }
   boundaries_.front() = lo_;
@@ -224,7 +214,6 @@ void EquiDepthHistogram::BuildBoundariesFromSorted(
   for (size_t i = 1; i < boundaries_.size(); ++i) {
     boundaries_[i] = std::max(boundaries_[i], boundaries_[i - 1]);
   }
-  built_at_count_ = values_.size();
 }
 
 double EquiDepthHistogram::CdfAt(double x) const {
@@ -241,14 +230,14 @@ double EquiDepthHistogram::CdfAt(double x) const {
 }
 
 double EquiDepthHistogram::EstimateRangeImpl(double a, double b) const {
-  if (values_.empty()) return 0.0;
+  if (count() == 0) return 0.0;
   RebuildIfStale();
   return CdfAt(b) - CdfAt(a);
 }
 
 void EquiDepthHistogram::AnswerImpl(std::span<const Query> queries,
                                     std::span<double> out) const {
-  if (values_.empty()) {
+  if (count() == 0) {
     for (size_t i = 0; i < queries.size(); ++i) out[i] = AnswerOne(queries[i]);
     return;
   }
@@ -286,11 +275,11 @@ Status EquiDepthHistogram::MergeFrom(const SelectivityEstimator& other) {
                                       " domain/bucket mismatch with " +
                                       rhs.name());
   }
-  // The sorted shadow survives: it mirrors the immutable prefix
-  // values_[0..sorted_.size()), which appends never disturb.
-  values_.insert(values_.end(), rhs.values_.begin(), rhs.values_.end());
+  // The sorted prefix survives; the next rebuild folds the peer's values in.
+  const std::span<const double> incoming = rhs.Prefix();
+  tail_.insert(tail_.end(), incoming.begin(), incoming.end());
+  tail_.insert(tail_.end(), rhs.tail_.begin(), rhs.tail_.end());
   boundaries_.clear();  // stale; rebuilt (sorted) at the next query
-  built_at_count_ = 0;
   return Status::OK();
 }
 
@@ -304,14 +293,19 @@ Status EquiDepthHistogram::MergeTailFrom(const SelectivityEstimator& other,
                                       " domain/bucket mismatch with " +
                                       rhs.name());
   }
-  if (from_count > rhs.values_.size()) {
+  // Stream positions exist only in the peer's tail; its prefix is sorted.
+  const size_t sorted = rhs.Prefix().size();
+  if (from_count < sorted) {
+    return Status::FailedPrecondition(
+        "MergeTailFrom: from_count inside the peer's sorted prefix");
+  }
+  if (from_count > rhs.count()) {
     return Status::InvalidArgument("MergeTailFrom: from_count past peer count");
   }
   // Append only the peer's tail; the boundary cache goes stale through the
   // ordinary count check and the next rebuild delta-merges the delta.
-  values_.insert(values_.end(),
-                 rhs.values_.begin() + static_cast<ptrdiff_t>(from_count),
-                 rhs.values_.end());
+  const auto skip = static_cast<ptrdiff_t>(from_count - sorted);
+  tail_.insert(tail_.end(), rhs.tail_.begin() + skip, rhs.tail_.end());
   return Status::OK();
 }
 
@@ -319,7 +313,10 @@ Status EquiDepthHistogram::SaveStateImpl(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo_));
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, hi_));
   WDE_RETURN_IF_ERROR(io::WriteI32(sink, buckets_));
-  return io::WriteDoubleVector(sink, values_);
+  // One vector: the sorted prefix, then the tail in arrival order.
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count()));
+  WDE_RETURN_IF_ERROR(io::WriteDoubles(sink, Prefix()));
+  return io::WriteDoubles(sink, tail_);
 }
 
 Status EquiDepthHistogram::LoadStateImpl(io::Source& source) {
@@ -345,10 +342,9 @@ Status EquiDepthHistogram::LoadStateImpl(io::Source& source) {
   lo_ = lo;
   hi_ = hi;
   buckets_ = buckets;
-  values_ = std::move(values);
-  sorted_.clear();  // rebuilt (one full sort) at the first post-restore query
+  prefix_ = memory::Arena();
+  tail_ = std::move(values);  // folded (one full sort) at the first query
   boundaries_.clear();
-  built_at_count_ = 0;
   return Status::OK();
 }
 

@@ -88,23 +88,22 @@ class EquiWidthHistogram : public SelectivityEstimator {
 /// from the retained values when stale (rebuild cost shows up in the perf
 /// benches, as it would in ANALYZE).
 ///
-/// Rebuilds honor the RefitMode passed at construction. kScratch re-sorts
-/// the whole retained buffer per rebuild; kIncremental (the default)
-/// maintains a sorted shadow of the retained buffer across rebuilds — sort
-/// only the values appended since the last rebuild, one stable in-place
-/// merge — so a rebuild costs O(Δ log Δ + n) instead of O(n log n). The
-/// boundaries are a deterministic function of the sorted sequence, so both
-/// modes answer bitwise-identically (refit_equivalence_test).
+/// One copy of the retained values: a sorted prefix column (shared
+/// copy-on-write with views) plus an arrival-order tail of later inserts. A
+/// rebuild folds the tail into a new prefix (FoldSortedTail, honoring the
+/// RefitMode passed at construction). The boundaries are a deterministic
+/// function of the sorted sequence, so both modes answer bitwise-identically
+/// (refit_equivalence_test).
 ///
-/// Mergeable: the retained sample buffers concatenate, and the lazy rebuild
-/// sorts, so merged replicas answer exactly like the sequential histogram.
+/// Mergeable: the retained values concatenate, and the lazy rebuild sorts,
+/// so merged replicas answer exactly like the sequential histogram.
 class EquiDepthHistogram : public SelectivityEstimator {
  public:
   EquiDepthHistogram(double lo, double hi, int buckets,
                      RefitMode refit_mode = RefitMode::kIncremental);
 
   void Insert(double x) override;
-  size_t count() const override { return values_.size(); }
+  size_t count() const override { return Prefix().size() + tail_.size(); }
   std::string name() const override;
 
   /// One average-depth bucket of the domain (the boundaries move with the
@@ -114,7 +113,9 @@ class EquiDepthHistogram : public SelectivityEstimator {
   }
   Interval Domain() const override { return Interval{lo_, hi_}; }
 
+  /// Rebuilds, then copies: the copy shares the prefix, with no tail.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
+    ForceRefit();
     return std::make_unique<EquiDepthHistogram>(*this);
   }
 
@@ -123,8 +124,8 @@ class EquiDepthHistogram : public SelectivityEstimator {
   /// requires identical domain and bucket count.
   Status MergeFrom(const SelectivityEstimator& other) override;
   /// Tail-merge support for the sharded incremental merged-view refresh:
-  /// appends only other's values from `from_count` onward; the sorted shadow
-  /// and boundary cache stay (stale) for the next rebuild to delta-merge.
+  /// appends only other's tail values from `from_count` onward (inside its
+  /// sorted prefix: FailedPrecondition); the next rebuild folds them in.
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
@@ -139,9 +140,8 @@ class EquiDepthHistogram : public SelectivityEstimator {
   /// canonical lowering.
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
-  /// The boundary cache is rebuilt whenever the retained count changes, so
-  /// only the values travel: the restored histogram re-derives identical
-  /// boundaries at its first query.
+  /// Only the values travel (prefix first; restore takes any order into the
+  /// tail): the restored histogram re-derives identical boundaries.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
   /// Quiesce: rebuild the boundary cache now (the only lazy state).
@@ -160,14 +160,13 @@ class EquiDepthHistogram : public SelectivityEstimator {
   double hi_;
   int buckets_;
   RefitMode refit_mode_;
-  std::vector<double> values_;
-  /// kIncremental only: ascending-sorted shadow of the prefix
-  /// values_[0..sorted_.size()) (the buffer only ever appends, so the prefix
-  /// is immutable). Snapshot loads clear it — the first rebuild after a
-  /// restore pays one full sort, after which deltas are cheap again.
-  mutable std::vector<double> sorted_;
+  std::span<const double> Prefix() const {
+    return prefix_.empty() ? std::span<const double>() : prefix_.F64(0);
+  }
+
+  mutable memory::Arena prefix_;      // one ascending column, or none
+  mutable std::vector<double> tail_;  // inserted since the last rebuild
   mutable std::vector<double> boundaries_;  // buckets_ + 1 entries
-  mutable size_t built_at_count_ = 0;
 };
 
 }  // namespace selectivity

@@ -62,37 +62,34 @@ void Kde2dSelectivity::Insert(double x) {
 }
 
 void Kde2dSelectivity::RefitIfStale() const {
-  if (xs_.size() < kMinFitSample) return;
-  if (fitted_.has_value() &&
-      xs_.size() - fitted_at_count_ < options_.refit_interval) {
-    return;
-  }
+  if (count() < kMinFitSample) return;
+  if (fitted_.has_value() && xs_.size() < options_.refit_interval) return;
   Refit();
 }
 
 void Kde2dSelectivity::ForceRefitImpl() const {
-  if (xs_.size() < kMinFitSample) return;
-  if (fitted_.has_value() && fitted_at_count_ == xs_.size()) return;
+  if (count() < kMinFitSample) return;
+  if (fitted_.has_value() && xs_.empty()) return;
   Refit();
 }
 
 void Kde2dSelectivity::Refit() const {
-  const bool incremental = options_.refit_mode == RefitMode::kIncremental &&
-                           fitted_.has_value() &&
-                           fitted_->n == fitted_at_count_ &&
-                           fitted_at_count_ <= xs_.size();
   std::optional<Fitted> fit =
-      BuildFit(xs_.size(), incremental ? &*fitted_ : nullptr);
-  if (fit.has_value()) {
-    fitted_ = std::move(fit);
-    fitted_at_count_ = xs_.size();
-  }
+      BuildFit(fitted_.has_value() ? &*fitted_ : nullptr, xs_, ys_);
+  if (!fit.has_value()) return;  // degenerate: keep the previous fit and tail
+  fitted_ = std::move(fit);
+  // Release the tail: the fitted columns hold the observations now.
+  xs_ = std::vector<double>();
+  ys_ = std::vector<double>();
 }
 
 std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
-    size_t fit_n, const Fitted* prev) const {
+    const Fitted* prev, std::span<const double> xs,
+    std::span<const double> ys) const {
   // Every fit builds a NEW arena: the previous fitted columns may be shared
   // with CloneForView copies.
+  const size_t m = prev != nullptr ? prev->n : 0;
+  const size_t fit_n = m + xs.size();
   const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, fit_n},
                                       {memory::ColumnKind::kF64, fit_n},
                                       {memory::ColumnKind::kF64, fit_n},
@@ -102,40 +99,30 @@ std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
   const std::span<double> sy = arena.MutableF64(1);
   const std::span<double> ty = arena.MutableF64(2);
   const std::span<double> lambdas = arena.MutableF64(3);
-  if (prev != nullptr && prev->n <= fit_n) {
-    // The previous fitted arrays are the sorted permutations of the
-    // observation prefix [0, prev->n) (the buffers only ever append): copy
-    // them, append the unfitted tail, sort only the tail, one stable merge.
+  // The previous sample (sorted) first, then the new observations.
+  if (prev != nullptr) {
     std::copy(prev->sx().begin(), prev->sx().end(), sx.begin());
     std::copy(prev->sy().begin(), prev->sy().end(), sy.begin());
-    std::copy(xs_.begin() + static_cast<ptrdiff_t>(prev->n),
-              xs_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sx.begin() + static_cast<ptrdiff_t>(prev->n));
-    std::copy(ys_.begin() + static_cast<ptrdiff_t>(prev->n),
-              ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sy.begin() + static_cast<ptrdiff_t>(prev->n));
-    multidim::MergeSortedTailLex(sx, sy, prev->n);
     std::copy(prev->ty().begin(), prev->ty().end(), ty.begin());
-    std::copy(ys_.begin() + static_cast<ptrdiff_t>(prev->n),
-              ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              ty.begin() + static_cast<ptrdiff_t>(prev->n));
-    const auto mid = ty.begin() + static_cast<ptrdiff_t>(prev->n);
-    std::sort(mid, ty.end());
-    std::inplace_merge(ty.begin(), mid, ty.end());
+  }
+  const auto offset = static_cast<ptrdiff_t>(m);
+  std::copy(xs.begin(), xs.end(), sx.begin() + offset);
+  std::copy(ys.begin(), ys.end(), sy.begin() + offset);
+  std::copy(ys.begin(), ys.end(), ty.begin() + offset);
+  if (options_.refit_mode == RefitMode::kIncremental) {
+    // Sort only the tail, one stable merge into the sorted prefix.
+    multidim::MergeSortedTailLex(sx, sy, m);
+    std::sort(ty.begin() + offset, ty.end());
+    std::inplace_merge(ty.begin(), ty.begin() + offset, ty.end());
   } else {
-    std::copy(xs_.begin(), xs_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sx.begin());
-    std::copy(ys_.begin(), ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sy.begin());
     multidim::SortPointsLex(sx, sy);
-    std::copy(ys_.begin(), ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              ty.begin());
     std::sort(ty.begin(), ty.end());
   }
   // Bandwidths from sorted order statistics (sx is ascending in x by lex
   // order; ty is the sorted axis-1 shadow): bitwise-reproducible from the
   // sorted multiset alone, so both refit modes — and the snapshot-restore
-  // re-fit — derive identical values.
+  // re-fit — derive identical values. An axis without spread has none.
+  if (sx.front() == sx.back() || ty.front() == ty.back()) return std::nullopt;
   double hx = kernel::RuleOfThumbBandwidthSorted(sx);
   double hy = kernel::RuleOfThumbBandwidthSorted(ty);
   if (options_.cv_bandwidths && fit_n >= 16) {
@@ -150,7 +137,6 @@ std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
       sx, sy, options_.domain_lo0, options_.domain_hi0, options_.domain_lo1,
       options_.domain_hi1, options_.alpha, kPilotLog2, lambdas);
   fit.arena = std::move(arena);
-  fit.col0 = 0;
   fit.n = fit_n;
   fit.hx = hx;
   fit.hy = hy;
@@ -162,7 +148,7 @@ double Kde2dSelectivity::EstimateRectImpl(double lo0, double hi0, double lo1,
   RefitIfStale();
   if (!fitted_.has_value()) {
     // Tiny-sample (or degenerate-bandwidth) fallback: exact fraction of the
-    // buffered observations inside the rectangle.
+    // observations (all in the tail) inside the rectangle.
     if (xs_.empty()) return 0.0;
     size_t hits = 0;
     for (size_t i = 0; i < xs_.size(); ++i) {
@@ -205,10 +191,20 @@ Status Kde2dSelectivity::MergeFrom(const SelectivityEstimator& other) {
       options_.cv_bandwidths != rhs.options_.cv_bandwidths) {
     return Status::FailedPrecondition("MergeFrom: kde2d options mismatch");
   }
+  // Both sides' observations go into the tail and the fit is dropped: the
+  // next query refits from the merged multiset (or falls back to the exact
+  // fraction if that refit fails).
+  if (fitted_.has_value()) {
+    xs_.insert(xs_.begin(), fitted_->sx().begin(), fitted_->sx().end());
+    ys_.insert(ys_.begin(), fitted_->sy().begin(), fitted_->sy().end());
+    fitted_.reset();
+  }
+  if (rhs.fitted_.has_value()) {
+    xs_.insert(xs_.end(), rhs.fitted_->sx().begin(), rhs.fitted_->sx().end());
+    ys_.insert(ys_.end(), rhs.fitted_->sy().begin(), rhs.fitted_->sy().end());
+  }
   xs_.insert(xs_.end(), rhs.xs_.begin(), rhs.xs_.end());
   ys_.insert(ys_.end(), rhs.ys_.begin(), rhs.ys_.end());
-  fitted_.reset();  // refit from the merged buffers at the next query
-  fitted_at_count_ = 0;
   return Status::OK();
 }
 
@@ -225,15 +221,20 @@ Status Kde2dSelectivity::MergeTailFrom(const SelectivityEstimator& other,
       options_.cv_bandwidths != rhs.options_.cv_bandwidths) {
     return Status::FailedPrecondition("MergeTailFrom: kde2d options mismatch");
   }
-  if (from_count > rhs.xs_.size()) {
+  // Stream positions exist only in the peer's tail; its prefix is sorted.
+  const size_t fitted = rhs.fitted_.has_value() ? rhs.fitted_->n : 0;
+  if (from_count < fitted) {
+    return Status::FailedPrecondition(
+        "MergeTailFrom: from_count inside the peer's fitted prefix");
+  }
+  if (from_count > rhs.count()) {
     return Status::InvalidArgument("MergeTailFrom: from_count past peer count");
   }
   // Append only the peer's tail observations; the fitted state stays
   // (stale) so the next refit delta-merges instead of rebuilding.
-  xs_.insert(xs_.end(), rhs.xs_.begin() + static_cast<ptrdiff_t>(from_count),
-             rhs.xs_.end());
-  ys_.insert(ys_.end(), rhs.ys_.begin() + static_cast<ptrdiff_t>(from_count),
-             rhs.ys_.end());
+  const auto skip = static_cast<ptrdiff_t>(from_count - fitted);
+  xs_.insert(xs_.end(), rhs.xs_.begin() + skip, rhs.xs_.end());
+  ys_.insert(ys_.end(), rhs.ys_.begin() + skip, rhs.ys_.end());
   return Status::OK();
 }
 
@@ -245,11 +246,17 @@ Status Kde2dSelectivity::SaveStateImpl(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.alpha));
   WDE_RETURN_IF_ERROR(io::WriteU8(sink, options_.cv_bandwidths ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted_at_count_));
+  const size_t fitted = fitted_.has_value() ? fitted_->n : 0;
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted));
   WDE_RETURN_IF_ERROR(io::WriteU8(sink, have_pending_ ? 1 : 0));
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, pending_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, xs_));
-  return io::WriteDoubleVector(sink, ys_);
+  // Each coordinate vector: the lex-sorted prefix, then the tail.
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count()));
+  if (fitted_.has_value()) WDE_RETURN_IF_ERROR(io::WriteDoubles(sink, fitted_->sx()));
+  WDE_RETURN_IF_ERROR(io::WriteDoubles(sink, xs_));
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count()));
+  if (fitted_.has_value()) WDE_RETURN_IF_ERROR(io::WriteDoubles(sink, fitted_->sy()));
+  return io::WriteDoubles(sink, ys_);
 }
 
 Status Kde2dSelectivity::LoadStateImpl(io::Source& source) {
@@ -287,26 +294,27 @@ Status Kde2dSelectivity::LoadStateImpl(io::Source& source) {
   }
   options.cv_bandwidths = cv != 0;
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  xs_ = std::move(xs);
-  ys_ = std::move(ys);
-  have_pending_ = have_pending != 0;
-  pending_ = pending;
-  fitted_.reset();
-  fitted_at_count_ = 0;
-  // Re-fit over the prefix the saved estimator had fitted on: the fit is a
-  // deterministic function of the prefix multiset, and the saved
-  // fitted_at_count only ever advances on a successful (non-degenerate)
-  // fit, so this reproduces the saved fitted state — bandwidths, adaptive
-  // factors and all — bit-exactly.
-  if (fitted_at_count >= kMinFitSample) {
-    std::optional<Fitted> fit =
-        BuildFit(static_cast<size_t>(fitted_at_count), nullptr);
-    if (fit.has_value()) {
-      fitted_ = std::move(fit);
-      fitted_at_count_ = static_cast<size_t>(fitted_at_count);
+  // Re-fit the saved prefix (a deterministic function of its multiset, so
+  // bit-exact), with the loaded options on a scratch instance so a rejected
+  // load leaves this one untouched. A live estimator records a fitted count
+  // only after a successful fit of kMinFitSample or more observations.
+  const auto fit_n = static_cast<size_t>(fitted_at_count);
+  std::optional<Fitted> fit;
+  if (fit_n > 0) {
+    if (fit_n >= kMinFitSample) {
+      fit = Kde2dSelectivity(options).BuildFit(
+          nullptr, std::span(xs).first(fit_n), std::span(ys).first(fit_n));
+    }
+    if (!fit.has_value()) {
+      return Status::InvalidArgument("corrupt kde2d snapshot: unfittable fitted count");
     }
   }
+  options_ = options;
+  fitted_ = std::move(fit);
+  xs_.assign(xs.begin() + static_cast<ptrdiff_t>(fit_n), xs.end());
+  ys_.assign(ys.begin() + static_cast<ptrdiff_t>(fit_n), ys.end());
+  have_pending_ = have_pending != 0;
+  pending_ = pending;
   return Status::OK();
 }
 

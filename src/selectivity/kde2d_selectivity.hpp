@@ -31,23 +31,21 @@ namespace selectivity {
 /// coordinate clamps to its axis domain. count() reports complete
 /// observations.
 ///
-/// Mergeable: the coordinate buffers concatenate and the KDE refits from
-/// the merged buffers. Answers depend only on the *multiset* of
-/// observations — the fitted state is a function of the lex-sorted
-/// coordinate arrays — so merges in any order answer bit-identically to
-/// sequential ingest of the same multiset. A peer's pending half-observation
-/// is not data and does not travel.
+/// One copy of the observations: the fitted arena's lex-sorted sx/sy are
+/// the prefix, xs_/ys_ only the arrival-order tail since the last refit.
+/// Fitted arenas are shared copy-on-write with views and never mutated.
 ///
-/// Refits honor Options::refit_mode: kScratch re-sorts everything per
-/// refit; kIncremental (the default) reuses the previous fitted arrays as a
-/// lex-sorted prefix, sorts only the appended tail and merges —
-/// O(Δ log Δ + n) instead of O(n log n), bitwise-identical answers
-/// (refit_equivalence_test). Every refit builds a fresh arena: fitted
-/// columns may be shared with CloneForView copies, and are never mutated in
-/// place. The adaptive factors
-/// and bandwidths are recomputed O(n) per refit in BOTH modes — they are
-/// global functions of the sorted sample, not mergeable state; the
-/// incremental win is the sort, not the fit.
+/// Mergeable: MergeFrom moves both sides into the tail and drops the fit.
+/// Answers depend only on the *multiset* of observations, so merges in any
+/// order answer bit-identically to sequential ingest of the same multiset.
+/// A peer's pending half-observation is not data and does not travel.
+///
+/// Refits honor Options::refit_mode: kScratch re-sorts everything;
+/// kIncremental (the default) sorts only the tail and merges it into the
+/// prefix — O(Δ log Δ + n) instead of O(n log n), bitwise-identical answers
+/// (refit_equivalence_test). The adaptive factors and bandwidths are
+/// recomputed O(n) per refit in BOTH modes — they are global functions of
+/// the sorted sample; the incremental win is the sort, not the fit.
 class Kde2dSelectivity : public SelectivityEstimator {
  public:
   struct Options {
@@ -74,7 +72,9 @@ class Kde2dSelectivity : public SelectivityEstimator {
 
   void Insert(double x) override;
 
-  size_t count() const override { return xs_.size(); }
+  size_t count() const override {
+    return (fitted_.has_value() ? fitted_->n : 0) + xs_.size();
+  }
   std::string name() const override { return "kde2d-prod"; }
 
   /// Same convention as the 1-D KDE: the declared resolution is the static
@@ -96,7 +96,8 @@ class Kde2dSelectivity : public SelectivityEstimator {
   Status MergeFrom(const SelectivityEstimator& other) override;
   /// Tail-merge support for the sharded incremental merged-view refresh:
   /// appends only other's observations from `from_count` onward and leaves
-  /// the fitted state intact (stale) for the next refit to delta-merge.
+  /// the fitted state intact (stale) for the next refit to delta-merge. A
+  /// `from_count` inside other's fitted prefix is a FailedPrecondition.
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
@@ -116,6 +117,9 @@ class Kde2dSelectivity : public SelectivityEstimator {
   /// below the minimum fit sample (or under degenerate bandwidths).
   double EstimateRectImpl(double lo0, double hi0, double lo1,
                           double hi1) const override;
+  /// Saves each coordinate vector prefix first. Restore re-fits the saved
+  /// prefix and rejects a fitted count no live estimator records (1-3, or
+  /// one whose fit degenerates).
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
 
@@ -124,45 +128,44 @@ class Kde2dSelectivity : public SelectivityEstimator {
   void ForceRefitImpl() const override;
 
  private:
-  /// The fitted state: one arena of four parallel F64 columns starting at
-  /// `col0` — sx/sy (lex-sorted coordinates), ty (the ascending-sorted
-  /// axis-1 shadow the bandwidth rule reads), λ (adaptive factors) — plus
-  /// the derived scalars. Never mutated after commit; copies share the
-  /// arena copy-on-write.
+  /// The fitted state: one arena of four parallel F64 columns — sx/sy
+  /// (lex-sorted coordinates), ty (the ascending-sorted axis-1 shadow the
+  /// bandwidth rule reads), λ (adaptive factors) — plus the derived scalars.
+  /// Never mutated after commit; copies share the arena copy-on-write.
   struct Fitted {
     memory::Arena arena;
-    size_t col0 = 0;
     size_t n = 0;
     double hx = 0.0;
     double hy = 0.0;
     double lambda_max = 1.0;
 
-    std::span<const double> sx() const { return arena.F64(col0 + 0); }
-    std::span<const double> sy() const { return arena.F64(col0 + 1); }
-    std::span<const double> ty() const { return arena.F64(col0 + 2); }
-    std::span<const double> lambdas() const { return arena.F64(col0 + 3); }
+    std::span<const double> sx() const { return arena.F64(0); }
+    std::span<const double> sy() const { return arena.F64(1); }
+    std::span<const double> ty() const { return arena.F64(2); }
+    std::span<const double> lambdas() const { return arena.F64(3); }
   };
 
   void RefitIfStale() const;
   /// Unconditional refit at the current count, honoring refit_mode.
   void Refit() const;
-  /// Builds the fitted state over the observation prefix [0, fit_n):
-  /// lex-sort (delta-merged off `prev` when given), the sorted axis-1
-  /// shadow, rule-of-thumb (+ optional CV) bandwidths, adaptive factors.
-  /// Empty on degenerate bandwidths (all-equal coordinates) — callers then
-  /// keep serving the previous fit or the exact-fraction fallback. A
-  /// deterministic function of the observation prefix multiset, so snapshot
-  /// restore reproduces the saved fit bit-exactly by re-running it.
-  std::optional<Fitted> BuildFit(size_t fit_n, const Fitted* prev) const;
+  /// Builds the fitted state over `prev`'s sample (if any) plus (xs, ys):
+  /// lex-sort (delta-merged into `prev` under kIncremental), the sorted
+  /// axis-1 shadow, rule-of-thumb (+ optional CV) bandwidths, adaptive
+  /// factors. Empty on degenerate bandwidths (an axis without spread) —
+  /// callers then keep serving the previous fit and tail, or the
+  /// exact-fraction fallback. A deterministic function of the observation
+  /// multiset, so restore reproduces the saved fit bit-exactly.
+  std::optional<Fitted> BuildFit(const Fitted* prev, std::span<const double> xs,
+                                 std::span<const double> ys) const;
 
   Options options_;
   kernel::Kernel kernel_;
-  std::vector<double> xs_;
-  std::vector<double> ys_;
+  /// The tail: every observation while nothing is fitted.
+  mutable std::vector<double> xs_;
+  mutable std::vector<double> ys_;
   bool have_pending_ = false;
   double pending_ = 0.0;  // raw first coordinate of a half-received observation
   mutable std::optional<Fitted> fitted_;
-  mutable size_t fitted_at_count_ = 0;
 };
 
 }  // namespace selectivity

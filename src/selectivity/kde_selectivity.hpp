@@ -2,6 +2,7 @@
 #define WDE_SELECTIVITY_KDE_SELECTIVITY_HPP_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "kernel/kde.hpp"
@@ -18,32 +19,28 @@ namespace selectivity {
 /// CDF kinds use a single endpoint, bit-identical to the (-inf, x]
 /// lowering).
 ///
-/// Mergeable: the sample buffers concatenate in merge order and the KDE
-/// refits from the merged buffer. Answers depend only on the *sorted
-/// multiset* of buffered values — the rule-of-thumb bandwidth is derived
-/// from sorted order statistics (RuleOfThumbBandwidthSorted) — so merges in
-/// any order, including the sharded wrapper's round-robin partition, answer
-/// bit-identically to sequential ingest of the same multiset (the only
-/// possible buffer difference is the placement of ±0.0 among equal keys,
-/// which every downstream expression treats identically).
+/// One copy of the observations: the fitted KDE's sorted sample column is
+/// the prefix, and `tail_` holds only the values inserted since the last
+/// refit, in arrival order. A refit folds the tail into a NEW column
+/// (FoldSortedTail) and clears it; fitted columns are shared copy-on-write
+/// with CloneForView copies and never mutated. Answers depend only on the
+/// *sorted multiset* of observations — the rule-of-thumb bandwidth is
+/// derived from sorted order statistics (RuleOfThumbBandwidthSorted) — so
+/// merges in any order, including the sharded wrapper's round-robin
+/// partition, answer bit-identically to sequential ingest of the same
+/// multiset (the only possible buffer difference is the placement of ±0.0
+/// among equal keys, which every downstream expression treats identically).
 ///
-/// Refits honor Options::refit_mode. kScratch re-sorts the whole buffer per
-/// refit; kIncremental (the default) reuses the previously fitted KDE's
-/// sorted sample buffer as a sorted prefix, sorts only the new tail and does
-/// one stable in-place merge — O(Δ log Δ + n) instead of O(n log n) — into a
-/// freshly allocated buffer (fitted buffers are shared with CloneForView
-/// copies, so a refit never mutates them).
-/// Both modes derive the bandwidth from the same sorted sequence, so their
-/// answers are bitwise-identical (refit_equivalence_test).
+/// Refits honor Options::refit_mode. kScratch re-sorts every observation per
+/// refit; kIncremental (the default) sorts only the tail and does one stable
+/// merge with the prefix — O(Δ log Δ + n) instead of O(n log n). Both modes
+/// derive the bandwidth from the same sorted sequence, so their answers are
+/// bitwise-identical (refit_equivalence_test). A refit that cannot fit (a
+/// degenerate sample) changes nothing: the previous fit keeps serving and
+/// the tail stays.
 ///
-/// Sorted-only views: CloneForView() force-refits this estimator (the
-/// incremental tail merge) and returns a copy holding only the shared fitted
-/// KDE — no copy of the raw stream. A view's raw values ARE its sorted
-/// buffer, which changes nothing it answers (answers depend only on the
-/// sorted multiset). count(), SaveState and MergeFrom-as-source read the
-/// sorted buffer; Insert/InsertBatch/MergeFrom/MergeTailFrom
-/// into a view first copy it back into the raw buffer. A view cannot be the
-/// peer of MergeTailFrom: stream positions mean nothing on a sorted buffer.
+/// Mergeable: MergeFrom moves both sides' observations into the tail and
+/// drops the fit, so the next query refits from the merged multiset.
 class KdeSelectivity : public SelectivityEstimator {
  public:
   struct Options {
@@ -64,9 +61,7 @@ class KdeSelectivity : public SelectivityEstimator {
   /// contents to the scalar loop.
   void InsertBatch(std::span<const double> xs) override;
 
-  size_t count() const override {
-    return sorted_view_ ? kde_->sample_size() : values_.size();
-  }
+  size_t count() const override { return Prefix().size() + tail_.size(); }
   std::string name() const override { return "kde-rot"; }
 
   /// The KDE's natural resolution is its bandwidth, but the bandwidth moves
@@ -80,34 +75,36 @@ class KdeSelectivity : public SelectivityEstimator {
   }
 
   std::unique_ptr<SelectivityEstimator> CloneEmpty() const override;
-  /// Appends `other`'s buffered values and invalidates the fitted KDE;
+  /// Appends `other`'s observations to the tail and drops the fitted KDE;
   /// requires identical options.
   Status MergeFrom(const SelectivityEstimator& other) override;
   /// Tail-merge support for the sharded incremental merged-view refresh:
   /// appends only other's values from `from_count` onward and leaves the
-  /// fitted KDE intact (stale) for the next refit to delta-merge. Fails when
-  /// `other` is a sorted-only view.
+  /// fitted KDE intact (stale) for the next refit to delta-merge. Stream
+  /// positions exist only in the tail, so `from_count` below other's fitted
+  /// prefix fails with FailedPrecondition and leaves this estimator as is.
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
   WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde-rot"; }
 
-  /// Force-refits this estimator, then returns a sorted-only view sharing
-  /// the fitted KDE (sorted buffer and moment index) — see the class
-  /// comment. Below four values nothing is fitted and the copy is plain.
+  /// Force-refits this estimator, then copies it: the copy shares the fitted
+  /// KDE (sorted column and moment index) and its tail is empty. Below four
+  /// values (or on a degenerate sample) nothing is fitted and the tail is
+  /// copied.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override;
 
  protected:
   /// clamp(F̂(b) − F̂(a)) from the kernel CDF; a (-inf, x] range (the
   /// Less/Cdf lowering) is a single endpoint.
   double EstimateRangeImpl(double a, double b) const override;
-  /// State: options, the fit point, and one vector holding the fitted
-  /// KDE's sorted sample followed by the unfitted tail in stream order.
-  /// Restore validates every value (finite, inside the domain, the prefix
-  /// ascending) and adopts the prefix as the fitted sample without sorting.
-  /// A restored writer's raw buffer therefore holds its fitted prefix in
-  /// sorted order, which changes nothing it answers or saves.
+  /// State: options, the fitted prefix size, and one vector holding the
+  /// fitted KDE's sorted sample followed by the tail in arrival order — the
+  /// in-memory layout itself. Restore reads the prefix straight into a new
+  /// sample column and the rest into the tail, validates every value
+  /// (finite, inside the domain, the prefix ascending) and adopts the prefix
+  /// as the fitted sample without sorting.
   Status SaveStateImpl(io::Sink& sink) const override;
   Status LoadStateImpl(io::Source& source) override;
 
@@ -126,21 +123,16 @@ class KdeSelectivity : public SelectivityEstimator {
   void RefitIfStale() const;
   /// Unconditional refit at the current count, honoring refit_mode.
   void Refit() const;
-  /// The raw observations: values_, or the sorted buffer on a view.
-  std::span<const double> Values() const {
-    return sorted_view_ ? kde_->samples() : std::span<const double>(values_);
+  /// The fitted KDE's sorted sample; empty when nothing is fitted.
+  std::span<const double> Prefix() const {
+    return kde_.has_value() ? kde_->samples() : std::span<const double>();
   }
-  /// Turns a sorted-only view back into a writer: values_ = sorted buffer.
-  void MaterializeValues();
 
   Options options_;
-  /// Raw observations in arrival order; empty on a sorted-only view.
-  std::vector<double> values_;
-  /// True on a sorted-only view: kde_ is fitted at the full count and its
-  /// sorted buffer stands in for values_.
-  bool sorted_view_ = false;
+  /// Observations inserted since the last successful refit, in arrival
+  /// order; every observation when nothing is fitted.
+  mutable std::vector<double> tail_;
   mutable std::optional<kernel::KernelDensityEstimator> kde_;
-  mutable size_t fitted_at_count_ = 0;
 };
 
 }  // namespace selectivity

@@ -294,7 +294,7 @@ class SelectivityEstimator {
   }
 
   // The delta-merge refinement of MergeFrom, for estimators whose merged
-  // state is a buffer that only ever appends (KDE sample buffer, equi-depth
+  // state is a buffer that only ever appends (KDE samples, equi-depth
   // retained values): after a full MergeFrom(*peer) at some earlier point,
   // MergeTailFrom(*peer, from_count) folds in only peer's values appended
   // since `from_count` — WITHOUT resetting this estimator's fitted caches,
@@ -310,8 +310,12 @@ class SelectivityEstimator {
 
   /// Appends `other`'s state from index `from_count` onward into this
   /// estimator, leaving fitted caches intact (stale, to be refreshed by the
-  /// next refit). Requires from_count <= other.count() and passes the same
-  /// peer checks as MergeFrom (self-merge and type mismatches rejected).
+  /// next refit). Requires from_count <= other.count() (else
+  /// InvalidArgument) and passes the same peer checks as MergeFrom
+  /// (self-merge and type mismatches rejected). The buffer-keeping
+  /// estimators keep arrival order only in their unfitted tail, so they also
+  /// require from_count >= other's fitted-prefix size (else
+  /// FailedPrecondition); a failed call leaves this estimator untouched.
   virtual Status MergeTailFrom(const SelectivityEstimator& other,
                                size_t from_count) {
     (void)other;

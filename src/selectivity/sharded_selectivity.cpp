@@ -123,6 +123,12 @@ void ShardedSelectivityEstimator::RefreshMerged() const {
   // see the MergeTailFrom contract). The forced refit mirrors the scratch
   // path's first-query fit at the full count: without it an interval-gated
   // inner refit could keep serving the pre-delta fit and diverge.
+  //
+  // MergeTailFrom rejects a from_count inside the peer's sorted (fitted)
+  // prefix, where arrival positions no longer exist. That never happens
+  // here: merged_hw_ only ever holds a replica's own count, and the engine
+  // never refits a replica (it queries and refits only merged_ and its
+  // clones), so each replica's prefix stays at or below its mark.
   bool appended = false;
   for (size_t s = 0; s < replicas_.size(); ++s) {
     const size_t replica_count = replicas_[s]->count();

@@ -35,15 +35,15 @@ bool Aligned(const void* p) {
 
 TEST(ColumnLayout, CanonicalOffsetsAndTotal) {
   const ColumnSpec specs[] = {{ColumnKind::kF64, 3},
-                              {ColumnKind::kU8, 1},
-                              {ColumnKind::kI64, 10}};
+                              {ColumnKind::kF64, 1},
+                              {ColumnKind::kF64, 10}};
   uint64_t total = 0;
   auto columns = memory::ComputeColumnLayout(specs, &total);
   ASSERT_TRUE(columns.ok());
   ASSERT_EQ(columns->size(), 3u);
   EXPECT_EQ((*columns)[0].offset, 0u);
   EXPECT_EQ((*columns)[1].offset, 64u);   // 24 bytes rounded up
-  EXPECT_EQ((*columns)[2].offset, 128u);  // 65 bytes rounded up
+  EXPECT_EQ((*columns)[2].offset, 128u);  // 72 bytes rounded up
   EXPECT_EQ(total, 128u + 80u);           // unpadded end of the last column
 }
 
@@ -53,12 +53,12 @@ TEST(ColumnLayout, EmptyAndZeroCountColumns) {
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(total, 0u);
 
-  const ColumnSpec specs[] = {{ColumnKind::kF64, 0}, {ColumnKind::kU8, 5}};
+  const ColumnSpec specs[] = {{ColumnKind::kF64, 0}, {ColumnKind::kF64, 5}};
   auto columns = memory::ComputeColumnLayout(specs, &total);
   ASSERT_TRUE(columns.ok());
   EXPECT_EQ((*columns)[0].offset, 0u);
   EXPECT_EQ((*columns)[1].offset, 0u);  // empty column consumes no space
-  EXPECT_EQ(total, 5u);
+  EXPECT_EQ(total, 40u);
 }
 
 TEST(ColumnLayout, RejectsOverflowingCounts) {
@@ -69,16 +69,14 @@ TEST(ColumnLayout, RejectsOverflowingCounts) {
 
 TEST(Arena, CreateAlignsAndZeroInitializes) {
   const ColumnSpec specs[] = {{ColumnKind::kF64, 7},
-                              {ColumnKind::kI64, 3},
-                              {ColumnKind::kU8, 100}};
+                              {ColumnKind::kF64, 3},
+                              {ColumnKind::kF64, 100}};
   Arena arena = Arena::Create(specs);
   EXPECT_TRUE(Aligned(arena.payload()));
-  EXPECT_TRUE(Aligned(arena.F64(0).data()));
-  EXPECT_TRUE(Aligned(arena.I64(1).data()));
-  EXPECT_TRUE(Aligned(arena.U8(2).data()));
-  for (double v : arena.F64(0)) EXPECT_EQ(v, 0.0);
-  for (int64_t v : arena.I64(1)) EXPECT_EQ(v, 0);
-  for (uint8_t v : arena.U8(2)) EXPECT_EQ(v, 0);
+  for (size_t i = 0; i < arena.num_columns(); ++i) {
+    EXPECT_TRUE(Aligned(arena.F64(i).data()));
+    for (double v : arena.F64(i)) EXPECT_EQ(v, 0.0);
+  }
 }
 
 TEST(Arena, CopySharesUntilMutation) {
@@ -98,11 +96,11 @@ TEST(Arena, CopySharesUntilMutation) {
 }
 
 TEST(Arena, EnsureWritableIsNoOpForSoleOwner) {
-  const ColumnSpec specs[] = {{ColumnKind::kU8, 16}};
+  const ColumnSpec specs[] = {{ColumnKind::kF64, 16}};
   Arena arena = Arena::Create(specs);
   const uint8_t* before = arena.payload();
   arena.EnsureWritable();
-  arena.MutableU8(0)[0] = 42;
+  arena.MutableF64(0)[0] = 42.0;
   EXPECT_EQ(arena.payload(), before);
 }
 

@@ -200,14 +200,14 @@ TEST(RefitEquivalenceTest, MidIntervalSnapshotRestoreContinuesBitIdentically) {
 // ---------------------------------------------------------------------------
 // Sharded engine: the delta-refreshed merged view (per-replica high-water
 // tail merges + one forced refit) answers bit-identically to the from-zero
-// rebuild, across shard and pool widths, for both a buffer inner type (KDE:
-// tail-merge path) and an additive-sum inner type (wavelet sketch: full
-// re-merge fallback). ExtractMergedView must agree too.
+// rebuild, across shard and pool widths, for the buffer inner types (1-D and
+// 2-D KDE, equi-depth: tail-merge path) and an additive-sum inner type
+// (wavelet sketch: full re-merge fallback). ExtractMergedView must agree too.
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
   const std::vector<selectivity::Query> queries = Workload(37, 96);
-  for (const char* inner : {"kde-rot", "equi-depth", "wavelet-cv"}) {
+  for (const char* inner : {"kde-rot", "equi-depth", "kde2d-prod", "wavelet-cv"}) {
     SCOPED_TRACE(inner);
     for (const size_t shards : {1u, 2u, 5u}) {
       SCOPED_TRACE(shards);
@@ -215,6 +215,9 @@ TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
           SpecFor("sharded", selectivity::RefitMode::kIncremental);
       spec.sharded_inner_tag = inner;
       spec.shards = shards;
+      // A 2-D inner reads interleaved pairs; SpecFor's block_size (64) is
+      // even, so no pair splits across shards.
+      spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(inner);
       std::unique_ptr<selectivity::SelectivityEstimator> incremental =
           Make(spec);
       spec.refit_mode = selectivity::RefitMode::kScratch;

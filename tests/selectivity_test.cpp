@@ -3,10 +3,14 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "io/serialize.hpp"
 #include "processes/target_density.hpp"
 #include "selectivity/estimator_registry.hpp"
+#include "selectivity/estimator_spec.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
@@ -493,20 +497,44 @@ TEST(KdeViewTest, ViewIsAMergeFromSource) {
   EXPECT_EQ(MixedAnswers(from_view), MixedAnswers(from_writer));
 }
 
+// StaleWriter() for any tail-mergeable tag, built from its spec (kde2d-prod
+// reads the stream as interleaved pairs).
+std::unique_ptr<SelectivityEstimator> StaleWriterOf(const std::string& tag) {
+  EstimatorSpec spec;
+  spec.tag = tag;
+  spec.dims = EstimatorRegistry::Global().NativeDims(tag);
+  spec.refit_interval = 4096;
+  Result<std::unique_ptr<SelectivityEstimator>> writer = MakeEstimator(spec);
+  WDE_CHECK_OK(writer.status());
+  const std::vector<double> xs = UnitValues(71, 5003);
+  (*writer)->InsertBatch(std::span<const double>(xs).first(3000));
+  (void)(*writer)->Answer(Query::Range(0.2, 0.4));
+  (*writer)->InsertBatch(std::span<const double>(xs).subspan(3000));
+  return std::move(writer).value();
+}
+
 TEST(KdeViewTest, MergeTailFromRejectsAViewPeer) {
-  KdeSelectivity writer = StaleWriter();
-  const std::unique_ptr<SelectivityEstimator> view = writer.CloneForView();
-  KdeSelectivity target(KdeSelectivity::Options{});
-  const Status status = target.MergeTailFrom(*view, 0);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(target.count(), 0u);
-  // A view can still be the target: it takes the writer's tail.
-  writer.InsertBatch(UnitValues(83, 300));
-  std::unique_ptr<SelectivityEstimator> grown = writer.CloneForView();
-  ASSERT_TRUE(view->MergeTailFrom(writer, view->count()).ok());
-  EXPECT_EQ(view->count(), writer.count());
-  view->ForceRefit();
-  EXPECT_EQ(MixedAnswers(*view), MixedAnswers(*grown));
+  // Stream positions exist only in a peer's arrival-order tail: a from_count
+  // inside its sorted prefix (a view's prefix covers what its writer had
+  // fitted) is a FailedPrecondition that leaves the target untouched.
+  for (const char* tag : {"kde-rot", "equi-depth", "kde2d-prod"}) {
+    SCOPED_TRACE(tag);
+    std::unique_ptr<SelectivityEstimator> writer = StaleWriterOf(tag);
+    const std::unique_ptr<SelectivityEstimator> view = writer->CloneForView();
+    std::unique_ptr<SelectivityEstimator> target = writer->CloneEmpty();
+    const Status status = target->MergeTailFrom(*view, 0);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(target->count(), 0u);
+    // A view can still be the target: it takes the writer's tail, merged
+    // before the writer's next CloneForView refits it.
+    writer->InsertBatch(UnitValues(83, 300));
+    ASSERT_TRUE(view->MergeTailFrom(*writer, view->count()).ok());
+    std::unique_ptr<SelectivityEstimator> grown = writer->CloneForView();
+    EXPECT_EQ(view->count(), writer->count());
+    view->ForceRefit();
+    grown->ForceRefit();
+    EXPECT_EQ(MixedAnswers(*view), MixedAnswers(*grown));
+  }
 }
 
 // ------------------------------------------------------------------ workload

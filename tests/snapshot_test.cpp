@@ -595,10 +595,24 @@ std::vector<uint8_t> ReplaceValue(const std::vector<uint8_t>& bytes,
   return {};
 }
 
+/// `bytes` of a kde-rot or kde2d-prod snapshot with its saved fitted count
+/// replaced; re-framed with a valid CRC.
+std::vector<uint8_t> WithFittedCount(const std::vector<uint8_t>& bytes,
+                                     const std::string& tag, uint64_t fitted) {
+  // kde-rot: domain, interval. kde2d-prod: domains, interval, α, cv.
+  const size_t at = tag == "kde-rot" ? 8 + 8 + 8 : 4 * 8 + 8 + 8 + 1;
+  SplitSnapshot split = Split(bytes);
+  io::VectorSink sink;
+  WDE_CHECK_OK(io::WriteU64(sink, fitted));
+  std::copy(sink.bytes().begin(), sink.bytes().end(), split.state.begin() + at);
+  return Reframe(split, split.state);
+}
+
 TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainValues) {
   // The loaders that keep raw observations validate them: Insert drops
   // non-finite values, and the clamping ones never hold a value outside
-  // their domain. A rejected load leaves the target untouched.
+  // their domain. The KDEs also reject a fitted count no live estimator
+  // records. A rejected load leaves the target untouched.
   const std::vector<double> xs = UnitStream(41, 600);
   const std::vector<Query> queries = Workload();
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> targets =
@@ -618,10 +632,25 @@ TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainV
                                         std::numeric_limits<double>::infinity()};
     // The reservoir declares no domain; the others clamp into [0, 1].
     if (tag != "reservoir") replacements.insert(replacements.end(), {7.5, -0.25});
-    for (double bad : replacements) {
-      const std::vector<uint8_t> corrupt = ReplaceValue(bytes, xs, bad);
+    std::vector<std::vector<uint8_t>> inputs;
+    for (double bad : replacements) inputs.push_back(ReplaceValue(bytes, xs, bad));
+    if (tag == "kde-rot" || tag == "kde2d-prod") {
+      // A live estimator fits only at four or more observations, and only
+      // when the fit does not degenerate (all values equal).
+      for (const uint64_t fitted : {1, 2, 3}) {
+        inputs.push_back(WithFittedCount(bytes, tag, fitted));
+      }
+      std::unique_ptr<selectivity::SelectivityEstimator> flat = est->CloneEmpty();
+      flat->InsertBatch(std::vector<double>(600, 0.5));
+      AnswersOf(*flat, queries);
+      const std::vector<uint8_t> flat_bytes = SnapshotBytesOf(*flat);
+      ASSERT_TRUE(Load(flat_bytes).ok());
+      inputs.push_back(WithFittedCount(flat_bytes, tag, 4));
+    }
+    for (size_t input = 0; input < inputs.size(); ++input) {
+      const std::vector<uint8_t>& corrupt = inputs[input];
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded = Load(corrupt);
-      ASSERT_FALSE(loaded.ok()) << tag << " value=" << bad;
+      ASSERT_FALSE(loaded.ok()) << tag << " input=" << input;
       EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << tag;
 
       const std::vector<double> before = AnswersOf(target, queries);
