@@ -4,7 +4,10 @@
 //   (b) a mixed-kind batch        (ranges, points, one-sided, CDF, quantiles
 //                                  through the one Answer() surface),
 //   (c) the mixed batch as a per-query scalar loop (the batch path's
-//                                  amortization baseline).
+//                                  amortization baseline),
+//   (d) one batch per kind — ranges, CDFs, quantiles — after ForceRefit(),
+//                                  reported in µs/query with the
+//                                  quantile/CDF cost ratio.
 // Produces the committed BENCH_query_taxonomy.json artifact (see
 // docs/BENCHMARKS.md): per-estimator timings, queries/second and the batch
 // speedup, plus the correctness evidence — mixed batch ≡ scalar loop
@@ -42,6 +45,8 @@ namespace {
 using namespace wde;
 
 constexpr size_t kIngestChunk = 65536;
+/// Queries per kind in the per-kind rows.
+constexpr size_t kKindQueries = 256;
 
 struct Row {
   std::string tag;
@@ -53,6 +58,9 @@ struct Row {
   double batch_speedup_vs_scalar = 0.0;
   bool mixed_batch_bit_identical_to_scalar = true;
   double cdf_quantile_roundtrip_max_error = 0.0;
+  double range_us = 0.0;
+  double cdf_us = 0.0;
+  double quantile_us = 0.0;
 };
 
 /// Best-of-repeats timing of one Answer() batch.
@@ -93,6 +101,12 @@ int main(int argc, char** argv) {
                                          0.3);
   const std::vector<selectivity::Query> mixed_workload =
       selectivity::MixedQueryWorkload(query_rng, query_count, 0.0, 1.0);
+  std::vector<selectivity::Query> range_kind, cdf_kind, quantile_kind;
+  for (size_t i = 0; i < kKindQueries; ++i) {
+    range_kind.push_back(range_workload[i % range_workload.size()]);
+    cdf_kind.push_back(selectivity::Query::Cdf(query_rng.UniformDouble()));
+    quantile_kind.push_back(selectivity::Query::Quantile(query_rng.UniformDouble()));
+  }
 
   std::vector<Row> rows;
   for (const std::string& tag : selectivity::EstimatorRegistry::Global().Tags()) {
@@ -157,6 +171,19 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Per-kind cost on a quiesced estimator.
+    est.ForceRefit();
+    {
+      constexpr double kUsPerQuery = 1e6 / static_cast<double>(kKindQueries);
+      std::vector<double> kind_answers(kKindQueries);
+      const auto us_per_query = [&](const std::vector<selectivity::Query>& kind) {
+        return TimeAnswer(est, kind, kind_answers, repeats) * kUsPerQuery;
+      };
+      row.range_us = us_per_query(range_kind);
+      row.cdf_us = us_per_query(cdf_kind);
+      row.quantile_us = us_per_query(quantile_kind);
+    }
+
     // CDF/quantile round trip on a fixed level grid.
     for (double p = 0.05; p < 1.0; p += 0.05) {
       const double quantile = est.Answer(selectivity::Query::Quantile(p));
@@ -167,12 +194,14 @@ int main(int argc, char** argv) {
 
     std::printf(
         "%-14s range %.4fs  mixed %.4fs (%.3g q/s)  scalar %.4fs  "
-        "speedup %.2fx  bitwise %s  roundtrip %.3g\n",
+        "speedup %.2fx  bitwise %s  roundtrip %.3g  "
+        "range/cdf/quantile %.3g/%.3g/%.3g us\n",
         tag.c_str(), row.seconds_range_batch, row.seconds_mixed_batch,
         row.mixed_batch_qps, row.seconds_mixed_scalar,
         row.batch_speedup_vs_scalar,
         row.mixed_batch_bit_identical_to_scalar ? "yes" : "NO",
-        row.cdf_quantile_roundtrip_max_error);
+        row.cdf_quantile_roundtrip_max_error, row.range_us, row.cdf_us,
+        row.quantile_us);
     rows.push_back(row);
   }
 
@@ -183,8 +212,8 @@ int main(int argc, char** argv) {
                "  \"workload\": {\"n\": %zu, \"queries\": %zu, "
                "\"ingest_chunk\": %zu, \"repeats\": %zu, "
                "\"mix\": \"40%% range / 12%% each point,less,greater,cdf,"
-               "quantile\"},\n",
-               n, query_count, kIngestChunk, repeats);
+               "quantile\", \"per_kind_queries\": %zu},\n",
+               n, query_count, kIngestChunk, repeats, kKindQueries);
   wde::bench::perf::WriteHostJson(out);
   std::fprintf(out, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -196,12 +225,15 @@ int main(int argc, char** argv) {
         "\"seconds_mixed_scalar\": %.6f, \"mixed_batch_qps\": %.1f, "
         "\"batch_speedup_vs_scalar\": %.4f, "
         "\"mixed_batch_bit_identical_to_scalar\": %s, "
-        "\"cdf_quantile_roundtrip_max_error\": %.3e}%s\n",
+        "\"cdf_quantile_roundtrip_max_error\": %.3e, "
+        "\"range_us\": %.4g, \"cdf_us\": %.4g, \"quantile_us\": %.4g, "
+        "\"quantile_over_cdf\": %.4g}%s\n",
         row.tag.c_str(), row.name.c_str(), row.seconds_range_batch,
         row.seconds_mixed_batch, row.seconds_mixed_scalar, row.mixed_batch_qps,
         row.batch_speedup_vs_scalar,
         row.mixed_batch_bit_identical_to_scalar ? "true" : "false",
-        row.cdf_quantile_roundtrip_max_error,
+        row.cdf_quantile_roundtrip_max_error, row.range_us, row.cdf_us,
+        row.quantile_us, row.quantile_us / row.cdf_us,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

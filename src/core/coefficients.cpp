@@ -231,6 +231,14 @@ Status DeserializeLevelInto(io::Source& source, CoefficientLevel* level) {
     return Status::InvalidArgument(
         Format("corrupt coefficient level j=%d: window mismatch", level->j));
   }
+  // S2 sums squares, so no live accumulator holds a negative one.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  const auto finite_nonnegative = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  if (!std::all_of(s1.begin(), s1.end(), finite) ||
+      !std::all_of(s2.begin(), s2.end(), finite_nonnegative)) {
+    return Status::InvalidArgument(
+        Format("corrupt coefficient level j=%d: non-finite or negative sums", level->j));
+  }
   std::copy(s1.begin(), s1.end(), level->s1.begin());
   std::copy(s2.begin(), s2.end(), level->s2.begin());
   return Status::OK();

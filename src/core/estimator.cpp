@@ -47,7 +47,7 @@ void WaveletEstimate::EvaluateMany(std::span<const double> xs,
   for (size_t i = 0; i < n; ++i) ts[i] = (xs[i] - lo) / width;
   for (size_t i = 0; i < n; ++i) out[i] = 0.0;
   {
-    const wavelet::ScaledLevelEvaluator eval = basis_.PhiLevel(j0_);
+    const wavelet::ScaledLevelEvaluator& eval = levels_[0].eval;
     const double* alpha = alpha_.data();
     const int n_alpha = static_cast<int>(alpha_.size());
     const int k_lo = scaling_k_lo_;
@@ -57,9 +57,10 @@ void WaveletEstimate::EvaluateMany(std::span<const double> xs,
       eval.AccumulateWeighted(t, alpha, k_lo, n_alpha, &out[i]);
     }
   }
-  for (const DetailLevel& level : details_) {
+  for (size_t l = 0; l < details_.size(); ++l) {
+    const DetailLevel& level = details_[l];
     if (level.kept == 0) continue;
-    const wavelet::ScaledLevelEvaluator eval = basis_.PsiLevel(level.j);
+    const wavelet::ScaledLevelEvaluator& eval = levels_[l + 1].eval;
     const double* theta = level.theta.data();
     const int n_theta = static_cast<int>(level.theta.size());
     const int k_lo = level.k_lo;
@@ -91,52 +92,36 @@ std::vector<double> WaveletEstimate::EvaluateOnGrid(double lo, double hi,
   return out;
 }
 
-namespace {
-
-/// ∫_{ta}^{tb} δ_{j,k}(t) dt = 2^{-j/2} [Δ(2^j tb − k) − Δ(2^j ta − k)]
-/// where Δ is the mother antiderivative.
-double ScaledIntegral(double anti_hi, double anti_lo, int j) {
-  return (anti_hi - anti_lo) * std::exp2(-0.5 * static_cast<double>(j));
+void WaveletEstimate::IndexLevels() {
+  levels_.clear();
+  levels_.reserve(details_.size() + 1);
+  const auto add = [this](wavelet::ScaledLevelEvaluator eval,
+                          const std::vector<double>& coeffs, int k_lo, bool kept) {
+    const double factor = std::exp2(-0.5 * static_cast<double>(eval.j()));
+    std::vector<double> prefix;
+    if (kept) {
+      // Each term is the per-translate integral of a support wholly inside
+      // the query: c · ((A_full − 0) · 2^{-j/2}).
+      const double full = eval.antiderivative_full() * factor;
+      prefix.resize(coeffs.size() + 1);
+      prefix[0] = 0.0;
+      for (size_t i = 0; i < coeffs.size(); ++i) {
+        prefix[i + 1] = prefix[i] + coeffs[i] * full;
+      }
+    }
+    levels_.push_back(LevelIndex{std::move(eval), k_lo, factor, std::move(prefix)});
+  };
+  add(basis_.PhiLevel(j0_), alpha_, scaling_k_lo_, true);
+  for (const DetailLevel& level : details_) {
+    add(basis_.PsiLevel(level.j), level.theta, level.k_lo, level.kept != 0);
+  }
 }
 
-}  // namespace
-
 double WaveletEstimate::IntegrateRange(double a, double b) const {
-  if (b < a) std::swap(a, b);
-  const double ta = std::clamp((a - lo_) / width_, 0.0, 1.0);
-  const double tb = std::clamp((b - lo_) / width_, 0.0, 1.0);
-  if (tb <= ta) return 0.0;
-  const int support = basis_.support_length();
-  double acc = 0.0;
-  {
-    const double scale = std::ldexp(1.0, j0_);
-    const int k_first = std::max(scaling_k_lo_,
-                                 static_cast<int>(std::ceil(scale * ta)) - support);
-    const int k_last =
-        std::min(scaling_k_lo_ + static_cast<int>(alpha_.size()) - 1,
-                 static_cast<int>(std::floor(scale * tb)));
-    for (int k = k_first; k <= k_last; ++k) {
-      const double coeff = alpha_[static_cast<size_t>(k - scaling_k_lo_)];
-      if (coeff == 0.0) continue;
-      acc += coeff * ScaledIntegral(basis_.PhiAntiderivative(scale * tb - k),
-                                    basis_.PhiAntiderivative(scale * ta - k), j0_);
-    }
-  }
-  for (const DetailLevel& level : details_) {
-    if (level.kept == 0) continue;
-    const double scale = std::ldexp(1.0, level.j);
-    const int k_first =
-        std::max(level.k_lo, static_cast<int>(std::ceil(scale * ta)) - support);
-    const int k_last = std::min(level.k_lo + static_cast<int>(level.theta.size()) - 1,
-                                static_cast<int>(std::floor(scale * tb)));
-    for (int k = k_first; k <= k_last; ++k) {
-      const double coeff = level.theta[static_cast<size_t>(k - level.k_lo)];
-      if (coeff == 0.0) continue;
-      acc += coeff * ScaledIntegral(basis_.PsiAntiderivative(scale * tb - k),
-                                    basis_.PsiAntiderivative(scale * ta - k), level.j);
-    }
-  }
-  return acc;
+  double out = 0.0;
+  IntegrateRangeMany(std::span<const double>(&a, 1), std::span<const double>(&b, 1),
+                     std::span<double>(&out, 1));
+  return out;
 }
 
 void WaveletEstimate::IntegrateRangeMany(std::span<const double> a,
@@ -144,59 +129,52 @@ void WaveletEstimate::IntegrateRangeMany(std::span<const double> a,
                                          std::span<double> out) const {
   WDE_CHECK(a.size() == b.size() && a.size() == out.size(),
             "IntegrateRangeMany spans must match");
-  const size_t n = a.size();
-  std::vector<double> ta(n), tb(n);
-  for (size_t i = 0; i < n; ++i) {
+  const int support = basis_.support_length();
+  for (size_t i = 0; i < a.size(); ++i) {
     double x = a[i];
     double y = b[i];
     if (y < x) std::swap(x, y);
-    ta[i] = std::clamp((x - lo_) / width_, 0.0, 1.0);
-    tb[i] = std::clamp((y - lo_) / width_, 0.0, 1.0);
-  }
-  for (size_t i = 0; i < n; ++i) out[i] = 0.0;
-  const int support = basis_.support_length();
-  {
-    const wavelet::ScaledLevelEvaluator eval = basis_.PhiLevel(j0_);
-    const double scale = std::ldexp(1.0, j0_);
-    const double factor = std::exp2(-0.5 * static_cast<double>(j0_));
-    const double* alpha = alpha_.data();
-    const int k_lo = scaling_k_lo_;
-    const int k_hi = k_lo + static_cast<int>(alpha_.size()) - 1;
-    for (size_t i = 0; i < n; ++i) {
-      if (tb[i] <= ta[i]) continue;
-      const int k_first =
-          std::max(k_lo, static_cast<int>(std::ceil(scale * ta[i])) - support);
-      const int k_last = std::min(k_hi, static_cast<int>(std::floor(scale * tb[i])));
-      for (int k = k_first; k <= k_last; ++k) {
-        const double coeff = alpha[k - k_lo];
-        if (coeff == 0.0) continue;
-        out[i] += coeff * ((eval.AntiderivativeAt(k, tb[i]) -
-                            eval.AntiderivativeAt(k, ta[i])) *
-                           factor);
+    const double ta = std::clamp((x - lo_) / width_, 0.0, 1.0);
+    const double tb = std::clamp((y - lo_) / width_, 0.0, 1.0);
+    double acc = 0.0;
+    if (tb > ta) {
+      for (size_t l = 0; l < levels_.size(); ++l) {
+        const LevelIndex& level = levels_[l];
+        if (level.prefix.empty()) continue;  // a fully thresholded level
+        const wavelet::ScaledLevelEvaluator& eval = level.eval;
+        // levels_[0] is the scaling level, levels_[l] the detail level l − 1.
+        const double* coeffs = l == 0 ? alpha_.data() : details_[l - 1].theta.data();
+        const int k_lo = level.k_lo;
+        const int k_hi = k_lo + static_cast<int>(level.prefix.size() - 1) - 1;
+        const double scale = eval.scale();
+        // Translates whose support [k, k + support] meets [ta, tb]; those
+        // wholly inside it form the interior, answered from the prefix sums.
+        const int k_first =
+            std::max(k_lo, static_cast<int>(std::ceil(scale * ta)) - support);
+        const int k_last = std::min(k_hi, static_cast<int>(std::floor(scale * tb)));
+        const int in_lo = std::max(k_first, static_cast<int>(std::ceil(scale * ta)));
+        const double interior_end = scale * tb - eval.support_end();
+        const int in_hi = std::min(k_last, static_cast<int>(std::floor(interior_end)));
+        const auto edge = [&](int from, int to) {
+          for (int k = from; k <= to; ++k) {
+            const double coeff = coeffs[k - k_lo];
+            if (coeff == 0.0) continue;
+            const double anti_hi = eval.AntiderivativeAt(k, tb);
+            const double anti_lo = eval.AntiderivativeAt(k, ta);
+            acc += coeff * ((anti_hi - anti_lo) * level.factor);
+          }
+        };
+        if (in_lo > in_hi) {
+          edge(k_first, k_last);
+          continue;
+        }
+        const double* prefix = level.prefix.data();
+        edge(k_first, in_lo - 1);
+        acc += prefix[in_hi + 1 - k_lo] - prefix[in_lo - k_lo];
+        edge(in_hi + 1, k_last);
       }
     }
-  }
-  for (const DetailLevel& level : details_) {
-    if (level.kept == 0) continue;
-    const wavelet::ScaledLevelEvaluator eval = basis_.PsiLevel(level.j);
-    const double scale = std::ldexp(1.0, level.j);
-    const double factor = std::exp2(-0.5 * static_cast<double>(level.j));
-    const double* theta = level.theta.data();
-    const int k_lo = level.k_lo;
-    const int k_hi = k_lo + static_cast<int>(level.theta.size()) - 1;
-    for (size_t i = 0; i < n; ++i) {
-      if (tb[i] <= ta[i]) continue;
-      const int k_first =
-          std::max(k_lo, static_cast<int>(std::ceil(scale * ta[i])) - support);
-      const int k_last = std::min(k_hi, static_cast<int>(std::floor(scale * tb[i])));
-      for (int k = k_first; k <= k_last; ++k) {
-        const double coeff = theta[k - k_lo];
-        if (coeff == 0.0) continue;
-        out[i] += coeff * ((eval.AntiderivativeAt(k, tb[i]) -
-                            eval.AntiderivativeAt(k, ta[i])) *
-                           factor);
-      }
-    }
+    out[i] = acc;
   }
 }
 
@@ -262,6 +240,21 @@ Result<WaveletEstimate> WaveletEstimate::Deserialize(
   if (estimate.j0_ < 0 || estimate.j0_ > 26 || n_details > 32) {
     return Status::InvalidArgument("corrupt estimate level structure");
   }
+  // A non-finite coefficient would poison every prefix sum to its right, and
+  // a level must span its basis window: the answer paths index coefficients
+  // by k − k_lo over it.
+  const auto all_finite = [](const std::vector<double>& values) {
+    return std::all_of(values.begin(), values.end(),
+                       [](double v) { return std::isfinite(v); });
+  };
+  const auto spans_window = [&basis](int j, int k_lo, size_t size) {
+    const wavelet::TranslationWindow window = basis.LevelWindow(j);
+    return k_lo == window.lo && size == static_cast<size_t>(window.size());
+  };
+  if (!all_finite(estimate.alpha_) ||
+      !spans_window(estimate.j0_, estimate.scaling_k_lo_, estimate.alpha_.size())) {
+    return Status::InvalidArgument("corrupt estimate scaling level");
+  }
   estimate.details_.reserve(static_cast<size_t>(n_details));
   for (uint64_t i = 0; i < n_details; ++i) {
     DetailLevel level;
@@ -269,12 +262,15 @@ Result<WaveletEstimate> WaveletEstimate::Deserialize(
     WDE_ASSIGN_OR_RETURN(level.k_lo, io::ReadI32(source));
     WDE_ASSIGN_OR_RETURN(level.kept, io::ReadI32(source));
     WDE_ASSIGN_OR_RETURN(level.theta, io::ReadDoubleVector(source));
-    if (level.j < 0 || level.j > 26 || level.kept < 0 ||
-        static_cast<size_t>(level.kept) > level.theta.size()) {
+    const auto zeros = std::count(level.theta.begin(), level.theta.end(), 0.0);
+    if (level.j < 0 || level.j > 26 || !all_finite(level.theta) ||
+        !spans_window(level.j, level.k_lo, level.theta.size()) ||
+        static_cast<long>(level.theta.size()) - zeros != level.kept) {
       return Status::InvalidArgument("corrupt estimate detail level");
     }
     estimate.details_.push_back(std::move(level));
   }
+  estimate.IndexLevels();
   return estimate;
 }
 
@@ -391,6 +387,7 @@ WaveletEstimate WaveletDensityFit::Estimate(const ThresholdSchedule& schedule,
     }
     out.details_.push_back(std::move(detail));
   }
+  out.IndexLevels();
   return out;
 }
 

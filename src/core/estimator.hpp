@@ -48,11 +48,16 @@ class WaveletEstimate {
   /// Exact ∫_a^b f̂ via the basis antiderivative tables (what a selectivity
   /// query is). The estimate is a signed measure — thresholding does not
   /// preserve positivity — so values may fall slightly outside [0, 1].
+  /// A one-element IntegrateRangeMany call.
   double IntegrateRange(double a, double b) const;
 
   /// Batch range integration: out[i] = IntegrateRange(a[i], b[i]),
-  /// bit-identical to the scalar call, one pass per level across all ranges.
-  /// The batch query path of the selectivity layer.
+  /// bit-identical to the scalar call. The batch query path of the
+  /// selectivity layer. Costs O(levels × support) per range whatever its
+  /// width: per level, only the translates whose supports straddle an
+  /// endpoint are integrated through the antiderivative table; the ones
+  /// wholly inside [a, b] each contribute c · A_full · 2^{-j/2} and come from
+  /// a prefix sum.
   void IntegrateRangeMany(std::span<const double> a, std::span<const double> b,
                           std::span<double> out) const;
 
@@ -89,7 +94,22 @@ class WaveletEstimate {
  private:
   friend class WaveletDensityFit;
 
+  /// Derived per reconstruction level — levels_[0] is the scaling level,
+  /// levels_[1 + i] is details_[i] — and never serialized: the hoisted
+  /// evaluator, built once so queries copy no shared_ptr, and the prefix
+  /// sums prefix[i] = Σ_{i' < i} c_{i'} · A_full · 2^{-j/2} over the
+  /// level's coefficients (empty for a fully thresholded detail level).
+  struct LevelIndex {
+    wavelet::ScaledLevelEvaluator eval;
+    int k_lo = 0;
+    double factor = 1.0;  // 2^{-j/2}
+    std::vector<double> prefix;
+  };
+
   explicit WaveletEstimate(wavelet::WaveletBasis basis) : basis_(std::move(basis)) {}
+
+  /// Rebuilds levels_ from the coefficients; called by whoever sets them.
+  void IndexLevels();
 
   wavelet::WaveletBasis basis_;
   double lo_ = 0.0;
@@ -98,6 +118,7 @@ class WaveletEstimate {
   int scaling_k_lo_ = 0;
   std::vector<double> alpha_;
   std::vector<DetailLevel> details_;
+  std::vector<LevelIndex> levels_;
 };
 
 /// Options controlling a fit. Negative values select the paper's defaults at

@@ -139,8 +139,8 @@ void StreamingWaveletSelectivity::AnswerImpl(std::span<const Query> queries,
   }
   // Lower every mass kind to range endpoints (Less/Cdf become signed-CDF
   // evaluations over (-inf, x], which the clamped antiderivative pass
-  // handles exactly) and integrate the whole batch one level pass at a time;
-  // quantiles run the shared bisection against the now-fresh estimate.
+  // handles exactly) and integrate the whole batch in one call; quantiles
+  // run the shared bisection against the now-fresh estimate.
   std::vector<double> a, b, integrated;
   std::vector<size_t> position;
   a.reserve(queries.size());

@@ -80,6 +80,10 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   /// Point density estimate (refits lazily like Answer()).
   double EstimateDensity(double x) const;
 
+  /// The basis the sketch expands in (tables shared per filter and
+  /// resolution; see wavelet::WaveletBasis::Create).
+  const wavelet::WaveletBasis& basis() const { return fit_.coefficients().basis(); }
+
   /// The most recent cross-validation result, if any refit has happened.
   const std::optional<core::CrossValidationResult>& last_cv() const { return cv_; }
 
@@ -105,8 +109,8 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   /// Genuinely batched queries: one staleness check, then every mass kind
   /// (ranges, points, one-sided, CDF — the latter two as signed-CDF
   /// evaluations of the thresholded expansion) lowers to range endpoints
-  /// answered in one pass per reconstruction level across the whole batch
-  /// (exact basis antiderivatives); quantiles run the shared bisection.
+  /// answered by one IntegrateRangeMany call over the whole batch (exact
+  /// basis antiderivatives); quantiles run the shared bisection.
   /// Bit-identical to the scalar lowering loop.
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;

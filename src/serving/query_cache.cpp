@@ -50,20 +50,20 @@ QueryResultCache::QueryResultCache(size_t shards, size_t slots_per_shard) {
   const size_t slots = RoundUpPow2(slots_per_shard);
   slot_mask_ = slots - 1;
   stripes_ = std::vector<Stripe>(shards);
-  for (Stripe& stripe : stripes_) stripe.slots.resize(slots);
+  slots_.resize(shards * slots);
 }
 
 bool QueryResultCache::Lookup(const selectivity::Query& query, uint64_t epoch,
                               double* out) const {
   const uint64_t hash = QueryKeyHash(query);
-  const Stripe& stripe = StripeFor(hash);
-  std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
+  const size_t stripe = StripeIndex(hash);
+  std::unique_lock<std::mutex> lock(stripes_[stripe].mu, std::try_to_lock);
   if (!lock.owns_lock()) {
     // Never wait on the read path: a contended stripe is just a miss.
     lookup_bypasses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const Slot& slot = stripe.slots[hash & slot_mask_];
+  const Slot& slot = slots_[SlotIndex(stripe, hash)];
   if (slot.epoch == epoch && epoch != 0 && slot.hash == hash &&
       QueryKeyEquals(slot.query, query)) {
     *out = slot.value;
@@ -78,14 +78,13 @@ void QueryResultCache::Insert(const selectivity::Query& query, uint64_t epoch,
                               double value) {
   if (epoch == 0) return;  // reserved empty-slot tag
   const uint64_t hash = QueryKeyHash(query);
-  // StripeFor returns const so Lookup can share it; inserts own the stripe.
-  Stripe& stripe = const_cast<Stripe&>(StripeFor(hash));
-  std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
+  const size_t stripe = StripeIndex(hash);
+  std::unique_lock<std::mutex> lock(stripes_[stripe].mu, std::try_to_lock);
   if (!lock.owns_lock()) {
     insert_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Slot& slot = stripe.slots[hash & slot_mask_];
+  Slot& slot = slots_[SlotIndex(stripe, hash)];
   slot.hash = hash;
   slot.epoch = epoch;
   slot.query = query;

@@ -55,6 +55,10 @@ struct CacheStats {
 /// table of `slots_per_shard` entries (rounded up to a power of two). Bounded
 /// memory, O(1) lookup/insert, eviction by slot overwrite. Thread-safe; see
 /// the file comment for the try_lock contention policy.
+///
+/// The stripes' tables are consecutive ranges of one slot array, so a cache
+/// is one allocation, released in one piece when the cache is destroyed,
+/// instead of one mid-sized heap block per stripe.
 class QueryResultCache {
  public:
   QueryResultCache(size_t shards, size_t slots_per_shard);
@@ -84,20 +88,24 @@ class QueryResultCache {
     selectivity::Query query;
     double value = 0.0;
   };
-  /// One stripe per cache shard, padded to its own cache line so stripe
+  /// One lock per cache shard, padded to its own cache line so stripe
   /// mutexes never false-share.
   struct alignas(64) Stripe {
     mutable std::mutex mu;
-    std::vector<Slot> slots;
   };
 
-  const Stripe& StripeFor(uint64_t hash) const {
+  size_t StripeIndex(uint64_t hash) const {
     // High bits pick the stripe, low bits the slot, so the two indices stay
     // independent even for hash families with weak low bits.
-    return stripes_[(hash >> 48) % stripes_.size()];
+    return (hash >> 48) % stripes_.size();
+  }
+  /// Slot `hash & slot_mask_` of stripe `stripe`'s range of slots_.
+  size_t SlotIndex(size_t stripe, uint64_t hash) const {
+    return stripe * (slot_mask_ + 1) + (hash & slot_mask_);
   }
 
   std::vector<Stripe> stripes_;
+  std::vector<Slot> slots_;  // stripe s owns [s * n, (s + 1) * n), n = slot_mask_ + 1
   uint64_t slot_mask_ = 0;
 
   mutable std::atomic<uint64_t> hits_{0};

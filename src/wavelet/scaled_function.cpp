@@ -1,6 +1,11 @@
 #include "wavelet/scaled_function.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "numerics/integration.hpp"
 #include "numerics/simd.hpp"
@@ -23,81 +28,106 @@ bool IsPowerOfTwo(double dx) {
 
 }  // namespace
 
-ScaledLevelEvaluator::ScaledLevelEvaluator(
-    int j, int support,
-    std::shared_ptr<const numerics::UniformGridInterpolator> table,
-    std::shared_ptr<const numerics::UniformGridInterpolator> cdf)
-    : j_(j),
-      support_(support),
-      level_lo_(-(support - 1)),
-      level_hi_((1 << j) - 1),
-      scale_(static_cast<double>(1 << j)),
-      sqrt_scale_(std::sqrt(scale_)),
-      table_x0_(table->x0()),
-      table_inv_dx_(1.0 / table->dx()),
-      table_t_max_(static_cast<double>(table->values().size() - 1)),
-      table_values_(table->values().data()),
-      table_n_(table->values().size()),
-      cdf_x0_(cdf->x0()),
-      cdf_inv_dx_(1.0 / cdf->dx()),
-      cdf_t_max_(static_cast<double>(cdf->values().size() - 1)),
-      cdf_values_(cdf->values().data()),
-      cdf_n_(cdf->values().size()),
-      cdf_x1_(cdf->x1()),
-      cdf_last_(cdf->values().back()),
-      table_(std::move(table)),
-      cdf_(std::move(cdf)) {
-  WDE_CHECK(IsPowerOfTwo(table_->dx()) && IsPowerOfTwo(cdf_->dx()),
+ScaledLevelEvaluator::ScaledLevelEvaluator(int j,
+                                           std::shared_ptr<const BasisTables> tables,
+                                           MotherFunction f)
+    : j_(j), support_(tables->filter.support_length()), tables_(std::move(tables)) {
+  const numerics::UniformGridInterpolator& table =
+      f == MotherFunction::kPhi ? tables_->phi : tables_->psi;
+  const numerics::UniformGridInterpolator& cdf =
+      f == MotherFunction::kPhi ? tables_->phi_cdf : tables_->psi_cdf;
+  WDE_CHECK(IsPowerOfTwo(table.dx()) && IsPowerOfTwo(cdf.dx()),
             "hoisted level evaluation requires power-of-two grid steps");
-  WDE_CHECK(table_->x0() == 0.0 && cdf_->x0() == 0.0,
+  WDE_CHECK(table.x0() == 0.0 && cdf.x0() == 0.0,
             "hoisted level evaluation requires zero-based grids");
+  level_lo_ = -(support_ - 1);
+  level_hi_ = (1 << j) - 1;
+  scale_ = static_cast<double>(1 << j);
+  sqrt_scale_ = std::sqrt(scale_);
+  table_x0_ = table.x0();
+  table_inv_dx_ = 1.0 / table.dx();
+  table_t_max_ = static_cast<double>(table.values().size() - 1);
+  table_values_ = table.values().data();
+  table_n_ = table.values().size();
+  cdf_x0_ = cdf.x0();
+  cdf_inv_dx_ = 1.0 / cdf.dx();
+  cdf_t_max_ = static_cast<double>(cdf.values().size() - 1);
+  cdf_values_ = cdf.values().data();
+  cdf_n_ = cdf.values().size();
+  cdf_x1_ = cdf.x1();
+  cdf_last_ = cdf.values().back();
 }
+
+namespace {
+
+/// What identifies a basis's tables: the filter's name and taps plus the
+/// table resolution.
+using BasisKey = std::tuple<std::string, std::vector<double>, int>;
+
+Result<std::shared_ptr<const BasisTables>> BuildTables(const WaveletFilter& filter,
+                                                       int table_levels) {
+  Result<CascadeTables> tables = ComputeCascadeTables(filter, table_levels);
+  if (!tables.ok()) return tables.status();
+  const double dx = tables->dx();
+  std::vector<double> phi_cdf_values = numerics::CumulativeTrapezoid(tables->phi, dx);
+  std::vector<double> psi_cdf_values = numerics::CumulativeTrapezoid(tables->psi, dx);
+  numerics::UniformGridInterpolator phi(0.0, dx, std::move(tables->phi));
+  numerics::UniformGridInterpolator psi(0.0, dx, std::move(tables->psi));
+  numerics::UniformGridInterpolator phi_cdf(0.0, dx, std::move(phi_cdf_values));
+  numerics::UniformGridInterpolator psi_cdf(0.0, dx, std::move(psi_cdf_values));
+  const BasisTables built{filter, table_levels, phi, psi, phi_cdf, psi_cdf};
+  return std::make_shared<const BasisTables>(built);
+}
+
+}  // namespace
 
 Result<WaveletBasis> WaveletBasis::Create(const WaveletFilter& filter,
                                           int table_levels) {
   if (table_levels < 4 || table_levels > 20) {
     return Status::InvalidArgument("table_levels must be in [4, 20]");
   }
-  Result<CascadeTables> tables = ComputeCascadeTables(filter, table_levels);
+  // Held across the build so concurrent callers of one key get one set of
+  // tables; a build takes milliseconds and happens once per live key.
+  static std::mutex mu;
+  static std::map<BasisKey, std::weak_ptr<const BasisTables>> memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  BasisKey key{filter.name(), filter.h(), table_levels};
+  if (auto it = memo.find(key); it != memo.end()) {
+    if (std::shared_ptr<const BasisTables> tables = it->second.lock()) {
+      return WaveletBasis(std::move(tables));
+    }
+  }
+  Result<std::shared_ptr<const BasisTables>> tables = BuildTables(filter, table_levels);
   if (!tables.ok()) return tables.status();
-  const double dx = tables->dx();
-  std::vector<double> phi_cdf_values = numerics::CumulativeTrapezoid(tables->phi, dx);
-  std::vector<double> psi_cdf_values = numerics::CumulativeTrapezoid(tables->psi, dx);
-  auto phi = std::make_shared<const numerics::UniformGridInterpolator>(
-      0.0, dx, std::move(tables->phi));
-  auto psi = std::make_shared<const numerics::UniformGridInterpolator>(
-      0.0, dx, std::move(tables->psi));
-  auto phi_cdf = std::make_shared<const numerics::UniformGridInterpolator>(
-      0.0, dx, std::move(phi_cdf_values));
-  auto psi_cdf = std::make_shared<const numerics::UniformGridInterpolator>(
-      0.0, dx, std::move(psi_cdf_values));
-  return WaveletBasis(std::make_shared<const WaveletFilter>(filter), table_levels,
-                      std::move(phi), std::move(psi), std::move(phi_cdf),
-                      std::move(psi_cdf));
+  std::erase_if(memo, [](const auto& entry) { return entry.second.expired(); });
+  memo[std::move(key)] = *tables;
+  return WaveletBasis(std::move(tables).value());
 }
 
 void WaveletBasis::EvaluateMany(MotherFunction f, std::span<const double> xs,
                                 std::span<double> out) const {
-  (f == MotherFunction::kPhi ? phi_ : psi_)->EvaluateMany(xs, out);
+  (f == MotherFunction::kPhi ? tables_->phi : tables_->psi).EvaluateMany(xs, out);
 }
 
 double WaveletBasis::PhiAntiderivative(double x) const {
+  const numerics::UniformGridInterpolator& cdf = tables_->phi_cdf;
   if (x <= 0.0) return 0.0;
-  if (x >= phi_cdf_->x1()) return phi_cdf_->values().back();
-  return phi_cdf_->Evaluate(x);
+  if (x >= cdf.x1()) return cdf.values().back();
+  return cdf.Evaluate(x);
 }
 
 double WaveletBasis::PsiAntiderivative(double x) const {
+  const numerics::UniformGridInterpolator& cdf = tables_->psi_cdf;
   if (x <= 0.0) return 0.0;
-  if (x >= psi_cdf_->x1()) return psi_cdf_->values().back();
-  return psi_cdf_->Evaluate(x);
+  if (x >= cdf.x1()) return cdf.values().back();
+  return cdf.Evaluate(x);
 }
 
 void WaveletBasis::AntiderivativeMany(MotherFunction f, std::span<const double> xs,
                                       std::span<double> out) const {
   WDE_CHECK_EQ(xs.size(), out.size(), "AntiderivativeMany spans must match");
   const numerics::UniformGridInterpolator& cdf =
-      f == MotherFunction::kPhi ? *phi_cdf_ : *psi_cdf_;
+      f == MotherFunction::kPhi ? tables_->phi_cdf : tables_->psi_cdf;
   const double x0 = cdf.x0();
   const double dx = cdf.dx();
   const double* values = cdf.values().data();
@@ -129,23 +159,23 @@ void WaveletBasis::AntiderivativeMany(MotherFunction f, std::span<const double> 
 double WaveletBasis::PhiJk(int j, int k, double x) const {
   WDE_DCHECK(j >= 0 && j < 31);
   const double scale = static_cast<double>(1 << j);
-  return std::sqrt(scale) * phi_->Evaluate(scale * x - static_cast<double>(k));
+  return std::sqrt(scale) * tables_->phi.Evaluate(scale * x - static_cast<double>(k));
 }
 
 double WaveletBasis::PsiJk(int j, int k, double x) const {
   WDE_DCHECK(j >= 0 && j < 31);
   const double scale = static_cast<double>(1 << j);
-  return std::sqrt(scale) * psi_->Evaluate(scale * x - static_cast<double>(k));
+  return std::sqrt(scale) * tables_->psi.Evaluate(scale * x - static_cast<double>(k));
 }
 
 ScaledLevelEvaluator WaveletBasis::PhiLevel(int j) const {
   WDE_CHECK(j >= 0 && j < 31);
-  return ScaledLevelEvaluator(j, support_length(), phi_, phi_cdf_);
+  return ScaledLevelEvaluator(j, tables_, MotherFunction::kPhi);
 }
 
 ScaledLevelEvaluator WaveletBasis::PsiLevel(int j) const {
   WDE_CHECK(j >= 0 && j < 31);
-  return ScaledLevelEvaluator(j, support_length(), psi_, psi_cdf_);
+  return ScaledLevelEvaluator(j, tables_, MotherFunction::kPsi);
 }
 
 TranslationWindow WaveletBasis::LevelWindow(int j) const {

@@ -27,6 +27,19 @@ enum class MotherFunction { kPhi, kPsi };
 
 class WaveletBasis;
 
+/// The immutable tables behind a basis: the filter plus the cascade tables of
+/// φ, ψ and their antiderivatives at one dyadic resolution. Built once per
+/// (filter, table_levels) while any basis holds them — see
+/// WaveletBasis::Create — and shared by every copy and level evaluator.
+struct BasisTables {
+  WaveletFilter filter;
+  int table_levels = 0;
+  numerics::UniformGridInterpolator phi;
+  numerics::UniformGridInterpolator psi;
+  numerics::UniformGridInterpolator phi_cdf;
+  numerics::UniformGridInterpolator psi_cdf;
+};
+
 /// A hoisted view of one dilation level j of φ or ψ: the 2^j / 2^{j/2}
 /// factors, the level translation window and the raw table parameters are
 /// computed once at construction, so batch loops pay the per-evaluation setup
@@ -35,7 +48,8 @@ class WaveletBasis;
 /// antiderivatives are bit-identical to the WaveletBasis entry points.
 ///
 /// Holds shared ownership of the tables; cheap to create (one per level per
-/// batch pass) and safe to keep across calls.
+/// batch pass) and safe to keep across calls — a fitted estimate keeps one
+/// per level, so its queries never touch a reference count.
 class ScaledLevelEvaluator {
  public:
   /// δ_{j,k}(x); identical to PhiJk/PsiJk(j, k, x).
@@ -190,12 +204,18 @@ class ScaledLevelEvaluator {
   /// 2^j as a double.
   double scale() const { return scale_; }
 
+  /// The mother antiderivative's value right of its support: AntiderivativeAt
+  /// returns it wherever 2^j x − k >= support_end().
+  double antiderivative_full() const { return cdf_last_; }
+  /// Right end of the mother support (the antiderivative table's last grid
+  /// point, the integer support length).
+  double support_end() const { return cdf_x1_; }
+
  private:
   friend class WaveletBasis;
 
-  ScaledLevelEvaluator(int j, int support,
-                       std::shared_ptr<const numerics::UniformGridInterpolator> table,
-                       std::shared_ptr<const numerics::UniformGridInterpolator> cdf);
+  ScaledLevelEvaluator(int j, std::shared_ptr<const BasisTables> tables,
+                       MotherFunction f);
 
   int j_;
   int support_;
@@ -211,8 +231,7 @@ class ScaledLevelEvaluator {
   size_t cdf_n_;
   double cdf_x1_;
   double cdf_last_;
-  std::shared_ptr<const numerics::UniformGridInterpolator> table_;
-  std::shared_ptr<const numerics::UniformGridInterpolator> cdf_;
+  std::shared_ptr<const BasisTables> tables_;
 };
 
 /// Fast evaluation of the dilated/translated basis functions
@@ -222,7 +241,8 @@ class ScaledLevelEvaluator {
 /// `DaubechiesLagariasEvaluator` provides the exact reference in tests.
 ///
 /// The basis is shared (cheaply copyable) so estimators, selectivity
-/// structures and benches can reuse one table.
+/// structures and benches can reuse one table; `Create` hands every caller
+/// asking for the same filter and resolution the same tables.
 ///
 /// Hot paths come in scalar and batch forms. The batch forms (`EvaluateMany`,
 /// `AntiderivativeMany`, and per-level loops through `PhiLevel`/`PsiLevel`)
@@ -231,20 +251,24 @@ class ScaledLevelEvaluator {
 /// dyadic tables cache-coherently (monotone table indices).
 class WaveletBasis {
  public:
-  /// Builds tables for `filter` at dyadic resolution 2^-table_levels.
+  /// Tables for `filter` at dyadic resolution 2^-table_levels. Memoized per
+  /// process by (filter name, taps, table_levels): while any basis built for
+  /// that key is alive, Create returns one sharing its tables instead of
+  /// rerunning the cascade. Entries are weak, so tables die with their last
+  /// user. Thread-safe.
   static Result<WaveletBasis> Create(const WaveletFilter& filter,
                                      int table_levels = 12);
 
-  const WaveletFilter& filter() const { return *filter_; }
-  int support_length() const { return filter_->support_length(); }
+  const WaveletFilter& filter() const { return tables_->filter; }
+  int support_length() const { return tables_->filter.support_length(); }
   /// The dyadic table resolution this basis was built at. Together with
   /// `filter().name()` this identifies the basis exactly — what snapshots
   /// store so a restored estimator rebuilds bit-identical tables.
-  int table_levels() const { return table_levels_; }
+  int table_levels() const { return tables_->table_levels; }
 
   /// Mother function values (0 outside [0, support_length]).
-  double Phi(double x) const { return phi_->Evaluate(x); }
-  double Psi(double x) const { return psi_->Evaluate(x); }
+  double Phi(double x) const { return tables_->phi.Evaluate(x); }
+  double Psi(double x) const { return tables_->psi.Evaluate(x); }
 
   /// Batch mother-function values: out[i] = Phi(xs[i]) (resp. Psi), with the
   /// table parameters hoisted out of the loop. Bit-identical to the scalar
@@ -281,24 +305,10 @@ class WaveletBasis {
   TranslationWindow PointWindow(int j, double x) const;
 
  private:
-  WaveletBasis(std::shared_ptr<const WaveletFilter> filter, int table_levels,
-               std::shared_ptr<const numerics::UniformGridInterpolator> phi,
-               std::shared_ptr<const numerics::UniformGridInterpolator> psi,
-               std::shared_ptr<const numerics::UniformGridInterpolator> phi_cdf,
-               std::shared_ptr<const numerics::UniformGridInterpolator> psi_cdf)
-      : filter_(std::move(filter)),
-        table_levels_(table_levels),
-        phi_(std::move(phi)),
-        psi_(std::move(psi)),
-        phi_cdf_(std::move(phi_cdf)),
-        psi_cdf_(std::move(psi_cdf)) {}
+  explicit WaveletBasis(std::shared_ptr<const BasisTables> tables)
+      : tables_(std::move(tables)) {}
 
-  std::shared_ptr<const WaveletFilter> filter_;
-  int table_levels_ = 12;
-  std::shared_ptr<const numerics::UniformGridInterpolator> phi_;
-  std::shared_ptr<const numerics::UniformGridInterpolator> psi_;
-  std::shared_ptr<const numerics::UniformGridInterpolator> phi_cdf_;
-  std::shared_ptr<const numerics::UniformGridInterpolator> psi_cdf_;
+  std::shared_ptr<const BasisTables> tables_;
 };
 
 }  // namespace wavelet

@@ -3,8 +3,10 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/serialize.hpp"
@@ -535,6 +537,53 @@ TEST(KdeViewTest, MergeTailFromRejectsAViewPeer) {
     grown->ForceRefit();
     EXPECT_EQ(MixedAnswers(*view), MixedAnswers(*grown));
   }
+}
+
+// -------------------------------------------------------------- basis memo
+
+TEST(BasisMemoTest, SpecsAndRestoresShareOneTableSet) {
+  // Two estimators built from one spec and a snapshot restore of one of them
+  // expand in the same tables: the basis is built once per (filter,
+  // table_levels) while any user holds it.
+  EstimatorSpec spec;
+  spec.tag = "wavelet-cv";
+  spec.filter = "db5";
+  spec.table_levels = 11;
+  Result<std::unique_ptr<SelectivityEstimator>> first = MakeEstimator(spec);
+  Result<std::unique_ptr<SelectivityEstimator>> second = MakeEstimator(spec);
+  ASSERT_TRUE(first.ok() && second.ok());
+  (*first)->InsertBatch(UnitValues(83, 600));
+  const std::unique_ptr<SelectivityEstimator> restored = Load(PortableBytes(**first));
+  const auto tables_of = [](const SelectivityEstimator& est) {
+    return &dynamic_cast<const StreamingWaveletSelectivity&>(est).basis().filter();
+  };
+  EXPECT_EQ(tables_of(**first), tables_of(**second));
+  EXPECT_EQ(tables_of(**first), tables_of(*restored));
+  EXPECT_EQ(MixedAnswers(*restored), MixedAnswers(**first));
+}
+
+TEST(BasisMemoTest, ConcurrentCreatesGetTheSameTables) {
+  // A key no other test holds, so the four threads race to build it.
+  const wavelet::WaveletFilter filter = *wavelet::WaveletFilter::Daubechies(3);
+  std::vector<std::optional<wavelet::WaveletBasis>> bases(4);
+  std::vector<std::thread> threads;
+  for (auto& basis : bases) {
+    threads.emplace_back([&filter, &basis] {
+      Result<wavelet::WaveletBasis> made = wavelet::WaveletBasis::Create(filter, 9);
+      WDE_CHECK_OK(made.status());
+      basis = std::move(made).value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& basis : bases) {
+    ASSERT_TRUE(basis.has_value());
+    EXPECT_EQ(&basis->filter(), &bases[0]->filter());
+    EXPECT_EQ(basis->table_levels(), 9);
+  }
+  // Another resolution of the same filter is another table set.
+  Result<wavelet::WaveletBasis> finer = wavelet::WaveletBasis::Create(filter, 10);
+  ASSERT_TRUE(finer.ok());
+  EXPECT_NE(&finer->filter(), &bases[0]->filter());
 }
 
 // ------------------------------------------------------------------ workload

@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -568,6 +569,33 @@ TEST(QueryResultCacheTest, LookupInsertAndEpochSemantics) {
   const serving::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 4u);
+}
+
+TEST(QueryResultCacheTest, StripesNeverShareASlot) {
+  // Two keys with the same slot bits but different stripe bits must both
+  // stay cached: each stripe owns its own range of the slot array.
+  constexpr size_t kShards = 4;
+  serving::QueryResultCache cache(kShards, 16);
+  const uint64_t mask = cache.slots_per_shard() - 1;
+  const auto stripe = [](uint64_t hash) { return (hash >> 48) % kShards; };
+  const selectivity::Query first = selectivity::Query::Cdf(0.5);
+  const uint64_t first_hash = serving::QueryKeyHash(first);
+  std::optional<selectivity::Query> second;
+  for (int i = 1; i < 100000 && !second; ++i) {
+    const selectivity::Query q = selectivity::Query::Cdf(i * 1e-5);
+    const uint64_t hash = serving::QueryKeyHash(q);
+    if ((hash & mask) == (first_hash & mask) && stripe(hash) != stripe(first_hash)) {
+      second = q;
+    }
+  }
+  ASSERT_TRUE(second.has_value());
+  cache.Insert(first, 1, 0.25);
+  cache.Insert(*second, 1, 0.75);
+  double out = 0.0;
+  ASSERT_TRUE(cache.Lookup(first, 1, &out));
+  EXPECT_EQ(out, 0.25);
+  ASSERT_TRUE(cache.Lookup(*second, 1, &out));
+  EXPECT_EQ(out, 0.75);
 }
 
 }  // namespace

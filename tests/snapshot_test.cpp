@@ -72,8 +72,10 @@ std::vector<double> AnswersOf(const selectivity::SelectivityEstimator& est,
 }
 
 /// A coarse basis (db2 tables at 2^-6, levels 2..4) for the small
-/// instances: a wavelet-cv load rebuilds its basis, which at the default
-/// sym8/2^-12 resolution would dominate the byte-by-byte sweeps.
+/// instances: a sweep position that corrupts the stored basis identity makes
+/// the load build tables for another resolution, which at the default
+/// sym8/2^-12 would dominate the byte-by-byte sweeps. (An intact identity
+/// shares this live basis through the memo.)
 const wavelet::WaveletBasis& CoarseBasis() {
   static const wavelet::WaveletBasis basis = []() {
     Result<wavelet::WaveletBasis> b =
@@ -608,11 +610,93 @@ std::vector<uint8_t> WithFittedCount(const std::vector<uint8_t>& bytes,
   return Reframe(split, split.state);
 }
 
+/// `bytes` with the 8 bytes at `offset` of its state payload replaced by
+/// `to`'s encoding; re-framed with a valid CRC.
+std::vector<uint8_t> PlantAt(const std::vector<uint8_t>& bytes, size_t offset,
+                             double to) {
+  SplitSnapshot split = Split(bytes);
+  io::VectorSink sink;
+  WDE_CHECK_OK(io::WriteDouble(sink, to));
+  std::copy(sink.bytes().begin(), sink.bytes().end(), split.state.begin() + offset);
+  return Reframe(split, split.state);
+}
+
+/// Planted-value inputs for a fitted wavelet-cv snapshot, found by walking
+/// its state payload: the first scaling-level S1 made NaN, its S2 made
+/// infinite and negative, the first α made NaN, the estimate's scaling k_lo
+/// moved off its basis window, the first non-zero θ made infinite, and that
+/// θ's level `kept` count made one short.
+std::vector<std::vector<uint8_t>> WaveletCvPlantedInputs(
+    const std::vector<uint8_t>& bytes) {
+  const std::vector<uint8_t> state = Split(bytes).state;
+  io::SpanSource source(state);
+  const auto at = [&] { return state.size() - source.remaining(); };
+  const auto skip = [&](size_t n) { WDE_CHECK(source.View(n) != nullptr); };
+  const auto vector_at = [&] {  // offset of the first element, then skip it
+    const size_t offset = at() + 8;
+    const std::vector<double> values = *io::ReadDoubleVector(source);
+    return std::make_pair(offset, values);
+  };
+  skip(8 + 8 + 4 + 4 + 1 + 8 + 8 + 8);  // options, fit domain
+  const Result<std::string> filter_name = io::ReadString(source, 64);
+  WDE_CHECK_OK(filter_name.status());
+  skip(4);  // table_levels
+  const int32_t j0 = *io::ReadI32(source);
+  const int32_t j_max = *io::ReadI32(source);
+  skip(8);  // count
+  skip(4);  // scaling k_lo
+  const size_t s1 = vector_at().first;
+  const size_t s2 = vector_at().first;
+  for (int32_t j = j0; j <= j_max; ++j) {
+    skip(4);
+    vector_at();
+    vector_at();
+  }
+  skip(8);  // fitted_at_count
+  WDE_CHECK_EQ(*io::ReadU8(source), 1u, "the snapshot must carry an estimate");
+  skip(8 + 8 + 4);  // domain, j0
+  const size_t k_lo_at = at();
+  skip(4);
+  const size_t alpha = vector_at().first;
+  const uint64_t n_details = *io::ReadU64(source);
+  const auto plant_i32 = [&bytes](size_t offset, int32_t to) {
+    SplitSnapshot split = Split(bytes);
+    io::VectorSink sink;
+    WDE_CHECK_OK(io::WriteI32(sink, to));
+    std::copy(sink.bytes().begin(), sink.bytes().end(), split.state.begin() + offset);
+    return Reframe(split, split.state);
+  };
+  std::vector<std::vector<uint8_t>> inputs = {
+      PlantAt(bytes, s1, std::nan("")),
+      PlantAt(bytes, s2, std::numeric_limits<double>::infinity()),
+      PlantAt(bytes, s2, -1.0), PlantAt(bytes, alpha, std::nan("")),
+      plant_i32(k_lo_at, std::numeric_limits<int32_t>::max() - 2)};
+  for (uint64_t i = 0; i < n_details; ++i) {
+    skip(4 + 4);  // j, k_lo
+    const size_t kept_at = at();
+    const int32_t kept = *io::ReadI32(source);
+    const auto [theta_at, theta] = vector_at();
+    if (kept == 0) continue;
+    const size_t first = static_cast<size_t>(
+        std::find_if(theta.begin(), theta.end(), [](double v) { return v != 0.0; }) -
+        theta.begin());
+    inputs.push_back(PlantAt(bytes, theta_at + 8 * first,
+                             std::numeric_limits<double>::infinity()));
+    inputs.push_back(plant_i32(kept_at, kept - 1));
+    return inputs;
+  }
+  WDE_CHECK(false, "the estimate keeps no detail coefficient");
+  return {};
+}
+
 TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainValues) {
   // The loaders that keep raw observations validate them: Insert drops
   // non-finite values, and the clamping ones never hold a value outside
   // their domain. The KDEs also reject a fitted count no live estimator
-  // records. A rejected load leaves the target untouched.
+  // records. wavelet-cv keeps sums and coefficients instead, and rejects
+  // non-finite ones, a negative S2, a level off its basis window and a
+  // `kept` count that disagrees with θ.
+  // A rejected load leaves the target untouched.
   const std::vector<double> xs = UnitStream(41, 600);
   const std::vector<Query> queries = Workload();
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> targets =
@@ -621,19 +705,23 @@ TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainV
     const std::string tag = est->snapshot_type_tag();
     const bool keeps_values = tag == "kde-rot" || tag == "equi-depth" ||
                               tag == "kde2d-prod" || tag == "reservoir";
-    if (!keeps_values) continue;
+    if (!keeps_values && tag != "wavelet-cv") continue;
     selectivity::SelectivityEstimator& target = **std::find_if(
         targets.begin(), targets.end(),
         [&tag](const auto& t) { return t->snapshot_type_tag() == tag; });
     est->InsertBatch(xs);
     AnswersOf(*est, queries);  // fit, so a kde-rot payload leads with its sorted sample
     const std::vector<uint8_t> bytes = SnapshotBytesOf(*est);
-    std::vector<double> replacements = {std::nan(""),
-                                        std::numeric_limits<double>::infinity()};
-    // The reservoir declares no domain; the others clamp into [0, 1].
-    if (tag != "reservoir") replacements.insert(replacements.end(), {7.5, -0.25});
     std::vector<std::vector<uint8_t>> inputs;
-    for (double bad : replacements) inputs.push_back(ReplaceValue(bytes, xs, bad));
+    if (keeps_values) {
+      std::vector<double> replacements = {std::nan(""),
+                                          std::numeric_limits<double>::infinity()};
+      // The reservoir declares no domain; the others clamp into [0, 1].
+      if (tag != "reservoir") replacements.insert(replacements.end(), {7.5, -0.25});
+      for (double bad : replacements) inputs.push_back(ReplaceValue(bytes, xs, bad));
+    } else {
+      inputs = WaveletCvPlantedInputs(bytes);
+    }
     if (tag == "kde-rot" || tag == "kde2d-prod") {
       // A live estimator fits only at four or more observations, and only
       // when the fit does not degenerate (all values equal).
