@@ -1,7 +1,8 @@
 // Snapshot-subsystem bench: per registered estimator, ingest a stream, then
 // measure snapshot size and in-memory save/load time through the registry's
 // whole-snapshot path (SaveEstimatorSnapshot / LoadEstimatorSnapshot), plus
-// the peak-RSS delta of one load. Produces the committed BENCH_snapshot.json
+// the peak-RSS deltas of one file save (SaveEstimatorSnapshotFile) and one
+// load. Produces the committed BENCH_snapshot.json
 // artifact (see docs/BENCHMARKS.md) with a per-row round-trip verdict: the
 // restored estimator must answer a range workload bit-identically to the
 // saved one and re-save to the very same bytes.
@@ -14,11 +15,14 @@
 //                      [--out=BENCH_snapshot.json] [--check]
 //
 // --check: exit 1 if any estimator fails to round-trip bit-identically —
-// the fidelity contract at bench scale, not just test sizes.
+// the fidelity contract at bench scale, not just test sizes — or if
+// kde-rot's file save peaks at a quarter of its snapshot size or more: a
+// save streams the state chunk to the file and buffers no payload.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -109,23 +113,28 @@ size_t ProcStatusBytes(const char* key) {
 }
 
 /// Resets the process peak-RSS high-water mark to the current RSS (Linux
-/// clear_refs); no-op elsewhere. Lets one process measure per-phase peaks.
-void ResetPeakRss() {
+/// clear_refs). False where that is unavailable. Lets one process measure
+/// per-phase peaks.
+bool ResetPeakRss() {
   std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return;
-  std::fputs("5", f);
-  std::fclose(f);
+  if (f == nullptr) return false;
+  const bool written = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && written;
 }
 
-/// Peak-RSS delta of running fn() once: how much extra memory the load path
-/// needs beyond what is already resident. Trims the allocator first so pages
-/// freed by earlier phases do not mask the allocation under test.
+/// Peak-RSS delta of running fn() once: how much extra memory the path
+/// needs beyond what is already resident; 0 where the peak cannot be reset.
+/// Trims the allocator first so pages freed by earlier phases do not mask
+/// the allocation under test.
 template <typename Fn>
 size_t PeakRssDeltaOf(Fn&& fn) {
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif
-  ResetPeakRss();
+  if (!ResetPeakRss()) {
+    fn();
+    return 0;
+  }
   const size_t before = ProcStatusBytes("VmRSS");
   fn();
   const size_t peak = ProcStatusBytes("VmHWM");
@@ -138,6 +147,7 @@ struct Row {
   size_t bytes = 0;
   double save_seconds = 0.0;
   double load_seconds = 0.0;
+  size_t save_peak_rss_bytes = 0;
   size_t load_peak_rss_bytes = 0;
   bool roundtrip_bit_identical = false;  // restored answers + re-saved bytes
 };
@@ -167,6 +177,8 @@ int main(int argc, char** argv) {
   const std::vector<selectivity::Query> queries =
       selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3);
 
+  const std::string save_path =
+      (std::filesystem::temp_directory_path() / "wde_perf_snapshot.snap").string();
   std::vector<Row> rows;
   for (auto& estimator : MakeEstimators()) {
     estimator->InsertBatch(stream);
@@ -184,6 +196,10 @@ int main(int argc, char** argv) {
       bytes = sink.TakeBytes();
     });
     row.bytes = bytes.size();
+    row.save_peak_rss_bytes = PeakRssDeltaOf([&] {
+      WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFile(*estimator, save_path));
+    });
+    std::remove(save_path.c_str());
 
     std::unique_ptr<selectivity::SelectivityEstimator> restored;
     row.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
@@ -215,10 +231,11 @@ int main(int argc, char** argv) {
     rows.push_back(row);
     std::printf(
         "%-28s %9zu B  save %8.3f ms (%8.1f MB/s)  load %8.3f ms (%8.1f MB/s)  "
-        "rss %5.1f MB | %s\n",
+        "rss save %5.1f load %5.1f MB | %s\n",
         row.name.c_str(), row.bytes, row.save_seconds * 1e3,
         MbPerS(row.bytes, row.save_seconds), row.load_seconds * 1e3,
         MbPerS(row.bytes, row.load_seconds),
+        static_cast<double>(row.save_peak_rss_bytes) / 1e6,
         static_cast<double>(row.load_peak_rss_bytes) / 1e6,
         row.roundtrip_bit_identical ? "bit-identical" : "MISMATCH");
   }
@@ -238,10 +255,11 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "     \"bytes\": %zu, \"save_seconds\": %.6e, "
                  "\"save_mb_per_s\": %.1f, \"load_seconds\": %.6e, "
-                 "\"load_mb_per_s\": %.1f, \"load_peak_rss_bytes\": %zu,\n",
+                 "\"load_mb_per_s\": %.1f, \"save_peak_rss_bytes\": %zu, "
+                 "\"load_peak_rss_bytes\": %zu,\n",
                  row.bytes, row.save_seconds, MbPerS(row.bytes, row.save_seconds),
                  row.load_seconds, MbPerS(row.bytes, row.load_seconds),
-                 row.load_peak_rss_bytes);
+                 row.save_peak_rss_bytes, row.load_peak_rss_bytes);
     std::fprintf(out, "     \"roundtrip_bit_identical\": %s}%s\n",
                  row.roundtrip_bit_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
@@ -259,9 +277,16 @@ int main(int argc, char** argv) {
                      row.name.c_str());
         ++violations;
       }
+      if (row.tag == "kde-rot" && row.save_peak_rss_bytes * 4 >= row.bytes) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: %s file save peaked at %zu bytes of RSS, "
+                     "a quarter of its %zu-byte snapshot or more\n",
+                     row.name.c_str(), row.save_peak_rss_bytes, row.bytes);
+        ++violations;
+      }
     }
     if (violations > 0) return 1;
-    std::printf("round-trip fidelity checks passed\n");
+    std::printf("round-trip fidelity and save-memory checks passed\n");
   }
   return 0;
 }

@@ -18,6 +18,7 @@
 #define WDE_IO_CHUNK_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,6 +30,10 @@ namespace io {
 
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected, table-driven).
 uint32_t Crc32(std::span<const uint8_t> bytes);
+
+/// Continues a CRC-32 over more bytes: Crc32Update(Crc32(a), b) equals the
+/// Crc32 of a followed by b, and Crc32Update(0, b) equals Crc32(b).
+uint32_t Crc32Update(uint32_t crc, std::span<const uint8_t> bytes);
 
 /// The snapshot format version this build writes and the only one it reads.
 /// Policy: one version at a time. A reader rejects every other version with
@@ -52,6 +57,18 @@ struct Chunk {
   std::vector<uint8_t> payload;
 };
 
+/// Writes one chunk whose payload `write` produces, without buffering it:
+/// a first pass runs `write` into a byte counter to learn the payload size,
+/// a second streams the same bytes into `sink` and takes the CRC on the way.
+/// `write` must be deterministic; if the second pass writes more or fewer
+/// bytes than the first, the call fails with Internal (and
+/// WriteFileAtomically then keeps the previous file). Written into a
+/// counting pass of an enclosing chunk, a nested chunk only adds its size,
+/// so a payload at nesting depth d is serialized d + 1 times.
+Status WriteChunkStreamed(Sink& sink, uint32_t tag,
+                          const std::function<Status(Sink&)>& write);
+
+/// WriteChunkStreamed over a payload already in memory.
 Status WriteChunk(Sink& sink, uint32_t tag, std::span<const uint8_t> payload);
 
 /// Reads the next chunk: bounds-checks the payload size against

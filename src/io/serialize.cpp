@@ -101,35 +101,28 @@ Result<FileSource> FileSource::Open(const std::string& path) {
   if (file == nullptr) {
     return Status::NotFound(Format("cannot open '%s' for reading", path.c_str()));
   }
-  std::vector<uint8_t> buffer;
-  uint8_t block[1 << 16];
-  size_t got;
-  while ((got = std::fread(block, 1, sizeof(block), file)) > 0) {
-    buffer.insert(buffer.end(), block, block + got);
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> closer(file, &std::fclose);
+  long length = -1;
+  if (std::fseek(file, 0, SEEK_END) == 0) length = std::ftell(file);
+  if (length < 0 || std::fseek(file, 0, SEEK_SET) != 0) {
+    return Status::Internal(Format("cannot size '%s'", path.c_str()));
   }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) {
+  // Default-initialized: the read is the first and only touch of each page.
+  const auto size = static_cast<size_t>(length);
+  std::unique_ptr<uint8_t[]> buffer(new uint8_t[size]);
+  size_t got = 0;
+  while (got < size) {
+    const size_t read = std::fread(buffer.get() + got, 1, size - got, file);
+    if (read == 0) break;  // EOF early: the file shrank since it was sized
+    got += read;
+  }
+  if (std::ferror(file) != 0) {
     return Status::Internal(Format("error reading '%s'", path.c_str()));
   }
-  return FileSource(std::move(buffer));
-}
-
-Status FileSource::Read(void* out, size_t size) {
-  if (size > remaining()) {
-    return Status::OutOfRange(
-        Format("truncated input: need %zu bytes, have %zu", size, remaining()));
+  if (got == size && std::fgetc(file) != EOF) {
+    return Status::Internal(Format("'%s' grew while being read", path.c_str()));
   }
-  if (size != 0) std::memcpy(out, bytes_.data() + offset_, size);
-  offset_ += size;
-  return Status::OK();
-}
-
-const uint8_t* FileSource::View(size_t size) {
-  if (size > remaining()) return nullptr;
-  const uint8_t* view = bytes_.data() + offset_;
-  offset_ += size;
-  return view;
+  return FileSource(std::move(buffer), got);
 }
 
 Status WriteFileAtomically(const std::string& path,

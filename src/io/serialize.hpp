@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -111,21 +112,24 @@ class SpanSource final : public Source {
 
 /// Source over a whole file, loaded into memory at Open() (snapshots are
 /// bounded artifacts; loading up front gives every decoder an exact
-/// remaining() to validate hostile length prefixes against). Views point
-/// into the source's own buffer and live as long as the source.
+/// remaining() to validate hostile length prefixes against). Open reads the
+/// file once, into one buffer sized from the file's length and never
+/// zero-filled or regrown. Views point into that buffer and live as long as
+/// the source.
 class FileSource final : public Source {
  public:
   static Result<FileSource> Open(const std::string& path);
 
-  size_t remaining() const override { return bytes_.size() - offset_; }
-  Status Read(void* out, size_t size) override;
-  const uint8_t* View(size_t size) override;
+  size_t remaining() const override { return source_.remaining(); }
+  Status Read(void* out, size_t size) override { return source_.Read(out, size); }
+  const uint8_t* View(size_t size) override { return source_.View(size); }
 
  private:
-  explicit FileSource(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
+  FileSource(std::unique_ptr<uint8_t[]> buffer, size_t size)
+      : buffer_(std::move(buffer)), source_({buffer_.get(), size}) {}
 
-  std::vector<uint8_t> bytes_;
-  size_t offset_ = 0;
+  std::unique_ptr<uint8_t[]> buffer_;
+  SpanSource source_;  // over buffer_, which moves with the source
 };
 
 /// Writes a file through `write` crash-safely: the bytes go to

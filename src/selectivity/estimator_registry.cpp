@@ -221,22 +221,20 @@ void RegisterBuiltins(EstimatorRegistry& registry) {
   register_or_die("wavelet-cv", MakeWaveletSketch);
   register_or_die("kde2d-prod", MakeKde2d, 2);
   register_or_die("grid2d", MakeGrid2d, 2);
-  // "sharded" is registered 1-D (its shell wraps a 1-D prototype); wrapping
-  // a 2-D inner tag works by setting spec.dims = 2, which the inner factory
-  // validates.
+  // "sharded" is registered 1-D; wrapping a 2-D inner tag works by setting
+  // spec.dims = 2, which the inner factory validates.
   register_or_die("sharded", MakeSharded);
 }
 
 }  // namespace
 
-EstimatorSpec EstimatorSpec::ShellFor(const std::string& tag) {
+EstimatorSpec EstimatorSpec::ShellFor(const std::string& tag, int dims) {
   // Minimal along every axis at once, so one shell spec serves every tag:
   // LoadState replaces configuration and data, the shell only has to be a
   // cheaply constructed instance of the right concrete type.
   EstimatorSpec shell;
   shell.tag = tag;
-  shell.dims = EstimatorRegistry::Global().NativeDims(tag);
-  if (shell.dims == 0) shell.dims = 1;  // unknown tag: Make will NotFound it
+  shell.dims = dims;
   shell.buckets = 1;
   shell.grid_log2 = 2;
   shell.budget = 1;
@@ -245,7 +243,8 @@ EstimatorSpec EstimatorSpec::ShellFor(const std::string& tag) {
   shell.j0 = 0;
   shell.j_max = 0;
   shell.capacity = 1;
-  shell.sharded_inner_tag = "equi-width";
+  // A sharded shell is as many-dimensional as the estimator it wraps.
+  shell.sharded_inner_tag = dims == 2 ? "grid2d" : "equi-width";
   shell.shards = 1;
   return shell;
 }
@@ -319,14 +318,6 @@ Result<std::unique_ptr<SelectivityEstimator>> EstimatorRegistry::Make(
   return factory(spec);
 }
 
-std::unique_ptr<SelectivityEstimator> EstimatorRegistry::MakeShell(
-    const std::string& tag) const {
-  Result<std::unique_ptr<SelectivityEstimator>> shell =
-      Make(EstimatorSpec::ShellFor(tag));
-  if (!shell.ok()) return nullptr;
-  return std::move(shell).value();
-}
-
 Status SaveEstimatorEnvelope(const SelectivityEstimator& estimator,
                              io::Sink& sink) {
   return estimator.SaveState(sink);
@@ -338,13 +329,21 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
       const std::vector<uint8_t> tag_bytes,
       io::ReadChunkExpecting(source, internal::kChunkEstimatorType));
   const std::string tag(tag_bytes.begin(), tag_bytes.end());
-  std::unique_ptr<SelectivityEstimator> shell =
-      EstimatorRegistry::Global().MakeShell(tag);
-  if (shell == nullptr) {
+  const EstimatorRegistry& registry = EstimatorRegistry::Global();
+  if (!registry.Contains(tag)) {
     return Status::NotFound("no estimator registered for snapshot tag '" + tag +
                             "'");
   }
-  WDE_RETURN_IF_ERROR(shell->LoadEnvelopeState(source));
+  WDE_ASSIGN_OR_RETURN(const int dims,
+                       SelectivityEstimator::ReadEnvelopeDims(source));
+  Result<std::unique_ptr<SelectivityEstimator>> shell =
+      registry.Make(EstimatorSpec::ShellFor(tag, dims));
+  if (!shell.ok()) {
+    return Status::FailedPrecondition("no " + std::to_string(dims) +
+                                      "-D shell for snapshot tag '" + tag +
+                                      "': " + shell.status().message());
+  }
+  WDE_RETURN_IF_ERROR((*shell)->LoadEnvelopeState(source));
   return shell;
 }
 

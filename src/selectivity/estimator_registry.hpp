@@ -45,8 +45,8 @@ class EstimatorRegistry {
   static EstimatorRegistry& Global();
 
   /// Registers a factory for `tag`; a duplicate tag is an error. `dims` is
-  /// the tag's native dimensionality (what NativeDims reports and ShellFor
-  /// stamps into shell specs); factories validate spec.dims against it.
+  /// the tag's native dimensionality (what NativeDims reports); factories
+  /// validate spec.dims against it.
   Status Register(const std::string& tag, Factory factory, int dims = 1);
 
   bool Contains(const std::string& tag) const;
@@ -64,12 +64,6 @@ class EstimatorRegistry {
   /// unregistered tag.
   Result<std::unique_ptr<SelectivityEstimator>> Make(
       const EstimatorSpec& spec) const;
-
-  /// A shell instance for `tag` — the factory applied to
-  /// EstimatorSpec::ShellFor(tag) — or nullptr when the tag is unknown.
-  /// LoadState then replaces the shell's configuration and data with a
-  /// snapshot's.
-  std::unique_ptr<SelectivityEstimator> MakeShell(const std::string& tag) const;
 
  private:
   EstimatorRegistry() = default;
@@ -89,7 +83,9 @@ Status SaveEstimatorEnvelope(const SelectivityEstimator& estimator,
                              io::Sink& sink);
 
 /// Restores one estimator envelope through the registry: reads the type-tag
-/// chunk, builds the registered shell, loads the state chunk into it.
+/// and DIMS chunks, builds the registered shell at the envelope's
+/// dimensionality (a sharded wrapper takes its inner estimator's), loads the
+/// state chunk into it.
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
     io::Source& source);
 

@@ -111,11 +111,12 @@ struct EstimatorSpec {
   size_t merge_refresh_interval = 1;
   parallel::ThreadPool* pool = nullptr;
 
-  /// The minimal valid spec for `tag`: what the registry builds snapshot
-  /// shells from (LoadState replaces configuration and data, so shells are
-  /// as small as each factory allows — 1 bucket, a 4-cell grid, a coarse
-  /// Haar basis, capacity 1, one shard).
-  static EstimatorSpec ShellFor(const std::string& tag);
+  /// The minimal valid spec for `tag` at `dims` dimensions (a snapshot
+  /// envelope's DIMS chunk): what the registry builds snapshot shells from
+  /// (LoadState replaces configuration and data, so shells are as small as
+  /// each factory allows — 1 bucket, a 4-cell grid, a coarse Haar basis,
+  /// capacity 1, one shard).
+  static EstimatorSpec ShellFor(const std::string& tag, int dims);
 };
 
 /// Builds the estimator `spec` describes through the process-wide registry.

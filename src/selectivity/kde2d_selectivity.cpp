@@ -62,13 +62,13 @@ void Kde2dSelectivity::Insert(double x) {
 }
 
 void Kde2dSelectivity::RefitIfStale() const {
-  if (count() < kMinFitSample) return;
+  if (count() < kMinFitSample || count() == unfit_count_) return;
   if (fitted_.has_value() && xs_.size() < options_.refit_interval) return;
   Refit();
 }
 
 void Kde2dSelectivity::ForceRefitImpl() const {
-  if (count() < kMinFitSample) return;
+  if (count() < kMinFitSample || count() == unfit_count_) return;
   if (fitted_.has_value() && xs_.empty()) return;
   Refit();
 }
@@ -76,7 +76,12 @@ void Kde2dSelectivity::ForceRefitImpl() const {
 void Kde2dSelectivity::Refit() const {
   std::optional<Fitted> fit =
       BuildFit(fitted_.has_value() ? &*fitted_ : nullptr, xs_, ys_);
-  if (!fit.has_value()) return;  // degenerate: keep the previous fit and tail
+  if (!fit.has_value()) {
+    // Degenerate: keep the previous fit (or the fallback) and the tail, and
+    // do not retry at this count.
+    unfit_count_ = count();
+    return;
+  }
   fitted_ = std::move(fit);
   // Release the tail: the fitted columns hold the observations now.
   xs_ = std::vector<double>();
@@ -311,6 +316,7 @@ Status Kde2dSelectivity::LoadStateImpl(io::Source& source) {
   }
   options_ = options;
   fitted_ = std::move(fit);
+  unfit_count_ = 0;
   xs_.assign(xs.begin() + static_cast<ptrdiff_t>(fit_n), xs.end());
   ys_.assign(ys.begin() + static_cast<ptrdiff_t>(fit_n), ys.end());
   have_pending_ = have_pending != 0;

@@ -166,6 +166,9 @@ class Kde2dSelectivity : public SelectivityEstimator {
   bool have_pending_ = false;
   double pending_ = 0.0;  // raw first coordinate of a half-received observation
   mutable std::optional<Fitted> fitted_;
+  /// The count at which the last refit found no fit (an axis without
+  /// spread); refits are not retried until the count moves off it.
+  mutable size_t unfit_count_ = 0;
 };
 
 }  // namespace selectivity

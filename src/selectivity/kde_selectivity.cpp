@@ -47,15 +47,17 @@ void KdeSelectivity::InsertBatch(std::span<const double> xs) {
 
 void KdeSelectivity::RefitIfStale() const {
   if (count() < 4) return;
-  if (!kde_.has_value() || tail_.size() >= options_.refit_interval) Refit();
+  // Without a fit, any new value is worth a retry; a sample that could not
+  // fit is not retried until one arrives.
+  const bool unfitted_tail = !kde_.has_value() && !tail_.empty();
+  if (unfitted_tail || tail_.size() >= options_.refit_interval) Refit();
   // The first query of any kind primes the CDF index, so a batch fanned out
   // across threads after one warm-up query only reads it.
   if (kde_.has_value()) kde_->PrepareCdf();
 }
 
 void KdeSelectivity::ForceRefitImpl() const {
-  if (count() < 4) return;
-  if (kde_.has_value() && tail_.empty()) return;
+  if (count() < 4 || tail_.empty()) return;
   Refit();
 }
 
@@ -65,24 +67,32 @@ std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneForView() const {
 }
 
 void KdeSelectivity::Refit() const {
-  std::optional<kernel::KernelDensityEstimator> kde =
-      FitSorted(FoldSortedTail(Prefix(), tail_, options_.refit_mode));
-  if (!kde.has_value()) return;  // degenerate: keep the previous fit and tail
-  kde_ = std::move(kde);
+  memory::Arena sorted = FoldSortedTail(Prefix(), tail_, options_.refit_mode);
+  std::optional<kernel::KernelDensityEstimator> kde = FitSorted(sorted);
+  if (kde.has_value()) {
+    kde_ = std::move(kde);
+    unfit_ = memory::Arena();
+  } else if (!kde_.has_value()) {
+    unfit_ = std::move(sorted);  // no spread: the fold is the prefix
+  } else {
+    return;  // unfittable after a fit: keep the previous fit and tail
+  }
   tail_ = std::vector<double>();  // release it: the prefix holds the values now
 }
 
 double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
   RefitIfStale();
   if (!kde_.has_value()) {
-    // Tiny-sample fallback: exact fraction of the observations, which are
-    // all in the tail while nothing is fitted.
-    if (tail_.empty()) return 0.0;
-    size_t hits = 0;
+    // Tiny-sample and no-spread fallback: the exact fraction of the
+    // observations, counted in O(log n) over the (unfitted) sorted prefix.
+    if (count() == 0) return 0.0;
+    const std::span<const double> prefix = Prefix();
+    const auto lo = std::lower_bound(prefix.begin(), prefix.end(), a);
+    auto hits = static_cast<size_t>(std::upper_bound(lo, prefix.end(), b) - lo);
     for (double x : tail_) {
       if (x >= a && x <= b) ++hits;
     }
-    return static_cast<double>(hits) / static_cast<double>(tail_.size());
+    return static_cast<double>(hits) / static_cast<double>(count());
   }
   if (a == -std::numeric_limits<double>::infinity()) {
     // The Less/Cdf lowering: one kernel-CDF endpoint.
@@ -114,6 +124,7 @@ Status KdeSelectivity::MergeFrom(const SelectivityEstimator& other) {
   const std::span<const double> own = Prefix();
   tail_.insert(tail_.begin(), own.begin(), own.end());
   kde_.reset();
+  unfit_ = memory::Arena();
   const std::span<const double> incoming = rhs.Prefix();
   tail_.insert(tail_.end(), incoming.begin(), incoming.end());
   tail_.insert(tail_.end(), rhs.tail_.begin(), rhs.tail_.end());
@@ -151,9 +162,10 @@ Status KdeSelectivity::SaveStateImpl(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
   // The in-memory layout as is: the fitted prefix size, then one vector of
-  // the sorted prefix followed by the tail in arrival order.
+  // the sorted prefix followed by the tail in arrival order. An unfitted
+  // prefix is saved as tail (fitted size 0): restore refits only a prefix.
   const std::span<const double> prefix = Prefix();
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, prefix.size()));
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, kde_.has_value() ? prefix.size() : 0));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, prefix.size() + tail_.size()));
   WDE_RETURN_IF_ERROR(io::WriteDoubles(sink, prefix));
   return io::WriteDoubles(sink, tail_);
@@ -205,6 +217,7 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
   options_ = options;
   tail_ = std::move(tail);
   kde_ = std::move(kde);
+  unfit_ = memory::Arena();
   return Status::OK();
 }
 

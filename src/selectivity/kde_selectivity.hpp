@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "kernel/kde.hpp"
+#include "memory/arena.hpp"
 #include "selectivity/selectivity_estimator.hpp"
 
 namespace wde {
@@ -35,9 +36,10 @@ namespace selectivity {
 /// refit; kIncremental (the default) sorts only the tail and does one stable
 /// merge with the prefix — O(Δ log Δ + n) instead of O(n log n). Both modes
 /// derive the bandwidth from the same sorted sequence, so their answers are
-/// bitwise-identical (refit_equivalence_test). A refit that cannot fit (a
-/// degenerate sample) changes nothing: the previous fit keeps serving and
-/// the tail stays.
+/// bitwise-identical (refit_equivalence_test). A sample without spread (every
+/// value equal) has no fit: its refit keeps the sorted fold as an unfitted
+/// prefix, queries answer the exact fraction of it in O(log n), and the fit
+/// is retried only once a new value arrives.
 ///
 /// Mergeable: MergeFrom moves both sides' observations into the tail and
 /// drops the fit, so the next query refits from the merged multiset.
@@ -90,9 +92,9 @@ class KdeSelectivity : public SelectivityEstimator {
   const char* snapshot_type_tag() const override { return "kde-rot"; }
 
   /// Force-refits this estimator, then copies it: the copy shares the fitted
-  /// KDE (sorted column and moment index) and its tail is empty. Below four
-  /// values (or on a degenerate sample) nothing is fitted and the tail is
-  /// copied.
+  /// KDE (sorted column and moment index), or the unfitted prefix of a
+  /// sample without spread, and its tail is empty. Below four values nothing
+  /// is fitted and the tail is copied.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override;
 
  protected:
@@ -123,9 +125,11 @@ class KdeSelectivity : public SelectivityEstimator {
   void RefitIfStale() const;
   /// Unconditional refit at the current count, honoring refit_mode.
   void Refit() const;
-  /// The fitted KDE's sorted sample; empty when nothing is fitted.
+  /// The sorted prefix: the fitted KDE's sample, or the unfitted fold of a
+  /// sample without spread; empty before the first refit.
   std::span<const double> Prefix() const {
-    return kde_.has_value() ? kde_->samples() : std::span<const double>();
+    if (kde_.has_value()) return kde_->samples();
+    return unfit_.empty() ? std::span<const double>() : unfit_.F64(0);
   }
 
   Options options_;
@@ -133,6 +137,9 @@ class KdeSelectivity : public SelectivityEstimator {
   /// order; every observation when nothing is fitted.
   mutable std::vector<double> tail_;
   mutable std::optional<kernel::KernelDensityEstimator> kde_;
+  /// The sorted fold of a refit that found no spread, while kde_ is empty;
+  /// shared copy-on-write with views like a fitted column.
+  mutable memory::Arena unfit_;
 };
 
 }  // namespace selectivity

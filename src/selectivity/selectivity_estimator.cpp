@@ -199,13 +199,14 @@ Status SelectivityEstimator::SaveState(io::Sink& sink) const {
   WDE_RETURN_IF_ERROR(io::WriteChunk(
       sink, internal::kChunkEstimatorType,
       std::span(reinterpret_cast<const uint8_t*>(tag.data()), tag.size())));
-  io::VectorSink dims;
-  WDE_RETURN_IF_ERROR(io::WriteU32(dims, static_cast<uint32_t>(this->dims())));
-  WDE_RETURN_IF_ERROR(io::WriteChunk(sink, internal::kChunkEstimatorDims, dims.bytes()));
-  // Buffer the state so the chunk framing can length-prefix and checksum it.
-  io::VectorSink state;
-  WDE_RETURN_IF_ERROR(SaveStateImpl(state));
-  return io::WriteChunk(sink, internal::kChunkEstimatorState, state.bytes());
+  WDE_RETURN_IF_ERROR(io::WriteChunkStreamed(
+      sink, internal::kChunkEstimatorDims, [this](io::Sink& out) {
+        return io::WriteU32(out, static_cast<uint32_t>(dims()));
+      }));
+  // No payload buffer: one pass sizes the state, a second streams it.
+  return io::WriteChunkStreamed(
+      sink, internal::kChunkEstimatorState,
+      [this](io::Sink& out) { return SaveStateImpl(out); });
 }
 
 Status SelectivityEstimator::LoadState(io::Source& source) {
@@ -220,21 +221,28 @@ Status SelectivityEstimator::LoadState(io::Source& source) {
     return Status::FailedPrecondition("snapshot of type '" + tag +
                                       "' cannot restore into " + name());
   }
+  WDE_ASSIGN_OR_RETURN(const int snapshot_dims, ReadEnvelopeDims(source));
+  if (snapshot_dims != dims()) {
+    return Status::FailedPrecondition("snapshot dimensionality does not match " + name());
+  }
   return LoadEnvelopeState(source);
 }
 
-Status SelectivityEstimator::LoadEnvelopeState(io::Source& source) {
-  // The dimensionality is checked against the target BEFORE any state byte
-  // is parsed.
+Result<int> SelectivityEstimator::ReadEnvelopeDims(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(const io::ChunkRef dims, io::ReadChunkRef(source));
   if (dims.tag != internal::kChunkEstimatorDims || dims.payload.size() != 4) {
     return Status::InvalidArgument("estimator envelope lacks its DIMS chunk");
   }
   io::SpanSource dims_source(dims.payload);
   WDE_ASSIGN_OR_RETURN(const uint32_t snapshot_dims, io::ReadU32(dims_source));
-  if (snapshot_dims != static_cast<uint32_t>(this->dims())) {
-    return Status::FailedPrecondition("snapshot dimensionality does not match " + name());
+  if (snapshot_dims == 0 ||
+      snapshot_dims > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument("corrupt DIMS chunk");
   }
+  return static_cast<int>(snapshot_dims);
+}
+
+Status SelectivityEstimator::LoadEnvelopeState(io::Source& source) {
   // Zero-copy read: for memory-backed sources (SpanSource over a blob, a
   // FileSource) the payload is a view into the source's buffer; only
   // byte-stream sources pay a copy.

@@ -386,12 +386,15 @@ class SelectivityEstimator {
 
  protected:
   /// Snapshot extension points: serialize/restore the concrete estimator's
-  /// full configuration + data as io primitives. SaveStateImpl writes into a
-  /// buffering sink (the NVI wrapper frames and checksums the bytes);
-  /// LoadStateImpl receives a source spanning exactly its state payload and
-  /// must parse everything into locals, validate — including that the
-  /// payload is fully consumed — and only then commit, so failures leave the
-  /// estimator untouched. Defaults report unsupported.
+  /// full configuration + data as io primitives. SaveStateImpl runs twice
+  /// per save — once into a byte counter that sizes the STAT chunk, once
+  /// streaming into the real sink while the CRC is taken
+  /// (io::WriteChunkStreamed) — and must write the same bytes both times;
+  /// a length mismatch fails the save with Internal. LoadStateImpl receives
+  /// a source spanning exactly its state payload and must parse everything
+  /// into locals, validate — including that the payload is fully consumed —
+  /// and only then commit, so failures leave the estimator untouched.
+  /// Defaults report unsupported.
   ///
   /// Validation covers values, not just framing: a loader that keeps raw
   /// observations rejects non-finite ones, and one whose Insert clamps into
@@ -401,9 +404,14 @@ class SelectivityEstimator {
   virtual Status LoadStateImpl(io::Source& source);
 
  private:
-  /// Reads the DIMS and STAT chunks and dispatches to LoadStateImpl (shared
-  /// by LoadState and the registry's restore-by-tag path, which has already
-  /// consumed the type-tag chunk).
+  /// Reads an envelope's DIMS chunk (the TYPE chunk already consumed). The
+  /// dimensionality is known BEFORE any state byte is parsed: LoadState
+  /// checks it against this estimator, the registry's restore-by-tag path
+  /// builds its shell with it.
+  static Result<int> ReadEnvelopeDims(io::Source& source);
+
+  /// Reads the STAT chunk and dispatches to LoadStateImpl (shared by
+  /// LoadState and the restore-by-tag path).
   Status LoadEnvelopeState(io::Source& source);
 
   friend Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(

@@ -219,13 +219,14 @@ Status EstimatorService::Checkpoint(const std::string& path) const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return io::WriteFileAtomically(path, [this](io::Sink& sink) {
     WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
-    io::VectorSink meta;
     // Publishes happen under writer_mu_ (held here), so this epoch is the one
     // the checkpointed writer state belongs to.
     WDE_RETURN_IF_ERROR(
-        io::WriteU64(meta, published_epoch_.load(std::memory_order_acquire)));
-    WDE_RETURN_IF_ERROR(io::WriteU64(meta, inserts_since_publish_));
-    WDE_RETURN_IF_ERROR(io::WriteChunk(sink, kChunkServiceState, meta.bytes()));
+        io::WriteChunkStreamed(sink, kChunkServiceState, [this](io::Sink& meta) {
+          WDE_RETURN_IF_ERROR(io::WriteU64(
+              meta, published_epoch_.load(std::memory_order_acquire)));
+          return io::WriteU64(meta, inserts_since_publish_);
+        }));
     return writer_->SaveState(sink);
   });
 }

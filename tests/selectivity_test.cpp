@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/histogram.hpp"
+#include "selectivity/kde2d_selectivity.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/sample_selectivity.hpp"
@@ -396,6 +398,66 @@ TEST(KdeSelectivityTest, TinySampleFallback) {
   kde.Insert(0.3);
   kde.Insert(0.6);
   EXPECT_NEAR(kde.Answer(Query::Range(0.0, 0.5)), 0.5, 1e-12);
+}
+
+/// Wall seconds `work` takes.
+template <typename F>
+double SecondsOf(F&& work) {
+  const auto start = std::chrono::steady_clock::now();
+  work();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(KdeSelectivityTest, ConstantColumnIsNotRefitOnEveryQuery) {
+  // No spread, no bandwidth, no fit: the answer is the exact fraction. The
+  // first query pays the failed fit; the fit is retried only once the count
+  // moves, so 64 more queries cost far less than 64 fits.
+  KdeSelectivity kde(KdeSelectivity::Options{});
+  kde.InsertBatch(std::vector<double>(100000, 0.5));
+  double first_answer = -1.0;
+  const double first =
+      SecondsOf([&] { first_answer = kde.Answer(Query::Cdf(0.4)); });
+  EXPECT_EQ(first_answer, 0.0);
+  std::vector<double> answers(64);
+  const double later = SecondsOf([&] {
+    for (double& answer : answers) answer = kde.Answer(Query::Cdf(0.6));
+  });
+  EXPECT_EQ(answers, std::vector<double>(64, 1.0));
+  EXPECT_LT(later, 8.0 * first);
+  EXPECT_EQ(kde.Answer(Query::Range(0.5, 0.5)), 1.0);
+  EXPECT_EQ(kde.Answer(Query::Range(0.55, 0.6)), 0.0);
+  // A new value brings spread: the retried fit succeeds and the kernel puts
+  // half the mass of the old constant below it.
+  kde.Insert(0.9);
+  EXPECT_NEAR(kde.Answer(Query::Cdf(0.5)), 0.5, 1e-3);
+}
+
+TEST(Kde2dSelectivityTest, ConstantAxisIsNotRefitOnEveryQuery) {
+  // Axis 0 without spread: the exact fraction answers, and the failed fit
+  // is retried only once the count moves.
+  Kde2dSelectivity kde(Kde2dSelectivity::Options{});
+  std::vector<double> points;
+  for (int i = 0; i < 40000; ++i) {
+    points.push_back(0.5);
+    points.push_back(static_cast<double>(i % 100) / 100.0);
+  }
+  kde.InsertBatch(points);
+  const Query half = Query::Rect(0.4, 0.6, 0.0, 0.495);
+  double first_answer = -1.0;
+  const double first = SecondsOf([&] { first_answer = kde.Answer(half); });
+  EXPECT_EQ(first_answer, 0.5);
+  std::vector<double> answers(64);
+  const double later = SecondsOf([&] {
+    for (double& answer : answers) answer = kde.Answer(half);
+  });
+  EXPECT_EQ(answers, std::vector<double>(64, 0.5));
+  EXPECT_LT(later, 8.0 * first);
+  // One point off the constant brings spread: the kernel answer, about half
+  // the mass of the old constant (the exact fraction would be ~1).
+  kde.Insert(0.9);
+  kde.Insert(0.5);
+  EXPECT_NEAR(kde.Answer(Query::Rect(0.0, 0.5, 0.0, 1.0)), 0.5, 0.05);
 }
 
 // ------------------------------------------------------- KDE sorted views

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <future>
 #include <limits>
 #include <memory>
@@ -377,6 +378,97 @@ TEST(EstimatorServiceTest, RestoreRejectsCorruptCheckpointsUntouched) {
   EXPECT_EQ(Answers(*target, queries), answers_before);
   std::remove(path.c_str());
   std::remove(other_path.c_str());
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  Result<io::FileSource> file = io::FileSource::Open(path);
+  WDE_CHECK_OK(file.status());
+  std::vector<uint8_t> bytes(file->remaining());
+  WDE_CHECK_OK(file->Read(bytes.data(), bytes.size()));
+  return bytes;
+}
+
+bool PathExists(const std::string& path) {
+  return std::filesystem::exists(std::filesystem::symlink_status(path));
+}
+
+TEST(EstimatorServiceTest, CheckpointFailingMidwayKeepsThePreviousOne) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string path = testing::TempDir() + "/wde_service_full.snap";
+  const std::string tmp_path = path + ".tmp";
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  selectivity::EstimatorSpec kde;
+  kde.tag = "kde-rot";
+  std::unique_ptr<serving::EstimatorService> service = MakeService(options, kde);
+  service->InsertBatch(UnitStream(81, 20000));
+  ASSERT_TRUE(service->Checkpoint(path).ok());
+  const std::vector<uint8_t> before = FileBytes(path);
+  // The temporary file is /dev/full: the 160 KB state write fails with
+  // ENOSPC after the header and the first chunks went out.
+  service->InsertBatch(UnitStream(82, 5000));
+  std::filesystem::remove(tmp_path);
+  std::filesystem::create_symlink("/dev/full", tmp_path);
+  EXPECT_FALSE(service->Checkpoint(path).ok());
+  EXPECT_FALSE(PathExists(tmp_path));
+  EXPECT_EQ(FileBytes(path), before);
+  std::unique_ptr<serving::EstimatorService> restored = MakeService(options, kde);
+  ASSERT_TRUE(restored->Restore(path).ok());
+  EXPECT_EQ(restored->count(), 20000u);
+  std::remove(path.c_str());
+}
+
+/// A snapshotable value counter whose state payload, once `unstable` is
+/// set, is one byte longer on every second save: a nondeterministic
+/// SaveStateImpl, which the two-pass chunk framing must refuse.
+class UnstableStateEstimator : public selectivity::SelectivityEstimator {
+ public:
+  void Insert(double) override { ++count_; }
+  size_t count() const override { return count_; }
+  std::string name() const override { return "test-unstable-state"; }
+  const char* snapshot_type_tag() const override { return "test-unstable-state"; }
+  std::unique_ptr<selectivity::SelectivityEstimator> CloneForView() const override {
+    return std::make_unique<UnstableStateEstimator>(*this);
+  }
+  bool unstable = false;
+
+ protected:
+  double EstimateRangeImpl(double, double) const override { return 0.0; }
+  Status SaveStateImpl(io::Sink& sink) const override {
+    WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
+    if (unstable && ++saves_ % 2 == 0) return io::WriteU8(sink, 0);
+    return Status::OK();
+  }
+  Status LoadStateImpl(io::Source& source) override {
+    WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
+    if (source.remaining() != 0) return Status::InvalidArgument("trailing state");
+    count_ = static_cast<size_t>(count);
+    return Status::OK();
+  }
+
+ private:
+  size_t count_ = 0;
+  mutable int saves_ = 0;
+};
+
+TEST(EstimatorServiceTest, CheckpointOfANondeterministicStateIsRefused) {
+  const std::string path = testing::TempDir() + "/wde_service_unstable.snap";
+  auto owned = std::make_unique<UnstableStateEstimator>();
+  UnstableStateEstimator& writer = *owned;
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  Result<std::unique_ptr<serving::EstimatorService>> service =
+      serving::EstimatorService::Create(std::move(owned), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  (*service)->InsertBatch(UnitStream(83, 100));
+  ASSERT_TRUE((*service)->Checkpoint(path).ok());
+  const std::vector<uint8_t> before = FileBytes(path);
+  (*service)->InsertBatch(UnitStream(84, 10));
+  writer.unstable = true;
+  EXPECT_EQ((*service)->Checkpoint(path).code(), StatusCode::kInternal);
+  EXPECT_FALSE(PathExists(path + ".tmp"));
+  EXPECT_EQ(FileBytes(path), before);
+  std::remove(path.c_str());
 }
 
 // The threads that ran ThreadProbeEstimator inserts. Each InsertBatch waits

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
 #include "selectivity/estimator_registry.hpp"
+#include "selectivity/estimator_spec.hpp"
 #include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde2d_selectivity.hpp"
@@ -277,6 +279,98 @@ TEST(IoTest, ChunksValidateCrcAndBounds) {
   EXPECT_FALSE(io::ReadChunk(corrupt_source).ok());
 }
 
+/// Bitwise CRC-32 (reflected IEEE polynomial): the reference the
+/// table-driven code must match.
+uint32_t BitwiseCrc32(std::span<const uint8_t> bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(uint64_t seed, size_t n) {
+  stats::Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.NextUint64());
+  return bytes;
+}
+
+TEST(IoTest, Crc32MatchesTheBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::string check = "123456789";
+  EXPECT_EQ(io::Crc32({reinterpret_cast<const uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(io::Crc32({}), 0u);
+  // Every length 0..64 at every start offset 0..63: all alignments, the
+  // 16-byte blocks and every tail length.
+  const std::vector<uint8_t> bytes = RandomBytes(5, 128);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::span<const uint8_t> piece(bytes.data() + offset, length);
+      ASSERT_EQ(io::Crc32(piece), BitwiseCrc32(piece))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(IoTest, Crc32UpdateOverAnySplitEqualsTheOneShotCrc) {
+  const std::vector<uint8_t> bytes = RandomBytes(6, 1000);
+  const std::span<const uint8_t> all(bytes);
+  const uint32_t whole = io::Crc32(all);
+  EXPECT_EQ(whole, BitwiseCrc32(all));
+  for (size_t split = 0; split <= all.size(); ++split) {
+    ASSERT_EQ(io::Crc32Update(io::Crc32(all.first(split)), all.subspan(split)), whole)
+        << "split " << split;
+  }
+  // Three and more pieces, at random split points.
+  stats::Rng rng(7);
+  for (int trial = 0; trial < 100; ++trial) {
+    uint32_t crc = 0;
+    for (size_t at = 0; at < all.size();) {
+      const size_t n = std::min(all.size() - at, 1 + rng.UniformInt(40));
+      crc = io::Crc32Update(crc, all.subspan(at, n));
+      at += n;
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
+  }
+}
+
+TEST(IoTest, StreamedChunksMatchBufferedOnesAndRejectUnstableWriters) {
+  // The streamed framing writes exactly the buffered chunk.
+  const std::vector<uint8_t> payload = RandomBytes(8, 300);
+  io::VectorSink buffered;
+  ASSERT_TRUE(io::WriteU32(buffered, 0x1234).ok());
+  ASSERT_TRUE(io::WriteU64(buffered, payload.size()).ok());
+  ASSERT_TRUE(buffered.Append(payload.data(), payload.size()).ok());
+  ASSERT_TRUE(io::WriteU32(buffered, BitwiseCrc32(payload)).ok());
+  const auto write_in_pieces = [&payload](io::Sink& sink) {
+    for (size_t at = 0; at < payload.size(); at += 7) {
+      WDE_RETURN_IF_ERROR(
+          sink.Append(payload.data() + at, std::min<size_t>(7, payload.size() - at)));
+    }
+    return Status::OK();
+  };
+  io::VectorSink streamed;
+  ASSERT_TRUE(io::WriteChunkStreamed(streamed, 0x1234, write_in_pieces).ok());
+  EXPECT_TRUE(std::ranges::equal(streamed.bytes(), buffered.bytes()));
+  // A writer whose second pass is longer or shorter than its first fails
+  // the chunk with Internal.
+  for (const size_t second : {size_t{9}, size_t{7}}) {
+    int passes = 0;
+    const auto unstable = [&passes, second](io::Sink& sink) {
+      const std::vector<uint8_t> bytes(++passes == 1 ? 8 : second, 0x5A);
+      return sink.Append(bytes.data(), bytes.size());
+    };
+    io::VectorSink sink;
+    EXPECT_EQ(io::WriteChunkStreamed(sink, 0x1234, unstable).code(),
+              StatusCode::kInternal)
+        << second;
+  }
+}
+
 // ------------------------------------------------------- core round trips
 
 TEST(CoreSnapshotTest, EmpiricalCoefficientsRoundTripBitExactly) {
@@ -329,13 +423,30 @@ TEST(CoreSnapshotTest, BinnedFitRoundTripsBinCountsBitExactly) {
 
 TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
   const std::vector<Query> queries = Workload();
-  size_t covered = 0;
-  for (const auto& est : MakeIngestedEstimators()) {
+  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> estimators =
+      MakeIngestedEstimators();
+  // The sharded wrapper over each 2-D tag: its shell must take the
+  // envelope's dimensionality, not the wrapper's registered 1-D.
+  for (const char* inner : {"grid2d", "kde2d-prod"}) {
+    selectivity::EstimatorSpec spec;
+    spec.tag = "sharded";
+    spec.sharded_inner_tag = inner;
+    spec.dims = 2;
+    spec.shards = 3;
+    spec.block_size = 512;
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> sharded =
+        selectivity::MakeEstimator(spec);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    (*sharded)->InsertBatch(UnitStream(1, 5000));
+    estimators.push_back(std::move(sharded).value());
+  }
+  std::set<std::string> covered;
+  for (const auto& est : estimators) {
     ASSERT_TRUE(est->snapshotable()) << est->name();
     ASSERT_TRUE(
         selectivity::EstimatorRegistry::Global().Contains(est->snapshot_type_tag()))
         << est->name();
-    ++covered;
+    covered.insert(est->snapshot_type_tag());
     // Query first so the lazy fit exists (and is stale by save time), then
     // snapshot and restore through the registry.
     const std::vector<double> before = AnswersOf(*est, queries);
@@ -349,7 +460,7 @@ TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
     EXPECT_EQ(AnswersOf(**loaded, queries), before) << est->name();
   }
   // Every registered tag must have been exercised.
-  EXPECT_EQ(covered, selectivity::EstimatorRegistry::Global().Tags().size());
+  EXPECT_EQ(covered.size(), selectivity::EstimatorRegistry::Global().Tags().size());
 }
 
 TEST(SnapshotRoundTripTest, UnqueriedEstimatorsRoundTripToo) {
