@@ -3,8 +3,8 @@
 // refit after every chunk (ForceRefit — exactly the insert+refit cost, no
 // query-path dilution), under both RefitModes. kScratch rebuilds fitted
 // state from zero each refit (the oracle); kIncremental delta-merges the
-// previous fit (sorted-prefix merge for the 1-D and 2-D KDE and equi-depth
-// buffers, warm-started cross-validation for the wavelet sketch). Produces the
+// previous fit (sorted-prefix merge for the KDE and equi-depth buffers,
+// warm-started cross-validation for the wavelet sketch). Produces the
 // committed BENCH_ingest.json artifact: per-mode amortized insert+refit
 // throughput, per-refit latency percentiles, the incremental-vs-scratch
 // speedup, and the bitwise-equivalence evidence (a mixed query workload
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/selectivity_estimator.hpp"
@@ -58,8 +57,6 @@ selectivity::EstimatorSpec SpecFor(const std::string& tag,
                                    selectivity::RefitMode mode) {
   selectivity::EstimatorSpec spec;
   spec.tag = tag;
-  // kde2d-prod reads the stream as interleaved (x, y) pairs.
-  spec.dims = std::max(1, selectivity::EstimatorRegistry::Global().NativeDims(tag));
   spec.refit_mode = mode;
   // The cadence is driven by ForceRefit below, not the interval; a huge
   // interval keeps the insert paths from refitting a second time mid-chunk.
@@ -159,7 +156,7 @@ int main(int argc, char** argv) {
   // Section 1: steady-state insert+refit, scratch vs incremental, per tag.
   // -------------------------------------------------------------------------
   std::vector<IngestRow> ingest_rows;
-  for (const char* tag : {"kde-rot", "equi-depth", "kde2d-prod", "wavelet-cv"}) {
+  for (const char* tag : {"kde-rot", "equi-depth", "wavelet-cv"}) {
     IngestRun scratch;
     IngestRun incremental;
     for (size_t r = 0; r < repeats; ++r) {

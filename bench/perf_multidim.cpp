@@ -1,22 +1,21 @@
 // Multi-dimensional estimation bench: rectangle-query throughput and
-// accuracy of the two registered 2-D estimators — the prefix-sum grid
-// ("grid2d") and the product/adaptive KDE ("kde2d-prod") — at an equal
-// sample budget (both ingest the same stream; the committed rows carry each
-// estimator's snapshot size so the state budgets are visible too).
+// accuracy of the prefix-sum grid ("grid2d"), the registered 2-D estimator
+// (the committed rows carry its snapshot size so the state budget is
+// visible too). The product/adaptive 2-D KDE it was once compared against
+// is deleted, and with it the gate that the grid out-run it.
 //
 // Section 1 (throughput): batched Answer() over a uniform rect workload vs
-// the scalar per-query loop, per tag, on the anti-product data set. The
-// batch path must be bit-identical to the scalar loop (the taxonomy
-// contract, here exercised through kRect), and the O(1)-per-rect grid must
-// out-run the O(window)-per-rect KDE.
+// the scalar per-query loop on the anti-product data set. The batch path
+// must be bit-identical to the scalar loop (the taxonomy contract, here
+// exercised through kRect).
 //
 // Section 2 (accuracy): mean absolute error and mean q-error against exact
 // truth (the fraction of ingested observations inside each rect) on two
 // workloads — a correlated Gaussian mixture and the anti-product
 // distribution, whose joint mass rides the diagonals while its marginals
-// stay near-uniform. Each estimator's own product-of-marginals answer
-// (marginal0 × marginal1) is scored as a baseline row: the gap between the
-// joint and the product rows is exactly what native 2-D estimation buys.
+// stay near-uniform. The grid's own product-of-marginals answer
+// (marginal0 × marginal1) is scored as a baseline: the gap between the
+// joint and the product columns is exactly what native 2-D estimation buys.
 //
 // No google-benchmark dependency: plain steady_clock timing, like the other
 // chrono drivers. Single-threaded.
@@ -25,10 +24,9 @@
 //                      [--out=BENCH_multidim.json] [--check]
 //
 // --check turns the contracts into gates: exit 1 if any batched rect answer
-// differs bitwise from the scalar loop, if grid2d does not out-run
-// kde2d-prod on rect throughput, if either estimator's joint answers fail to
-// beat its own product-of-marginals baseline on the anti-product workload,
-// or if either mean absolute error exceeds 0.05. CI runs with --check on the
+// differs bitwise from the scalar loop, if the joint answers fail to beat
+// the product-of-marginals baseline on the anti-product workload, or if a
+// mean absolute error exceeds 0.05. CI runs with --check on the
 // release build; debug binaries refuse --check outright (bench_common.hpp).
 #include <algorithm>
 #include <chrono>
@@ -52,13 +50,13 @@ namespace {
 
 using namespace wde;
 
-std::unique_ptr<selectivity::SelectivityEstimator> Make2d(
-    const std::string& tag) {
+constexpr const char* kTag = "grid2d";
+
+std::unique_ptr<selectivity::SelectivityEstimator> MakeGrid2d() {
   selectivity::EstimatorSpec spec;
-  spec.tag = tag;
+  spec.tag = kTag;
   spec.dims = 2;
-  spec.grid_log2 = 6;        // 64 x 64 cells
-  spec.refit_interval = 4096;
+  spec.grid_log2 = 6;  // 64 x 64 cells
   Result<std::unique_ptr<selectivity::SelectivityEstimator>> est =
       selectivity::MakeEstimator(spec);
   WDE_CHECK(est.ok(), est.status().ToString().c_str());
@@ -185,9 +183,9 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   // Section 1: rect throughput (anti-product data), batch vs scalar.
   // -------------------------------------------------------------------------
-  std::vector<ThroughputRow> throughput_rows;
-  for (const char* tag : {"grid2d", "kde2d-prod"}) {
-    std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d(tag);
+  ThroughputRow throughput;
+  {
+    std::unique_ptr<selectivity::SelectivityEstimator> est = MakeGrid2d();
     est->InsertBatch(anti);
     est->ForceRefit();
 
@@ -210,56 +208,53 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < queries.size(); ++i) {
       bitwise = bitwise && batch[i] == est->Answer(queries[i]);
     }
-    ThroughputRow row;
-    row.estimator = tag;
-    row.queries = queries.size();
-    row.batch_seconds = batch_best;
-    row.batch_qps = static_cast<double>(queries.size()) / batch_best;
-    row.scalar_qps = static_cast<double>(queries.size()) / scalar_best;
-    row.batch_equals_scalar = bitwise;
-    throughput_rows.push_back(row);
+    throughput.estimator = kTag;
+    throughput.queries = queries.size();
+    throughput.batch_seconds = batch_best;
+    throughput.batch_qps = static_cast<double>(queries.size()) / batch_best;
+    throughput.scalar_qps = static_cast<double>(queries.size()) / scalar_best;
+    throughput.batch_equals_scalar = bitwise;
     std::printf(
         "%-10s rect throughput: batch %.3g q/s  scalar %.3g q/s  bitwise %s\n",
-        tag, row.batch_qps, row.scalar_qps, bitwise ? "true" : "false");
+        kTag, throughput.batch_qps, throughput.scalar_qps,
+        bitwise ? "true" : "false");
   }
 
   // -------------------------------------------------------------------------
-  // Section 2: accuracy vs exact truth at equal sample budget, joint vs the
-  // estimator's own product-of-marginals baseline.
+  // Section 2: accuracy vs exact truth, joint vs the estimator's own
+  // product-of-marginals baseline.
   // -------------------------------------------------------------------------
   std::vector<AccuracyRow> accuracy_rows;
   const std::pair<const char*, const std::vector<double>*> workloads[] = {
       {"mixture", &mixture}, {"anti-product", &anti}};
   for (const auto& [workload_name, data] : workloads) {
     const std::vector<double> truth = ExactFractions(*data, rects);
-    for (const char* tag : {"grid2d", "kde2d-prod"}) {
-      std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d(tag);
-      est->InsertBatch(*data);
-      est->ForceRefit();
-      std::vector<double> joint(queries.size());
-      est->Answer(queries, joint);
-      std::vector<double> product(queries.size());
-      for (size_t i = 0; i < rects.size(); ++i) {
-        const double m0 = est->Answer(
-            selectivity::Query::Marginal(0, rects[i].lo0, rects[i].hi0));
-        const double m1 = est->Answer(
-            selectivity::Query::Marginal(1, rects[i].lo1, rects[i].hi1));
-        product[i] = m0 * m1;
-      }
-      AccuracyRow row;
-      row.estimator = tag;
-      row.workload = workload_name;
-      row.joint = Score(joint, truth);
-      row.product = Score(product, truth);
-      row.snapshot_bytes = SnapshotBytes(*est);
-      accuracy_rows.push_back(row);
-      std::printf(
-          "%-10s %-12s joint mae %.5f qerr %.2f | product mae %.5f qerr %.2f "
-          "| snapshot %zu bytes\n",
-          tag, workload_name, row.joint.mean_abs_error, row.joint.mean_qerror,
-          row.product.mean_abs_error, row.product.mean_qerror,
-          row.snapshot_bytes);
+    std::unique_ptr<selectivity::SelectivityEstimator> est = MakeGrid2d();
+    est->InsertBatch(*data);
+    est->ForceRefit();
+    std::vector<double> joint(queries.size());
+    est->Answer(queries, joint);
+    std::vector<double> product(queries.size());
+    for (size_t i = 0; i < rects.size(); ++i) {
+      const double m0 = est->Answer(
+          selectivity::Query::Marginal(0, rects[i].lo0, rects[i].hi0));
+      const double m1 = est->Answer(
+          selectivity::Query::Marginal(1, rects[i].lo1, rects[i].hi1));
+      product[i] = m0 * m1;
     }
+    AccuracyRow row;
+    row.estimator = kTag;
+    row.workload = workload_name;
+    row.joint = Score(joint, truth);
+    row.product = Score(product, truth);
+    row.snapshot_bytes = SnapshotBytes(*est);
+    accuracy_rows.push_back(row);
+    std::printf(
+        "%-10s %-12s joint mae %.5f qerr %.2f | product mae %.5f qerr %.2f "
+        "| snapshot %zu bytes\n",
+        kTag, workload_name, row.joint.mean_abs_error, row.joint.mean_qerror,
+        row.product.mean_abs_error, row.product.mean_qerror,
+        row.snapshot_bytes);
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -270,18 +265,15 @@ int main(int argc, char** argv) {
                "\"repeats\": %zu, \"grid_log2\": 6},\n",
                n, num_queries, repeats);
   bench::perf::WriteHostJson(out);
-  std::fprintf(out, "  \"rect_throughput\": [\n");
-  for (size_t i = 0; i < throughput_rows.size(); ++i) {
-    const ThroughputRow& row = throughput_rows[i];
-    std::fprintf(out,
-                 "    {\"estimator\": \"%s\", \"queries\": %zu, "
-                 "\"batch_seconds\": %.6f, \"batch_qps\": %.1f, "
-                 "\"scalar_qps\": %.1f, \"batch_equals_scalar\": %s}%s\n",
-                 row.estimator.c_str(), row.queries, row.batch_seconds,
-                 row.batch_qps, row.scalar_qps,
-                 row.batch_equals_scalar ? "true" : "false",
-                 i + 1 < throughput_rows.size() ? "," : "");
-  }
+  std::fprintf(out,
+               "  \"rect_throughput\": [\n"
+               "    {\"estimator\": \"%s\", \"queries\": %zu, "
+               "\"batch_seconds\": %.6f, \"batch_qps\": %.1f, "
+               "\"scalar_qps\": %.1f, \"batch_equals_scalar\": %s}\n",
+               throughput.estimator.c_str(), throughput.queries,
+               throughput.batch_seconds, throughput.batch_qps,
+               throughput.scalar_qps,
+               throughput.batch_equals_scalar ? "true" : "false");
   std::fprintf(out, "  ],\n  \"accuracy\": [\n");
   for (size_t i = 0; i < accuracy_rows.size(); ++i) {
     const AccuracyRow& row = accuracy_rows[i];
@@ -302,20 +294,11 @@ int main(int argc, char** argv) {
 
   if (ArgBool(argc, argv, "check")) {
     int violations = 0;
-    for (const ThroughputRow& row : throughput_rows) {
-      if (!row.batch_equals_scalar) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s batched rect answers differ from the "
-                     "scalar loop\n",
-                     row.estimator.c_str());
-        ++violations;
-      }
-    }
-    if (throughput_rows[0].batch_qps <= throughput_rows[1].batch_qps) {
+    if (!throughput.batch_equals_scalar) {
       std::fprintf(stderr,
-                   "CHECK FAILED: grid2d (%.3g q/s) did not out-run "
-                   "kde2d-prod (%.3g q/s) on rect throughput\n",
-                   throughput_rows[0].batch_qps, throughput_rows[1].batch_qps);
+                   "CHECK FAILED: %s batched rect answers differ from the "
+                   "scalar loop\n",
+                   throughput.estimator.c_str());
       ++violations;
     }
     for (const AccuracyRow& row : accuracy_rows) {

@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
     selectivity::EstimatorSpec spec;
     spec.tag = tag;
     spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(tag);
-    if (spec.dims == 0) spec.dims = 1;
     spec.buckets = 64;
     spec.grid_log2 = 10;
     spec.budget = 64;

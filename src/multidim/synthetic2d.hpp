@@ -5,9 +5,8 @@
 /// "anti-product" distribution whose marginals are near-uniform while the
 /// joint concentrates on the two diagonals — the adversarial case for any
 /// independence-assuming (product-of-marginals) estimator, which the 2-D
-/// grid and the adaptive product KDE must still capture. All draws flow
-/// through the deterministic stats::Rng, so data sets reproduce bit-for-bit
-/// from (seed, parameters).
+/// grid must still capture. All draws flow through the deterministic
+/// stats::Rng, so data sets reproduce bit-for-bit from (seed, parameters).
 ///
 /// Output convention: observations are appended interleaved —
 /// x0, y0, x1, y1, ... — exactly the stream layout the dims() == 2

@@ -7,7 +7,6 @@
 #include "io/chunk.hpp"
 #include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
-#include "selectivity/kde2d_selectivity.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/sample_selectivity.hpp"
 #include "selectivity/sharded_selectivity.hpp"
@@ -41,7 +40,7 @@ Status CheckDomain(const EstimatorSpec& spec) {
   return Status::OK();
 }
 
-/// Axis-1 counterpart for the 2-D tags.
+/// Axis-1 counterpart for the 2-D tag.
 Status CheckDomain2(const EstimatorSpec& spec) {
   if (!std::isfinite(spec.domain2_lo) || !std::isfinite(spec.domain2_hi) ||
       !(spec.domain2_lo < spec.domain2_hi)) {
@@ -139,33 +138,6 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeWaveletSketch(
       std::make_unique<StreamingWaveletSelectivity>(std::move(sketch).value()));
 }
 
-Result<std::unique_ptr<SelectivityEstimator>> MakeKde2d(
-    const EstimatorSpec& spec) {
-  WDE_RETURN_IF_ERROR(CheckDims(spec, 2));
-  WDE_RETURN_IF_ERROR(CheckDomain(spec));
-  WDE_RETURN_IF_ERROR(CheckDomain2(spec));
-  if (spec.refit_interval == 0) {
-    return Status::InvalidArgument(
-        "spec 'kde2d-prod': refit_interval must be positive");
-  }
-  if (!std::isfinite(spec.kde2d_alpha) || spec.kde2d_alpha < 0.0 ||
-      spec.kde2d_alpha > 1.0) {
-    return Status::InvalidArgument(
-        "spec 'kde2d-prod': kde2d_alpha must be in [0, 1]");
-  }
-  Kde2dSelectivity::Options options;
-  options.domain_lo0 = spec.domain_lo;
-  options.domain_hi0 = spec.domain_hi;
-  options.domain_lo1 = spec.domain2_lo;
-  options.domain_hi1 = spec.domain2_hi;
-  options.refit_interval = spec.refit_interval;
-  options.alpha = spec.kde2d_alpha;
-  options.cv_bandwidths = spec.kde2d_cv;
-  options.refit_mode = spec.refit_mode;
-  return std::unique_ptr<SelectivityEstimator>(
-      std::make_unique<Kde2dSelectivity>(options));
-}
-
 Result<std::unique_ptr<SelectivityEstimator>> MakeGrid2d(
     const EstimatorSpec& spec) {
   WDE_RETURN_IF_ERROR(CheckDims(spec, 2));
@@ -219,7 +191,6 @@ void RegisterBuiltins(EstimatorRegistry& registry) {
   register_or_die("kde-rot", MakeKde);
   register_or_die("haar-synopsis", MakeSynopsis);
   register_or_die("wavelet-cv", MakeWaveletSketch);
-  register_or_die("kde2d-prod", MakeKde2d, 2);
   register_or_die("grid2d", MakeGrid2d, 2);
   // "sharded" is registered 1-D; wrapping a 2-D inner tag works by setting
   // spec.dims = 2, which the inner factory validates.

@@ -39,8 +39,6 @@ class SelectivityEstimator;
 ///   "wavelet-cv"     — filter, table_levels, j0, j_max, soft_threshold,
 ///                      refit_interval, refit_mode
 ///   "reservoir"      — capacity, seed
-///   "kde2d-prod"     — dims (must be 2), domain2_lo/domain2_hi,
-///                      refit_interval, kde2d_alpha, kde2d_cv, refit_mode
 ///   "grid2d"         — dims (must be 2), domain2_lo/domain2_hi, grid_log2
 ///   "sharded"        — sharded_inner_tag (the prototype's tag; the rest of
 ///                      the spec configures that prototype), shards,
@@ -59,7 +57,7 @@ struct EstimatorSpec {
   double domain_lo = 0.0;
   double domain_hi = 1.0;
 
-  // 2-D estimators: the declared value domain of axis 1.
+  // 2-D estimator (grid2d): the declared value domain of axis 1.
   double domain2_lo = 0.0;
   double domain2_hi = 1.0;
 
@@ -81,13 +79,6 @@ struct EstimatorSpec {
   /// Refit pacing: the wavelet/KDE refit interval and the synopsis rebuild
   /// interval.
   size_t refit_interval = 1024;
-
-  /// 2-D product KDE ("kde2d-prod"): adaptive-bandwidth sensitivity α in
-  /// [0, 1] — per-point bandwidth factors λ_i = (pilot_i / g)^(-α), 0
-  /// disables adaptivity — and whether a least-squares CV pass refines the
-  /// per-dimension rule-of-thumb bandwidths.
-  double kde2d_alpha = 0.5;
-  bool kde2d_cv = false;
 
   /// Refit strategy for the tags that distinguish one ("kde-rot",
   /// "equi-depth", "wavelet-cv", "sharded"): kIncremental (default)

@@ -150,9 +150,10 @@ Status Grid2dHistogram::LoadStateImpl(io::Source& source) {
       have_pending > 1 || counts.size() != g * g || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt grid2d snapshot");
   }
-  // Each axis must span a finite, non-degenerate domain in doubles.
-  const double end0 = lo0 + w0 * static_cast<double>(g);
-  const double end1 = lo1 + w1 * static_cast<double>(g);
+  // w0/w1 are full axis spans: each upper edge hi = lo + w, as hi0()/hi1()
+  // compute it, must be finite and above lo, or every answer is NaN.
+  const double end0 = lo0 + w0;
+  const double end1 = lo1 + w1;
   if (!(end0 > lo0) || !std::isfinite(end0) || !(end1 > lo1) || !std::isfinite(end1) ||
       !internal::IsCountTable(counts, count)) {
     return Status::InvalidArgument("corrupt grid2d snapshot: domain or counts");

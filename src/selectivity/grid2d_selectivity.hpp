@@ -11,8 +11,7 @@ namespace selectivity {
 
 /// 2-D equi-width grid histogram over a fixed rectangle domain: g × g cells
 /// (g = 2^grid_log2) with the continuous-uniform assumption inside each cell
-/// — the multi-dimensional baseline the adaptive product KDE competes with,
-/// and the first estimator to answer kRect natively.
+/// — the native 2-D estimator, and the only one that answers kRect.
 ///
 /// Queries run off a lazily rebuilt inclusive 2-D prefix-sum table (summed-
 /// area table, multidim/grid2d.hpp): a rectangle is four bilinear CDF

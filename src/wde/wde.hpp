@@ -79,9 +79,8 @@
 #include "kernel/kde.hpp"
 #include "kernel/kernels.hpp"
 
-// multidim — depends on kernel, stats, memory, numerics, util.
+// multidim — depends on stats, numerics, util.
 #include "multidim/grid2d.hpp"
-#include "multidim/prod_kde2d.hpp"
 #include "multidim/synthetic2d.hpp"
 
 // processes — depends on stats, numerics, util.
@@ -113,7 +112,6 @@
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
-#include "selectivity/kde2d_selectivity.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/sample_selectivity.hpp"

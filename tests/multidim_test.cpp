@@ -1,11 +1,9 @@
 // Tier-1 tests for the multi-dimensional estimation subsystem: the pure 2-D
-// lattice and product-KDE math in src/multidim (cell indexing, summed-area
-// prefix tables, lex sorting and the incremental tail merge, adaptive
-// bandwidth factors, the windowed product-kernel rectangle sum vs a
-// no-pruning reference), the correlated synthetic-data generators, and the
-// estimator-level contracts of the two registered 2-D tags: rectangle
-// accuracy against analytic truth, correlation capture on the anti-product
-// distribution (where any product-of-marginals answer is badly wrong),
+// lattice math in src/multidim (cell indexing, summed-area prefix tables),
+// the correlated synthetic-data generators, and the estimator-level
+// contracts of grid2d, the registered 2-D tag: rectangle accuracy against
+// analytic truth, correlation capture on the anti-product distribution
+// (where any product-of-marginals answer is badly wrong),
 // merge-of-disjoint-substreams ≡ sequential bitwise, and the sharded engine
 // over a 2-D prototype.
 #include <gtest/gtest.h>
@@ -17,9 +15,7 @@
 #include <numeric>
 #include <vector>
 
-#include "kernel/kernels.hpp"
 #include "multidim/grid2d.hpp"
-#include "multidim/prod_kde2d.hpp"
 #include "multidim/synthetic2d.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
@@ -113,120 +109,6 @@ TEST(Grid2dMathTest, RectCountIsExactOnCellAlignedRectanglesAndClamps) {
             0.0);
 }
 
-// -------------------------------------------------------- lex sort / merge
-
-TEST(ProdKde2dMathTest, MergeSortedTailMatchesFullSortBitwise) {
-  stats::Rng rng(41);
-  for (const size_t n : {size_t{5}, size_t{64}, size_t{513}}) {
-    for (const size_t split : {size_t{0}, size_t{1}, n / 2, n - 1, n}) {
-      std::vector<double> xs(n), ys(n);
-      // Coarse values force ties in x (and some full (x, y) ties), the cases
-      // where lex order and multiset-determinism actually bite.
-      for (double& x : xs) x = static_cast<double>(rng.UniformInt(16)) / 16.0;
-      for (double& y : ys) y = static_cast<double>(rng.UniformInt(16)) / 16.0;
-      std::vector<double> fx = xs, fy = ys;
-      multidim::SortPointsLex(fx, fy);
-      ASSERT_TRUE(multidim::IsLexSorted(fx, fy));
-
-      std::vector<double> mx = xs, my = ys;
-      multidim::SortPointsLex(std::span<double>(mx).first(split),
-                              std::span<double>(my).first(split));
-      multidim::MergeSortedTailLex(mx, my, split);
-      EXPECT_EQ(mx, fx) << "n=" << n << " split=" << split;
-      EXPECT_EQ(my, fy) << "n=" << n << " split=" << split;
-    }
-  }
-}
-
-TEST(ProdKde2dMathTest, IsLexSortedRejectsDisorderAndNonFinite) {
-  std::vector<double> xs = {0.1, 0.2, 0.2, 0.5};
-  std::vector<double> ys = {0.9, 0.1, 0.4, 0.2};
-  EXPECT_TRUE(multidim::IsLexSorted(xs, ys));
-  std::swap(ys[1], ys[2]);  // tie in x, y out of order
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-  std::swap(ys[1], ys[2]);
-  xs[3] = 0.0;  // x out of order
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-  xs[3] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-  xs[3] = kInf;
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-}
-
-TEST(ProdKde2dMathTest, AdaptiveLambdasSharpenDenseRegions) {
-  // A dense clump plus sparse outliers: the clump's pilot density is far
-  // above the geometric mean, so its λ must be below the outliers' λ.
-  std::vector<double> xs, ys;
-  stats::Rng rng(43);
-  for (int i = 0; i < 400; ++i) {
-    xs.push_back(0.25 + 0.02 * rng.UniformDouble());
-    ys.push_back(0.25 + 0.02 * rng.UniformDouble());
-  }
-  for (int i = 0; i < 8; ++i) {
-    xs.push_back(rng.Uniform(0.6, 1.0));
-    ys.push_back(rng.Uniform(0.6, 1.0));
-  }
-  std::vector<double> lambdas(xs.size());
-  const double lambda_max = multidim::AdaptiveLambdas(
-      xs, ys, 0.0, 1.0, 0.0, 1.0, 0.5, 5, lambdas);
-  double max_seen = 0.0;
-  for (const double l : lambdas) {
-    EXPECT_GE(l, 0.25);
-    EXPECT_LE(l, 4.0);
-    max_seen = std::max(max_seen, l);
-  }
-  EXPECT_EQ(lambda_max, max_seen);
-  EXPECT_LT(lambdas[0], lambdas[xs.size() - 1]);  // clump sharper than outlier
-
-  // α = 0 disables adaptivity entirely.
-  const double flat_max = multidim::AdaptiveLambdas(
-      xs, ys, 0.0, 1.0, 0.0, 1.0, 0.0, 5, lambdas);
-  EXPECT_EQ(flat_max, 1.0);
-  for (const double l : lambdas) EXPECT_EQ(l, 1.0);
-}
-
-TEST(ProdKde2dMathTest, WindowedRectSumMatchesNoPruningReference) {
-  stats::Rng rng(47);
-  const size_t n = 500;
-  std::vector<double> xs(n), ys(n), lambdas(n);
-  for (size_t i = 0; i < n; ++i) {
-    xs[i] = rng.UniformDouble();
-    ys[i] = rng.UniformDouble();
-  }
-  multidim::SortPointsLex(xs, ys);
-  for (double& l : lambdas) l = rng.Uniform(0.25, 4.0);
-  const double lambda_max = *std::max_element(lambdas.begin(), lambdas.end());
-  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
-  const double hx = 0.04, hy = 0.07;
-  multidim::ProdKde2dScratch scratch;
-  for (int rep = 0; rep < 64; ++rep) {
-    double lo0 = rng.Uniform(-0.2, 1.2), hi0 = rng.Uniform(-0.2, 1.2);
-    double lo1 = rng.Uniform(-0.2, 1.2), hi1 = rng.Uniform(-0.2, 1.2);
-    if (hi0 < lo0) std::swap(lo0, hi0);
-    if (hi1 < lo1) std::swap(lo1, hi1);
-    if (rep % 7 == 0) lo0 = -kInf;
-    if (rep % 11 == 0) hi1 = kInf;
-    const double got = multidim::ProdKde2dRectSum(
-        k, xs, ys, lambdas, hx, hy, lambda_max, lo0, hi0, lo1, hi1, scratch);
-    double want = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double sx = hx * lambdas[i];
-      const double sy = hy * lambdas[i];
-      const double fx = (std::isinf(hi0) ? 1.0 : k.Cdf((hi0 - xs[i]) / sx)) -
-                        (std::isinf(lo0) ? 0.0 : k.Cdf((lo0 - xs[i]) / sx));
-      const double fy = (std::isinf(hi1) ? 1.0 : k.Cdf((hi1 - ys[i]) / sy)) -
-                        (std::isinf(lo1) ? 0.0 : k.Cdf((lo1 - ys[i]) / sy));
-      want += fx * fy;
-    }
-    EXPECT_NEAR(got, want, 1e-11 * static_cast<double>(n)) << "rep " << rep;
-  }
-  // The all-space rectangle is exactly n: the compact-support CDF saturates
-  // to exactly 0/1, so no tolerance is needed.
-  EXPECT_EQ(multidim::ProdKde2dRectSum(k, xs, ys, lambdas, hx, hy, lambda_max,
-                                       -kInf, kInf, -kInf, kInf, scratch),
-            static_cast<double>(n));
-}
-
 // --------------------------------------------------------- synthetic data
 
 TEST(Synthetic2dTest, GaussianPairRealizesTheRequestedCorrelation) {
@@ -301,31 +183,23 @@ TEST(Synthetic2dTest, AntiProductConcentratesOnTheDiagonals) {
 
 // ------------------------------------------------------ estimator contracts
 
-std::unique_ptr<selectivity::SelectivityEstimator> Make2d(
-    const std::string& tag) {
+std::unique_ptr<selectivity::SelectivityEstimator> MakeGrid2d() {
   selectivity::EstimatorSpec spec;
-  spec.tag = tag;
+  spec.tag = "grid2d";
   spec.dims = 2;
   spec.grid_log2 = 6;
-  spec.refit_interval = 512;
   Result<std::unique_ptr<selectivity::SelectivityEstimator>> est =
       selectivity::MakeEstimator(spec);
   WDE_CHECK(est.ok(), est.status().ToString().c_str());
   return std::move(est).value();
 }
 
-const char* const k2dTags[] = {"grid2d", "kde2d-prod"};
-
 TEST(MultiDimEstimatorTest, RegistryDeclaresNativeDims) {
   EXPECT_EQ(selectivity::EstimatorRegistry::Global().NativeDims("grid2d"), 2);
-  EXPECT_EQ(selectivity::EstimatorRegistry::Global().NativeDims("kde2d-prod"),
-            2);
   EXPECT_EQ(selectivity::EstimatorRegistry::Global().NativeDims("equi-width"),
             1);
   EXPECT_EQ(selectivity::EstimatorRegistry::Global().NativeDims("no-such"), 0);
-  for (const char* tag : k2dTags) {
-    EXPECT_EQ(Make2d(tag)->dims(), 2) << tag;
-  }
+  EXPECT_EQ(MakeGrid2d()->dims(), 2);
 }
 
 TEST(MultiDimEstimatorTest, RectAnswersMatchAnalyticTruthOnAMixture) {
@@ -347,48 +221,44 @@ TEST(MultiDimEstimatorTest, RectAnswersMatchAnalyticTruthOnAMixture) {
     }
     return p;
   };
-  for (const char* tag : k2dTags) {
-    std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d(tag);
-    est->InsertBatch(data);
-    stats::Rng query_rng(73);
-    for (int rep = 0; rep < 40; ++rep) {
-      double lo0 = query_rng.UniformDouble(), hi0 = query_rng.UniformDouble();
-      double lo1 = query_rng.UniformDouble(), hi1 = query_rng.UniformDouble();
-      if (hi0 < lo0) std::swap(lo0, hi0);
-      if (hi1 < lo1) std::swap(lo1, hi1);
-      const double got =
-          est->Answer(selectivity::Query::Rect(lo0, hi0, lo1, hi1));
-      EXPECT_NEAR(got, truth(lo0, hi0, lo1, hi1), 0.04)
-          << tag << " rect [" << lo0 << "," << hi0 << "]x[" << lo1 << ","
-          << hi1 << "]";
-    }
+  std::unique_ptr<selectivity::SelectivityEstimator> est = MakeGrid2d();
+  est->InsertBatch(data);
+  stats::Rng query_rng(73);
+  for (int rep = 0; rep < 40; ++rep) {
+    double lo0 = query_rng.UniformDouble(), hi0 = query_rng.UniformDouble();
+    double lo1 = query_rng.UniformDouble(), hi1 = query_rng.UniformDouble();
+    if (hi0 < lo0) std::swap(lo0, hi0);
+    if (hi1 < lo1) std::swap(lo1, hi1);
+    const double got =
+        est->Answer(selectivity::Query::Rect(lo0, hi0, lo1, hi1));
+    EXPECT_NEAR(got, truth(lo0, hi0, lo1, hi1), 0.04)
+        << "rect [" << lo0 << "," << hi0 << "]x[" << lo1 << ","
+        << hi1 << "]";
   }
 }
 
-TEST(MultiDimEstimatorTest, BothEstimatorsCaptureAntiProductCorrelation) {
+TEST(MultiDimEstimatorTest, JointCapturesAntiProductCorrelation) {
   // The discriminating case for 2-D estimation: the anti-product joint puts
   // ~5x more mass in the central square than the product of its marginals
   // claims. Any estimator that factorizes would answer ~0.04 here.
   stats::Rng rng(79);
   std::vector<double> data;
   multidim::SampleAntiProduct2d(rng, 20000, 0.03, &data);
-  for (const char* tag : k2dTags) {
-    std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d(tag);
-    est->InsertBatch(data);
-    const double joint =
-        est->Answer(selectivity::Query::Rect(0.4, 0.6, 0.4, 0.6));
-    const double m0 = est->Answer(selectivity::Query::Marginal(0, 0.4, 0.6));
-    const double m1 = est->Answer(selectivity::Query::Marginal(1, 0.4, 0.6));
-    EXPECT_GT(joint, 2.5 * m0 * m1) << tag;
-    EXPECT_NEAR(m0, 0.2, 0.05) << tag;  // marginals still near-uniform
-    EXPECT_NEAR(m1, 0.2, 0.05) << tag;
-  }
+  std::unique_ptr<selectivity::SelectivityEstimator> est = MakeGrid2d();
+  est->InsertBatch(data);
+  const double joint =
+      est->Answer(selectivity::Query::Rect(0.4, 0.6, 0.4, 0.6));
+  const double m0 = est->Answer(selectivity::Query::Marginal(0, 0.4, 0.6));
+  const double m1 = est->Answer(selectivity::Query::Marginal(1, 0.4, 0.6));
+  EXPECT_GT(joint, 2.5 * m0 * m1);
+  EXPECT_NEAR(m0, 0.2, 0.05);  // marginals still near-uniform
+  EXPECT_NEAR(m1, 0.2, 0.05);
 }
 
 TEST(MultiDimEstimatorTest, MergeOfDisjointSubstreamsMatchesSequentialBitwise) {
-  // Answers are functions of the observation multiset for both 2-D tags, so
-  // CloneEmpty + per-substream ingest + MergeFrom must be indistinguishable
-  // from one sequential estimator — bitwise, after both quiesce.
+  // Answers are functions of the observation multiset (integer cell
+  // counts), so CloneEmpty + per-substream ingest + MergeFrom must be
+  // indistinguishable from one sequential estimator — bitwise.
   stats::Rng rng(83);
   std::vector<double> data;
   multidim::SampleAntiProduct2d(rng, 3000, 0.05, &data);
@@ -396,27 +266,23 @@ TEST(MultiDimEstimatorTest, MergeOfDisjointSubstreamsMatchesSequentialBitwise) {
   const std::span<const double> head(data.data(), cut);
   const std::span<const double> tail(data.data() + cut, data.size() - cut);
   stats::Rng query_rng(89);
-  for (const char* tag : k2dTags) {
-    std::unique_ptr<selectivity::SelectivityEstimator> sequential = Make2d(tag);
-    sequential->InsertBatch(data);
-    std::unique_ptr<selectivity::SelectivityEstimator> merged = Make2d(tag);
-    std::unique_ptr<selectivity::SelectivityEstimator> peer =
-        merged->CloneEmpty();
-    merged->InsertBatch(head);
-    peer->InsertBatch(tail);
-    ASSERT_TRUE(merged->MergeFrom(*peer).ok()) << tag;
-    ASSERT_EQ(merged->count(), sequential->count()) << tag;
-    sequential->ForceRefit();
-    merged->ForceRefit();
-    for (int rep = 0; rep < 32; ++rep) {
-      double lo0 = query_rng.UniformDouble(), hi0 = query_rng.UniformDouble();
-      double lo1 = query_rng.UniformDouble(), hi1 = query_rng.UniformDouble();
-      if (hi0 < lo0) std::swap(lo0, hi0);
-      if (hi1 < lo1) std::swap(lo1, hi1);
-      const selectivity::Query q =
-          selectivity::Query::Rect(lo0, hi0, lo1, hi1);
-      EXPECT_EQ(merged->Answer(q), sequential->Answer(q)) << tag;
-    }
+  std::unique_ptr<selectivity::SelectivityEstimator> sequential = MakeGrid2d();
+  sequential->InsertBatch(data);
+  std::unique_ptr<selectivity::SelectivityEstimator> merged = MakeGrid2d();
+  std::unique_ptr<selectivity::SelectivityEstimator> peer =
+      merged->CloneEmpty();
+  merged->InsertBatch(head);
+  peer->InsertBatch(tail);
+  ASSERT_TRUE(merged->MergeFrom(*peer).ok());
+  ASSERT_EQ(merged->count(), sequential->count());
+  for (int rep = 0; rep < 32; ++rep) {
+    double lo0 = query_rng.UniformDouble(), hi0 = query_rng.UniformDouble();
+    double lo1 = query_rng.UniformDouble(), hi1 = query_rng.UniformDouble();
+    if (hi0 < lo0) std::swap(lo0, hi0);
+    if (hi1 < lo1) std::swap(lo1, hi1);
+    const selectivity::Query q =
+        selectivity::Query::Rect(lo0, hi0, lo1, hi1);
+    EXPECT_EQ(merged->Answer(q), sequential->Answer(q));
   }
 }
 
@@ -439,7 +305,7 @@ TEST(MultiDimEstimatorTest, ShardedEngineOverA2dPrototypeMatchesSequential) {
       selectivity::MakeEstimator(spec);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ((*sharded)->dims(), 2);
-  std::unique_ptr<selectivity::SelectivityEstimator> plain = Make2d("grid2d");
+  std::unique_ptr<selectivity::SelectivityEstimator> plain = MakeGrid2d();
   (*sharded)->InsertBatch(data);
   plain->InsertBatch(data);
   EXPECT_EQ((*sharded)->count(), plain->count());
@@ -458,17 +324,15 @@ TEST(MultiDimEstimatorTest, InterleaveParitySurvivesNonFiniteCoordinates) {
   // A non-finite value anywhere in the pair drops the WHOLE observation;
   // dropping a single coordinate would shift the interleave and silently
   // pair x's with the wrong y's forever after.
-  for (const char* tag : k2dTags) {
-    std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d(tag);
-    std::unique_ptr<selectivity::SelectivityEstimator> clean = Make2d(tag);
-    const double nan = std::nan("");
-    est->InsertBatch(std::vector<double>{0.1, 0.2, nan, 0.9, 0.3, 0.4, 0.5,
-                                         kInf, 0.7, 0.8});
-    clean->InsertBatch(std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.7, 0.8});
-    EXPECT_EQ(est->count(), 3u) << tag;
-    const selectivity::Query q = selectivity::Query::Rect(0.0, 0.45, 0.0, 0.45);
-    EXPECT_EQ(est->Answer(q), clean->Answer(q)) << tag;
-  }
+  std::unique_ptr<selectivity::SelectivityEstimator> est = MakeGrid2d();
+  std::unique_ptr<selectivity::SelectivityEstimator> clean = MakeGrid2d();
+  const double nan = std::nan("");
+  est->InsertBatch(std::vector<double>{0.1, 0.2, nan, 0.9, 0.3, 0.4, 0.5,
+                                       kInf, 0.7, 0.8});
+  clean->InsertBatch(std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.7, 0.8});
+  EXPECT_EQ(est->count(), 3u);
+  const selectivity::Query q = selectivity::Query::Rect(0.0, 0.45, 0.0, 0.45);
+  EXPECT_EQ(est->Answer(q), clean->Answer(q));
 }
 
 }  // namespace

@@ -128,31 +128,20 @@ TEST(QueryTaxonomyTest, SpecValidationRejectsBadFields) {
   // dims = 1, a 1-D tag refuses dims = 2, and the axis-1 domain of a 2-D tag
   // must be a real interval.
   spec = EstimatorSpec{};
-  spec.tag = "kde2d-prod";
-  EXPECT_FALSE(MakeEstimator(spec).ok());  // dims left at 1
-  spec.dims = 2;
-  EXPECT_TRUE(MakeEstimator(spec).ok());
-  spec.domain2_lo = 1.0;
-  spec.domain2_hi = 0.0;
-  EXPECT_FALSE(MakeEstimator(spec).ok());
-
-  spec = EstimatorSpec{};
   spec.tag = "grid2d";
   EXPECT_FALSE(MakeEstimator(spec).ok());  // dims left at 1
   spec.dims = 2;
   EXPECT_TRUE(MakeEstimator(spec).ok());
   spec.grid_log2 = 11;
   EXPECT_FALSE(MakeEstimator(spec).ok());
+  spec.grid_log2 = 6;
+  spec.domain2_lo = 1.0;
+  spec.domain2_hi = 0.0;
+  EXPECT_FALSE(MakeEstimator(spec).ok());
 
   spec = EstimatorSpec{};
   spec.tag = "equi-width";
   spec.dims = 2;
-  EXPECT_FALSE(MakeEstimator(spec).ok());
-
-  spec = EstimatorSpec{};
-  spec.tag = "kde2d-prod";
-  spec.dims = 2;
-  spec.kde2d_alpha = 1.5;
   EXPECT_FALSE(MakeEstimator(spec).ok());
 
   // A sharded 2-D prototype needs block_size aligned to whole observations.

@@ -200,14 +200,15 @@ TEST(RefitEquivalenceTest, MidIntervalSnapshotRestoreContinuesBitIdentically) {
 // ---------------------------------------------------------------------------
 // Sharded engine: the delta-refreshed merged view (per-replica high-water
 // tail merges + one forced refit) answers bit-identically to the from-zero
-// rebuild, across shard and pool widths, for the buffer inner types (1-D and
-// 2-D KDE, equi-depth: tail-merge path) and an additive-sum inner type
-// (wavelet sketch: full re-merge fallback). ExtractMergedView must agree too.
+// rebuild, across shard and pool widths, for the buffer inner types (KDE,
+// equi-depth: tail-merge path) and the additive-sum inner types (wavelet
+// sketch, and the 2-D grid over interleaved pairs: full re-merge fallback).
+// ExtractMergedView must agree too.
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
   const std::vector<selectivity::Query> queries = Workload(37, 96);
-  for (const char* inner : {"kde-rot", "equi-depth", "kde2d-prod", "wavelet-cv"}) {
+  for (const char* inner : {"kde-rot", "equi-depth", "grid2d", "wavelet-cv"}) {
     SCOPED_TRACE(inner);
     for (const size_t shards : {1u, 2u, 5u}) {
       SCOPED_TRACE(shards);

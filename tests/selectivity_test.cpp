@@ -15,7 +15,6 @@
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/histogram.hpp"
-#include "selectivity/kde2d_selectivity.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/sample_selectivity.hpp"
@@ -433,33 +432,6 @@ TEST(KdeSelectivityTest, ConstantColumnIsNotRefitOnEveryQuery) {
   EXPECT_NEAR(kde.Answer(Query::Cdf(0.5)), 0.5, 1e-3);
 }
 
-TEST(Kde2dSelectivityTest, ConstantAxisIsNotRefitOnEveryQuery) {
-  // Axis 0 without spread: the exact fraction answers, and the failed fit
-  // is retried only once the count moves.
-  Kde2dSelectivity kde(Kde2dSelectivity::Options{});
-  std::vector<double> points;
-  for (int i = 0; i < 40000; ++i) {
-    points.push_back(0.5);
-    points.push_back(static_cast<double>(i % 100) / 100.0);
-  }
-  kde.InsertBatch(points);
-  const Query half = Query::Rect(0.4, 0.6, 0.0, 0.495);
-  double first_answer = -1.0;
-  const double first = SecondsOf([&] { first_answer = kde.Answer(half); });
-  EXPECT_EQ(first_answer, 0.5);
-  std::vector<double> answers(64);
-  const double later = SecondsOf([&] {
-    for (double& answer : answers) answer = kde.Answer(half);
-  });
-  EXPECT_EQ(answers, std::vector<double>(64, 0.5));
-  EXPECT_LT(later, 8.0 * first);
-  // One point off the constant brings spread: the kernel answer, about half
-  // the mass of the old constant (the exact fraction would be ~1).
-  kde.Insert(0.9);
-  kde.Insert(0.5);
-  EXPECT_NEAR(kde.Answer(Query::Rect(0.0, 0.5, 0.0, 1.0)), 0.5, 0.05);
-}
-
 // ------------------------------------------------------- KDE sorted views
 
 std::vector<double> UnitValues(uint64_t seed, size_t n) {
@@ -561,12 +533,10 @@ TEST(KdeViewTest, ViewIsAMergeFromSource) {
   EXPECT_EQ(MixedAnswers(from_view), MixedAnswers(from_writer));
 }
 
-// StaleWriter() for any tail-mergeable tag, built from its spec (kde2d-prod
-// reads the stream as interleaved pairs).
+// StaleWriter() for any tail-mergeable tag, built from its spec.
 std::unique_ptr<SelectivityEstimator> StaleWriterOf(const std::string& tag) {
   EstimatorSpec spec;
   spec.tag = tag;
-  spec.dims = EstimatorRegistry::Global().NativeDims(tag);
   spec.refit_interval = 4096;
   Result<std::unique_ptr<SelectivityEstimator>> writer = MakeEstimator(spec);
   WDE_CHECK_OK(writer.status());
@@ -581,7 +551,7 @@ TEST(KdeViewTest, MergeTailFromRejectsAViewPeer) {
   // Stream positions exist only in a peer's arrival-order tail: a from_count
   // inside its sorted prefix (a view's prefix covers what its writer had
   // fitted) is a FailedPrecondition that leaves the target untouched.
-  for (const char* tag : {"kde-rot", "equi-depth", "kde2d-prod"}) {
+  for (const char* tag : {"kde-rot", "equi-depth"}) {
     SCOPED_TRACE(tag);
     std::unique_ptr<SelectivityEstimator> writer = StaleWriterOf(tag);
     const std::unique_ptr<SelectivityEstimator> view = writer->CloneForView();

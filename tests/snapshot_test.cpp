@@ -29,7 +29,6 @@
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
-#include "selectivity/kde2d_selectivity.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/sample_selectivity.hpp"
@@ -133,13 +132,8 @@ MakeIngestedEstimators(size_t n = 5000, bool coarse = false) {
     estimators.push_back(std::make_unique<selectivity::ShardedSelectivityEstimator>(
         *selectivity::ShardedSelectivityEstimator::Create(prototype, options)));
   }
-  // The 2-D estimators consume the same stream as interleaved (x, y) pairs —
-  // 2500 complete observations from 5000 values, with the save again landing
-  // mid refit interval for the KDE.
-  selectivity::Kde2dSelectivity::Options kde2d_options;
-  kde2d_options.refit_interval = 2048;
-  estimators.push_back(
-      std::make_unique<selectivity::Kde2dSelectivity>(kde2d_options));
+  // The 2-D grid consumes the same stream as interleaved (x, y) pairs — 2500
+  // complete observations from 5000 values.
   estimators.push_back(
       std::make_unique<selectivity::Grid2dHistogram>(0.0, 1.0, 0.0, 1.0,
                                                      coarse ? 4 : 6));
@@ -425,12 +419,12 @@ TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
   const std::vector<Query> queries = Workload();
   std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> estimators =
       MakeIngestedEstimators();
-  // The sharded wrapper over each 2-D tag: its shell must take the
+  // The sharded wrapper over the 2-D grid: its shell must take the
   // envelope's dimensionality, not the wrapper's registered 1-D.
-  for (const char* inner : {"grid2d", "kde2d-prod"}) {
+  {
     selectivity::EstimatorSpec spec;
     spec.tag = "sharded";
-    spec.sharded_inner_tag = inner;
+    spec.sharded_inner_tag = "grid2d";
     spec.dims = 2;
     spec.shards = 3;
     spec.block_size = 512;
@@ -708,12 +702,11 @@ std::vector<uint8_t> ReplaceValue(const std::vector<uint8_t>& bytes,
   return {};
 }
 
-/// `bytes` of a kde-rot or kde2d-prod snapshot with its saved fitted count
-/// replaced; re-framed with a valid CRC.
+/// `bytes` of a kde-rot snapshot with its saved fitted count replaced;
+/// re-framed with a valid CRC.
 std::vector<uint8_t> WithFittedCount(const std::vector<uint8_t>& bytes,
-                                     const std::string& tag, uint64_t fitted) {
-  // kde-rot: domain, interval. kde2d-prod: domains, interval, α, cv.
-  const size_t at = tag == "kde-rot" ? 8 + 8 + 8 : 4 * 8 + 8 + 8 + 1;
+                                     uint64_t fitted) {
+  const size_t at = 8 + 8 + 8;  // domain, interval
   SplitSnapshot split = Split(bytes);
   io::VectorSink sink;
   WDE_CHECK_OK(io::WriteU64(sink, fitted));
@@ -803,10 +796,12 @@ std::vector<std::vector<uint8_t>> WaveletCvPlantedInputs(
 TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainValues) {
   // The loaders that keep raw observations validate them: Insert drops
   // non-finite values, and the clamping ones never hold a value outside
-  // their domain. The KDEs also reject a fitted count no live estimator
+  // their domain. The KDE also rejects a fitted count no live estimator
   // records. wavelet-cv keeps sums and coefficients instead, and rejects
   // non-finite ones, a negative S2, a level off its basis window and a
-  // `kept` count that disagrees with θ.
+  // `kept` count that disagrees with θ. grid2d keeps cell counts over a
+  // saved (lo, span) per axis, and rejects an axis whose upper edge lo + span
+  // rounds back onto lo (every answer would be NaN).
   // A rejected load leaves the target untouched.
   const std::vector<double> xs = UnitStream(41, 600);
   const std::vector<Query> queries = Workload();
@@ -815,8 +810,8 @@ TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainV
   for (const auto& est : MakeIngestedEstimators(0)) {
     const std::string tag = est->snapshot_type_tag();
     const bool keeps_values = tag == "kde-rot" || tag == "equi-depth" ||
-                              tag == "kde2d-prod" || tag == "reservoir";
-    if (!keeps_values && tag != "wavelet-cv") continue;
+                              tag == "reservoir";
+    if (!keeps_values && tag != "wavelet-cv" && tag != "grid2d") continue;
     selectivity::SelectivityEstimator& target = **std::find_if(
         targets.begin(), targets.end(),
         [&tag](const auto& t) { return t->snapshot_type_tag() == tag; });
@@ -830,21 +825,24 @@ TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainV
       // The reservoir declares no domain; the others clamp into [0, 1].
       if (tag != "reservoir") replacements.insert(replacements.end(), {7.5, -0.25});
       for (double bad : replacements) inputs.push_back(ReplaceValue(bytes, xs, bad));
+    } else if (tag == "grid2d") {
+      // Axis 0 at lo = 1e16 with span 0.9: lo + span == lo in doubles.
+      inputs.push_back(PlantAt(PlantAt(bytes, 0, 1e16), 8, 0.9));
     } else {
       inputs = WaveletCvPlantedInputs(bytes);
     }
-    if (tag == "kde-rot" || tag == "kde2d-prod") {
+    if (tag == "kde-rot") {
       // A live estimator fits only at four or more observations, and only
       // when the fit does not degenerate (all values equal).
       for (const uint64_t fitted : {1, 2, 3}) {
-        inputs.push_back(WithFittedCount(bytes, tag, fitted));
+        inputs.push_back(WithFittedCount(bytes, fitted));
       }
       std::unique_ptr<selectivity::SelectivityEstimator> flat = est->CloneEmpty();
       flat->InsertBatch(std::vector<double>(600, 0.5));
       AnswersOf(*flat, queries);
       const std::vector<uint8_t> flat_bytes = SnapshotBytesOf(*flat);
       ASSERT_TRUE(Load(flat_bytes).ok());
-      inputs.push_back(WithFittedCount(flat_bytes, tag, 4));
+      inputs.push_back(WithFittedCount(flat_bytes, 4));
     }
     for (size_t input = 0; input < inputs.size(); ++input) {
       const std::vector<uint8_t>& corrupt = inputs[input];
