@@ -14,10 +14,17 @@
 // Usage: perf_snapshot [--n=200000] [--queries=256] [--repeats=5]
 //                      [--out=BENCH_snapshot.json] [--check]
 //
+// The rows are one instance of every 1-D tag, plus a second sharded row
+// wrapping the wavelet sketch as the e2e wcv-read workload does (sym8,
+// j0 = 2, j_max = 11, 4 shards, block_size 1024).
+//
 // --check: exit 1 if any estimator fails to round-trip bit-identically —
-// the fidelity contract at bench scale, not just test sizes — or if
-// kde-rot's file save peaks at a quarter of its snapshot size or more: a
-// save streams the state chunk to the file and buffers no payload.
+// the fidelity contract at bench scale, not just test sizes — if a wavelet
+// row (the sketch or the sharded sketch) loads in more than twice its save
+// time: a restore finds its filter and basis tables already built, so it
+// parses and copies, nothing more — or if kde-rot's file save peaks at a
+// quarter of its snapshot size or more: a save streams the state chunk to
+// the file and buffers no payload.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +39,7 @@
 
 #include "bench_common.hpp"
 #include "selectivity/estimator_registry.hpp"
+#include "selectivity/estimator_spec.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
@@ -91,6 +99,22 @@ std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> MakeEstimators()
     options.shards = 4;
     estimators.push_back(std::make_unique<selectivity::ShardedSelectivityEstimator>(
         *selectivity::ShardedSelectivityEstimator::Create(prototype, options)));
+  }
+  {
+    // The paper's estimator as the e2e wcv-read workload serves it.
+    selectivity::EstimatorSpec spec;
+    spec.tag = "sharded";
+    spec.sharded_inner_tag = "wavelet-cv";
+    spec.filter = "sym8";
+    spec.j0 = 2;
+    spec.j_max = 11;
+    spec.refit_interval = size_t{1} << 40;  // shards never refit on their own
+    spec.shards = 4;
+    spec.block_size = 1024;
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> sharded =
+        selectivity::MakeEstimator(spec);
+    WDE_CHECK_OK(sharded.status());
+    estimators.push_back(std::move(sharded).value());
   }
   return estimators;
 }
@@ -277,6 +301,17 @@ int main(int argc, char** argv) {
                      row.name.c_str());
         ++violations;
       }
+      // The wavelet rows (the sketch and its sharded wrapper) re-derive no
+      // filter and no basis on load while one is alive, so a load costs
+      // about what a save does.
+      if (row.name.find("wavelet") != std::string::npos &&
+          row.load_seconds > 2.0 * row.save_seconds) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: %s loaded in %.3f ms, more than twice its "
+                     "%.3f ms save\n",
+                     row.name.c_str(), row.load_seconds * 1e3, row.save_seconds * 1e3);
+        ++violations;
+      }
       if (row.tag == "kde-rot" && row.save_peak_rss_bytes * 4 >= row.bytes) {
         std::fprintf(stderr,
                      "CHECK FAILED: %s file save peaked at %zu bytes of RSS, "
@@ -286,7 +321,7 @@ int main(int argc, char** argv) {
       }
     }
     if (violations > 0) return 1;
-    std::printf("round-trip fidelity and save-memory checks passed\n");
+    std::printf("round-trip fidelity, wavelet load-cost and save-memory checks passed\n");
   }
   return 0;
 }

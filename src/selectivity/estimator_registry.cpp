@@ -30,24 +30,27 @@ Status CheckDims(const EstimatorSpec& spec, int native_dims) {
   return Status::OK();
 }
 
-/// Validation shared by the tags that declare a domain.
-Status CheckDomain(const EstimatorSpec& spec) {
-  if (!std::isfinite(spec.domain_lo) || !std::isfinite(spec.domain_hi) ||
-      !(spec.domain_lo < spec.domain_hi)) {
-    return Status::InvalidArgument("spec '" + spec.tag +
-                                   "': domain_lo must be < domain_hi");
+/// A domain is a finite lo < hi whose width hi − lo is finite too: every
+/// tag maps values through (x − lo) / (hi − lo), which an infinite width
+/// collapses to 0, and its own snapshot loader refuses such a domain.
+Status CheckInterval(const EstimatorSpec& spec, double lo, double hi, const char* lo_name,
+                     const char* hi_name) {
+  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi) || !std::isfinite(hi - lo)) {
+    return Status::InvalidArgument("spec '" + spec.tag + "': " + lo_name + " must be < " +
+                                   hi_name + " with a finite width");
   }
   return Status::OK();
 }
 
+/// Validation shared by the tags that declare a domain.
+Status CheckDomain(const EstimatorSpec& spec) {
+  return CheckInterval(spec, spec.domain_lo, spec.domain_hi, "domain_lo", "domain_hi");
+}
+
 /// Axis-1 counterpart for the 2-D tag.
 Status CheckDomain2(const EstimatorSpec& spec) {
-  if (!std::isfinite(spec.domain2_lo) || !std::isfinite(spec.domain2_hi) ||
-      !(spec.domain2_lo < spec.domain2_hi)) {
-    return Status::InvalidArgument("spec '" + spec.tag +
-                                   "': domain2_lo must be < domain2_hi");
-  }
-  return Status::OK();
+  return CheckInterval(spec, spec.domain2_lo, spec.domain2_hi, "domain2_lo",
+                       "domain2_hi");
 }
 
 Result<std::unique_ptr<SelectivityEstimator>> MakeEquiWidth(
@@ -100,6 +103,7 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeKde(const EstimatorSpec& spec)
 Result<std::unique_ptr<SelectivityEstimator>> MakeSynopsis(
     const EstimatorSpec& spec) {
   WDE_RETURN_IF_ERROR(CheckDims(spec, 1));
+  WDE_RETURN_IF_ERROR(CheckDomain(spec));
   WaveletSynopsisSelectivity::Options options;
   options.domain_lo = spec.domain_lo;
   options.domain_hi = spec.domain_hi;

@@ -1,7 +1,10 @@
 #include "wavelet/filter.hpp"
 
+#include <array>
 #include <cmath>
 #include <complex>
+#include <mutex>
+#include <optional>
 
 #include "numerics/polynomial.hpp"
 #include "numerics/special_functions.hpp"
@@ -193,39 +196,54 @@ WaveletFilter::WaveletFilter(std::vector<double> h, int vanishing_moments,
 }
 
 WaveletFilter WaveletFilter::Haar() {
-  return WaveletFilter({1.0 / kSqrt2, 1.0 / kSqrt2}, 1, "haar");
+  static const WaveletFilter haar({1.0 / kSqrt2, 1.0 / kSqrt2}, 1, "haar");
+  return haar;
 }
 
 Result<WaveletFilter> WaveletFilter::Daubechies(int vanishing_moments) {
-  if (vanishing_moments < 1 || vanishing_moments > 10) {
-    return Status::InvalidArgument(
-        Format("Daubechies order %d unsupported (want 1..10)", vanishing_moments));
-  }
-  if (vanishing_moments == 1) return Haar();
-  Result<std::vector<double>> h = BuildCoefficients(vanishing_moments, false);
-  if (!h.ok()) return h.status();
-  WaveletFilter filter(std::move(h).value(), vanishing_moments,
-                       Format("db%d", vanishing_moments));
-  if (filter.OrthonormalityDefect() > 1e-8) {
-    return Status::Internal("constructed Daubechies filter fails orthonormality");
-  }
-  return filter;
+  return Derived(vanishing_moments, /*least_asymmetric=*/false);
 }
 
 Result<WaveletFilter> WaveletFilter::Symmlet(int vanishing_moments) {
+  return Derived(vanishing_moments, /*least_asymmetric=*/true);
+}
+
+Result<WaveletFilter> WaveletFilter::Derived(int vanishing_moments,
+                                             bool least_asymmetric) {
+  const char* family = least_asymmetric ? "Symmlet" : "Daubechies";
   if (vanishing_moments < 1 || vanishing_moments > 10) {
-    return Status::InvalidArgument(
-        Format("Symmlet order %d unsupported (want 1..10)", vanishing_moments));
+    return Status::InvalidArgument(Format("%s order %d unsupported (want 1..10)", family,
+                                          vanishing_moments));
   }
   if (vanishing_moments == 1) return Haar();
-  Result<std::vector<double>> h = BuildCoefficients(vanishing_moments, true);
-  if (!h.ok()) return h.status();
-  WaveletFilter filter(std::move(h).value(), vanishing_moments,
-                       Format("sym%d", vanishing_moments));
-  if (filter.OrthonormalityDefect() > 1e-8) {
-    return Status::Internal("constructed Symmlet filter fails orthonormality");
-  }
-  return filter;
+  // One slot per (family, order), filled once: the Symmlet root-group search
+  // costs milliseconds and its outcome never changes. The order is
+  // range-checked above, so no input can add a slot or evict one; a caller
+  // racing the build waits in call_once for its outcome.
+  struct Slot {
+    std::once_flag once;
+    std::optional<Result<WaveletFilter>> filter;
+  };
+  static std::array<Slot, 20> memo;
+  Slot& slot = memo[(least_asymmetric ? 10 : 0) + (vanishing_moments - 1)];
+  std::call_once(slot.once, [&] {
+    Result<std::vector<double>> h =
+        BuildCoefficients(vanishing_moments, least_asymmetric);
+    if (!h.ok()) {
+      slot.filter.emplace(h.status());
+      return;
+    }
+    WaveletFilter filter(std::move(h).value(), vanishing_moments,
+                         Format("%s%d", least_asymmetric ? "sym" : "db",
+                                vanishing_moments));
+    if (filter.OrthonormalityDefect() > 1e-8) {
+      slot.filter.emplace(Status::Internal(
+          Format("constructed %s filter fails orthonormality", family)));
+      return;
+    }
+    slot.filter.emplace(std::move(filter));
+  });
+  return *slot.filter;
 }
 
 Result<WaveletFilter> WaveletFilter::FromName(const std::string& name) {

@@ -19,6 +19,12 @@ namespace wavelet {
 /// family; Symmlets pick, among the 2^G reciprocal root-group selections, the
 /// one whose frequency response has the most linear phase (least-asymmetric
 /// family, the paper's choice with N = 8).
+///
+/// Each filter is derived at most once per process: `Haar`, `Daubechies` and
+/// `Symmlet` memoize their result per (family, order) — at most 19 derived
+/// filters plus Haar, strong entries, thread-safe — and hand out copies.
+/// Since these builders are the only way to make a filter, a filter's
+/// `name()` determines its taps within a process.
 class WaveletFilter {
  public:
   /// Haar filter (N = 1).
@@ -33,9 +39,11 @@ class WaveletFilter {
   static Result<WaveletFilter> Symmlet(int vanishing_moments);
 
   /// Rebuilds a filter from its `name()` ("haar", "dbN", "symN") — the
-  /// self-describing handle snapshots store instead of raw coefficients, so
-  /// restored filters are re-derived by the same construction as live ones
-  /// (bit-identical within one platform). Unknown names are an error.
+  /// self-describing handle snapshots store instead of raw coefficients.
+  /// Forwards to the memoized builders above, so a restored filter is the
+  /// very filter live estimators use, and a restore after the first derives
+  /// nothing. Names outside those three forms, and orders outside 1..10, are
+  /// InvalidArgument and never reach the memo.
   static Result<WaveletFilter> FromName(const std::string& name);
 
   const std::vector<double>& h() const { return h_; }
@@ -52,6 +60,9 @@ class WaveletFilter {
 
  private:
   WaveletFilter(std::vector<double> h, int vanishing_moments, std::string name);
+
+  /// The memoized Daubechies (least_asymmetric = false) or Symmlet builder.
+  static Result<WaveletFilter> Derived(int vanishing_moments, bool least_asymmetric);
 
   std::vector<double> h_;
   std::vector<double> g_;

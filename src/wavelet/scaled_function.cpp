@@ -4,7 +4,7 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "numerics/integration.hpp"
@@ -60,9 +60,9 @@ ScaledLevelEvaluator::ScaledLevelEvaluator(int j,
 
 namespace {
 
-/// What identifies a basis's tables: the filter's name and taps plus the
-/// table resolution.
-using BasisKey = std::tuple<std::string, std::vector<double>, int>;
+/// What identifies a basis's tables: the filter's name (which fixes its taps,
+/// see filter.hpp) plus the table resolution.
+using BasisKey = std::pair<std::string, int>;
 
 Result<std::shared_ptr<const BasisTables>> BuildTables(const WaveletFilter& filter,
                                                        int table_levels) {
@@ -91,7 +91,7 @@ Result<WaveletBasis> WaveletBasis::Create(const WaveletFilter& filter,
   static std::mutex mu;
   static std::map<BasisKey, std::weak_ptr<const BasisTables>> memo;
   const std::lock_guard<std::mutex> lock(mu);
-  BasisKey key{filter.name(), filter.h(), table_levels};
+  BasisKey key{filter.name(), table_levels};
   if (auto it = memo.find(key); it != memo.end()) {
     if (std::shared_ptr<const BasisTables> tables = it->second.lock()) {
       return WaveletBasis(std::move(tables));

@@ -252,7 +252,7 @@ class ScaledLevelEvaluator {
 class WaveletBasis {
  public:
   /// Tables for `filter` at dyadic resolution 2^-table_levels. Memoized per
-  /// process by (filter name, taps, table_levels): while any basis built for
+  /// process by (filter name, table_levels): while any basis built for
   /// that key is alive, Create returns one sharing its tables instead of
   /// rerunning the cascade. Entries are weak, so tables die with their last
   /// user. Thread-safe.

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -153,6 +154,45 @@ TEST(QueryTaxonomyTest, SpecValidationRejectsBadFields) {
   EXPECT_FALSE(MakeEstimator(spec).ok());
   spec.block_size = 64;
   EXPECT_TRUE(MakeEstimator(spec).ok());
+}
+
+TEST(QueryTaxonomyTest, SpecDomainWhoseWidthOverflowsIsRejected) {
+  // Finite ends, infinite width: every value would map through
+  // (x − lo) / (hi − lo) = 0. Every tag that declares a domain, alone and
+  // under sharded, refuses it; grid2d refuses it on either axis.
+  const auto expect_rejected = [](EstimatorSpec spec, const std::string& what) {
+    Result<std::unique_ptr<SelectivityEstimator>> est = MakeEstimator(spec);
+    ASSERT_FALSE(est.ok()) << what;
+    EXPECT_EQ(est.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  size_t domain_tags = 0;
+  for (const std::string& tag : EstimatorRegistry::Global().Tags()) {
+    if (tag == "sharded" || tag == "reservoir") continue;  // no domain of its own
+    ++domain_tags;
+    EstimatorSpec spec;
+    spec.tag = tag;
+    spec.dims = EstimatorRegistry::Global().NativeDims(tag);
+    for (const bool sharded : {false, true}) {
+      EstimatorSpec outer = spec;
+      if (sharded) {
+        outer.tag = "sharded";
+        outer.sharded_inner_tag = tag;
+      }
+      const std::string what = (sharded ? "sharded over " : "") + tag;
+      EXPECT_TRUE(MakeEstimator(outer).ok()) << what;  // the default domain builds
+      EstimatorSpec wide = outer;
+      wide.domain_lo = -1e308;
+      wide.domain_hi = 1e308;
+      expect_rejected(wide, what + " on axis 0");
+      if (spec.dims == 2) {
+        wide = outer;
+        wide.domain2_lo = -1e308;
+        wide.domain2_hi = 1e308;
+        expect_rejected(wide, what + " on axis 1");
+      }
+    }
+  }
+  EXPECT_GE(domain_tags, 6u);
 }
 
 TEST(QueryTaxonomyTest, EveryKindLowersOntoTheRangePrimitive) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -616,6 +617,38 @@ TEST(BasisMemoTest, ConcurrentCreatesGetTheSameTables) {
   Result<wavelet::WaveletBasis> finer = wavelet::WaveletBasis::Create(filter, 10);
   ASSERT_TRUE(finer.ok());
   EXPECT_NE(&finer->filter(), &bases[0]->filter());
+}
+
+TEST(FilterMemoTest, ConcurrentFromNamesGetTheSameTaps) {
+  // sym7 and db7 are orders no other test here builds, so the four threads
+  // race on their first derivation; sym8 and db4 race on the memo's reads.
+  const std::vector<std::string> names = {"sym7", "db7", "sym8", "db4"};
+  // taps[t][i]: thread t's filter for names[i].
+  std::vector<std::vector<std::vector<double>>> taps(
+      4, std::vector<std::vector<double>>(names.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < taps.size(); ++t) {
+    threads.emplace_back([&names, &taps, t] {
+      for (size_t step = 0; step < names.size(); ++step) {
+        const size_t i = (step + t) % names.size();  // each thread starts elsewhere
+        Result<wavelet::WaveletFilter> filter =
+            wavelet::WaveletFilter::FromName(names[i]);
+        WDE_CHECK_OK(filter.status());
+        taps[t][i] = filter->h();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::vector<double> expected = wavelet::WaveletFilter::FromName(names[i])->h();
+    for (size_t t = 0; t < taps.size(); ++t) {
+      ASSERT_EQ(taps[t][i].size(), expected.size()) << names[i];
+      EXPECT_EQ(std::memcmp(taps[t][i].data(), expected.data(),
+                            expected.size() * sizeof(double)),
+                0)
+          << names[i] << " thread " << t;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ workload

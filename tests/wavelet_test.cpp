@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "numerics/integration.hpp"
 #include "stats/rng.hpp"
+#include "util/string_util.hpp"
 #include "wavelet/cascade.hpp"
 #include "wavelet/daubechies_lagarias.hpp"
 #include "wavelet/dwt.hpp"
@@ -226,6 +229,16 @@ TEST(FilterTest, RejectsUnsupportedOrders) {
   EXPECT_FALSE(WaveletFilter::Daubechies(11).ok());
   EXPECT_FALSE(WaveletFilter::Symmlet(-1).ok());
   EXPECT_FALSE(WaveletFilter::Symmlet(42).ok());
+  // Snapshot-supplied names: none of these reaches the filter memo.
+  const std::string junk(64, '\x9c');
+  for (const std::string& name :
+       {std::string("sym0"), std::string("sym11"), std::string("db99"),
+        std::string("db"), std::string("symx"), std::string("db0"), std::string(""),
+        junk}) {
+    const Result<WaveletFilter> filter = WaveletFilter::FromName(name);
+    ASSERT_FALSE(filter.ok()) << name;
+    EXPECT_EQ(filter.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 TEST(FilterTest, SymmletIsMoreSymmetricThanDaubechies) {
@@ -257,6 +270,33 @@ TEST(FilterTest, Sym1IsHaar) {
   Result<WaveletFilter> sym1 = WaveletFilter::Symmlet(1);
   ASSERT_TRUE(sym1.ok());
   EXPECT_EQ(sym1->length(), 2);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(FilterTest, FromNameHandsOutTheBuildersFiltersOnEveryCall) {
+  for (int n = 1; n <= 10; ++n) {
+    const WaveletFilter db = *WaveletFilter::Daubechies(n);
+    const WaveletFilter sym = *WaveletFilter::Symmlet(n);
+    for (int call = 0; call < 3; ++call) {
+      const Result<WaveletFilter> db_named = WaveletFilter::FromName(Format("db%d", n));
+      const Result<WaveletFilter> sym_named = WaveletFilter::FromName(Format("sym%d", n));
+      ASSERT_TRUE(db_named.ok()) << n;
+      ASSERT_TRUE(sym_named.ok()) << n;
+      EXPECT_TRUE(SameBits(db_named->h(), db.h())) << "db" << n;
+      EXPECT_TRUE(SameBits(db_named->g(), db.g())) << "db" << n;
+      EXPECT_EQ(db_named->name(), n == 1 ? "haar" : Format("db%d", n));
+      EXPECT_TRUE(SameBits(sym_named->h(), sym.h())) << "sym" << n;
+      EXPECT_TRUE(SameBits(sym_named->g(), sym.g())) << "sym" << n;
+      EXPECT_EQ(sym_named->name(), n == 1 ? "haar" : Format("sym%d", n));
+      EXPECT_TRUE(SameBits(WaveletFilter::Daubechies(n)->h(), db.h())) << n;
+      EXPECT_TRUE(SameBits(WaveletFilter::Symmlet(n)->h(), sym.h())) << n;
+    }
+  }
+  EXPECT_TRUE(SameBits(WaveletFilter::FromName("haar")->h(), WaveletFilter::Haar().h()));
 }
 
 TEST(CascadeTest, HaarTablesAreIndicator) {
