@@ -21,15 +21,39 @@ double RuleOfThumbBandwidth(std::span<const double> data) {
   return sigma * std::pow(4.0 / (3.0 * n), 0.2);
 }
 
-double RuleOfThumbBandwidthSorted(std::span<const double> sorted) {
+namespace {
+
+// The rule's scale over a sorted sample: IQR / (2 · 0.6745), or the standard
+// deviation when the IQR degenerates.
+double SortedSpread(std::span<const double> sorted) {
   WDE_CHECK_GE(sorted.size(), 2u);
-  const double n = static_cast<double>(sorted.size());
   double sigma =
       stats::IqrSorted(sorted, stats::QuantileMethod::kMatlab) / (2.0 * 0.6745);
   if (sigma <= 0.0) sigma = stats::StdDev(sorted);
-  WDE_CHECK_GT(sigma, 0.0, "degenerate sample: zero spread");
+  return sigma;
+}
+
+double RuleOfThumbFromSpread(double sigma, size_t size) {
+  const double n = static_cast<double>(size);
   return sigma * std::pow(4.0 / (3.0 * n), 0.2);
 }
+
+}  // namespace
+
+double RuleOfThumbBandwidthSorted(std::span<const double> sorted) {
+  const double sigma = SortedSpread(sorted);
+  WDE_CHECK_GT(sigma, 0.0, "degenerate sample: zero spread");
+  return RuleOfThumbFromSpread(sigma, sorted.size());
+}
+
+namespace internal {
+
+double RuleOfThumbBandwidthSortedOrZero(std::span<const double> sorted) {
+  const double sigma = SortedSpread(sorted);
+  return sigma > 0.0 ? RuleOfThumbFromSpread(sigma, sorted.size()) : 0.0;
+}
+
+}  // namespace internal
 
 double SilvermanBandwidth(std::span<const double> data) {
   WDE_CHECK_GE(data.size(), 2u);

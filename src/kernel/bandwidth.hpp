@@ -23,6 +23,16 @@ double RuleOfThumbBandwidth(std::span<const double> data);
 /// bit-exact across save/load.
 double RuleOfThumbBandwidthSorted(std::span<const double> sorted);
 
+namespace internal {
+
+/// RuleOfThumbBandwidthSorted, bitwise, but 0 where that one aborts: for a
+/// sample without positive spread, and for a span not yet known to be
+/// ascending (a restored column, or one holding NaN), whose value is then
+/// meaningless. For callers that verify the order afterwards.
+double RuleOfThumbBandwidthSortedOrZero(std::span<const double> sorted);
+
+}  // namespace internal
+
 /// Silverman's rule 0.9 · min(sd, IQR/1.34) · n^{-1/5} (provided for
 /// completeness; not used in the reproduction benches).
 double SilvermanBandwidth(std::span<const double> data);

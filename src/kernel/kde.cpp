@@ -119,11 +119,18 @@ Result<KernelDensityEstimator> KernelDensityEstimator::AdoptSorted(
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return Status::InvalidArgument("bandwidth must be positive and finite");
   }
-  const std::span<const double> sorted = samples.F64(0);
-  if (!std::is_sorted(sorted.begin(), sorted.end())) {
+  // The Epanechnikov index is built in the sweep that checks the order, so
+  // the column is read once and warm-up has nothing left to build.
+  std::shared_ptr<BlockMoments> index;
+  if (kernel.type() == KernelType::kEpanechnikov) {
+    index = std::make_shared<BlockMoments>();
+  }
+  if (!Sweep(samples.F64(0), bandwidth, index.get())) {
     return Status::InvalidArgument("AdoptSorted: samples are not ascending");
   }
-  return KernelDensityEstimator(std::move(kernel), bandwidth, std::move(samples));
+  KernelDensityEstimator kde(std::move(kernel), bandwidth, std::move(samples));
+  kde.moments_ = std::move(index);
+  return kde;
 }
 
 double KernelDensityEstimator::Evaluate(double x) const {
@@ -187,32 +194,37 @@ double KernelDensityEstimator::IntegrateRange(double a, double b) const {
   return acc / static_cast<double>(sorted_.size());
 }
 
-const KernelDensityEstimator::BlockMoments& KernelDensityEstimator::Moments() const {
-  if (moments_) return *moments_;
+bool KernelDensityEstimator::Sweep(std::span<const double> sorted, double bandwidth,
+                                   BlockMoments* index) {
   constexpr size_t kB = kMomentBlock;
-  auto index = std::make_shared<BlockMoments>();
-  const size_t blocks = sorted_.size() / kB;
-  // Centre the moments on the data so the cubic below cancels as little as
-  // possible; std::midpoint cannot overflow.
-  index->centre = std::midpoint(sorted_.front(), sorted_.back());
-  // The cubic in CdfAt cancels terms of size (range/h)³ per sample down to
-  // at most 1, so double-double leaves about (range/h)³·1e-32 of error: at
-  // most 1e-14 while range <= 1e6·h. The other two bounds keep every moment
-  // and h³ far inside the normal double range. Outside them the prefix
-  // stays empty and CdfAt sums the window sample by sample.
-  const double range = sorted_.back() - sorted_.front();
-  if (!(range <= 1e6 * bandwidth_ && range <= 1e60 && bandwidth_ >= 1e-60)) {
-    moments_ = std::move(index);
-    return *moments_;
+  const double* data = sorted.data();
+  const size_t n = sorted.size();
+  size_t blocks = 0;  // whole blocks indexed: none without an index
+  if (index != nullptr) {
+    // Centre the moments on the data so the cubic in CdfAt cancels as little
+    // as possible; std::midpoint cannot overflow.
+    index->centre = std::midpoint(sorted.front(), sorted.back());
+    // That cubic cancels terms of size (range/h)³ per sample down to at
+    // most 1, so double-double leaves about (range/h)³·1e-32 of error: at
+    // most 1e-14 while range <= 1e6·h. The other two bounds keep every
+    // moment and h³ far inside the normal double range. Outside them the
+    // prefix stays empty and CdfAt sums the window sample by sample.
+    const double range = sorted.back() - sorted.front();
+    if (range <= 1e6 * bandwidth && range <= 1e60 && bandwidth >= 1e-60) {
+      blocks = n / kB;
+      index->prefix.resize(3 * (blocks + 1));
+    }
   }
-  index->prefix.resize(3 * (blocks + 1));
+  // Every comparison is false against NaN, so one anywhere fails the order.
+  bool ascending = data[0] == data[0];
   Dd m1, m2, m3;
   for (size_t b = 0; b < blocks; ++b) {
     // Block-local moments about the block's first sample in plain double:
     // the offsets are small, so these sums are accurate to a few ulps of
     // the block's own spread.
-    const double* block = sorted_.data() + b * kB;
+    const double* block = data + b * kB;
     const double first = block[0];
+    if (b > 0) ascending &= block[-1] <= first;
     double s1 = 0.0, s2 = 0.0, s3 = 0.0;
     for (size_t i = 0; i < kB; ++i) {
       const double e = block[i] - first;
@@ -221,6 +233,7 @@ const KernelDensityEstimator::BlockMoments& KernelDensityEstimator::Moments() co
       s2 += e2;
       s3 += e2 * e;
     }
+    for (size_t i = 1; i < kB; ++i) ascending &= block[i - 1] <= block[i];
     // Shift to the common centre in double-double: with a = first − centre
     // (exact), Σ(e + a)^k expands binomially.
     const Dd a = TwoSum(first, -index->centre);
@@ -234,6 +247,17 @@ const KernelDensityEstimator::BlockMoments& KernelDensityEstimator::Moments() co
     row[1] = m2;
     row[2] = m3;
   }
+  // The samples past the last indexed block, and the pair across it.
+  for (size_t i = std::max<size_t>(blocks * kB, 1); i < n; ++i) {
+    ascending &= data[i - 1] <= data[i];
+  }
+  return ascending;
+}
+
+const KernelDensityEstimator::BlockMoments& KernelDensityEstimator::Moments() const {
+  if (moments_) return *moments_;
+  auto index = std::make_shared<BlockMoments>();
+  (void)Sweep(sorted_, bandwidth_, index.get());  // Create() sorted it
   moments_ = std::move(index);
   return *moments_;
 }

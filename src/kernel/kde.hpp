@@ -32,8 +32,10 @@ class KernelDensityEstimator {
   /// different kind is a caller bug and aborts) whose values are already
   /// ascending — as the sample storage, without copying or re-sorting it
   /// (the selectivity layer's refits and snapshot restores build the sorted
-  /// column themselves). Ascending order is verified in O(n): out-of-order
-  /// input yields a Status, never a silently wrong estimator.
+  /// column themselves). One O(n) sweep verifies the order under comparisons
+  /// that fail on NaN — out-of-order input yields a Status, never a silently
+  /// wrong estimator — and, for the Epanechnikov kernel, builds the
+  /// block-moment index CdfAt uses (bitwise the one Create() builds lazily).
   static Result<KernelDensityEstimator> AdoptSorted(Kernel kernel, double bandwidth,
                                                     memory::Arena samples);
 
@@ -70,10 +72,11 @@ class KernelDensityEstimator {
   /// out[i] = CdfAt(xs[i]).
   void CdfAtMany(std::span<const double> xs, std::span<double> out) const;
 
-  /// Builds the lazily cached block-moment index now (a no-op when built, or
-  /// for kernels that do not use it). CdfAt builds it on first use; an
-  /// estimator about to be shared by concurrent readers calls this (or any
-  /// CdfAt) once first, so readers never race to build it.
+  /// Builds the block-moment index of an estimator from Create() now (a
+  /// no-op when built — AdoptSorted builds it on adoption — or for kernels
+  /// that do not use it). CdfAt builds it on first use; an estimator about
+  /// to be shared by concurrent readers calls this (or any CdfAt) once
+  /// first, so readers never race to build it.
   void PrepareCdf() const;
 
   double bandwidth() const { return bandwidth_; }
@@ -85,11 +88,17 @@ class KernelDensityEstimator {
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
 
   /// Double-double prefix sums of Σ(x_i − c)^k, k = 1..3, at every block
-  /// boundary (defined in kde.cpp). Lazily built, shared by copies (it holds
-  /// values only, valid for any buffer with equal contents), and never
-  /// persisted: snapshot restore rebuilds it on first use.
+  /// boundary (defined in kde.cpp). Built by AdoptSorted, or lazily on first
+  /// use after Create(); shared by copies (it holds values only, valid for
+  /// any buffer with equal contents), and never persisted: snapshot restore
+  /// rebuilds it as it adopts the saved column.
   struct BlockMoments;
   const BlockMoments& Moments() const;
+  /// One pass over `sorted`: whether each value is >= the one before it (so
+  /// false on any NaN) and, when `index` is non-null, its block moments —
+  /// left empty when the data's scale rules the cubic out.
+  static bool Sweep(std::span<const double> sorted, double bandwidth,
+                    BlockMoments* index);
   /// Block size of the moment index: a constant, not an option.
   static constexpr size_t kMomentBlock = 64;
 

@@ -64,22 +64,34 @@ struct Arena::Storage {
 std::shared_ptr<Arena::Storage> Arena::AllocateOwned(size_t bytes) {
   auto storage = std::make_shared<Storage>();
   // aligned_alloc requires a size that is a multiple of the alignment; the
-  // pad bytes are zeroed with the rest and never read.
+  // pad bytes are never read but kept zero.
   const size_t padded =
       static_cast<size_t>(AlignUp(bytes == 0 ? 1 : bytes, kColumnAlignment));
   storage->data = static_cast<uint8_t*>(std::aligned_alloc(kColumnAlignment, padded));
   WDE_CHECK(storage->data != nullptr, "arena allocation failed");
-  std::memset(storage->data, 0, padded);
+  std::memset(storage->data + bytes, 0, padded - bytes);
   storage->size = bytes;
   return storage;
 }
 
-Arena Arena::Create(std::span<const ColumnSpec> specs) {
+Arena Arena::CreateForOverwrite(std::span<const ColumnSpec> specs) {
   uint64_t total = 0;
   Result<std::vector<ColumnDesc>> columns = ComputeColumnLayout(specs, &total);
   WDE_CHECK(columns.ok(), columns.status().ToString().c_str());
-  return Arena(AllocateOwned(static_cast<size_t>(total)),
-               std::move(columns).value());
+  std::shared_ptr<Storage> storage = AllocateOwned(static_cast<size_t>(total));
+  // The gaps between columns: every element is the caller's to write.
+  uint64_t end = 0;
+  for (const ColumnDesc& desc : *columns) {
+    std::memset(storage->data + end, 0, static_cast<size_t>(desc.offset - end));
+    end = desc.offset + desc.count * ColumnKindSize(desc.kind);
+  }
+  return Arena(std::move(storage), std::move(columns).value());
+}
+
+Arena Arena::Create(std::span<const ColumnSpec> specs) {
+  Arena arena = CreateForOverwrite(specs);
+  std::memset(arena.storage_->data, 0, arena.storage_->size);
+  return arena;
 }
 
 const ColumnDesc& Arena::column(size_t i) const {
@@ -116,6 +128,8 @@ void Arena::EnsureWritable() {
   // handles being destroyed concurrently, which at worst costs one
   // redundant relocation.
   if (storage_.use_count() == 1) return;
+  // The copy writes the whole payload, gaps included; AllocateOwned zeroes
+  // only the trailing pad.
   std::shared_ptr<Storage> fresh = AllocateOwned(storage_->size);
   if (storage_->size != 0) {
     std::memcpy(fresh->data, storage_->data, storage_->size);

@@ -84,6 +84,12 @@ class Arena {
   /// count comes from state already held in memory).
   static Arena Create(std::span<const ColumnSpec> specs);
 
+  /// As Create, but the column elements are left uninitialized for a caller
+  /// that writes every one of them before the first read (a refit fold, a
+  /// snapshot restore): only the pad bytes are zeroed, so a large column is
+  /// written once instead of twice.
+  static Arena CreateForOverwrite(std::span<const ColumnSpec> specs);
+
   size_t num_columns() const { return columns_.size(); }
   std::span<const ColumnDesc> columns() const { return columns_; }
   const ColumnDesc& column(size_t i) const;
@@ -102,7 +108,9 @@ class Arena {
   /// never change.
   void EnsureWritable();
 
-  /// The contiguous payload. Null/0 for an empty arena.
+  /// The contiguous payload. Null/0 for an empty arena. The allocation is
+  /// padded to a multiple of kColumnAlignment; the pad bytes (between
+  /// columns and after the last one) are always zero.
   const uint8_t* payload() const;
   size_t payload_bytes() const;
 
@@ -116,6 +124,8 @@ class Arena {
   Arena(std::shared_ptr<Storage> storage, std::vector<ColumnDesc> columns)
       : storage_(std::move(storage)), columns_(std::move(columns)) {}
 
+  /// An aligned block of `bytes` whose trailing pad (up to the next
+  /// kColumnAlignment multiple) is zeroed; the payload is uninitialized.
   static std::shared_ptr<Storage> AllocateOwned(size_t bytes);
 
   const uint8_t* ColumnBase(size_t i, ColumnKind kind) const;

@@ -1,6 +1,5 @@
 #include "selectivity/estimator_registry.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "core/thresholding.hpp"
@@ -30,12 +29,10 @@ Status CheckDims(const EstimatorSpec& spec, int native_dims) {
   return Status::OK();
 }
 
-/// A domain is a finite lo < hi whose width hi − lo is finite too: every
-/// tag maps values through (x − lo) / (hi − lo), which an infinite width
-/// collapses to 0, and its own snapshot loader refuses such a domain.
+/// A domain passes internal::IsDomain, the rule every loader applies too.
 Status CheckInterval(const EstimatorSpec& spec, double lo, double hi, const char* lo_name,
                      const char* hi_name) {
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi) || !std::isfinite(hi - lo)) {
+  if (!internal::IsDomain(lo, hi)) {
     return Status::InvalidArgument("spec '" + spec.tag + "': " + lo_name + " must be < " +
                                    hi_name + " with a finite width");
   }

@@ -327,7 +327,7 @@ Status EquiDepthHistogram::LoadStateImpl(io::Source& source) {
   // The bucket cap mirrors equi-width's cell cap: RebuildIfStale allocates
   // buckets + 1 boundaries, so an unbounded hostile count would turn into a
   // multi-GB allocation at the first query instead of an error here.
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi) || buckets <= 0 ||
+  if (!internal::IsDomain(lo, hi) || buckets <= 0 ||
       buckets > (1 << 26) || source.remaining() != 0) {
     return Status::InvalidArgument("corrupt equi-depth snapshot");
   }

@@ -17,10 +17,13 @@ namespace {
 // adopts as its sample storage. The bandwidth comes from sorted order
 // statistics in O(1), so it is bitwise-reproducible from the sorted multiset
 // alone (insertion order never enters). A sample without spread (all values
-// equal) has no bandwidth: no fit.
+// equal) has no bandwidth: no fit. Neither has a restored column that is not
+// ascending: its bandwidth may come out 0 or non-finite, and AdoptSorted
+// rejects that and the order alike.
 std::optional<kernel::KernelDensityEstimator> FitSorted(memory::Arena sorted) {
   if (sorted.F64(0).front() == sorted.F64(0).back()) return std::nullopt;
-  const double bandwidth = kernel::RuleOfThumbBandwidthSorted(sorted.F64(0));
+  const double bandwidth =
+      kernel::internal::RuleOfThumbBandwidthSortedOrZero(sorted.F64(0));
   Result<kernel::KernelDensityEstimator> kde =
       kernel::KernelDensityEstimator::AdoptSorted(
           kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
@@ -181,16 +184,16 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
   // A live estimator fits only at four or more values, so a fitted prefix
   // of one to three values is corrupt. The vector must fill the rest of the
   // payload exactly, which is checked before anything is allocated.
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      total != source.remaining() / sizeof(double) ||
+  if (!internal::IsDomain(options.domain_lo, options.domain_hi) ||
+      options.refit_interval == 0 || total != source.remaining() / sizeof(double) ||
       source.remaining() % sizeof(double) != 0 || fitted > total ||
       (fitted > 0 && fitted < 4)) {
     return Status::InvalidArgument("corrupt kde snapshot");
   }
-  // The prefix goes straight into the sample column, the rest into the tail.
+  // The prefix goes straight into the sample column, which the read fills
+  // whole, the rest into the tail.
   const memory::ColumnSpec spec[] = {{memory::ColumnKind::kF64, fitted}};
-  memory::Arena column = memory::Arena::Create(spec);
+  memory::Arena column = memory::Arena::CreateForOverwrite(spec);
   std::vector<double> tail(static_cast<size_t>(total - fitted));
   WDE_RETURN_IF_ERROR(io::ReadDoubles(source, column.MutableF64(0)));
   WDE_RETURN_IF_ERROR(io::ReadDoubles(source, tail));
@@ -199,18 +202,23 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
   const auto in_domain = [&options](double x) {
     return x >= options.domain_lo && x <= options.domain_hi;
   };
-  if (!std::ranges::all_of(column.F64(0), in_domain) ||
-      !std::ranges::all_of(tail, in_domain)) {
+  // The prefix is checked at its two ends only: AdoptSorted then proves it
+  // ascending, with comparisons that fail on NaN, in the sweep that builds
+  // its index, so every value lies between two values inside the domain.
+  const std::span<const double> prefix = column.F64(0);
+  if (!std::ranges::all_of(tail, in_domain) ||
+      (fitted > 0 && (!in_domain(prefix.front()) || !in_domain(prefix.back())))) {
     return Status::InvalidArgument("corrupt kde snapshot: value outside the domain");
   }
   // Refit on the saved sorted prefix without sorting, reproducing the saved
   // estimator's KDE — bandwidth and all — exactly (the sorted-order-statistics
-  // recipe the live refit uses). AdoptSorted rejects a prefix out of order.
+  // recipe the live refit uses).
   std::optional<kernel::KernelDensityEstimator> kde;
   if (fitted > 0) {
     kde = FitSorted(std::move(column));
     if (!kde.has_value()) {
-      return Status::InvalidArgument("corrupt kde snapshot: unfittable sample");
+      return Status::InvalidArgument(
+          "corrupt kde snapshot: unfittable or unsorted sample");
     }
   }
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized

@@ -29,17 +29,18 @@ namespace selectivity {
 /// derived from sorted order statistics (RuleOfThumbBandwidthSorted) — so
 /// merges in any order, including the sharded wrapper's round-robin
 /// partition, answer bit-identically to sequential ingest of the same
-/// multiset (the only possible buffer difference is the placement of ±0.0
-/// among equal keys, which every downstream expression treats identically).
+/// multiset. The column's order is canonical (OrderKey: −0.0 before +0.0),
+/// so the buffer, and with it the snapshot, is the same bytes too.
 ///
-/// Refits honor Options::refit_mode. kScratch re-sorts every observation per
-/// refit; kIncremental (the default) sorts only the tail and does one stable
-/// merge with the prefix — O(Δ log Δ + n) instead of O(n log n). Both modes
-/// derive the bandwidth from the same sorted sequence, so their answers are
-/// bitwise-identical (refit_equivalence_test). A sample without spread (every
-/// value equal) has no fit: its refit keeps the sorted fold as an unfitted
-/// prefix, queries answer the exact fraction of it in O(log n), and the fit
-/// is retried only once a new value arrives.
+/// Refits honor Options::refit_mode. kScratch radix-sorts every observation
+/// per refit; kIncremental (the default) radix-sorts a copy of the tail and
+/// merges it with the prefix straight into the new column, which AdoptSorted
+/// then verifies and indexes in one sweep — O(Δ + n), one write and one read
+/// of the column. Both modes build the same sorted column, so their answers
+/// and snapshots are bitwise-identical (refit_equivalence_test). A sample
+/// without spread (every value equal) has no fit: its refit keeps the sorted
+/// fold as an unfitted prefix, queries answer the exact fraction of it in
+/// O(log n), and the fit is retried only once a new value arrives.
 ///
 /// Mergeable: MergeFrom moves both sides' observations into the tail and
 /// drops the fit, so the next query refits from the merged multiset.

@@ -90,6 +90,10 @@ bool internal::IsCountTable(std::span<const double> counts, uint64_t total) {
   return sum == static_cast<double>(total);
 }
 
+bool internal::IsDomain(double lo, double hi) {
+  return std::isfinite(lo) && std::isfinite(hi) && lo < hi && std::isfinite(hi - lo);
+}
+
 void SelectivityEstimator::Answer(std::span<const Query> queries,
                                   std::span<double> out) const {
   WDE_CHECK_EQ(queries.size(), out.size(), "Answer spans must match");

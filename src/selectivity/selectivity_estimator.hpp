@@ -63,6 +63,12 @@ inline constexpr uint32_t kChunkEstimatorState = 0x54415453;  // "STAT"
 /// `counts` is a non-negative integer and they sum to exactly `total` — the
 /// only count tables Insert and MergeFrom can produce.
 bool IsCountTable(std::span<const double> counts, uint64_t total);
+
+/// The one domain rule of spec validation, constructors and snapshot
+/// loaders: finite lo < hi whose width hi − lo is finite too. Every tag maps
+/// values through (x − lo) / (hi − lo), which an infinite width collapses
+/// to 0.
+bool IsDomain(double lo, double hi);
 }  // namespace internal
 
 /// Restores one estimator envelope through the tag → factory registry; see

@@ -5,7 +5,9 @@
 #ifndef WDE_SELECTIVITY_SORTED_PREFIX_HPP_
 #define WDE_SELECTIVITY_SORTED_PREFIX_HPP_
 
-#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "memory/arena.hpp"
@@ -14,25 +16,35 @@
 namespace wde {
 namespace selectivity {
 
-/// A NEW one-column arena holding sort(prefix ∪ tail); `prefix` must be
-/// ascending. kIncremental sorts the tail and merges, O(Δ log Δ + n);
-/// kScratch sorts everything, O(n log n). Same sequence either way.
-inline memory::Arena FoldSortedTail(std::span<const double> prefix,
-                                    std::span<const double> tail, RefitMode mode) {
-  const memory::ColumnSpec specs[] = {
-      {memory::ColumnKind::kF64, prefix.size() + tail.size()}};
-  memory::Arena column = memory::Arena::Create(specs);
-  const std::span<double> out = column.MutableF64(0);
-  const auto mid = std::copy(prefix.begin(), prefix.end(), out.begin());
-  std::copy(tail.begin(), tail.end(), mid);
-  if (mode == RefitMode::kIncremental) {
-    std::sort(mid, out.end());
-    std::inplace_merge(out.begin(), mid, out.end());
-  } else {
-    std::sort(out.begin(), out.end());
-  }
-  return column;
+/// The IEEE order key of a non-NaN double: an unsigned integer whose
+/// ascending order is the numeric order, with −0.0 just before +0.0. Equal
+/// keys are equal bit patterns.
+inline uint64_t OrderKey(double x) {
+  const uint64_t bits = std::bit_cast<uint64_t>(x);
+  const uint64_t sign = static_cast<uint64_t>(static_cast<int64_t>(bits) >> 63);
+  return bits ^ (sign | (uint64_t{1} << 63));
 }
+
+/// Strict weak order by OrderKey: `<` with −0.0 placed before +0.0.
+struct OrderKeyLess {
+  bool operator()(double a, double b) const { return OrderKey(a) < OrderKey(b); }
+};
+
+/// out = `values` sorted ascending by OrderKey, so byte for byte what
+/// std::sort gives for data without both zeros. `values` must hold no NaN
+/// and may be `out` itself. An LSD radix sort of 11-bit digits that skips
+/// every digit all keys share; O(n) with n doubles of scratch.
+void SortByOrderKey(std::span<const double> values, std::span<double> out);
+
+/// A NEW one-column arena holding sort(prefix ∪ tail) in OrderKey order;
+/// `prefix` must be ascending and `tail` free of NaN (it is only read).
+/// kIncremental radix-sorts a copy of the tail and merges it with the
+/// prefix straight into the column, copying each prefix run between two
+/// tail values whole: O(Δ log(n/Δ) + n), with scratch sized by the tail;
+/// kScratch copies both into the column and radix-sorts it, O(n). Same
+/// bytes either way for an OrderKey-ordered prefix.
+memory::Arena FoldSortedTail(std::span<const double> prefix,
+                             std::span<const double> tail, RefitMode mode);
 
 }  // namespace selectivity
 }  // namespace wde

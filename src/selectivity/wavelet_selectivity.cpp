@@ -241,8 +241,7 @@ Status StreamingWaveletSelectivity::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(options.j_max, io::ReadI32(source));
   WDE_ASSIGN_OR_RETURN(const uint8_t kind, io::ReadU8(source));
   WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(source));
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || kind > 1 ||
+  if (!internal::IsDomain(options.domain_lo, options.domain_hi) || kind > 1 ||
       options.refit_interval == 0) {
     return Status::InvalidArgument("corrupt wavelet sketch options");
   }

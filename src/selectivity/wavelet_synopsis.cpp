@@ -16,8 +16,8 @@ WaveletSynopsisSelectivity::WaveletSynopsisSelectivity(const Options& options)
 
 Result<WaveletSynopsisSelectivity> WaveletSynopsisSelectivity::Create(
     const Options& options) {
-  if (!(options.domain_lo < options.domain_hi)) {
-    return Status::InvalidArgument("empty domain");
+  if (!internal::IsDomain(options.domain_lo, options.domain_hi)) {
+    return Status::InvalidArgument("domain must be finite lo < hi with a finite width");
   }
   if (options.grid_log2 < 2 || options.grid_log2 > 22) {
     return Status::InvalidArgument("grid_log2 must be in [2, 22]");
@@ -124,9 +124,8 @@ Status WaveletSynopsisSelectivity::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(options.rebuild_interval, io::ReadU64(source));
   WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
   WDE_ASSIGN_OR_RETURN(std::vector<double> counts, io::ReadDoubleVector(source));
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || options.grid_log2 < 2 ||
-      options.grid_log2 > 22 || options.budget == 0 ||
+  if (!internal::IsDomain(options.domain_lo, options.domain_hi) ||
+      options.grid_log2 < 2 || options.grid_log2 > 22 || options.budget == 0 ||
       options.rebuild_interval == 0 ||
       counts.size() != (1ULL << options.grid_log2)) {
     return Status::InvalidArgument("corrupt synopsis snapshot");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -404,6 +405,95 @@ TEST(KdeCdfOracleTest, RestoredFromSortedAnswersBitwise) {
   }
 }
 
+/// An arena holding one F64 column of `values`, copied as is.
+memory::Arena ColumnOf(std::span<const double> values) {
+  const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, values.size()}};
+  memory::Arena column = memory::Arena::CreateForOverwrite(specs);
+  std::copy(values.begin(), values.end(), column.MutableF64(0).begin());
+  return column;
+}
+
+TEST(KdeAdoptSortedTest, RejectsEveryKindOfDisorderInOneSweep) {
+  // 5 whole blocks of 64 and a trailing partial block of 17. The index
+  // sweep reads whole blocks and the tail separately, so each seam gets a
+  // swap of its own; NaN fails every comparison wherever it sits.
+  std::vector<double> sorted = UniformSample(61, 64 * 5 + 17);
+  std::sort(sorted.begin(), sorted.end());
+  const size_t n = sorted.size();
+  const auto swapped = [&sorted](size_t i) {
+    std::vector<double> xs = sorted;
+    std::swap(xs[i], xs[i + 1]);
+    return xs;
+  };
+  const auto with_nan = [&sorted](size_t i) {
+    std::vector<double> xs = sorted;
+    xs[i] = std::numeric_limits<double>::quiet_NaN();
+    return xs;
+  };
+  const std::vector<std::vector<double>> bad = {
+      swapped(0),            // first pair
+      swapped(64 * 2 + 10),  // inside a block
+      swapped(64 * 3 - 1),   // across the block boundary 64·3 − 1 / 64·3
+      swapped(64 * 5 - 1),   // across the last whole block into the tail
+      swapped(n - 3),        // inside the trailing partial block
+      swapped(n - 2),        // the last pair
+      with_nan(0),
+      with_nan(n / 2),
+      with_nan(64 * 4),  // a block's first sample
+      with_nan(n - 1)};
+  for (const KernelType type : {KernelType::kEpanechnikov, KernelType::kGaussian}) {
+    ASSERT_TRUE(
+        KernelDensityEstimator::AdoptSorted(Kernel(type), 0.05, ColumnOf(sorted)).ok());
+    for (size_t c = 0; c < bad.size(); ++c) {
+      const auto adopted =
+          KernelDensityEstimator::AdoptSorted(Kernel(type), 0.05, ColumnOf(bad[c]));
+      ASSERT_FALSE(adopted.ok()) << "case " << c << " kernel " << static_cast<int>(type);
+      EXPECT_EQ(adopted.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // Ties are ascending, and so is a lone NaN-free value.
+  std::vector<double> ties(200, 0.25);
+  ties.back() = 0.5;
+  EXPECT_TRUE(KernelDensityEstimator::AdoptSorted(Kernel(KernelType::kEpanechnikov), 0.05,
+                                                  ColumnOf(ties))
+                  .ok());
+  const std::vector<double> lone_nan = {std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_FALSE(KernelDensityEstimator::AdoptSorted(Kernel(KernelType::kEpanechnikov),
+                                                   0.05, ColumnOf(lone_nan))
+                   .ok());
+}
+
+TEST(KdeAdoptSortedTest, AdoptedColumnAnswersLikeCreate) {
+  // AdoptSorted builds the block-moment index in its order-check sweep;
+  // Create() builds it lazily at the first CdfAt. Same bits either way: at
+  // sizes around a block, with duplicates and both zeros, and with a
+  // bandwidth too small for any index (range > 1e6·h).
+  for (const size_t n :
+       {size_t{63}, size_t{64}, size_t{65}, size_t{1000}, size_t{4097}}) {
+    std::vector<double> data = UniformSample(67 + n, n);
+    for (size_t i = 0; i + 7 < n; i += 7) data[i + 1] = data[i];
+    data[n / 3] = 0.0;
+    data[n / 2] = -0.0;
+    for (const double h : {0.04, 1e-8}) {
+      const auto live =
+          KernelDensityEstimator::Create(Kernel(KernelType::kEpanechnikov), h, data);
+      ASSERT_TRUE(live.ok());
+      const auto adopted = KernelDensityEstimator::AdoptSorted(
+          Kernel(KernelType::kEpanechnikov), h, ColumnOf(live->samples()));
+      ASSERT_TRUE(adopted.ok());
+      const std::vector<double> xs = OracleQueries(data, h, 100, 40);
+      std::vector<double> live_many(xs.size()), adopted_many(xs.size());
+      adopted->CdfAtMany(xs, adopted_many);  // the adopted index, never rebuilt
+      live->CdfAtMany(xs, live_many);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(adopted_many[i]),
+                  std::bit_cast<uint64_t>(live_many[i]))
+            << "n=" << n << " h=" << h << " x=" << xs[i];
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- bandwidth
 
 TEST(BandwidthTest, RuleOfThumbFormula) {
@@ -423,6 +513,23 @@ TEST(BandwidthTest, RuleOfThumbShrinksWithN) {
   for (double& x : small) x = rng.Gaussian();
   for (double& x : large) x = rng.Gaussian();
   EXPECT_GT(RuleOfThumbBandwidth(small), RuleOfThumbBandwidth(large));
+}
+
+TEST(BandwidthTest, SortedRuleOfThumbOrZeroAgreesWhereTheCheckedOneFits) {
+  stats::Rng rng(12);
+  std::vector<double> xs(1000);
+  for (double& x : xs) x = rng.Gaussian();
+  std::sort(xs.begin(), xs.end());
+  const double h = RuleOfThumbBandwidthSorted(xs);
+  EXPECT_EQ(std::bit_cast<uint64_t>(internal::RuleOfThumbBandwidthSortedOrZero(xs)),
+            std::bit_cast<uint64_t>(h));
+  // Where the checked rule aborts, the other answers 0: no spread, or a
+  // column holding NaN (a restored one, before its order is proven).
+  const std::vector<double> constant(8, 2.5);
+  EXPECT_DEATH(RuleOfThumbBandwidthSorted(constant), "zero spread");
+  EXPECT_EQ(internal::RuleOfThumbBandwidthSortedOrZero(constant), 0.0);
+  xs[xs.size() / 4] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(internal::RuleOfThumbBandwidthSortedOrZero(xs), 0.0);
 }
 
 TEST(BandwidthTest, SilvermanCloseToRuleOfThumbOnGaussian) {

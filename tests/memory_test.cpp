@@ -104,6 +104,67 @@ TEST(Arena, EnsureWritableIsNoOpForSoleOwner) {
   EXPECT_EQ(arena.payload(), before);
 }
 
+/// True when every byte of the arena's block outside its columns is zero:
+/// the gaps between columns and the pad after the last one, up to the next
+/// kColumnAlignment multiple (the allocation's end).
+size_t PaddedBytes(const Arena& arena) {
+  return (arena.payload_bytes() + kColumnAlignment - 1) / kColumnAlignment *
+         kColumnAlignment;
+}
+
+bool PadBytesAreZero(const Arena& arena) {
+  const uint8_t* base = arena.payload();
+  const size_t padded = PaddedBytes(arena);
+  const auto zero = [base](size_t from, size_t to) {
+    return std::all_of(base + from, base + to, [](uint8_t b) { return b == 0; });
+  };
+  size_t end = 0;
+  for (const memory::ColumnDesc& desc : arena.columns()) {
+    if (!zero(end, desc.offset)) return false;
+    end = desc.offset + desc.count * sizeof(double);
+  }
+  return zero(end, padded);
+}
+
+/// Allocates 64 blocks of `specs`' size full of 0xFF bytes and frees them,
+/// so the next allocation of that size likely reuses dirty memory.
+void DirtyTheHeap(std::span<const ColumnSpec> specs) {
+  std::vector<Arena> junk;
+  for (int i = 0; i < 64; ++i) {
+    junk.push_back(Arena::Create(specs));
+    std::memset(const_cast<uint8_t*>(junk.back().payload()), 0xFF,
+                PaddedBytes(junk.back()));
+  }
+}
+
+TEST(Arena, CreateForOverwriteZeroesOnlyThePadAndRelocationKeepsItZero) {
+  // Columns of 7, 3 and 100 doubles: gaps after the first two columns and a
+  // 32-byte pad after the last.
+  const ColumnSpec specs[] = {{ColumnKind::kF64, 7},
+                              {ColumnKind::kF64, 3},
+                              {ColumnKind::kF64, 100}};
+  DirtyTheHeap(specs);
+  Arena arena = Arena::CreateForOverwrite(specs);
+  EXPECT_TRUE(Aligned(arena.payload()));
+  EXPECT_TRUE(PadBytesAreZero(arena));
+  for (size_t i = 0; i < arena.num_columns(); ++i) {
+    EXPECT_TRUE(Aligned(arena.F64(i).data()));
+    std::iota(arena.MutableF64(i).begin(), arena.MutableF64(i).end(), 1.0);
+  }
+  EXPECT_TRUE(PadBytesAreZero(arena));
+
+  const Arena shared = arena;
+  DirtyTheHeap(specs);
+  arena.MutableF64(2)[0] = -5.0;  // relocates
+  EXPECT_FALSE(arena.shares_storage_with(shared));
+  EXPECT_TRUE(PadBytesAreZero(arena));
+  EXPECT_EQ(arena.F64(0)[6], 7.0);
+  EXPECT_EQ(arena.F64(1)[2], 3.0);
+  EXPECT_EQ(arena.F64(2)[0], -5.0);
+  EXPECT_EQ(arena.F64(2)[99], 100.0);
+  EXPECT_EQ(shared.F64(2)[0], 1.0);
+}
+
 // ------------------------------------------------------ chunk + crc + file
 
 TEST(ChunkRef, ViewsPayloadZeroCopyAndValidatesCrc) {

@@ -140,6 +140,64 @@ TEST(RefitEquivalenceTest, EveryTagAnswersBitIdenticallyInBothModes) {
 }
 
 // ---------------------------------------------------------------------------
+// The refit fold orders the sorted column canonically (−0.0 before +0.0), so
+// a stream holding both zeros saves the same snapshot bytes in both modes:
+// the two tags that keep a sorted column, alone and sharded.
+// ---------------------------------------------------------------------------
+
+std::vector<double> StreamWithBothZeros(uint64_t seed, size_t n) {
+  std::vector<double> xs = UnitStream(seed, n);
+  for (size_t i = 0; i < n; i += 5) xs[i] = (i / 5) % 3 == 0 ? -0.0 : 0.0;
+  return xs;
+}
+
+std::vector<uint8_t> SnapshotBytes(const selectivity::SelectivityEstimator& estimator) {
+  io::VectorSink sink;
+  WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(estimator, sink));
+  return {sink.bytes().begin(), sink.bytes().end()};
+}
+
+TEST(RefitEquivalenceTest, BothZerosSaveTheSameBytesInBothModes) {
+  const std::vector<selectivity::Query> queries = Workload(53, 32);
+  for (const std::string tag : {"kde-rot", "equi-depth"}) {
+    for (const bool sharded : {false, true}) {
+      SCOPED_TRACE(tag + (sharded ? " sharded" : ""));
+      const auto make = [&](selectivity::RefitMode mode) {
+        selectivity::EstimatorSpec spec = SpecFor(sharded ? "sharded" : tag, mode);
+        spec.sharded_inner_tag = tag;
+        return Make(spec);
+      };
+      std::unique_ptr<selectivity::SelectivityEstimator> incremental =
+          make(selectivity::RefitMode::kIncremental);
+      std::unique_ptr<selectivity::SelectivityEstimator> scratch =
+          make(selectivity::RefitMode::kScratch);
+      size_t offset = 0;
+      for (const size_t chunk : kChunks) {
+        const std::vector<double> xs = StreamWithBothZeros(61 + offset, chunk);
+        incremental->InsertBatch(xs);
+        scratch->InsertBatch(xs);
+        offset += chunk;
+        EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries))
+            << "diverged after " << offset << " inserts";
+        EXPECT_EQ(SnapshotBytes(*incremental), SnapshotBytes(*scratch))
+            << "bytes diverged after " << offset << " inserts";
+      }
+      // Longer folds: tails of tens of thousands into a growing prefix.
+      for (const size_t chunk : {size_t{20000}, size_t{45000}}) {
+        const std::vector<double> xs = StreamWithBothZeros(61 + offset, chunk);
+        incremental->InsertBatch(xs);
+        scratch->InsertBatch(xs);
+        offset += chunk;
+        incremental->ForceRefit();
+        scratch->ForceRefit();
+        EXPECT_EQ(SnapshotBytes(*incremental), SnapshotBytes(*scratch))
+            << "bytes diverged after " << offset << " inserts";
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // ForceRefit() quiesces any registered estimator: idempotent, and answers
 // afterwards match the lazily refreshed ones an untouched twin gives at the
 // same count once its own refresh runs at full count.

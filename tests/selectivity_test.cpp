@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/sample_selectivity.hpp"
+#include "selectivity/sorted_prefix.hpp"
 #include "selectivity/wavelet_selectivity.hpp"
 #include "selectivity/wavelet_synopsis.hpp"
 #include "stats/rng.hpp"
@@ -224,6 +227,151 @@ TEST(StreamingWaveletTest, ExposesCvDiagnostics) {
   EXPECT_EQ(sketch->last_cv()->j_star, 6);
 }
 
+// --------------------------------------------------- sorted-prefix fold
+
+/// Doubles that stress a sort by bit pattern: arbitrary bit patterns (every
+/// exponent), subnormals of both signs, exact duplicates, neighbours 1 ulp
+/// apart and Gaussians. No NaN, and no zero unless `zeros`, which mixes in
+/// both zeros.
+std::vector<double> HardDoubles(uint64_t seed, size_t n, bool zeros = false) {
+  stats::Rng rng(seed);
+  std::vector<double> xs;
+  xs.reserve(n);
+  while (xs.size() < n) {
+    const double earlier = xs.empty() ? 1.0 : xs[rng.UniformInt(xs.size())];
+    double x = 0.0;
+    switch (rng.UniformInt(zeros ? 6 : 5)) {
+      case 0:
+        x = std::bit_cast<double>(rng.NextUint64());
+        break;
+      case 1:  // exponent field 0: subnormal
+        x = std::bit_cast<double>(rng.NextUint64() & 0x800FFFFFFFFFFFFFULL);
+        break;
+      case 2:
+        x = earlier;
+        break;
+      case 3:
+        x = std::nextafter(earlier, std::numeric_limits<double>::infinity());
+        break;
+      case 4:
+        x = rng.Gaussian();
+        break;
+      default:
+        x = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+        break;
+    }
+    if (std::isnan(x) || (x == 0.0 && !zeros)) continue;
+    xs.push_back(x);
+  }
+  return xs;
+}
+
+bool SameBytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(SortByOrderKeyTest, MatchesStdSortByteForByte) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{64},
+                         size_t{511}, size_t{2049}, size_t{5000}, size_t{70000}}) {
+    const std::vector<double> xs = HardDoubles(1000 + n, n);
+    std::vector<double> expected = xs;
+    std::sort(expected.begin(), expected.end());
+    std::vector<double> out(n, -1.0);
+    SortByOrderKey(xs, out);
+    EXPECT_TRUE(SameBytes(out, expected)) << "n=" << n;
+    std::vector<double> in_place = xs;  // `values` may be `out`
+    SortByOrderKey(in_place, in_place);
+    EXPECT_TRUE(SameBytes(in_place, expected)) << "in place, n=" << n;
+  }
+}
+
+TEST(SortByOrderKeyTest, SkipsTheDigitsEveryKeyShares) {
+  // Above 1.0 by fewer than 2^11 ulps the keys differ in the lowest 11-bit
+  // digit alone (one pass), by fewer than 2^33 in the lowest three (three
+  // passes), and equal values in none. Odd pass counts end in `out` from
+  // the other buffer, also when `out` is the input.
+  const uint64_t one = std::bit_cast<uint64_t>(1.0);
+  for (const size_t n : {size_t{2}, size_t{512}, size_t{3000}}) {
+    for (const uint64_t spread : {uint64_t{1} << 11, uint64_t{1} << 33, uint64_t{1}}) {
+      stats::Rng rng(n + spread);
+      std::vector<double> xs(n);
+      for (double& x : xs) x = std::bit_cast<double>(one + rng.UniformInt(spread));
+      std::vector<double> expected = xs;
+      std::sort(expected.begin(), expected.end());
+      std::vector<double> out(n);
+      SortByOrderKey(xs, out);
+      EXPECT_TRUE(SameBytes(out, expected)) << "n=" << n << " spread=" << spread;
+      SortByOrderKey(xs, xs);
+      EXPECT_TRUE(SameBytes(xs, expected)) << "in place, n=" << n << " spread=" << spread;
+    }
+  }
+}
+
+TEST(SortByOrderKeyTest, PlacesNegativeZeroBeforePositiveZero) {
+  for (const size_t n : {size_t{2}, size_t{511}, size_t{3000}}) {
+    std::vector<double> xs = HardDoubles(2000 + n, n, /*zeros=*/true);
+    xs.front() = 0.0;  // both zeros at any size, +0.0 arriving first
+    xs.back() = -0.0;
+    std::vector<double> out(n);
+    SortByOrderKey(xs, out);
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end())) << "n=" << n;
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end(), OrderKeyLess())) << "n=" << n;
+    const auto zero = std::find(out.begin(), out.end(), 0.0);
+    ASSERT_NE(zero, out.end());
+    const auto end = std::find_if(zero, out.end(), [](double x) { return x != 0.0; });
+    ASSERT_TRUE(std::signbit(*zero));
+    EXPECT_FALSE(std::signbit(*(end - 1)));
+    EXPECT_TRUE(std::is_partitioned(zero, end, [](double x) { return std::signbit(x); }));
+    // The same multiset of bit patterns.
+    std::vector<uint64_t> in_bits(n), out_bits(n);
+    std::transform(xs.begin(), xs.end(), in_bits.begin(),
+                   [](double x) { return std::bit_cast<uint64_t>(x); });
+    std::transform(out.begin(), out.end(), out_bits.begin(),
+                   [](double x) { return std::bit_cast<uint64_t>(x); });
+    std::sort(in_bits.begin(), in_bits.end());
+    std::sort(out_bits.begin(), out_bits.end());
+    EXPECT_EQ(in_bits, out_bits);
+  }
+}
+
+TEST(FoldSortedTailTest, BothModesWriteTheCanonicalMergeOfPrefixAndTail) {
+  for (const size_t n : {size_t{0}, size_t{5}, size_t{3000}}) {
+    for (const size_t tail_size :
+         {size_t{0}, size_t{1}, size_t{519}, size_t{900}}) {
+      std::vector<double> prefix = HardDoubles(3000 + n, n, /*zeros=*/true);
+      SortByOrderKey(prefix, prefix);
+      const std::vector<double> tail = HardDoubles(4000 + tail_size, tail_size, true);
+      std::vector<double> expected(prefix);
+      expected.insert(expected.end(), tail.begin(), tail.end());
+      std::stable_sort(expected.begin(), expected.end(), OrderKeyLess());
+      for (const RefitMode mode : {RefitMode::kIncremental, RefitMode::kScratch}) {
+        const memory::Arena column = FoldSortedTail(prefix, tail, mode);
+        EXPECT_TRUE(SameBytes(column.F64(0), expected))
+            << "n=" << n << " tail=" << tail_size << " mode=" << static_cast<int>(mode);
+      }
+    }
+  }
+}
+
+TEST(FoldSortedTailTest, APrefixWithZerosOutOfKeyOrderStillFoldsAscending) {
+  // A column sorted by `<` alone may hold +0.0 before −0.0 (an estimator
+  // folded before the canonical order existed): still ascending, and so
+  // accepted; the fold's output stays ascending with the same multiset.
+  const std::vector<double> prefix = {-2.0, 0.0, -0.0, 0.0, -0.0, 1.0, 3.0};
+  const std::vector<double> tail = {-0.0, 0.5, 0.0, -3.0, 4.0, -0.0};
+  for (const RefitMode mode : {RefitMode::kIncremental, RefitMode::kScratch}) {
+    const memory::Arena column = FoldSortedTail(prefix, tail, mode);
+    const std::span<const double> out = column.F64(0);
+    ASSERT_EQ(out.size(), prefix.size() + tail.size());
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+    EXPECT_EQ(std::count_if(out.begin(), out.end(), [](double x) {
+                return x == 0.0 && std::signbit(x);
+              }),
+              4);
+  }
+}
+
 // ------------------------------------------------------------ Haar synopsis
 
 TEST(WaveletSynopsisTest, ValidatesOptions) {
@@ -237,6 +385,22 @@ TEST(WaveletSynopsisTest, ValidatesOptions) {
   options.domain_lo = 1.0;
   options.domain_hi = 0.0;
   EXPECT_FALSE(WaveletSynopsisSelectivity::Create(options).ok());
+}
+
+TEST(WaveletSynopsisTest, RejectsDomainsWithoutAFiniteWidth) {
+  // An infinite end, or finite ends whose width overflows: (x − lo) / width
+  // would map every value to one cell.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& [lo, hi] : {std::pair{-kInf, 0.0}, std::pair{0.0, kInf},
+                               std::pair{-1e308, 1e308}}) {
+    WaveletSynopsisSelectivity::Options options;
+    options.domain_lo = lo;
+    options.domain_hi = hi;
+    const Result<WaveletSynopsisSelectivity> created =
+        WaveletSynopsisSelectivity::Create(options);
+    ASSERT_FALSE(created.ok()) << lo << ", " << hi;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(WaveletSynopsisTest, ExactOnUniformWithGenerousBudget) {

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <set>
@@ -894,6 +896,88 @@ TEST(SnapshotValidationTest, KdeRestoreAdoptsTheSortedPrefixAndRejectsDisorder) 
       Load(Reframe(split, split.state));
   ASSERT_FALSE(disordered.ok());
   EXPECT_EQ(disordered.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotValidationTest, DomainsWhoseWidthOverflowsAreRejectedUntouched) {
+  // [−1e308, 1e308] has finite ends, but hi − lo overflows to inf, and every
+  // tag maps values through (x − lo) / (hi − lo). Planted over the (lo, hi)
+  // that leads the state payload of each tag saving its domain as two ends,
+  // it is InvalidArgument, and a rejected load leaves the target untouched.
+  // (wavelet-cv's fit saves lo and a finite width, which then disagree.)
+  const std::vector<Query> queries = Workload();
+  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> targets =
+      MakeIngestedEstimators(300);
+  size_t planted = 0;
+  for (const auto& est : MakeIngestedEstimators(600)) {
+    const std::string tag = est->snapshot_type_tag();
+    if (tag != "kde-rot" && tag != "wavelet-cv" && tag != "haar-synopsis" &&
+        tag != "equi-depth") {
+      continue;
+    }
+    ++planted;
+    AnswersOf(*est, queries);
+    const std::vector<uint8_t> corrupt =
+        PlantAt(PlantAt(SnapshotBytesOf(*est), 0, -1e308), 8, 1e308);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded = Load(corrupt);
+    ASSERT_FALSE(loaded.ok()) << tag;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << tag;
+
+    selectivity::SelectivityEstimator& target = **std::find_if(
+        targets.begin(), targets.end(),
+        [&tag](const auto& t) { return t->snapshot_type_tag() == tag; });
+    const std::vector<double> before = AnswersOf(target, queries);
+    const std::vector<uint8_t> bytes_before = SnapshotBytesOf(target);
+    io::SpanSource source(corrupt);
+    ASSERT_TRUE(io::ReadSnapshotHeader(source).ok());
+    const Status status = target.LoadState(source);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << tag;
+    EXPECT_EQ(SnapshotBytesOf(target), bytes_before) << tag << " was touched";
+    EXPECT_EQ(AnswersOf(target, queries), before) << tag << " was touched";
+  }
+  EXPECT_EQ(planted, 4u);
+}
+
+TEST(SnapshotValidationTest, KdeRestoreAcceptsZerosOutOfKeyOrder) {
+  // Before the fold ordered −0.0 before +0.0, a fitted prefix could hold
+  // them in either order. Such a prefix is still ascending: it loads,
+  // answers like the canonical one, and folds later values without error.
+  selectivity::KdeSelectivity::Options options;
+  options.refit_interval = 4096;
+  selectivity::KdeSelectivity kde(options);
+  std::vector<double> xs = UnitStream(47, 3000);
+  for (size_t i = 0; i < 40; ++i) xs[7 * i] = i % 2 == 0 ? 0.0 : -0.0;
+  kde.InsertBatch(xs);
+  const std::vector<Query> queries = Workload();
+  AnswersOf(kde, queries);  // fits all 3000: the prefix leads with 20 −0.0, 20 +0.0
+  const std::vector<uint8_t> bytes = SnapshotBytesOf(kde);
+
+  SplitSnapshot split = Split(bytes);
+  // domain, interval, fit point, count
+  constexpr size_t kVectorStart = 8 + 8 + 8 + 8 + 8;
+  const auto bits_at = [&split](size_t i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, split.state.data() + kVectorStart + 8 * i, 8);
+    return bits;
+  };
+  ASSERT_EQ(bits_at(0), std::bit_cast<uint64_t>(-0.0));
+  ASSERT_EQ(bits_at(39), std::bit_cast<uint64_t>(0.0));
+  std::swap_ranges(split.state.begin() + kVectorStart,
+                   split.state.begin() + kVectorStart + 8,
+                   split.state.begin() + kVectorStart + 8 * 39);
+  const std::vector<uint8_t> legacy = Reframe(split, split.state);
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored = Load(legacy);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SnapshotBytesOf(**restored), legacy);
+  EXPECT_EQ(AnswersOf(**restored, queries), AnswersOf(kde, queries));
+
+  std::vector<double> more = UnitStream(48, 5000);
+  for (size_t i = 0; i < 50; ++i) more[11 * i] = i % 2 == 0 ? -0.0 : 0.0;
+  (*restored)->InsertBatch(more);
+  kde.InsertBatch(more);
+  (*restored)->ForceRefit();
+  kde.ForceRefit();
+  EXPECT_EQ(AnswersOf(**restored, queries), AnswersOf(kde, queries));
+  EXPECT_EQ((*restored)->count(), kde.count());
 }
 
 // ------------------------------------------- cross-process-style merging
