@@ -170,7 +170,6 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeSharded(
   ShardedSelectivityEstimator::Options options;
   options.shards = spec.shards;
   options.block_size = spec.block_size;
-  options.merge_refresh_interval = spec.merge_refresh_interval;
   options.pool = spec.pool;
   options.refit_mode = spec.refit_mode;
   Result<ShardedSelectivityEstimator> sharded =

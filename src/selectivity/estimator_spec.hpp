@@ -42,7 +42,7 @@ class SelectivityEstimator;
 ///   "grid2d"         — dims (must be 2), domain2_lo/domain2_hi, grid_log2
 ///   "sharded"        — sharded_inner_tag (the prototype's tag; the rest of
 ///                      the spec configures that prototype), shards,
-///                      block_size, merge_refresh_interval, pool, refit_mode
+///                      block_size, pool, refit_mode
 struct EstimatorSpec {
   /// Registry key; identical to the estimator's snapshot_type_tag().
   std::string tag = "equi-width";
@@ -99,7 +99,6 @@ struct EstimatorSpec {
   std::string sharded_inner_tag = "equi-width";
   size_t shards = 4;
   size_t block_size = 4096;
-  size_t merge_refresh_interval = 1;
   parallel::ThreadPool* pool = nullptr;
 
   /// The minimal valid spec for `tag` at `dims` dimensions (a snapshot

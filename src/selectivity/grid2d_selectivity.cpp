@@ -15,8 +15,10 @@ namespace selectivity {
 Grid2dHistogram::Grid2dHistogram(double lo0, double hi0, double lo1,
                                  double hi1, int grid_log2)
     : lo0_(lo0), lo1_(lo1), grid_log2_(grid_log2) {
-  WDE_CHECK_LT(lo0, hi0);
-  WDE_CHECK_LT(lo1, hi1);
+  WDE_CHECK(internal::IsDomain(lo0, hi0),
+            "axis-0 domain must be finite lo < hi with a finite width");
+  WDE_CHECK(internal::IsDomain(lo1, hi1),
+            "axis-1 domain must be finite lo < hi with a finite width");
   WDE_CHECK_GE(grid_log2, 1);
   WDE_CHECK_LE(grid_log2, 10);
   w0_ = hi0 - lo0;

@@ -12,7 +12,8 @@ namespace wde {
 namespace selectivity {
 
 EquiWidthHistogram::EquiWidthHistogram(double lo, double hi, int buckets) : lo_(lo) {
-  WDE_CHECK_LT(lo, hi);
+  WDE_CHECK(internal::IsDomain(lo, hi),
+            "domain must be finite lo < hi with a finite width");
   WDE_CHECK_GT(buckets, 0);
   width_ = (hi - lo) / static_cast<double>(buckets);
   buckets_ = static_cast<size_t>(buckets);
@@ -173,7 +174,8 @@ Status EquiWidthHistogram::LoadStateImpl(io::Source& source) {
 EquiDepthHistogram::EquiDepthHistogram(double lo, double hi, int buckets,
                                        RefitMode refit_mode)
     : lo_(lo), hi_(hi), buckets_(buckets), refit_mode_(refit_mode) {
-  WDE_CHECK_LT(lo, hi);
+  WDE_CHECK(internal::IsDomain(lo, hi),
+            "domain must be finite lo < hi with a finite width");
   WDE_CHECK_GT(buckets, 0);
 }
 

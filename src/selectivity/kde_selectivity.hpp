@@ -56,7 +56,10 @@ class KdeSelectivity : public SelectivityEstimator {
     RefitMode refit_mode = RefitMode::kIncremental;
   };
 
-  explicit KdeSelectivity(const Options& options) : options_(options) {}
+  explicit KdeSelectivity(const Options& options) : options_(options) {
+    WDE_CHECK(internal::IsDomain(options.domain_lo, options.domain_hi),
+              "domain must be finite lo < hi with a finite width");
+  }
 
   void Insert(double x) override;
 

@@ -17,9 +17,6 @@ Result<ShardedSelectivityEstimator> ShardedSelectivityEstimator::Create(
   if (options.block_size == 0) {
     return Status::InvalidArgument("block_size must be positive");
   }
-  if (options.merge_refresh_interval == 0) {
-    return Status::InvalidArgument("merge_refresh_interval must be positive");
-  }
   if (prototype.dims() > 1 &&
       options.block_size % static_cast<size_t>(prototype.dims()) != 0) {
     return Status::InvalidArgument(
@@ -45,7 +42,6 @@ Result<ShardedSelectivityEstimator> ShardedSelectivityEstimator::Create(
 }
 
 void ShardedSelectivityEstimator::Insert(double x) {
-  ++pending_since_merge_;
   const size_t shard = (position_ / options_.block_size) % replicas_.size();
   replicas_[shard]->Insert(x);
   ++position_;
@@ -53,7 +49,6 @@ void ShardedSelectivityEstimator::Insert(double x) {
 
 void ShardedSelectivityEstimator::InsertBatch(std::span<const double> xs) {
   if (xs.empty()) return;
-  pending_since_merge_ += xs.size();
   const size_t K = replicas_.size();
   if (K == 1) {
     replicas_[0]->InsertBatch(xs);
@@ -89,97 +84,60 @@ void ShardedSelectivityEstimator::InsertBatch(std::span<const double> xs) {
   });
 }
 
-std::unique_ptr<SelectivityEstimator> ShardedSelectivityEstimator::BuildMerged()
-    const {
-  std::unique_ptr<SelectivityEstimator> merged = prototype_->CloneEmpty();
-  WDE_CHECK(merged != nullptr, "mergeable estimator returned a null clone");
-  for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-    // Replicas are clones of one prototype, so the merge cannot be
-    // incompatible; a failure here is a broken MergeFrom implementation.
-    WDE_CHECK_OK(merged->MergeFrom(*replica));
-  }
-  return merged;
-}
-
-void ShardedSelectivityEstimator::RefreshMerged() const {
-  const bool can_tail_merge = options_.refit_mode == RefitMode::kIncremental &&
-                              merged_ != nullptr &&
-                              merged_hw_.size() == replicas_.size() &&
-                              merged_->SupportsTailMerge();
-  if (!can_tail_merge) {
-    merged_ = BuildMerged();
-    merged_hw_.resize(replicas_.size());
-    for (size_t s = 0; s < replicas_.size(); ++s) {
-      merged_hw_[s] = replicas_[s]->count();
-    }
-    return;
-  }
-  // Delta refresh: append each replica's values above the high-water mark to
-  // the existing view, then refit the view once. A from-zero rebuild would
-  // concatenate whole replicas in shard order, the delta path appends the
-  // tails after the previous concatenation — different insertion orders of
-  // the same multiset, which tail-mergeable (buffer-keeping) estimators
-  // answer bit-identically (their fits depend only on the sorted multiset;
-  // see the MergeTailFrom contract). The forced refit mirrors the scratch
-  // path's first-query fit at the full count: without it an interval-gated
-  // inner refit could keep serving the pre-delta fit and diverge.
-  //
-  // MergeTailFrom rejects a from_count inside the peer's sorted (fitted)
-  // prefix, where arrival positions no longer exist. That never happens
-  // here: merged_hw_ only ever holds a replica's own count, and the engine
-  // never refits a replica (it queries and refits only merged_ and its
-  // clones), so each replica's prefix stays at or below its mark.
-  bool appended = false;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    const size_t replica_count = replicas_[s]->count();
-    if (replica_count == merged_hw_[s]) continue;
-    WDE_CHECK_OK(merged_->MergeTailFrom(*replicas_[s], merged_hw_[s]));
-    merged_hw_[s] = replica_count;
-    appended = true;
-  }
-  if (appended) merged_->ForceRefit();
-}
-
-std::unique_ptr<SelectivityEstimator>
-ShardedSelectivityEstimator::ExtractMergedView() const {
-  const bool can_delta = options_.refit_mode == RefitMode::kIncremental &&
-                         merged_ != nullptr &&
-                         merged_hw_.size() == replicas_.size() &&
-                         merged_->SupportsTailMerge();
-  if (!can_delta) return BuildMerged();
-  // Clone the engine's view copy-on-write and fold each replica's delta into
-  // the CLONE, leaving the engine's own view, high-water marks, and pacing
-  // budget untouched: extraction must never change what subsequent engine
-  // queries answer (the scratch path's from-zero build has no side effects
-  // either, and refit_equivalence_test pins the two modes bitwise across
-  // schedules that query the engine after an extract). The clone's buffer is
-  // [view prefix..., replica tails...] — a different insertion order of the
-  // same multiset than the from-zero rebuild, which tail-mergeable
-  // (buffer-keeping) estimators answer bit-identically.
-  std::unique_ptr<SelectivityEstimator> view = merged_->CloneForView();
-  if (view == nullptr) return BuildMerged();  // no CoW copy offered
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    if (replicas_[s]->count() == merged_hw_[s]) continue;
-    WDE_CHECK_OK(view->MergeTailFrom(*replicas_[s], merged_hw_[s]));
-  }
-  return view;
-}
-
 SelectivityEstimator& ShardedSelectivityEstimator::Merged() const {
-  if (merged_ == nullptr || pending_since_merge_ >= options_.merge_refresh_interval) {
-    RefreshMerged();
-    pending_since_merge_ = 0;
+  // Every state change of an estimator advances its count() (dropped
+  // non-finite values change neither), and replicas only grow, so the view
+  // is current exactly when it holds every replica's count.
+  bool current = merged_ != nullptr;
+  for (size_t s = 0; current && s < replicas_.size(); ++s) {
+    current = replicas_[s]->count() == merged_hw_[s];
+  }
+  if (current) return *merged_;
+  if (options_.refit_mode == RefitMode::kScratch || merged_ == nullptr ||
+      !merged_->SupportsTailMerge()) {
+    merged_ = prototype_->CloneEmpty();
+    WDE_CHECK(merged_ != nullptr, "mergeable estimator returned a null clone");
+    for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
+      // Replicas are clones of one prototype, so the merge cannot be
+      // incompatible; a failure here is a broken MergeFrom implementation.
+      WDE_CHECK_OK(merged_->MergeFrom(*replica));
+    }
+  } else {
+    // Delta refresh: append each replica's values above its high-water mark
+    // to the view, then refit the view once. A from-zero rebuild
+    // concatenates whole replicas in shard order, the delta path appends the
+    // tails after the previous concatenation — different insertion orders of
+    // the same multiset, which tail-mergeable (buffer-keeping) estimators
+    // answer bit-identically (their fits depend only on the sorted multiset;
+    // see the MergeTailFrom contract). The forced refit mirrors the scratch
+    // path's first-query fit at the full count: without it an
+    // interval-gated inner refit could keep serving the pre-delta fit.
+    //
+    // MergeTailFrom rejects a from_count inside the peer's sorted (fitted)
+    // prefix, where arrival positions no longer exist. That never happens
+    // here: a mark only ever holds a replica's own count, and the engine
+    // never refits a replica (it queries and refits only merged_), so each
+    // replica's prefix stays at or below its mark.
+    for (size_t s = 0; s < replicas_.size(); ++s) {
+      if (replicas_[s]->count() == merged_hw_[s]) continue;
+      WDE_CHECK_OK(merged_->MergeTailFrom(*replicas_[s], merged_hw_[s]));
+    }
+    merged_->ForceRefit();
+  }
+  merged_hw_.resize(replicas_.size());
+  for (size_t s = 0; s < replicas_.size(); ++s) {
+    merged_hw_[s] = replicas_[s]->count();
   }
   return *merged_;
 }
 
-void ShardedSelectivityEstimator::ForceRefitImpl() const {
-  if (merged_ == nullptr || pending_since_merge_ != 0) {
-    RefreshMerged();
-    pending_since_merge_ = 0;
-  }
-  merged_->ForceRefit();
+std::unique_ptr<SelectivityEstimator>
+ShardedSelectivityEstimator::ExtractMergedView() const {
+  ForceRefit();
+  return merged_->CloneForView();
 }
+
+void ShardedSelectivityEstimator::ForceRefitImpl() const { Merged().ForceRefit(); }
 
 double ShardedSelectivityEstimator::EstimateRangeImpl(double a, double b) const {
   return Merged().Answer(Query::Range(a, b));
@@ -252,37 +210,36 @@ Status ShardedSelectivityEstimator::MergeFrom(const SelectivityEstimator& other)
     WDE_CHECK_OK(replicas_[s]->MergeFrom(*rhs.replicas_[s]));
   }
   position_ += rhs.position_;
-  // Force a from-zero rebuild regardless of the refresh cadence: the
-  // shard-wise merges rewrote replica interiors, not tails, so the
-  // high-water marks are meaningless too.
+  // Force a from-zero rebuild: the shard-wise merges rewrote replica
+  // interiors, not tails, so the high-water marks are meaningless.
   merged_.reset();
   merged_hw_.clear();
   return Status::OK();
 }
 
 Status ShardedSelectivityEstimator::SaveStateImpl(io::Sink& sink) const {
+  // The merged view is derived state: it is rebuilt from the replicas, so
+  // the bytes depend only on the stream, never on which queries ran. Two
+  // fields of the layout are retired and written as fixed values: the
+  // refresh interval (1) and the pending count (0), with no view (0).
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, replicas_.size()));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.block_size));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.merge_refresh_interval));
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, 1));
   WDE_RETURN_IF_ERROR(io::WriteU64(sink, position_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, pending_since_merge_));
+  WDE_RETURN_IF_ERROR(io::WriteU64(sink, 0));
   WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*prototype_, sink));
   for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
     WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*replica, sink));
   }
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, merged_ != nullptr ? 1 : 0));
-  if (merged_ != nullptr) {
-    WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*merged_, sink));
-  }
-  return Status::OK();
+  return io::WriteU8(sink, 0);
 }
 
 Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(const uint64_t shards, io::ReadU64(source));
   WDE_ASSIGN_OR_RETURN(const uint64_t block_size, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t refresh, io::ReadU64(source));
+  WDE_ASSIGN_OR_RETURN(const uint64_t refresh, io::ReadU64(source));  // retired
   WDE_ASSIGN_OR_RETURN(const uint64_t position, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t pending, io::ReadU64(source));
+  WDE_RETURN_IF_ERROR(io::ReadU64(source).status());  // retired pending count
   if (shards == 0 || shards > 65536 || block_size == 0 || refresh == 0) {
     return Status::InvalidArgument("corrupt sharded snapshot layout");
   }
@@ -305,46 +262,30 @@ Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
     }
     replicas.push_back(std::move(replica).value());
   }
+  // An older writer may have saved its merged view: it must parse and match
+  // the replicas' type, and is then dropped like the retired fields above.
   WDE_ASSIGN_OR_RETURN(const uint8_t has_merged, io::ReadU8(source));
-  std::unique_ptr<SelectivityEstimator> merged;
   if (has_merged != 0) {
-    Result<std::unique_ptr<SelectivityEstimator>> loaded =
+    Result<std::unique_ptr<SelectivityEstimator>> merged =
         LoadEstimatorEnvelope(source);
-    if (!loaded.ok()) return loaded.status();
-    if ((*loaded)->merge_type_tag() != (*prototype)->merge_type_tag()) {
+    if (!merged.ok()) return merged.status();
+    if ((*merged)->merge_type_tag() != (*prototype)->merge_type_tag()) {
       return Status::InvalidArgument(
           "corrupt sharded snapshot: merged view type mismatch");
     }
-    merged = std::move(loaded).value();
   }
   if (source.remaining() != 0) {
     return Status::InvalidArgument("corrupt sharded snapshot: trailing bytes");
   }
-  // A paced merged view never crosses a restore boundary: when the saved
-  // view predates `pending` inserts (legal staleness while the saver was
-  // running, bounded by its merge_refresh_interval), serving it in a new
-  // process would extend a stale view's lifetime across the restart. Drop it
-  // and let the first query rebuild from the replicas — the restored engine
-  // answers at least as fresh as the saver, never staler.
-  if (pending != 0) merged.reset();
   // Commit. The executor pool is a runtime resource, not state: keep ours.
+  // The first query rebuilds the view from the restored replicas.
   options_.shards = static_cast<size_t>(shards);
   options_.block_size = static_cast<size_t>(block_size);
-  options_.merge_refresh_interval = static_cast<size_t>(refresh);
   prototype_ = std::move(prototype).value();
   replicas_ = std::move(replicas);
   position_ = static_cast<size_t>(position);
-  pending_since_merge_ = static_cast<size_t>(pending);
-  merged_ = std::move(merged);
-  // Re-anchor the delta-refresh marks. A view only survives the restore when
-  // pending == 0, i.e. it holds exactly the replica counts.
+  merged_.reset();
   merged_hw_.clear();
-  if (merged_ != nullptr) {
-    merged_hw_.reserve(replicas_.size());
-    for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-      merged_hw_.push_back(replica->count());
-    }
-  }
   return Status::OK();
 }
 

@@ -14,9 +14,11 @@ namespace selectivity {
 /// Sharded parallel ingest over any mergeable SelectivityEstimator: K replica
 /// estimators (built with the prototype's CloneEmpty) each own a deterministic
 /// slice of the stream, batch inserts fan out across the replicas on a
-/// ThreadPool, and queries are answered from a lazily refreshed merged view —
-/// delta-appended from per-replica high-water marks by default, rebuilt from
-/// zero under Options::refit_mode == kScratch (see Options).
+/// ThreadPool, and queries are answered from one merged view that is always
+/// current: any query, ForceRefit() or ExtractMergedView() first brings it up
+/// to the live replicas — delta-appended from per-replica high-water marks by
+/// default, rebuilt from zero under Options::refit_mode == kScratch (see
+/// Options).
 ///
 /// Partitioning rule: stream position p (the running count of values offered,
 /// including dropped non-finite ones) maps to shard (p / block_size) mod K —
@@ -44,16 +46,6 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
     /// parallel::ThreadPool::Shared(). The pool choice affects scheduling
     /// only, never results.
     parallel::ThreadPool* pool = nullptr;
-    /// The merged query view is rebuilt once at least this many values
-    /// (>= 1) arrived since it was last built. The default 1 rebuilds
-    /// whenever any insert intervened — always-fresh answers, but a
-    /// CloneEmpty + K MergeFrom rebuild per insert/query alternation. For
-    /// interleaved workloads set this to the prototype's refit cadence:
-    /// queries then answer from a view at most merge_refresh_interval - 1
-    /// values stale, exactly like the sequential sketch between refits.
-    /// Staleness depends only on stream positions, so determinism is
-    /// unaffected.
-    size_t merge_refresh_interval = 1;
     /// kScratch rebuilds the stale merged view from zero every time:
     /// CloneEmpty + K full MergeFrom — O(total data) per refresh. With
     /// kIncremental (the default) the engine tracks a per-replica high-water
@@ -75,8 +67,7 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// the wavelet sketch's refit_interval) runs those refits inside every
   /// shard even though queries read only the merged view. For pure sharded
   /// ingest, disable the prototype's refit cadence (huge refit_interval) —
-  /// the merged view refits on demand after each rebuild regardless — and
-  /// pace answer freshness with merge_refresh_interval instead.
+  /// the merged view refits on demand after each refresh regardless.
   static Result<ShardedSelectivityEstimator> Create(
       const SelectivityEstimator& prototype, const Options& options);
 
@@ -113,21 +104,15 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
 
   size_t shards() const { return replicas_.size(); }
   const SelectivityEstimator& shard(size_t i) const { return *replicas_[i]; }
-  /// The merged estimator queries are answered from (rebuilds if stale).
-  const SelectivityEstimator& MergedView() const { return Merged(); }
 
-  /// Returns a fully merged copy of the current shard state — always up to
-  /// date with the live replicas regardless of the pacing cadence — as an
-  /// independent estimator of the prototype's concrete type. The caller owns
-  /// the result, so it can be frozen and shared (the serving layer publishes
-  /// these as immutable epoch views). Under kScratch this is a from-zero
-  /// CloneEmpty + MergeFrom over every replica; under kIncremental it
-  /// CloneForView-copies the engine's merged view (copy-on-write arena
-  /// share — fitted state is never mutated by later refreshes, which build
-  /// new buffers) and folds each replica's tail above the high-water mark
-  /// into the clone. Neither path touches the engine's own view or pacing
-  /// budget, so extraction never changes what subsequent engine queries
-  /// answer. Answers are bit-identical either way.
+  /// ForceRefit(), then a CloneForView copy of the merged view: an
+  /// independent estimator of the prototype's concrete type holding the
+  /// current shard state. The caller owns the result, so it can be frozen
+  /// and shared (the serving layer publishes these as immutable epoch
+  /// views); fitted buffers are shared copy-on-write, and later refreshes
+  /// of the engine's view build new ones. The view being always current,
+  /// an extract changes no later answer: it only refreshes what the next
+  /// query would.
   std::unique_ptr<SelectivityEstimator> ExtractMergedView() const;
 
   /// A sharded engine's view is its merged extract (ExtractMergedView): one
@@ -154,29 +139,25 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
 
-  /// Nested envelopes: partition metadata (K, block size, refresh cadence,
-  /// stream position), then prototype, replicas and the optional merged view
-  /// through the registry's envelope framing, so a restored engine continues
-  /// ingesting at the exact stream position with bit-identical answers.
+  /// Nested envelopes: partition metadata (K, block size, stream position),
+  /// then prototype and replicas through the registry's envelope framing, so
+  /// a restored engine continues ingesting at the exact stream position with
+  /// bit-identical answers. The merged view is derived and not saved, so the
+  /// bytes never depend on query history. The layout keeps two retired
+  /// fields (a refresh interval, written 1, and a pending count, written 0)
+  /// and a view flag written 0.
   Status SaveStateImpl(io::Sink& sink) const override;
 
   /// Fully replaces shard layout and state; the executor pool and refit mode
   /// are runtime resources and are kept. On any error this estimator is
-  /// untouched.
-  ///
-  /// A paced merged view never crosses a restore boundary: when the
-  /// snapshot's view predates pending inserts (it was stale within the
-  /// merge_refresh_interval budget when saved), the restored engine discards
-  /// it and rebuilds from the replicas on first query, so a restart can only
-  /// tighten staleness, never extend a stale view's lifetime into the new
-  /// process. This is the one deliberate carve-out from bit-identical
-  /// restore: it changes answers only in the mid-pacing-window case, and
-  /// only to the fresher answers a rebuild gives.
+  /// untouched. The retired fields are still validated (a refresh interval
+  /// of 0 is corrupt) and a saved merged view from an older writer is parsed
+  /// and type-checked, then dropped: the first query rebuilds the view from
+  /// the replicas.
   Status LoadStateImpl(io::Source& source) override;
 
-  /// Quiesce: refresh the merged view to the live replica state (resetting
-  /// the pacing budget) and force-refit it, so subsequent queries are pure
-  /// reads of an up-to-date view.
+  /// Quiesce: refresh the merged view to the live replica state and
+  /// force-refit it, so subsequent queries are pure reads of it.
   void ForceRefitImpl() const override;
 
  private:
@@ -191,25 +172,20 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
     return options_.pool != nullptr ? *options_.pool
                                     : parallel::ThreadPool::Shared();
   }
+  /// The one refresh: brings merged_ up to date with the live replicas and
+  /// returns it. A no-op while every replica count equals its mark. Else
+  /// per-replica MergeTailFrom above the marks + one forced refit on the
+  /// incremental path, or a from-zero CloneEmpty + K MergeFrom rebuild
+  /// (kScratch, no view yet, or an inner type without tail merges).
   SelectivityEstimator& Merged() const;
-  std::unique_ptr<SelectivityEstimator> BuildMerged() const;
-  /// Brings merged_ up to date with the live replicas: per-replica
-  /// MergeTailFrom above the high-water marks + one forced refit on the
-  /// incremental path, from-zero BuildMerged otherwise (kScratch, no prior
-  /// view, stale/absent marks, or an inner type without tail merges). Does
-  /// NOT touch pending_since_merge_ — callers own the pacing budget.
-  void RefreshMerged() const;
 
   Options options_;
   std::unique_ptr<SelectivityEstimator> prototype_;  // empty; config keeper
   std::vector<std::unique_ptr<SelectivityEstimator>> replicas_;
   size_t position_ = 0;  // stream positions offered so far
+  /// Derived state, never serialized: LoadStateImpl and MergeFrom drop it.
   mutable std::unique_ptr<SelectivityEstimator> merged_;
-  mutable size_t pending_since_merge_ = 0;  // values since merged_ was built
-  /// Per-replica counts already folded into merged_ (kIncremental only).
-  /// Not serialized: the loads reconstruct it — a merged view only survives
-  /// a restore when pending == 0, i.e. when it holds exactly the replica
-  /// counts — and MergeFrom clears it along with the view.
+  /// Per-replica counts folded into merged_ (meaningful while it exists).
   mutable std::vector<size_t> merged_hw_;
 };
 

@@ -686,33 +686,6 @@ TEST(ShardedTest, EmptyBatchesAreNoOps) {
   EXPECT_DOUBLE_EQ(sharded.Answer(Query::Range(0.2, 0.8)), 0.0);
 }
 
-TEST(ShardedTest, MergeRefreshIntervalAnswersFromStaleView) {
-  selectivity::EquiWidthHistogram prototype(0.0, 1.0, 16);
-  selectivity::ShardedSelectivityEstimator::Options options;
-  options.shards = 2;
-  options.merge_refresh_interval = 100;
-  selectivity::ShardedSelectivityEstimator sharded =
-      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
-  selectivity::ShardedSelectivityEstimator::Options invalid = options;
-  invalid.merge_refresh_interval = 0;
-  EXPECT_FALSE(
-      selectivity::ShardedSelectivityEstimator::Create(prototype, invalid).ok());
-
-  const std::vector<double> first(10, 0.25);
-  sharded.InsertBatch(first);
-  EXPECT_EQ(sharded.MergedView().count(), 10u);  // first query builds the view
-  const std::vector<double> second(50, 0.75);
-  sharded.InsertBatch(second);
-  // 50 < 100 pending values: the view is allowed to stay stale...
-  EXPECT_EQ(sharded.count(), 60u);
-  EXPECT_EQ(sharded.MergedView().count(), 10u);
-  EXPECT_DOUBLE_EQ(sharded.Answer(Query::Range(0.5, 1.0)), 0.0);
-  // ...until the cadence is crossed, which refreshes it.
-  sharded.InsertBatch(second);
-  EXPECT_EQ(sharded.MergedView().count(), 110u);
-  EXPECT_NEAR(sharded.Answer(Query::Range(0.5, 1.0)), 100.0 / 110.0, 1e-12);
-}
-
 TEST(ShardedTest, ShardedMergesShardWise) {
   const std::vector<double> xs = UnitStream(16, 30000);
   const std::span<const double> all(xs);

@@ -57,7 +57,6 @@ selectivity::EstimatorSpec SpecFor(const std::string& tag,
     spec.sharded_inner_tag = "kde-rot";
     spec.shards = 3;
     spec.block_size = 64;
-    spec.merge_refresh_interval = 256;
   }
   return spec;
 }
@@ -304,10 +303,10 @@ TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
           scr_engine->ExtractMergedView();
       EXPECT_EQ(Answers(*inc_view, queries), Answers(*scr_view, queries));
 
-      // Extraction must not disturb the engines' own view or pacing state:
-      // a mid-refresh-interval insert+query schedule after the extract stays
-      // bitwise-equal across modes (both engines keep serving equally stale
-      // views until the same pacing threshold).
+      // The extract refreshes the engines' own views; an insert+query
+      // schedule after it stays bitwise-equal across modes (the incremental
+      // engine delta-appends onto the view the extract refreshed, the
+      // scratch engine rebuilds from zero).
       const std::vector<double> more = UnitStream(43, 100);
       incremental->InsertBatch(more);
       scratch->InsertBatch(more);

@@ -17,6 +17,7 @@
 #include "processes/target_density.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
+#include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
@@ -400,6 +401,22 @@ TEST(WaveletSynopsisTest, RejectsDomainsWithoutAFiniteWidth) {
         WaveletSynopsisSelectivity::Create(options);
     ASSERT_FALSE(created.ok()) << lo << ", " << hi;
     EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(DomainDeathTest, ConstructorsApplyTheOneDomainRule) {
+  // The constructors check what the registry and the loaders check: an
+  // infinite end, or finite ends whose width overflows, aborts.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& [lo, hi] : {std::pair{-1e308, 1e308}, std::pair{-kInf, 0.0}}) {
+    KdeSelectivity::Options kde;
+    kde.domain_lo = lo;
+    kde.domain_hi = hi;
+    EXPECT_DEATH(KdeSelectivity{kde}, "finite width") << lo << ", " << hi;
+    EXPECT_DEATH(EquiDepthHistogram(lo, hi, 8), "finite width");
+    EXPECT_DEATH(EquiWidthHistogram(lo, hi, 8), "finite width");
+    EXPECT_DEATH(Grid2dHistogram(lo, hi, 0.0, 1.0, 2), "axis-0");
+    EXPECT_DEATH(Grid2dHistogram(0.0, 1.0, lo, hi, 2), "axis-1");
   }
 }
 

@@ -197,28 +197,40 @@ TEST(EstimatorServiceTest, CowClonedViewsStayBitStableWhileWriterMutates) {
 }
 
 TEST(EstimatorServiceTest, ReaderAnswersMatchQuiescedMergedViewAtSameEpoch) {
+  // Every publish extracts from the writer engine's own merged view, which
+  // the incremental mode refreshes by appending replica tails; a kScratch
+  // engine over the same stream rebuilds from zero on every query and is
+  // the ground truth for each published epoch. The buffer inner types
+  // (kde-rot, equi-depth) take the tail-append path, equi-width the
+  // from-zero rebuild.
   serving::ServiceOptions options;
   options.publish_interval = 0;
-  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
-  const std::vector<double> xs = UnitStream(21, 9000);
-  service->InsertBatch(xs);
-  service->Publish();
-
-  // A quiesced reference: the same sharded configuration ingested the same
-  // stream; its merged view is the ground truth for the published epoch.
-  selectivity::EstimatorSpec spec = ShardedHistogramSpec();
-  Result<std::unique_ptr<selectivity::SelectivityEstimator>> reference =
-      selectivity::MakeEstimator(spec);
-  ASSERT_TRUE(reference.ok());
-  (*reference)->InsertBatch(xs);
-
   const std::vector<selectivity::Query> queries = MixedWorkload(22, 128);
-  const std::vector<double> via_service = Answers(*service, queries);
-  const std::vector<double> via_view =
-      Answers(*service->CurrentView().estimator, queries);
-  const std::vector<double> via_reference = Answers(**reference, queries);
-  EXPECT_EQ(via_service, via_view);
-  EXPECT_EQ(via_service, via_reference);
+  for (const char* inner : {"equi-width", "kde-rot", "equi-depth"}) {
+    SCOPED_TRACE(inner);
+    selectivity::EstimatorSpec spec = ShardedHistogramSpec();
+    spec.sharded_inner_tag = inner;
+    std::unique_ptr<serving::EstimatorService> service = MakeService(options, spec);
+    spec.refit_mode = selectivity::RefitMode::kScratch;
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> reference =
+        selectivity::MakeEstimator(spec);
+    ASSERT_TRUE(reference.ok());
+
+    uint64_t seed = 21;
+    for (const size_t chunk : {9000u, 1500u, 77u, 4100u}) {
+      const std::vector<double> xs = UnitStream(seed++, chunk);
+      service->InsertBatch(xs);
+      service->Publish();
+      (*reference)->InsertBatch(xs);
+
+      const std::vector<double> via_service = Answers(*service, queries);
+      const std::vector<double> via_view =
+          Answers(*service->CurrentView().estimator, queries);
+      const std::vector<double> via_reference = Answers(**reference, queries);
+      EXPECT_EQ(via_service, via_view) << "after " << chunk;
+      EXPECT_EQ(via_service, via_reference) << "after " << chunk;
+    }
+  }
 }
 
 TEST(EstimatorServiceTest, CacheHitsMissesAndEpochInvalidation) {

@@ -1129,53 +1129,108 @@ TEST(ShardedCheckpointTest, RestoreRejectsCorruptCheckpointsUntouched) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedCheckpointTest, PacedMergedViewNeverCrossesARestoreBoundary) {
-  // Regression for the merge_refresh_interval × restore interaction: with a
-  // large refresh interval the engine deliberately serves a stale merged
-  // view between rebuilds, but that staleness is a live-pacing contract —
-  // it must NOT survive a checkpoint/restore. The restored engine answers
-  // from a fresh rebuild of the replicas.
-  const std::string path = testing::TempDir() + "/wde_sharded_paced.snap";
-  const auto make = []() {
-    selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
-    selectivity::ShardedSelectivityEstimator::Options options;
-    options.shards = 3;
-    options.block_size = 256;
-    options.merge_refresh_interval = 1000000;  // effectively never refresh
-    return *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
+TEST(ShardedCheckpointTest, ShardedSnapshotBytesDoNotDependOnQueries) {
+  // The merged view is derived state and is never saved: querying,
+  // quiescing or extracting from an engine leaves its snapshot bytes as
+  // they were.
+  const std::vector<Query> queries = Workload();
+  for (const char* inner : {"kde-rot", "equi-depth", "wavelet-cv"}) {
+    SCOPED_TRACE(inner);
+    selectivity::EstimatorSpec spec;
+    spec.tag = "sharded";
+    spec.sharded_inner_tag = inner;
+    spec.shards = 3;
+    spec.block_size = 256;
+    spec.j_max = 8;
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> engine =
+        selectivity::MakeEstimator(spec);
+    ASSERT_TRUE(engine.ok());
+    (*engine)->InsertBatch(UnitStream(61, 5000));
+    const std::vector<uint8_t> before = SnapshotBytesOf(**engine);
+    (void)AnswersOf(**engine, queries);
+    (*engine)->InsertBatch(UnitStream(62, 700));
+    const std::vector<uint8_t> grown = SnapshotBytesOf(**engine);
+    (*engine)->ForceRefit();
+    (void)static_cast<const selectivity::ShardedSelectivityEstimator&>(**engine)
+        .ExtractMergedView();
+    (void)AnswersOf(**engine, queries);
+    EXPECT_NE(before, grown);
+    EXPECT_EQ(SnapshotBytesOf(**engine), grown);
+  }
+}
+
+/// `bytes` of a sharded snapshot re-framed in the older writer's layout: a
+/// refresh interval of 1000000, `pending` values not yet in the saved view,
+/// and `view` saved as the merged view.
+std::vector<uint8_t> WithSavedView(const std::vector<uint8_t>& bytes,
+                                   uint64_t pending,
+                                   const selectivity::SelectivityEstimator& view) {
+  SplitSnapshot split = Split(bytes);
+  const auto plant_u64 = [&split](size_t offset, uint64_t value) {
+    io::VectorSink sink;
+    WDE_CHECK_OK(io::WriteU64(sink, value));
+    std::copy(sink.bytes().begin(), sink.bytes().end(),
+              split.state.begin() + static_cast<ptrdiff_t>(offset));
   };
+  plant_u64(16, 1000000);  // after shards and block size
+  plant_u64(32, pending);  // after the refresh interval and position
+  WDE_CHECK_EQ(split.state.back(), 0u);
+  split.state.back() = 1;
+  io::VectorSink envelope;
+  WDE_CHECK_OK(selectivity::SaveEstimatorEnvelope(view, envelope));
+  split.state.insert(split.state.end(), envelope.bytes().begin(),
+                     envelope.bytes().end());
+  return Reframe(split, split.state);
+}
+
+TEST(ShardedCheckpointTest, OlderSnapshotsWithASavedViewLoadAndDropIt) {
+  // An older writer paced its merged view and saved it: here a view that
+  // predates 4000 of the 8000 values. The loader validates the retired
+  // fields and the view's type, then drops them; the restored engine
+  // answers from the replicas like a live engine over the same stream, and
+  // re-saves the canonical bytes.
+  selectivity::KdeSelectivity::Options kde_options;
+  kde_options.refit_interval = 512;
+  selectivity::KdeSelectivity prototype(kde_options);
+  selectivity::ShardedSelectivityEstimator::Options options;
+  options.shards = 3;
+  options.block_size = 256;
+  selectivity::ShardedSelectivityEstimator live =
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
   stats::Rng rng(17);
   std::vector<double> low(4000), high(4000);
   for (double& x : low) x = rng.Uniform(0.0, 0.5);
   for (double& x : high) x = rng.Uniform(0.5, 1.0);
+  live.InsertBatch(low);
+  std::unique_ptr<selectivity::SelectivityEstimator> stale = live.ExtractMergedView();
+  live.InsertBatch(high);
+  const std::vector<uint8_t> canonical = SnapshotBytesOf(live);
 
-  selectivity::ShardedSelectivityEstimator node = make();
-  node.InsertBatch(low);
-  const double stale = node.Answer(Query::Range(0.5, 1.0));  // builds the view
-  EXPECT_EQ(stale, 0.0);  // nothing above 0.5 yet
-  node.InsertBatch(high);  // pending < interval: the stale view keeps serving
-  EXPECT_EQ(node.Answer(Query::Range(0.5, 1.0)), stale);
-  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(node, path).ok());
+  const std::vector<uint8_t> legacy = WithSavedView(canonical, 4000, *stale);
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored = Load(legacy);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->count(), 8000u);
+  const std::vector<Query> queries = Workload();
+  EXPECT_EQ(AnswersOf(**restored, queries), AnswersOf(live, queries));
+  EXPECT_EQ(SnapshotBytesOf(**restored), canonical);
+  EXPECT_NE((*restored)->Answer(Query::Range(0.5, 1.0)),
+            stale->Answer(Query::Range(0.5, 1.0)));
 
-  // Pre-restore the live node still paces; the RESTORED engine must not.
-  selectivity::ShardedSelectivityEstimator restored = make();
-  ASSERT_TRUE(LoadFileInPlace(restored, path).ok());
-  EXPECT_EQ(restored.count(), 8000u);
-  const double fresh = restored.Answer(Query::Range(0.5, 1.0));
-  EXPECT_NEAR(fresh, 0.5, 0.05);
-  // And the rebuilt answer is exactly a quiesced merge of the same stream:
-  // an engine with refresh interval 1 over the identical ingest agrees
-  // bitwise (integer histogram state).
-  selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
-  selectivity::ShardedSelectivityEstimator::Options eager_options;
-  eager_options.shards = 3;
-  eager_options.block_size = 256;
-  selectivity::ShardedSelectivityEstimator eager =
-      *selectivity::ShardedSelectivityEstimator::Create(prototype, eager_options);
-  eager.InsertBatch(low);
-  eager.InsertBatch(high);
-  EXPECT_EQ(fresh, eager.Answer(Query::Range(0.5, 1.0)));
-  std::remove(path.c_str());
+  // A saved view of another type is still corrupt, and the target of an
+  // in-place load keeps its state.
+  selectivity::EquiDepthHistogram other(0.0, 1.0, 16);
+  other.InsertBatch(low);
+  const std::vector<uint8_t> mismatched = WithSavedView(canonical, 0, other);
+  selectivity::ShardedSelectivityEstimator target =
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
+  target.InsertBatch(UnitStream(15, 100));
+  const std::vector<double> target_before = AnswersOf(target, queries);
+  io::SpanSource source(mismatched);
+  ASSERT_TRUE(io::ReadSnapshotHeader(source).ok());
+  const Status status = target.LoadState(source);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(target.count(), 100u);
+  EXPECT_EQ(AnswersOf(target, queries), target_before);
 }
 
 TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
