@@ -18,25 +18,36 @@
 // vs the from-zero CloneEmpty + K MergeFrom rebuild + full refit (kScratch),
 // over several cycles; the published views must answer bitwise-equally.
 //
+// A third section times insert alone on the paper's estimator (wavelet-cv,
+// sym8, j0 = 2, j_max = 11, never refit): n values in 4096-value
+// InsertBatch calls, in ns per value, unsharded and as a 4-shard engine on a
+// 1-worker pool (the e2e `wcv-read` writer's shape). Its evidence row feeds
+// the same stream to EmpiricalCoefficients::AddAll in those batches and to
+// the scalar Add one value at a time, and compares every S1/S2 slot.
+//
 // No google-benchmark dependency: plain steady_clock timing, like the other
-// chrono drivers. Single-threaded except the sharded section's ingest.
+// chrono drivers. Single-threaded except the sharded sections' ingest.
 //
 // Usage: perf_ingest [--n=1000000] [--chunk=8192] [--cycles=12]
 //                    [--repeats=2] [--out=BENCH_ingest.json] [--check]
 //
 // --check turns the contracts into gates: exit 1 if any mode pair loses
 // bitwise equivalence, if the kde-rot amortized insert+refit speedup falls
-// below 2x, or if the sharded incremental publish is less than 5x faster than
-// the scratch one. CI runs with --check on the release build; debug binaries
+// below 2x, if the sharded incremental publish is less than 5x faster than
+// the scratch one, or if the batched S1/S2 sums differ from the scalar Add
+// path in any bit. CI runs with --check on the release build; debug binaries
 // refuse --check outright (see bench_common.hpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/coefficients.hpp"
+#include "parallel/thread_pool.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/selectivity_estimator.hpp"
@@ -123,6 +134,61 @@ struct IngestRow {
   double speedup_vs_scratch = 1.0;  // 1.0 on the scratch row itself
   bool bitwise_equal_to_scratch = true;
 };
+
+struct InsertOnlyRow {
+  std::string estimator;
+  size_t shards = 1;
+  double seconds = 0.0;
+  double ns_per_value = 0.0;
+};
+
+/// Values per InsertBatch call in the insert-only section: the e2e writer's
+/// admission size.
+constexpr size_t kInsertBlock = 4096;
+
+/// Streams `stream` into a fresh estimator from `spec` in kInsertBlock-value
+/// InsertBatch calls; the best of `repeats` wall times.
+double InsertOnlySeconds(const selectivity::EstimatorSpec& spec,
+                         const std::vector<double>& stream, size_t repeats) {
+  double best = 0.0;
+  for (size_t r = 0; r < repeats; ++r) {
+    std::unique_ptr<selectivity::SelectivityEstimator> estimator = Make(spec);
+    const std::span<const double> all(stream);
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t offset = 0; offset < all.size(); offset += kInsertBlock) {
+      estimator->InsertBatch(
+          all.subspan(offset, std::min(kInsertBlock, all.size() - offset)));
+    }
+    const double seconds = bench::perf::SecondsSince(start);
+    if (r == 0 || seconds < best) best = seconds;
+  }
+  return best;
+}
+
+/// Every S1/S2 slot of AddAll over kInsertBlock-value batches against the
+/// scalar Add loop, compared bit for bit.
+bool BatchSumsMatchScalar(const wavelet::WaveletBasis& basis, int j0, int j_max,
+                          const std::vector<double>& stream) {
+  Result<core::EmpiricalCoefficients> batch =
+      core::EmpiricalCoefficients::Create(basis, j0, j_max);
+  Result<core::EmpiricalCoefficients> scalar =
+      core::EmpiricalCoefficients::Create(basis, j0, j_max);
+  WDE_CHECK(batch.ok() && scalar.ok());
+  const std::span<const double> all(stream);
+  for (size_t offset = 0; offset < all.size(); offset += kInsertBlock) {
+    batch->AddAll(all.subspan(offset, std::min(kInsertBlock, all.size() - offset)));
+  }
+  for (double x : stream) scalar->Add(x);
+  const auto same = [](const core::CoefficientLevel& a, const core::CoefficientLevel& b) {
+    return std::memcmp(a.s1.data(), b.s1.data(), a.s1.size_bytes()) == 0 &&
+           std::memcmp(a.s2.data(), b.s2.data(), a.s2.size_bytes()) == 0;
+  };
+  bool equal = same(batch->scaling_level(), scalar->scaling_level());
+  for (int j = j0; j <= j_max; ++j) {
+    equal = equal && same(batch->detail_level(j), scalar->detail_level(j));
+  }
+  return equal;
+}
 
 struct RefreshRow {
   std::string mode;
@@ -260,6 +326,43 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -------------------------------------------------------------------------
+  // Section 3: insert only, the paper's estimator, unsharded and sharded.
+  // -------------------------------------------------------------------------
+  std::vector<InsertOnlyRow> insert_rows;
+  bool sums_bitwise = true;
+  {
+    const selectivity::EstimatorSpec spec =
+        SpecFor("wavelet-cv", selectivity::RefitMode::kIncremental);
+    parallel::ThreadPool pool(1);
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      InsertOnlyRow row;
+      row.estimator = shards == 1 ? "wavelet-cv" : "sharded";
+      row.shards = shards;
+      selectivity::EstimatorSpec run_spec = spec;
+      if (shards > 1) {
+        run_spec.tag = "sharded";
+        run_spec.sharded_inner_tag = "wavelet-cv";
+        run_spec.shards = shards;
+        run_spec.block_size = 1024;  // a 4096-value batch spans every shard
+        run_spec.pool = &pool;
+      }
+      row.seconds = InsertOnlySeconds(run_spec, stream, repeats);
+      row.ns_per_value = row.seconds / static_cast<double>(n) * 1e9;
+      insert_rows.push_back(row);
+      std::printf("insert-only %-10s shards %zu  %.3fs  %.1f ns/value\n",
+                  row.estimator.c_str(), row.shards, row.seconds, row.ns_per_value);
+    }
+    Result<wavelet::WaveletFilter> filter = wavelet::WaveletFilter::FromName(spec.filter);
+    WDE_CHECK(filter.ok(), filter.status().ToString().c_str());
+    Result<wavelet::WaveletBasis> basis =
+        wavelet::WaveletBasis::Create(*filter, spec.table_levels);
+    WDE_CHECK(basis.ok(), basis.status().ToString().c_str());
+    sums_bitwise = BatchSumsMatchScalar(*basis, spec.j0, spec.j_max, stream);
+    std::printf("insert-only S1/S2 AddAll vs scalar Add (j0=%d, j_max=%d): %s\n",
+                spec.j0, spec.j_max, sums_bitwise ? "bitwise equal" : "DIFFER");
+  }
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   WDE_CHECK(out != nullptr, "cannot open --out path for writing");
   std::fprintf(out, "{\n  \"bench\": \"perf_ingest\",\n");
@@ -299,6 +402,17 @@ int main(int argc, char** argv) {
                  row.bitwise_equal_to_scratch ? "true" : "false",
                  i + 1 < refresh_rows.size() ? "," : "");
   }
+  std::fprintf(out, "  ],\n  \"insert_only\": [\n");
+  for (size_t i = 0; i < insert_rows.size(); ++i) {
+    const InsertOnlyRow& row = insert_rows[i];
+    std::fprintf(out,
+                 "    {\"estimator\": \"%s\", \"shards\": %zu, \"batch\": %zu, "
+                 "\"seconds\": %.6f, \"ns_per_value\": %.1f, "
+                 "\"sums_bitwise_equal_to_scalar_add\": %s}%s\n",
+                 row.estimator.c_str(), row.shards, kInsertBlock, row.seconds,
+                 row.ns_per_value, sums_bitwise ? "true" : "false",
+                 i + 1 < insert_rows.size() ? "," : "");
+  }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
@@ -335,8 +449,13 @@ int main(int argc, char** argv) {
         ++violations;
       }
     }
+    if (!sums_bitwise) {
+      std::fprintf(stderr,
+                   "CHECK FAILED: batched S1/S2 sums differ from scalar Add\n");
+      ++violations;
+    }
     if (violations > 0) return 1;
-    std::printf("incremental-refit contract checks passed\n");
+    std::printf("incremental-refit and insert contract checks passed\n");
   }
   return 0;
 }

@@ -7,18 +7,27 @@
 //
 // Rows and their contracts:
 //   kde_evaluate_many    EvaluateMany vs scalar Evaluate loop — bitwise,
-//                        speedup-guarded.
+//                        speedup-guarded (median of interleaved pairs).
 //   kde_range_batch      CdfAt(b)−CdfAt(a) vs the O(n) per-sample
 //                        IntegrateRange — gated at 1e-9 abs; guarded.
 //   kde_cdf_n1e5,        Epanechnikov CdfAt (block prefix moments) vs the
 //   kde_cdf_n1e6         O(n) long-double closed-form oracle at n = 1e5 and
 //                        1e6 (fixed, whatever --n) — gated at 1e-12 abs;
 //                        guarded. The ratio of the two rows' CdfAt costs is
-//                        the scaling check: at most 2 across the decade.
+//                        the scaling check: at most 2 across the decade,
+//                        gated on the median of interleaved pairs of passes
+//                        of 1024 × 256 queries each.
 //   wavelet_evaluate_many WaveletEstimate::EvaluateMany vs scalar Evaluate
-//                        loop — bitwise, guarded.
+//                        loop — bitwise, guarded (interleaved pairs).
 //   hist_prefix_rebuild  PrefixSumExclusiveBlocked vs Sequential on integer
-//                        counts — bitwise (exact reassociation), guarded.
+//                        counts — bitwise (exact reassociation), guarded
+//                        (interleaved pairs).
+//
+// A guarded row whose two paths are within a small factor of each other
+// times them interleaved, baseline and optimized alternating in order
+// (AB, BA, AB, ...), and its speedup is the median of the per-pair ratios:
+// host noise that drifts over a second moves both sides of a pair alike.
+// The JSON seconds are still each side's best pass; 11 pairs per row.
 //
 // Usage: perf_kernels [--n=200000] [--queries=1024] [--repeats=3]
 //                     [--out=BENCH_kernels.json] [--check]
@@ -28,9 +37,11 @@
 // optimized path is slower than its scalar baseline (speedup < 1.0), or the
 // KDE CDF costs more than 2x per query at n = 1e6 than at n = 1e5.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -70,6 +81,47 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
+/// Interleaved pairs per paired row: odd, so the median is one pair's ratio.
+constexpr size_t kPairs = 11;
+
+/// Each side's best pass and the median of the per-pair ratios
+/// time(a) / time(b).
+struct PairedTimes {
+  double best_a = 0.0;
+  double best_b = 0.0;
+  double median_ratio = 1.0;
+};
+
+/// Times `a` and `b` in `pairs` interleaved pairs, alternating which runs
+/// first.
+template <class A, class B>
+PairedTimes TimePaired(size_t pairs, A&& a, B&& b) {
+  const auto time = [](auto& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return bench::perf::SecondsSince(start);
+  };
+  PairedTimes out;
+  out.best_a = out.best_b = std::numeric_limits<double>::infinity();
+  std::vector<double> ratios;
+  for (size_t p = 0; p < pairs; ++p) {
+    double ta = 0.0, tb = 0.0;
+    if (p % 2 == 0) {
+      ta = time(a);
+      tb = time(b);
+    } else {
+      tb = time(b);
+      ta = time(a);
+    }
+    out.best_a = std::min(out.best_a, ta);
+    out.best_b = std::min(out.best_b, tb);
+    ratios.push_back(ta / tb);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2, ratios.end());
+  out.median_ratio = ratios[ratios.size() / 2];
+  return out;
+}
+
 double MaxAbsError(const std::vector<double>& got, const std::vector<double>& want) {
   double max_abs = 0.0;
   for (size_t i = 0; i < got.size(); ++i) {
@@ -104,18 +156,29 @@ double OracleEpanechnikovCdf(const std::vector<double>& data, double h, double x
   return static_cast<double>(acc / static_cast<long double>(data.size()));
 }
 
-/// One kde_cdf row at sample size n. The oracle is timed once (it is the
-/// reference, not a contender). CdfAt runs one warm pass that builds the
-/// moment index, then reports the best of `repeats` timings of kPasses
-/// passes over the queries, divided by kPasses: a single pass is tens of
-/// microseconds, too short to time steadily.
-Row KdeCdfRow(const char* name, size_t n, const std::vector<double>& queries,
-              size_t repeats, double* checksum) {
+/// Passes of CdfAtMany per timed kde_cdf block: 1024 × 256 queries is tens
+/// of milliseconds at either n, long enough to time steadily.
+constexpr size_t kCdfPasses = 1024;
+
+/// The Epanechnikov KDE of n uniform samples, as the kde_cdf rows use it.
+struct CdfCase {
+  std::vector<double> data;
+  kernel::KernelDensityEstimator kde;
+};
+
+CdfCase MakeCdfCase(size_t n) {
   stats::Rng rng(n);
   std::vector<double> data(n);
   for (double& x : data) x = rng.UniformDouble();
-  const kernel::KernelDensityEstimator kde =
-      MakeKde(kernel::KernelType::kEpanechnikov, data);
+  kernel::KernelDensityEstimator kde = MakeKde(kernel::KernelType::kEpanechnikov, data);
+  return {std::move(data), std::move(kde)};
+}
+
+/// One kde_cdf row. The oracle is timed once (it is the reference, not a
+/// contender); `pass_seconds` is the best timed block of kCdfPasses CdfAtMany
+/// passes, and the row reports it per pass.
+Row KdeCdfRow(const char* name, const CdfCase& c, const std::vector<double>& queries,
+              double pass_seconds, double* checksum) {
   std::vector<double> oracle(queries.size()), got(queries.size());
   Row row;
   row.name = name;
@@ -125,19 +188,12 @@ Row KdeCdfRow(const char* name, size_t n, const std::vector<double>& queries,
   row.speedup_guarded = true;
   row.seconds_baseline = bench::perf::BestOfSeconds(1, [&] {
     for (size_t i = 0; i < queries.size(); ++i) {
-      oracle[i] = OracleEpanechnikovCdf(data, kde.bandwidth(), queries[i]);
+      oracle[i] = OracleEpanechnikovCdf(c.data, c.kde.bandwidth(), queries[i]);
     }
     *checksum += oracle[0];
   });
-  constexpr size_t kPasses = 64;
-  kde.CdfAtMany(queries, got);
-  const double passes_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-    for (size_t p = 0; p < kPasses; ++p) {
-      kde.CdfAtMany(queries, got);
-      *checksum += got[0];
-    }
-  });
-  row.seconds_optimized = passes_seconds / static_cast<double>(kPasses);
+  c.kde.CdfAtMany(queries, got);
+  row.seconds_optimized = pass_seconds / static_cast<double>(kCdfPasses);
   row.speedup = row.seconds_baseline / row.seconds_optimized;
   row.max_abs_error = MaxAbsError(got, oracle);
   return row;
@@ -186,15 +242,19 @@ int main(int argc, char** argv) {
     row.equivalence = "bitwise";
     row.items = query_count;
     row.speedup_guarded = true;
-    row.seconds_baseline = bench::perf::BestOfSeconds(repeats, [&] {
-      for (size_t i = 0; i < query_count; ++i) baseline[i] = kde.Evaluate(queries[i]);
-      checksum += baseline[0];
-    });
-    row.seconds_optimized = bench::perf::BestOfSeconds(repeats, [&] {
-      kde.EvaluateMany(queries, optimized);
-      checksum += optimized[0];
-    });
-    row.speedup = row.seconds_baseline / row.seconds_optimized;
+    const PairedTimes times = TimePaired(
+        kPairs,
+        [&] {
+          for (size_t i = 0; i < query_count; ++i) baseline[i] = kde.Evaluate(queries[i]);
+          checksum += baseline[0];
+        },
+        [&] {
+          kde.EvaluateMany(queries, optimized);
+          checksum += optimized[0];
+        });
+    row.seconds_baseline = times.best_a;
+    row.seconds_optimized = times.best_b;
+    row.speedup = times.median_ratio;
     row.bit_identical = BitIdentical(optimized, baseline);
     rows.push_back(row);
   }
@@ -230,15 +290,34 @@ int main(int argc, char** argv) {
   }
 
   // --- kde_cdf: O(log n + 64) block-moment CDF vs the O(n) oracle, at two
-  // scales. 256 queries keep the oracle pass at about a second at 1e6; the
-  // CdfAt passes are best of at least 7 for a resolvable timing. ---
+  // scales. 256 queries keep the oracle pass at about a second at 1e6. The
+  // CdfAt blocks of the two scales are timed in interleaved pairs (the first
+  // call builds each moment index, outside the timing); their median ratio
+  // is the scaling check. ---
   const size_t cdf_count = std::min<size_t>(256, query_count);
   const std::vector<double> cdf_queries(queries.begin(), queries.begin() + cdf_count);
-  const size_t cdf_repeats = std::max<size_t>(7, repeats);
-  rows.push_back(KdeCdfRow("kde_cdf_n1e5", 100000, cdf_queries, cdf_repeats, &checksum));
-  const double cdf_small_seconds = rows.back().seconds_optimized;
-  rows.push_back(KdeCdfRow("kde_cdf_n1e6", 1000000, cdf_queries, cdf_repeats, &checksum));
-  const double cdf_scaling = rows.back().seconds_optimized / cdf_small_seconds;
+  double cdf_scaling = 0.0;
+  {
+    const CdfCase small = MakeCdfCase(100000);
+    const CdfCase large = MakeCdfCase(1000000);
+    std::vector<double> got(cdf_count);
+    const auto passes = [&](const kernel::KernelDensityEstimator* kde) {
+      return [&, kde] {
+        for (size_t p = 0; p < kCdfPasses; ++p) {
+          kde->CdfAtMany(cdf_queries, got);
+          checksum += got[0];
+        }
+      };
+    };
+    small.kde.CdfAtMany(cdf_queries, got);
+    large.kde.CdfAtMany(cdf_queries, got);
+    const PairedTimes times = TimePaired(kPairs, passes(&large.kde), passes(&small.kde));
+    cdf_scaling = times.median_ratio;
+    rows.push_back(
+        KdeCdfRow("kde_cdf_n1e5", small, cdf_queries, times.best_b, &checksum));
+    rows.push_back(
+        KdeCdfRow("kde_cdf_n1e6", large, cdf_queries, times.best_a, &checksum));
+  }
 
   // --- wavelet_evaluate_many: level-hoisted + shared-weight-window batch vs
   // the scalar per-point reconstruction (bitwise). ---
@@ -258,15 +337,19 @@ int main(int argc, char** argv) {
     row.equivalence = "bitwise";
     row.items = points;
     row.speedup_guarded = true;
-    row.seconds_baseline = bench::perf::BestOfSeconds(repeats, [&] {
-      for (size_t i = 0; i < points; ++i) wave_base[i] = estimate.Evaluate(xs[i]);
-      checksum += wave_base[0];
-    });
-    row.seconds_optimized = bench::perf::BestOfSeconds(repeats, [&] {
-      estimate.EvaluateMany(xs, wave_opt);
-      checksum += wave_opt[0];
-    });
-    row.speedup = row.seconds_baseline / row.seconds_optimized;
+    const PairedTimes times = TimePaired(
+        kPairs,
+        [&] {
+          for (size_t i = 0; i < points; ++i) wave_base[i] = estimate.Evaluate(xs[i]);
+          checksum += wave_base[0];
+        },
+        [&] {
+          estimate.EvaluateMany(xs, wave_opt);
+          checksum += wave_opt[0];
+        });
+    row.seconds_baseline = times.best_a;
+    row.seconds_optimized = times.best_b;
+    row.speedup = times.median_ratio;
     row.bit_identical = BitIdentical(wave_opt, wave_base);
     rows.push_back(row);
   }
@@ -288,17 +371,21 @@ int main(int argc, char** argv) {
     row.equivalence = "bitwise";
     row.items = buckets * passes;
     row.speedup_guarded = true;
-    row.seconds_baseline = bench::perf::BestOfSeconds(repeats, [&] {
-      for (size_t p = 0; p < passes; ++p) {
-        checksum += numerics::PrefixSumExclusiveSequential(counts, prefix_base);
-      }
-    });
-    row.seconds_optimized = bench::perf::BestOfSeconds(repeats, [&] {
-      for (size_t p = 0; p < passes; ++p) {
-        checksum += numerics::PrefixSumExclusiveBlocked(counts, prefix_opt);
-      }
-    });
-    row.speedup = row.seconds_baseline / row.seconds_optimized;
+    const PairedTimes times = TimePaired(
+        kPairs,
+        [&] {
+          for (size_t p = 0; p < passes; ++p) {
+            checksum += numerics::PrefixSumExclusiveSequential(counts, prefix_base);
+          }
+        },
+        [&] {
+          for (size_t p = 0; p < passes; ++p) {
+            checksum += numerics::PrefixSumExclusiveBlocked(counts, prefix_opt);
+          }
+        });
+    row.seconds_baseline = times.best_a;
+    row.seconds_optimized = times.best_b;
+    row.speedup = times.median_ratio;
     row.bit_identical = BitIdentical(prefix_opt, prefix_base);
     rows.push_back(row);
   }
@@ -318,8 +405,9 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"bench\": \"perf_kernels\",\n");
   std::fprintf(out,
                "  \"workload\": {\"n\": %zu, \"queries\": %zu, \"repeats\": %zu, "
-               "\"data\": \"uniform[0,1]\", \"bandwidth\": \"rule-of-thumb\"},\n",
-               n, query_count, repeats);
+               "\"pairs\": %zu, \"data\": \"uniform[0,1]\", "
+               "\"bandwidth\": \"rule-of-thumb\"},\n",
+               n, query_count, repeats, kPairs);
   wde::bench::perf::WriteHostJson(out);
   std::fprintf(out, "  \"checks\": {\"kde_cdf_cost_ratio_1e6_vs_1e5\": %.4f},\n",
                cdf_scaling);

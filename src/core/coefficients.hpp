@@ -52,9 +52,10 @@ class EmpiricalCoefficients {
   /// Batch entry: equivalent to calling Add(x) for each x in order — the
   /// running sums come out bit-identical — but runs one pass per level with
   /// the scale/translate/table setup hoisted out of the sample loop, instead
-  /// of one pass per sample. This is the streaming hot path; see
-  /// `perf_estimator` for the scalar-vs-batch throughput numbers. An empty
-  /// span is an explicit no-op.
+  /// of one pass per sample. This is the streaming hot path; the
+  /// `insert_only` rows of `perf_ingest` (BENCH_ingest.json) time it per
+  /// value and check it bitwise against Add. An empty span is an explicit
+  /// no-op.
   void AddAll(std::span<const double> xs);
 
   /// Folds another accumulator into this one: element-wise S1/S2 sums and

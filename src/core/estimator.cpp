@@ -349,13 +349,17 @@ Status WaveletDensityFit::Merge(const WaveletDensityFit& other) {
 
 void WaveletDensityFit::AddBatch(std::span<const double> xs) {
   if (xs.empty()) return;
-  std::vector<double> ts(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const double t = (xs[i] - lo_) / width_;
+  std::vector<double> ts(xs.begin(), xs.end());
+  AddBatchInPlace(ts);
+}
+
+void WaveletDensityFit::AddBatchInPlace(std::span<double> xs) {
+  for (double& x : xs) {
+    const double t = (x - lo_) / width_;
     WDE_CHECK(t >= 0.0 && t <= 1.0, "observation outside the fit domain");
-    ts[i] = t;
+    x = t;
   }
-  coefficients_.AddAll(ts);
+  coefficients_.AddAll(xs);
 }
 
 WaveletEstimate WaveletDensityFit::Estimate(const ThresholdSchedule& schedule,

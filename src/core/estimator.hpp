@@ -153,6 +153,11 @@ class WaveletDensityFit {
   /// span is an explicit no-op.
   void AddBatch(std::span<const double> xs);
 
+  /// AddBatch on a buffer the caller hands over: maps xs onto the unit
+  /// interval in place, with AddBatch's arithmetic, and accumulates it there,
+  /// so the batch is not copied again.
+  void AddBatchInPlace(std::span<double> xs);
+
   /// Folds another fit's coefficient sums into this one (see
   /// `EmpiricalCoefficients::Merge`). After a successful merge, `Estimate`
   /// reconstructs from the combined sums — the rebuild-from-merged path the

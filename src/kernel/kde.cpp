@@ -150,8 +150,12 @@ void KernelDensityEstimator::EvaluateMany(std::span<const double> xs,
   WDE_CHECK_EQ(xs.size(), out.size(), "EvaluateMany spans must match");
   const double radius = kernel_.support_radius() * bandwidth_;
   const double norm = static_cast<double>(sorted_.size()) * bandwidth_;
-  std::vector<double>& us = ScratchArgs();
-  std::vector<double>& ks = ScratchVals();
+  const double bandwidth = bandwidth_;
+  // The window goes through the kernel in stack chunks that stay in L1, so
+  // each sample is read from memory once.
+  constexpr size_t kChunk = 256;
+  double us[kChunk];
+  double ks[kChunk];
   for (size_t i = 0; i < xs.size(); ++i) {
     const double x = xs[i];
     // Same window, same per-term arithmetic, same left-to-right sum as
@@ -159,16 +163,17 @@ void KernelDensityEstimator::EvaluateMany(std::span<const double> xs,
     // SIMD batch, which is elementwise bit-identical.
     const auto lo = std::lower_bound(sorted_.begin(), sorted_.end(), x - radius);
     const auto hi = std::upper_bound(lo, sorted_.end(), x + radius);
-    const size_t window = static_cast<size_t>(hi - lo);
-    us.resize(window);
-    ks.resize(window);
-    const double* base = sorted_.data() + (lo - sorted_.begin());
-    const double bandwidth = bandwidth_;
-    WDE_SIMD_LOOP
-    for (size_t m = 0; m < window; ++m) us[m] = (x - base[m]) / bandwidth;
-    kernel_.EvaluateMany(us, ks);
+    const double* window = sorted_.data() + (lo - sorted_.begin());
+    const auto size = static_cast<size_t>(hi - lo);
     double acc = 0.0;
-    for (size_t m = 0; m < window; ++m) acc += ks[m];
+    for (size_t start = 0; start < size; start += kChunk) {
+      const size_t count = std::min(kChunk, size - start);
+      const double* base = window + start;
+      WDE_SIMD_LOOP
+      for (size_t m = 0; m < count; ++m) us[m] = (x - base[m]) / bandwidth;
+      kernel_.EvaluateMany({us, count}, {ks, count});
+      for (size_t m = 0; m < count; ++m) acc += ks[m];
+    }
     out[i] = acc / norm;
   }
 }

@@ -42,8 +42,8 @@ class KernelDensityEstimator {
   double Evaluate(double x) const;
 
   /// out[i] = f̂(xs[i]): each query runs the linear windowed pass with the
-  /// kernel terms gathered into contiguous scratch and evaluated by the SIMD
-  /// batch kernel — bit-identical to Evaluate(xs[i]).
+  /// kernel terms evaluated by the SIMD batch kernel in L1-sized stack
+  /// chunks — bit-identical to Evaluate(xs[i]).
   void EvaluateMany(std::span<const double> xs, std::span<double> out) const;
 
   /// Values on an inclusive uniform grid [lo, hi].

@@ -27,25 +27,14 @@ class UniformGridInterpolator {
   double x1() const;
 
   double Evaluate(double x) const {
-    return EvaluateOn(x0_, dx_, view_.data(), view_.size(), x);
-  }
-
-  /// Raw-array core of Evaluate. Batch loops hoist the member loads by
-  /// keeping (x0, dx, values, n) in locals and calling this per point; the
-  /// arithmetic is the scalar path's, so results are bit-identical.
-  static double EvaluateOn(double x0, double dx, const double* values, size_t n,
-                           double x) {
-    const double t = (x - x0) / dx;
+    const size_t n = view_.size();
+    const double t = (x - x0_) / dx_;
     if (t < 0.0 || t > static_cast<double>(n - 1)) return 0.0;
     const auto idx = static_cast<size_t>(t);
-    if (idx + 1 >= n) return values[n - 1];
+    if (idx + 1 >= n) return view_[n - 1];
     const double frac = t - static_cast<double>(idx);
-    return values[idx] * (1.0 - frac) + values[idx + 1] * frac;
+    return view_[idx] * (1.0 - frac) + view_[idx + 1] * frac;
   }
-
-  /// out[i] = Evaluate(xs[i]) with the grid parameters hoisted out of the
-  /// loop; bit-identical to calling Evaluate per point.
-  void EvaluateMany(std::span<const double> xs, std::span<double> out) const;
 
  private:
   double x0_;

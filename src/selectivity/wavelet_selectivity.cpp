@@ -37,14 +37,14 @@ void StreamingWaveletSelectivity::InsertBatch(std::span<const double> xs) {
   // Feed the accumulator in chunks that end exactly where the scalar loop
   // would have refit, so the cached estimate goes through the same sequence
   // of (refit point, coefficient state) pairs as per-point insertion.
-  std::span<const double> rest(insert_scratch_);
+  std::span<double> rest(insert_scratch_);
   while (!rest.empty()) {
     const size_t since_refit = fit_.count() - fitted_at_count_;
     const size_t until_refit =
         since_refit >= options_.refit_interval ? 1
                                                : options_.refit_interval - since_refit;
     const size_t chunk = std::min(until_refit, rest.size());
-    fit_.AddBatch(rest.first(chunk));
+    fit_.AddBatchInPlace(rest.first(chunk));
     rest = rest.subspan(chunk);
     if (fit_.count() - fitted_at_count_ >= options_.refit_interval) RefitIfStale();
   }

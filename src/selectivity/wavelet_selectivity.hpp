@@ -134,7 +134,9 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
 
   Options options_;
   core::WaveletDensityFit fit_;
-  std::vector<double> insert_scratch_;  // cleaned batch, reused across calls
+  /// InsertBatch's one copy of a batch: cleaned, then mapped in place onto
+  /// the unit interval by the fit. Reused across calls.
+  std::vector<double> insert_scratch_;
   mutable std::optional<core::WaveletEstimate> estimate_;
   mutable std::optional<core::CrossValidationResult> cv_;
   /// CV warm-start state (kIncremental only). Never serialized: a restored

@@ -28,27 +28,38 @@ bool IsPowerOfTwo(double dx) {
 
 }  // namespace
 
+TapMajorTable::TapMajorTable(std::span<const double> values, int levels)
+    : levels_(levels),
+      mask_((size_t{1} << levels) - 1),
+      n_(values.size()),
+      inv_dx_(std::ldexp(1.0, levels)),
+      t_max_(static_cast<double>(values.size() - 1)) {
+  const size_t per_unit = size_t{1} << levels;
+  WDE_CHECK(n_ >= 2 && (n_ - 1) % per_unit == 0,
+            "a tap-major table spans whole units of its grid");
+  width_ = (n_ - 1) / per_unit + 1;
+  taps_.assign((per_unit + 1) * width_, 0.0);
+  for (size_t p = 0; p <= per_unit; ++p) {
+    for (size_t c = 0; c < width_; ++c) {
+      const size_t idx = p + (width_ - 1 - c) * per_unit;
+      if (idx < n_) taps_[p * width_ + c] = values[idx];
+    }
+  }
+}
+
 ScaledLevelEvaluator::ScaledLevelEvaluator(int j,
                                            std::shared_ptr<const BasisTables> tables,
                                            MotherFunction f)
     : j_(j), support_(tables->filter.support_length()), tables_(std::move(tables)) {
-  const numerics::UniformGridInterpolator& table =
-      f == MotherFunction::kPhi ? tables_->phi : tables_->psi;
   const numerics::UniformGridInterpolator& cdf =
       f == MotherFunction::kPhi ? tables_->phi_cdf : tables_->psi_cdf;
-  WDE_CHECK(IsPowerOfTwo(table.dx()) && IsPowerOfTwo(cdf.dx()),
-            "hoisted level evaluation requires power-of-two grid steps");
-  WDE_CHECK(table.x0() == 0.0 && cdf.x0() == 0.0,
-            "hoisted level evaluation requires zero-based grids");
+  WDE_CHECK(IsPowerOfTwo(cdf.dx()) && cdf.x0() == 0.0,
+            "hoisted level evaluation requires zero-based power-of-two grids");
   level_lo_ = -(support_ - 1);
   level_hi_ = (1 << j) - 1;
   scale_ = static_cast<double>(1 << j);
   sqrt_scale_ = std::sqrt(scale_);
-  table_x0_ = table.x0();
-  table_inv_dx_ = 1.0 / table.dx();
-  table_t_max_ = static_cast<double>(table.values().size() - 1);
-  table_values_ = table.values().data();
-  table_n_ = table.values().size();
+  table_ = f == MotherFunction::kPhi ? &tables_->phi : &tables_->psi;
   cdf_x0_ = cdf.x0();
   cdf_inv_dx_ = 1.0 / cdf.dx();
   cdf_t_max_ = static_cast<double>(cdf.values().size() - 1);
@@ -69,14 +80,13 @@ Result<std::shared_ptr<const BasisTables>> BuildTables(const WaveletFilter& filt
   Result<CascadeTables> tables = ComputeCascadeTables(filter, table_levels);
   if (!tables.ok()) return tables.status();
   const double dx = tables->dx();
-  std::vector<double> phi_cdf_values = numerics::CumulativeTrapezoid(tables->phi, dx);
-  std::vector<double> psi_cdf_values = numerics::CumulativeTrapezoid(tables->psi, dx);
-  numerics::UniformGridInterpolator phi(0.0, dx, std::move(tables->phi));
-  numerics::UniformGridInterpolator psi(0.0, dx, std::move(tables->psi));
-  numerics::UniformGridInterpolator phi_cdf(0.0, dx, std::move(phi_cdf_values));
-  numerics::UniformGridInterpolator psi_cdf(0.0, dx, std::move(psi_cdf_values));
-  const BasisTables built{filter, table_levels, phi, psi, phi_cdf, psi_cdf};
-  return std::make_shared<const BasisTables>(built);
+  return std::make_shared<const BasisTables>(BasisTables{
+      filter, table_levels, TapMajorTable(tables->phi, table_levels),
+      TapMajorTable(tables->psi, table_levels),
+      numerics::UniformGridInterpolator(
+          0.0, dx, numerics::CumulativeTrapezoid(tables->phi, dx)),
+      numerics::UniformGridInterpolator(
+          0.0, dx, numerics::CumulativeTrapezoid(tables->psi, dx))});
 }
 
 }  // namespace
@@ -102,11 +112,6 @@ Result<WaveletBasis> WaveletBasis::Create(const WaveletFilter& filter,
   std::erase_if(memo, [](const auto& entry) { return entry.second.expired(); });
   memo[std::move(key)] = *tables;
   return WaveletBasis(std::move(tables).value());
-}
-
-void WaveletBasis::EvaluateMany(MotherFunction f, std::span<const double> xs,
-                                std::span<double> out) const {
-  (f == MotherFunction::kPhi ? tables_->phi : tables_->psi).EvaluateMany(xs, out);
 }
 
 double WaveletBasis::PhiAntiderivative(double x) const {
@@ -137,7 +142,7 @@ void WaveletBasis::AntiderivativeMany(MotherFunction f, std::span<const double> 
   const double t_max = static_cast<double>(n - 1);
   const size_t count = xs.size();
   // Branch-free rewrite of the scalar ladder (0 left of the support, `last`
-  // right of it, EvaluateOn in between): every select uses exactly the
+  // right of it, the interpolator in between): every select uses exactly the
   // comparisons the scalar branches evaluate, out-of-range lanes read a
   // clamped valid cell and are overridden, so the loop vectorizes while
   // staying bit-identical per element.
@@ -188,15 +193,10 @@ TranslationWindow WaveletBasis::LevelWindow(int j) const {
 
 TranslationWindow WaveletBasis::PointWindow(int j, double x) const {
   const TranslationWindow level = LevelWindow(j);
-  const double scaled = std::ldexp(x, j);  // 2^j x
   // φ(2^j x − k) is nonzero iff 2^j x − k lies in (0, L−1), i.e.
   // k in (2^j x − (L−1), 2^j x).
-  TranslationWindow w;
-  w.lo = static_cast<int>(std::ceil(scaled)) - support_length();
-  w.hi = static_cast<int>(std::floor(scaled));
-  w.lo = std::max(w.lo, level.lo);
-  w.hi = std::min(w.hi, level.hi);
-  return w;
+  const TranslationWindow w = UnclampedPointWindow(std::ldexp(x, j), support_length());
+  return {std::max(w.lo, level.lo), std::min(w.hi, level.hi)};
 }
 
 }  // namespace wavelet

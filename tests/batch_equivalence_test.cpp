@@ -6,6 +6,7 @@
 // stay the extension point while the batch paths carry production traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -29,6 +30,7 @@
 #include "selectivity/wavelet_selectivity.hpp"
 #include "selectivity/wavelet_synopsis.hpp"
 #include "stats/rng.hpp"
+#include "wavelet/cascade.hpp"
 #include "wavelet/scaled_function.hpp"
 
 namespace wde {
@@ -54,6 +56,47 @@ const wavelet::WaveletBasis& Daub4Basis() {
   return basis;
 }
 
+const wavelet::WaveletBasis& HaarBasis() {
+  static const wavelet::WaveletBasis basis = []() {
+    Result<wavelet::WaveletBasis> b =
+        wavelet::WaveletBasis::Create(wavelet::WaveletFilter::Haar(), 12);
+    WDE_CHECK(b.ok());
+    return *b;
+  }();
+  return basis;
+}
+
+/// Sym8, Haar and db4: window widths W = 16, 2 and 8.
+std::vector<const wavelet::WaveletBasis*> Sym8HaarDb4Bases() {
+  return {&Sym8Basis(), &HaarBasis(), &Daub4Basis()};
+}
+
+/// Inputs for every branch of the insert kernel: 0, −0.0, 1, 1 − ulp, tiny
+/// normals and subnormals (whole-window runs fail, binade runs carry them),
+/// the dyadics k/2^j, j ≤ 12, with both neighbours (integer 2^j·x, windows
+/// clamped at either end of the level), then uniform draws.
+std::vector<double> EdgeInputs(stats::Rng& rng, size_t uniform) {
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            1.0,
+                            std::nextafter(1.0, 0.0),
+                            1e-300,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min() / 3.0,
+                            std::numeric_limits<double>::min()};
+  for (int j = 0; j <= 12; ++j) {
+    const int step = std::max(1, (1 << j) / 64);
+    for (int k = 0; k <= (1 << j); k += step) {
+      const double d = std::ldexp(static_cast<double>(k), -j);
+      xs.push_back(d);
+      if (d > 0.0) xs.push_back(std::nextafter(d, 0.0));
+      if (d < 1.0) xs.push_back(std::nextafter(d, 1.0));
+    }
+  }
+  for (size_t i = 0; i < uniform; ++i) xs.push_back(rng.UniformDouble());
+  return xs;
+}
+
 // Points spread over (and beyond) the mother support / unit interval,
 // including the exact edges where the scalar paths branch.
 std::vector<double> ProbePoints(stats::Rng& rng, size_t n, double lo, double hi) {
@@ -69,29 +112,29 @@ std::vector<double> ProbePoints(stats::Rng& rng, size_t n, double lo, double hi)
 
 // ------------------------------------------------------- numerics / wavelet
 
-TEST(BatchEquivalenceTest, InterpolatorEvaluateMany) {
-  stats::Rng rng(101);
-  std::vector<double> values(257);
-  for (double& v : values) v = rng.Gaussian();
-  const numerics::UniformGridInterpolator interp(-1.5, 0.03125, values);
-  const std::vector<double> xs = ProbePoints(rng, 500, -3.0, 9.0);
-  std::vector<double> batch(xs.size());
-  interp.EvaluateMany(xs, batch);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(batch[i], interp.Evaluate(xs[i])) << "x=" << xs[i];
-  }
-}
-
-TEST(BatchEquivalenceTest, MotherEvaluateManyAndAntiderivativeMany) {
+// Phi/Psi read the tap-major tables; the row-major interpolator over the
+// same cascade values is the reference, bit for bit.
+TEST(BatchEquivalenceTest, TapMajorMotherValuesAndAntiderivativeMany) {
   stats::Rng rng(103);
-  for (const wavelet::WaveletBasis* basis : {&Sym8Basis(), &Daub4Basis()}) {
+  for (const wavelet::WaveletBasis* basis : Sym8HaarDb4Bases()) {
+    Result<wavelet::CascadeTables> cascade =
+        wavelet::ComputeCascadeTables(basis->filter(), basis->table_levels());
+    ASSERT_TRUE(cascade.ok());
+    const numerics::UniformGridInterpolator phi(0.0, cascade->dx(), cascade->phi);
+    const numerics::UniformGridInterpolator psi(0.0, cascade->dx(), cascade->psi);
     const double support = static_cast<double>(basis->support_length());
-    const std::vector<double> xs = ProbePoints(rng, 400, -2.0, support + 2.0);
+    std::vector<double> xs = ProbePoints(rng, 400, -2.0, support + 2.0);
+    for (double i = 0.0; i <= support; i += 0.25) {
+      xs.push_back(i);
+      xs.push_back(std::nextafter(i, -1.0));
+      xs.push_back(std::nextafter(i, support + 1.0));
+    }
+    xs.push_back(-0.0);
+    for (double x : xs) {
+      EXPECT_EQ(basis->Phi(x), phi.Evaluate(x)) << "x=" << x;
+      EXPECT_EQ(basis->Psi(x), psi.Evaluate(x)) << "x=" << x;
+    }
     std::vector<double> batch(xs.size());
-    basis->EvaluateMany(wavelet::MotherFunction::kPhi, xs, batch);
-    for (size_t i = 0; i < xs.size(); ++i) EXPECT_EQ(batch[i], basis->Phi(xs[i]));
-    basis->EvaluateMany(wavelet::MotherFunction::kPsi, xs, batch);
-    for (size_t i = 0; i < xs.size(); ++i) EXPECT_EQ(batch[i], basis->Psi(xs[i]));
     basis->AntiderivativeMany(wavelet::MotherFunction::kPhi, xs, batch);
     for (size_t i = 0; i < xs.size(); ++i) {
       EXPECT_EQ(batch[i], basis->PhiAntiderivative(xs[i]));
@@ -128,33 +171,102 @@ TEST(BatchEquivalenceTest, ScaledLevelEvaluatorMatchesScalarEntryPoints) {
   }
 }
 
+// The integer point window (truncating cast for 2^j·x ≥ 0) against
+// std::ceil/std::floor, on the edge inputs scaled by every production 2^j
+// and on negative ones.
+TEST(BatchEquivalenceTest, UnclampedPointWindowMatchesCeilAndFloor) {
+  stats::Rng rng(127);
+  std::vector<double> xs = EdgeInputs(rng, 500);
+  for (int i = 0; i < 500; ++i) xs.push_back(rng.Uniform(-0.25, 1.25));
+  for (const int support : {1, 7, 15}) {
+    for (int j = 0; j <= 11; ++j) {
+      for (const double x : xs) {
+        const double scaled = std::ldexp(x, j);
+        const wavelet::TranslationWindow w =
+            wavelet::UnclampedPointWindow(scaled, support);
+        ASSERT_EQ(w.lo, static_cast<int>(std::ceil(scaled)) - support) << scaled;
+        ASSERT_EQ(w.hi, static_cast<int>(std::floor(scaled))) << scaled;
+      }
+    }
+  }
+}
+
+// One sample through the insert kernel leaves exactly Value(k, x) and its
+// square in each slot of its window and +0.0 elsewhere, for every filter and
+// level and for x outside [0, 1] too (negative 2^j·x takes the std::floor
+// window and the binade runs of a negative fraction).
+TEST(BatchEquivalenceTest, InsertKernelMatchesValuePerTranslate) {
+  stats::Rng rng(113);
+  std::vector<double> xs = EdgeInputs(rng, 300);
+  for (int i = 0; i < 300; ++i) xs.push_back(rng.Uniform(-0.25, 1.25));
+  for (const wavelet::WaveletBasis* basis : Sym8HaarDb4Bases()) {
+    SCOPED_TRACE(basis->filter().name());
+    for (int j = 0; j <= 11; ++j) {
+      const wavelet::TranslationWindow level = basis->LevelWindow(j);
+      for (const wavelet::ScaledLevelEvaluator& eval :
+           {basis->PhiLevel(j), basis->PsiLevel(j)}) {
+        std::vector<double> s1(static_cast<size_t>(level.size()));
+        std::vector<double> s2(s1.size());
+        for (double x : xs) {
+          eval.AccumulateValueAndSquare(x, level.lo, s1.data(), s2.data());
+          const wavelet::TranslationWindow window = eval.PointWindow(x);
+          // The window and two slots either side of it; the slots are
+          // zeroed again after the check, so untouched ones stay +0.0.
+          const int lo = std::max(level.lo, window.lo - 2);
+          const int hi = std::min(level.hi, window.hi + 2);
+          for (int k = lo; k <= hi; ++k) {
+            const auto slot = static_cast<size_t>(k - level.lo);
+            const bool inside = k >= window.lo && k <= window.hi;
+            const double value = inside ? eval.Value(k, x) : 0.0;
+            ASSERT_EQ(s1[slot], 0.0 + value) << "j=" << j << " k=" << k << " x=" << x;
+            ASSERT_EQ(s2[slot], 0.0 + value * value)
+                << "j=" << j << " k=" << k << " x=" << x;
+            s1[slot] = s2[slot] = 0.0;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------- core
 
+// Production levels (up to j_max = 11, from j = 0), three window widths, and
+// the edge inputs ahead of uniform draws, fed in uneven batches.
 TEST(BatchEquivalenceTest, CoefficientAddAllMatchesScalarAddBitwise) {
   stats::Rng rng(109);
-  std::vector<double> xs(3000);
-  for (double& x : xs) x = rng.UniformDouble();
-  Result<core::EmpiricalCoefficients> scalar =
-      core::EmpiricalCoefficients::Create(Sym8Basis(), 2, 8);
-  Result<core::EmpiricalCoefficients> batch =
-      core::EmpiricalCoefficients::Create(Sym8Basis(), 2, 8);
-  ASSERT_TRUE(scalar.ok() && batch.ok());
-  for (double x : xs) scalar->Add(x);
-  batch->AddAll(xs);
-  ASSERT_EQ(scalar->count(), batch->count());
-  const auto expect_level_eq = [](const core::CoefficientLevel& a,
-                                  const core::CoefficientLevel& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (int i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.s1[static_cast<size_t>(i)], b.s1[static_cast<size_t>(i)])
-          << "s1 at level " << a.j << " index " << i;
-      EXPECT_EQ(a.s2[static_cast<size_t>(i)], b.s2[static_cast<size_t>(i)])
-          << "s2 at level " << a.j << " index " << i;
+  const std::vector<double> xs = EdgeInputs(rng, 3000);
+  for (const wavelet::WaveletBasis* basis : Sym8HaarDb4Bases()) {
+    SCOPED_TRACE(basis->filter().name());
+    Result<core::EmpiricalCoefficients> scalar =
+        core::EmpiricalCoefficients::Create(*basis, 0, 11);
+    Result<core::EmpiricalCoefficients> batch =
+        core::EmpiricalCoefficients::Create(*basis, 0, 11);
+    ASSERT_TRUE(scalar.ok() && batch.ok());
+    for (double x : xs) scalar->Add(x);
+    const std::span<const double> all(xs);
+    size_t offset = 0;
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{500}, all.size()}) {
+      const size_t take = std::min(chunk, all.size() - offset);
+      batch->AddAll(all.subspan(offset, take));
+      offset += take;
     }
-  };
-  expect_level_eq(scalar->scaling_level(), batch->scaling_level());
-  for (int j = 2; j <= 8; ++j) {
-    expect_level_eq(scalar->detail_level(j), batch->detail_level(j));
+    ASSERT_EQ(offset, all.size());
+    ASSERT_EQ(scalar->count(), batch->count());
+    const auto expect_level_eq = [](const core::CoefficientLevel& a,
+                                    const core::CoefficientLevel& b) {
+      ASSERT_EQ(a.size(), b.size());
+      for (int i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a.s1[static_cast<size_t>(i)], b.s1[static_cast<size_t>(i)])
+            << "s1 at level " << a.j << " index " << i;
+        EXPECT_EQ(a.s2[static_cast<size_t>(i)], b.s2[static_cast<size_t>(i)])
+            << "s2 at level " << a.j << " index " << i;
+      }
+    };
+    expect_level_eq(scalar->scaling_level(), batch->scaling_level());
+    for (int j = 0; j <= 11; ++j) {
+      expect_level_eq(scalar->detail_level(j), batch->detail_level(j));
+    }
   }
 }
 

@@ -4,7 +4,8 @@
 // insert/query/merge schedules, across mid-refit-interval snapshot
 // save -> restore -> continue, and — for the sharded engine — across the
 // delta-refreshed merged view vs the full CloneEmpty + K MergeFrom rebuild
-// at every pool width. ForceRefit() must quiesce any registered estimator.
+// at every pool width, and against one unsharded estimator fed the same
+// stream. ForceRefit() must quiesce any registered estimator.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -312,6 +313,47 @@ TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
       scratch->InsertBatch(more);
       EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries))
           << "post-extract divergence";
+    }
+  }
+}
+
+// The stream oracle: a sharded engine over an inner type whose merged state
+// is exactly the state of one estimator fed the whole stream (integer counts,
+// or the sorted sample) must answer as that unsharded estimator does after
+// every chunk, whichever replicas the chunk landed in. Unlike the
+// incremental-vs-scratch comparison above, this catches a merged view that
+// stops following its replicas, since both modes would lag alike.
+TEST(RefitEquivalenceTest, ShardedEngineMatchesUnshardedEstimatorOnOneStream) {
+  const std::vector<selectivity::Query> queries = Workload(53, 96);
+  for (const char* inner : {"equi-width", "equi-depth", "grid2d", "kde-rot"}) {
+    SCOPED_TRACE(inner);
+    for (const size_t shards : {1u, 2u, 5u}) {
+      SCOPED_TRACE(shards);
+      selectivity::EstimatorSpec spec =
+          SpecFor("sharded", selectivity::RefitMode::kIncremental);
+      spec.sharded_inner_tag = inner;
+      spec.shards = shards;
+      spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(inner);
+      std::unique_ptr<selectivity::SelectivityEstimator> sharded = Make(spec);
+      std::unique_ptr<selectivity::SelectivityEstimator> unsharded =
+          Make(SpecFor(inner, selectivity::RefitMode::kIncremental));
+
+      size_t offset = 0;
+      for (const size_t chunk : kChunks) {
+        const std::vector<double> xs = UnitStream(59 + offset, chunk);
+        sharded->InsertBatch(xs);
+        unsharded->InsertBatch(xs);
+        offset += chunk;
+        sharded->ForceRefit();
+        unsharded->ForceRefit();
+        EXPECT_EQ(Answers(*sharded, queries), Answers(*unsharded, queries))
+            << "diverged after " << offset << " inserts";
+      }
+      const std::unique_ptr<selectivity::SelectivityEstimator> view =
+          static_cast<selectivity::ShardedSelectivityEstimator*>(sharded.get())
+              ->ExtractMergedView();
+      view->ForceRefit();
+      EXPECT_EQ(Answers(*view, queries), Answers(*unsharded, queries));
     }
   }
 }
