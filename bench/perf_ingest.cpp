@@ -25,6 +25,16 @@
 // the same stream to EmpiricalCoefficients::AddAll in those batches and to
 // the scalar Add one value at a time, and compares every S1/S2 slot.
 //
+// A fourth section times one serving publish of kde-rot (the e2e `kde-read`
+// writer's shape): n values fitted, then cycles of a 12,288-value tail
+// followed by CloneForView(), ForceRefit() and one warm query on the view,
+// the previous view retiring as the service retires it. Besides the p50 it
+// reports the minor page faults per publish from getrusage on this process:
+// a fold that writes into the block of a retired column faults only on the
+// pages the column has grown by, one that maps a fresh block faults on all
+// of them. Like the e2e driver, the bench fixes glibc's mmap threshold at
+// 1 MiB, so every section runs with freed large blocks unmapped.
+//
 // No google-benchmark dependency: plain steady_clock timing, like the other
 // chrono drivers. Single-threaded except the sharded sections' ingest.
 //
@@ -34,9 +44,15 @@
 // --check turns the contracts into gates: exit 1 if any mode pair loses
 // bitwise equivalence, if the kde-rot amortized insert+refit speedup falls
 // below 2x, if the sharded incremental publish is less than 5x faster than
-// the scratch one, or if the batched S1/S2 sums differ from the scalar Add
-// path in any bit. CI runs with --check on the release build; debug binaries
+// the scratch one, if the batched S1/S2 sums differ from the scalar Add
+// path in any bit, or if the median kde-rot publish faults on more than 1/8
+// of its column's pages (a return to freshly mapped columns, whatever the
+// timings). --cycles counts the publishes of both publish sections. CI runs with --check on the release build; debug binaries
 // refuse --check outright (see bench_common.hpp).
+#include <malloc.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -201,6 +217,30 @@ struct RefreshRow {
   bool bitwise_equal_to_scratch = true;
 };
 
+struct KdePublishRow {
+  size_t n_start = 0;
+  size_t n_end = 0;
+  size_t tail = 0;
+  size_t publishes = 0;
+  double publish_p50_ms = 0.0;
+  double publish_max_ms = 0.0;
+  double faults_p50 = 0.0;    // minor page faults of the median publish
+  double faults_mean = 0.0;   // ... and per publish on average
+  double column_pages = 0.0;  // of the last published column
+};
+
+/// Values per publish in the kde-rot publish section: about what the e2e
+/// `kde-read` writer admits between two publishes.
+constexpr size_t kPublishTail = 12288;
+/// Untimed publishes first, so the timed ones find retired columns parked.
+constexpr size_t kPublishWarmups = 2;
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,6 +249,11 @@ int main(int argc, char** argv) {
   if (!bench::perf::CheckBuildForTiming(ArgBool(argc, argv, "check"))) {
     return 2;
   }
+  // The e2e driver's allocator setting: every freed block of 1 MiB or more
+  // goes back to the OS. glibc's default threshold slides up after the first
+  // large free, and then the heap recycles some freed columns and not others,
+  // so a publish's page faults would depend on the heap's history.
+  mallopt(M_MMAP_THRESHOLD, 1 << 20);
   const size_t n = ArgSize(argc, argv, "n", 1000000);
   const size_t chunk = std::max<size_t>(1, ArgSize(argc, argv, "chunk", 8192));
   const size_t cycles = std::max<size_t>(1, ArgSize(argc, argv, "cycles", 12));
@@ -363,6 +408,56 @@ int main(int argc, char** argv) {
                 spec.j0, spec.j_max, sums_bitwise ? "bitwise equal" : "DIFFER");
   }
 
+  // -------------------------------------------------------------------------
+  // Section 4: kde-rot publish, as EstimatorService runs it.
+  // -------------------------------------------------------------------------
+  KdePublishRow kde_publish;
+  {
+    std::unique_ptr<selectivity::SelectivityEstimator> writer =
+        Make(SpecFor("kde-rot", selectivity::RefitMode::kIncremental));
+    writer->InsertBatch(stream);
+    writer->ForceRefit();
+    std::unique_ptr<selectivity::SelectivityEstimator> view = writer->CloneForView();
+    stats::Rng tail_rng(11);
+    std::vector<double> tail(kPublishTail);
+    std::vector<double> laps;
+    std::vector<double> faults;
+    for (size_t c = 0; c < kPublishWarmups + cycles; ++c) {
+      for (double& x : tail) x = tail_rng.UniformDouble();
+      writer->InsertBatch(tail);
+      const long faults_before = MinorFaults();
+      const auto start = std::chrono::steady_clock::now();
+      std::unique_ptr<selectivity::SelectivityEstimator> next = writer->CloneForView();
+      next->ForceRefit();
+      (void)next->Answer(selectivity::Query::Cdf(0.5));
+      const double seconds = bench::perf::SecondsSince(start);
+      const long faults_after = MinorFaults();
+      view = std::move(next);  // the previous view retires
+      if (c < kPublishWarmups) continue;
+      laps.push_back(seconds);
+      faults.push_back(static_cast<double>(faults_after - faults_before));
+    }
+    kde_publish.n_start = n;
+    kde_publish.n_end = view->count();
+    kde_publish.tail = kPublishTail;
+    kde_publish.publishes = laps.size();
+    kde_publish.publish_p50_ms = PercentileMs(laps, 0.50);
+    kde_publish.publish_max_ms = PercentileMs(laps, 1.0);
+    std::sort(faults.begin(), faults.end());
+    kde_publish.faults_p50 = faults[faults.size() / 2];
+    for (const double f : faults) kde_publish.faults_mean += f;
+    kde_publish.faults_mean /= static_cast<double>(faults.size());
+    const auto column_bytes = static_cast<double>(kde_publish.n_end * sizeof(double));
+    kde_publish.column_pages = column_bytes / static_cast<double>(sysconf(_SC_PAGESIZE));
+    std::printf(
+        "kde-publish n=%zu..%zu tail=%zu ×%zu  p50 %.2fms  max %.2fms  "
+        "minor faults p50 %.0f mean %.1f (column %.0f pages)\n",
+        kde_publish.n_start, kde_publish.n_end, kde_publish.tail,
+        kde_publish.publishes, kde_publish.publish_p50_ms,
+        kde_publish.publish_max_ms, kde_publish.faults_p50, kde_publish.faults_mean,
+        kde_publish.column_pages);
+  }
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   WDE_CHECK(out != nullptr, "cannot open --out path for writing");
   std::fprintf(out, "{\n  \"bench\": \"perf_ingest\",\n");
@@ -413,7 +508,15 @@ int main(int argc, char** argv) {
                  row.ns_per_value, sums_bitwise ? "true" : "false",
                  i + 1 < insert_rows.size() ? "," : "");
   }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out,
+               "  ],\n  \"kde_publish\": {\"n_start\": %zu, \"n_end\": %zu, "
+               "\"tail\": %zu, \"publishes\": %zu, \"publish_p50_ms\": %.4f, "
+               "\"publish_max_ms\": %.4f, \"minor_faults_p50\": %.0f, "
+               "\"minor_faults_mean\": %.1f, \"column_pages\": %.0f}\n}\n",
+               kde_publish.n_start, kde_publish.n_end, kde_publish.tail,
+               kde_publish.publishes, kde_publish.publish_p50_ms,
+               kde_publish.publish_max_ms, kde_publish.faults_p50,
+               kde_publish.faults_mean, kde_publish.column_pages);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -454,8 +557,15 @@ int main(int argc, char** argv) {
                    "CHECK FAILED: batched S1/S2 sums differ from scalar Add\n");
       ++violations;
     }
+    if (kde_publish.faults_p50 > kde_publish.column_pages / 8) {
+      std::fprintf(stderr,
+                   "CHECK FAILED: the median kde-rot publish faults %.0f pages > "
+                   "1/8 of its %.0f-page column\n",
+                   kde_publish.faults_p50, kde_publish.column_pages);
+      ++violations;
+    }
     if (violations > 0) return 1;
-    std::printf("incremental-refit and insert contract checks passed\n");
+    std::printf("incremental-refit, insert and publish contract checks passed\n");
   }
   return 0;
 }

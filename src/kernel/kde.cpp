@@ -82,12 +82,18 @@ Dd operator*(Dd a, Dd b) {
 
 }  // namespace
 
-// prefix[3·b + k − 1] = Σ_{i < b·B} (x_i − centre)^k for k = 1..3 and every
-// block boundary b = 0..n/B (a trailing partial block is never covered).
-// Empty when the data's scale rules the cubic out (see Moments()).
+// Σ_{i < b·B} (x_i − centre)^k for k = 1..3 at every block boundary
+// b = 0..n/B (a trailing partial block is never covered), as the hi and lo
+// words of three Dd in doubles 6·b .. 6·b + 5 of one arena column, so the
+// index is recycled with the sample column it is built from. No column when
+// the data's scale rules the cubic out (see Moments()).
 struct KernelDensityEstimator::BlockMoments {
+  static constexpr size_t kRow = 6;
   double centre = 0.0;
-  std::vector<Dd> prefix;
+  memory::Arena prefix;
+
+  bool empty() const { return prefix.empty(); }
+  const double* Row(size_t b) const { return prefix.F64(0).data() + kRow * b; }
 };
 
 KernelDensityEstimator::KernelDensityEstimator(Kernel kernel, double bandwidth,
@@ -205,6 +211,7 @@ bool KernelDensityEstimator::Sweep(std::span<const double> sorted, double bandwi
   const double* data = sorted.data();
   const size_t n = sorted.size();
   size_t blocks = 0;  // whole blocks indexed: none without an index
+  double* rows = nullptr;
   if (index != nullptr) {
     // Centre the moments on the data so the cubic in CdfAt cancels as little
     // as possible; std::midpoint cannot overflow.
@@ -217,7 +224,12 @@ bool KernelDensityEstimator::Sweep(std::span<const double> sorted, double bandwi
     const double range = sorted.back() - sorted.front();
     if (range <= 1e6 * bandwidth && range <= 1e60 && bandwidth >= 1e-60) {
       blocks = n / kB;
-      index->prefix.resize(3 * (blocks + 1));
+      const memory::ColumnSpec specs[] = {
+          {memory::ColumnKind::kF64, BlockMoments::kRow * (blocks + 1)}};
+      // Every entry is written below, boundary 0's zeros included.
+      index->prefix = memory::Arena::CreateForOverwrite(specs);
+      rows = index->prefix.MutableF64(0).data();
+      std::fill(rows, rows + BlockMoments::kRow, 0.0);
     }
   }
   // Every comparison is false against NaN, so one anywhere fails the order.
@@ -247,10 +259,13 @@ bool KernelDensityEstimator::Sweep(std::span<const double> sorted, double bandwi
     m1 = m1 + a * count + Dd{s1, 0.0};
     m2 = m2 + a2 * count + a * (2.0 * s1) + Dd{s2, 0.0};
     m3 = m3 + a2 * a * count + a2 * (3.0 * s1) + a * (3.0 * s2) + Dd{s3, 0.0};
-    Dd* row = index->prefix.data() + 3 * (b + 1);
-    row[0] = m1;
-    row[1] = m2;
-    row[2] = m3;
+    double* row = rows + BlockMoments::kRow * (b + 1);
+    row[0] = m1.hi;
+    row[1] = m1.lo;
+    row[2] = m2.hi;
+    row[3] = m2.lo;
+    row[4] = m3.hi;
+    row[5] = m3.lo;
   }
   // The samples past the last indexed block, and the pair across it.
   for (size_t i = std::max<size_t>(blocks * kB, 1); i < n; ++i) {
@@ -297,7 +312,7 @@ double KernelDensityEstimator::CdfAt(double x) const {
     const size_t end_block = hi / kB;
     // Samples outside whole blocks one by one: the ≤ B−1 of each partial
     // block, or the whole window when no full block fits (or no index)...
-    const bool covered = !index.prefix.empty() && first_block < end_block;
+    const bool covered = !index.empty() && first_block < end_block;
     const size_t left_end = covered ? first_block * kB : hi;
     const size_t right_begin = covered ? end_block * kB : hi;
     for (size_t i = lo; i < left_end; ++i) {
@@ -312,11 +327,11 @@ double KernelDensityEstimator::CdfAt(double x) const {
     //   Σ u_i   = (m·y − M₁)/h,
     //   Σ u_i³  = (m·y³ − 3y²·M₁ + 3y·M₂ − M₃)/h³,
     // so Σ(½ + ¾u_i − ¼u_i³) is one cubic, evaluated in double-double.
-    const Dd* p_lo = index.prefix.data() + 3 * first_block;
-    const Dd* p_hi = index.prefix.data() + 3 * end_block;
-    const Dd M1 = p_hi[0] - p_lo[0];
-    const Dd M2 = p_hi[1] - p_lo[1];
-    const Dd M3 = p_hi[2] - p_lo[2];
+    const double* p_lo = index.Row(first_block);
+    const double* p_hi = index.Row(end_block);
+    const Dd M1 = Dd{p_hi[0], p_hi[1]} - Dd{p_lo[0], p_lo[1]};
+    const Dd M2 = Dd{p_hi[2], p_hi[3]} - Dd{p_lo[2], p_lo[3]};
+    const Dd M3 = Dd{p_hi[4], p_hi[5]} - Dd{p_lo[4], p_lo[5]};
     const double m = static_cast<double>((end_block - first_block) * kB);
     const Dd y = TwoSum(x, -index.centre);
     const Dd linear = y * m - M1;

@@ -88,10 +88,11 @@ class KernelDensityEstimator {
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
 
   /// Double-double prefix sums of Σ(x_i − c)^k, k = 1..3, at every block
-  /// boundary (defined in kde.cpp). Built by AdoptSorted, or lazily on first
-  /// use after Create(); shared by copies (it holds values only, valid for
-  /// any buffer with equal contents), and never persisted: snapshot restore
-  /// rebuilds it as it adopts the saved column.
+  /// boundary, in one arena column (defined in kde.cpp). Built by
+  /// AdoptSorted, or lazily on first use after Create(); shared by copies
+  /// (it holds values only, valid for any buffer with equal contents), and
+  /// never persisted: snapshot restore rebuilds it as it adopts the saved
+  /// column.
   struct BlockMoments;
   const BlockMoments& Moments() const;
   /// One pass over `sorted`: whether each value is >= the one before it (so

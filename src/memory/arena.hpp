@@ -19,6 +19,13 @@
 /// handles exist relocates first (the use_count check can only
 /// over-approximate sharing, never miss a live reader that was published
 /// before the write).
+///
+/// Large blocks (512 KiB and up) are recycled: when the last handle lets go
+/// of one, it is parked in one process-wide, mutex-guarded spot of at most
+/// two blocks, and the next large allocation that it fits (up to twice the
+/// request) takes it instead of mapping fresh pages. Every allocation path
+/// either writes each byte it hands out or zeroes it, so reuse never
+/// changes contents.
 #ifndef WDE_MEMORY_ARENA_HPP_
 #define WDE_MEMORY_ARENA_HPP_
 
@@ -66,6 +73,9 @@ struct ColumnDesc {
 /// Fails on element-count overflow.
 Result<std::vector<ColumnDesc>> ComputeColumnLayout(
     std::span<const ColumnSpec> specs, uint64_t* total_bytes);
+
+/// Retired large blocks currently parked for reuse (0, 1 or 2).
+size_t ParkedBlockCount();
 
 class Arena {
  public:
@@ -125,7 +135,8 @@ class Arena {
       : storage_(std::move(storage)), columns_(std::move(columns)) {}
 
   /// An aligned block of `bytes` whose trailing pad (up to the next
-  /// kColumnAlignment multiple) is zeroed; the payload is uninitialized.
+  /// kColumnAlignment multiple) is zeroed; the payload is uninitialized (a
+  /// reused parked block still holds its last owner's bytes).
   static std::shared_ptr<Storage> AllocateOwned(size_t bytes);
 
   const uint8_t* ColumnBase(size_t i, ColumnKind kind) const;

@@ -53,12 +53,6 @@ std::vector<double> Matrix::Apply(const std::vector<double>& v) const {
   return out;
 }
 
-double Matrix::MaxAbs() const {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::fabs(x));
-  return m;
-}
-
 Result<std::vector<double>> SolveLinearSystem(Matrix a, std::vector<double> b) {
   const size_t n = a.rows();
   if (a.cols() != n || b.size() != n) {

@@ -39,9 +39,6 @@ class Matrix {
   /// Matrix-vector product.
   std::vector<double> Apply(const std::vector<double>& v) const;
 
-  /// Max-abs entry, used for convergence checks.
-  double MaxAbs() const;
-
  private:
   size_t rows_;
   size_t cols_;

@@ -1,9 +1,10 @@
 // Tier-1 tests for the memory module's arenas and the io byte plumbing
 // under them: canonical column layout, 64-byte alignment of every column,
 // zero-initialization, copy-on-write sharing and first-mutation divergence,
-// bitwise relocation, zero-copy chunk reads, the slicing-by-8 CRC's
-// equivalence to the bytewise definition, the whole-file FileSource, and the
-// write-then-rename file helper. Run under ASan in CI.
+// bitwise relocation, the reuse of parked large blocks, zero-copy chunk
+// reads, the slicing-by-8 CRC's equivalence to the bytewise definition, the
+// whole-file FileSource, and the write-then-rename file helper. Run under
+// ASan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,6 +165,101 @@ TEST(Arena, CreateForOverwriteZeroesOnlyThePadAndRelocationKeepsItZero) {
   EXPECT_EQ(arena.F64(2)[99], 100.0);
   EXPECT_EQ(shared.F64(2)[0], 1.0);
 }
+
+// ------------------------------------------------------------ parked blocks
+
+constexpr size_t kMiB = size_t{1} << 20;
+
+/// One F64 column of `bytes` bytes.
+std::vector<ColumnSpec> ColumnOf(size_t bytes) {
+  return {{ColumnKind::kF64, bytes / sizeof(double)}};
+}
+
+TEST(ArenaParking, ADirtyParkedBlockIsReusedWithOnlyItsPadZeroed) {
+  // A 2 MiB block full of -1.0, parked beside one too large to serve 2 MiB.
+  Arena dirty = Arena::CreateForOverwrite(ColumnOf(2 * kMiB));
+  Arena large = Arena::CreateForOverwrite(ColumnOf(16 * kMiB));
+  std::fill(dirty.MutableF64(0).begin(), dirty.MutableF64(0).end(), -1.0);
+  const uint8_t* block = dirty.payload();
+  dirty = Arena();
+  large = Arena();
+
+  // Gaps after the first two columns and a pad after the last, all inside
+  // the dirty bytes.
+  const ColumnSpec specs[] = {{ColumnKind::kF64, 7},
+                              {ColumnKind::kF64, 3},
+                              {ColumnKind::kF64, 2 * kMiB / sizeof(double) - 37}};
+  Arena reused = Arena::CreateForOverwrite(specs);
+  ASSERT_EQ(reused.payload(), block);
+  EXPECT_TRUE(PadBytesAreZero(reused));
+  EXPECT_EQ(reused.F64(0)[0], -1.0);  // elements are the caller's to write
+  EXPECT_EQ(reused.F64(2).back(), -1.0);
+
+  reused = Arena();
+  const Arena zeroed = Arena::Create(specs);
+  ASSERT_EQ(zeroed.payload(), block);
+  EXPECT_TRUE(PadBytesAreZero(zeroed));
+  for (size_t i = 0; i < zeroed.num_columns(); ++i) {
+    EXPECT_TRUE(std::ranges::all_of(zeroed.F64(i), [](double v) { return v == 0.0; }));
+  }
+}
+
+TEST(ArenaParking, AGrownColumnFitsTheSpareOfItsRetiredBlock) {
+  Arena column = Arena::CreateForOverwrite(ColumnOf(4 * kMiB));
+  const uint8_t* block = column.payload();
+  column = Arena();
+  const Arena grown = Arena::CreateForOverwrite(ColumnOf(4 * kMiB + 300 * 1024));
+  EXPECT_EQ(grown.payload(), block);
+}
+
+TEST(ArenaParking, ABlockALiveCopyHoldsIsNeverHandedOut) {
+  Arena column = Arena::Create(ColumnOf(2 * kMiB));
+  std::iota(column.MutableF64(0).begin(), column.MutableF64(0).end(), 1.0);
+  const Arena copy = column;
+  const size_t parked = memory::ParkedBlockCount();
+  column = Arena();  // the copy still owns the block
+  EXPECT_EQ(memory::ParkedBlockCount(), parked);
+
+  Arena other = Arena::CreateForOverwrite(ColumnOf(2 * kMiB));
+  EXPECT_NE(other.payload(), copy.payload());
+  std::fill(other.MutableF64(0).begin(), other.MutableF64(0).end(), 7.0);
+  EXPECT_EQ(copy.F64(0)[0], 1.0);
+  EXPECT_EQ(copy.F64(0).back(), static_cast<double>(copy.F64(0).size()));
+}
+
+TEST(ArenaParking, TooSmallBlocksAreFreedBeforeALargerOneIsAllocated) {
+  Arena a = Arena::CreateForOverwrite(ColumnOf(kMiB + kMiB / 2));
+  Arena b = Arena::CreateForOverwrite(ColumnOf(2 * kMiB));
+  a = Arena();
+  b = Arena();
+  EXPECT_EQ(memory::ParkedBlockCount(), 2u);  // the spot's two slots
+
+  Arena c = Arena::CreateForOverwrite(ColumnOf(8 * kMiB));
+  EXPECT_EQ(memory::ParkedBlockCount(), 0u);  // neither fits 8 MiB
+  c = Arena();
+  EXPECT_EQ(memory::ParkedBlockCount(), 1u);
+}
+
+TEST(ArenaParking, BlocksUnderHalfAMiBAreNeverParked) {
+  // A block larger than anything parked empties the spot.
+  const Arena drain = Arena::CreateForOverwrite(ColumnOf(64 * kMiB));
+  ASSERT_EQ(memory::ParkedBlockCount(), 0u);
+  Arena small = Arena::Create(ColumnOf(kMiB / 2 - kColumnAlignment));
+  small = Arena();
+  EXPECT_EQ(memory::ParkedBlockCount(), 0u);
+  Arena half_mib = Arena::Create(ColumnOf(kMiB / 2));
+  half_mib = Arena();
+  EXPECT_EQ(memory::ParkedBlockCount(), 1u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ArenaParkingDeathTest, AParkedBlockIsPoisonedUnderAsan) {
+  Arena column = Arena::Create(ColumnOf(2 * kMiB));
+  const volatile double* stale = column.F64(0).data();
+  column = Arena();  // parked, not freed
+  EXPECT_DEATH((void)stale[0], "use-after-poison");
+}
+#endif
 
 // ------------------------------------------------------ chunk + crc + file
 

@@ -36,9 +36,9 @@ selectivity::EstimatorSpec ShardedHistogramSpec() {
 }
 
 std::unique_ptr<serving::EstimatorService> MakeService(
-    const serving::ServiceOptions& options) {
+    const selectivity::EstimatorSpec& spec, const serving::ServiceOptions& options) {
   Result<std::unique_ptr<serving::EstimatorService>> service =
-      serving::EstimatorService::Create(ShardedHistogramSpec(), options);
+      serving::EstimatorService::Create(spec, options);
   WDE_CHECK(service.ok(), service.status().ToString().c_str());
   return std::move(service).value();
 }
@@ -51,14 +51,24 @@ std::vector<double> AnswersOf(const selectivity::SelectivityEstimator& view,
 }
 
 /// One full schedule: `writers` ingest threads racing `readers` answer
-/// threads (plus an optional checkpoint/restore thread) over one service.
+/// threads (plus an optional checkpoint/restore thread) over one service of
+/// `spec`, published once over `prefill` values before the threads start.
 /// Readers check epoch monotonicity and held-view bit-stability inline;
 /// failures are counted atomically and asserted on the joined thread,
 /// because gtest EXPECT_* is not thread-safe.
 void RunSchedule(uint64_t seed, int writers, int readers,
                  bool with_checkpointer, const serving::ServiceOptions& options,
-                 int batches_per_reader) {
-  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
+                 int batches_per_reader,
+                 const selectivity::EstimatorSpec& spec = ShardedHistogramSpec(),
+                 size_t prefill = 0) {
+  std::unique_ptr<serving::EstimatorService> service = MakeService(spec, options);
+  if (prefill > 0) {
+    stats::Rng rng(seed);
+    std::vector<double> values(prefill);
+    for (double& x : values) x = rng.UniformDouble();
+    service->InsertBatch(values);
+    service->Publish();
+  }
   std::atomic<uint64_t> epoch_regressions{0};
   std::atomic<uint64_t> held_view_divergences{0};
   std::atomic<bool> stop_writers{false};
@@ -105,7 +115,7 @@ void RunSchedule(uint64_t seed, int writers, int readers,
       const std::string path = testing::TempDir() + "/wde_stress_" +
                                std::to_string(seed) + ".snap";
       std::unique_ptr<serving::EstimatorService> standby =
-          MakeService(options);
+          MakeService(spec, options);
       for (int i = 0; i < 4; ++i) {
         WDE_CHECK(service->Checkpoint(path).ok(), "stress checkpoint failed");
         // Warm-standby restore races the leader's writers and publishes.
@@ -173,6 +183,20 @@ TEST(ServingStressTest, TimePacedPublishesUnderTrickleIngest) {
   RunSchedule(/*seed=*/8, /*writers=*/2, /*readers=*/2,
               /*with_checkpointer=*/false, options,
               /*batches_per_reader=*/40);
+}
+
+TEST(ServingStressTest, UnshardedKdeWriterRecyclesColumnsReadersRetire) {
+  // 2e5 values make every sorted column a large (1.6 MB) arena block: a
+  // reader that drops the last reference to a retired view parks its block,
+  // and the writer's next fold takes it, on another thread.
+  selectivity::EstimatorSpec spec;
+  spec.tag = "kde-rot";
+  serving::ServiceOptions options;
+  options.publish_interval = 1024;
+  options.cache_shards = 0;
+  RunSchedule(/*seed=*/9, /*writers=*/1, /*readers=*/3,
+              /*with_checkpointer=*/false, options,
+              /*batches_per_reader=*/200, spec, /*prefill=*/200000);
 }
 
 }  // namespace
