@@ -3,8 +3,8 @@
 // refit after every chunk (ForceRefit — exactly the insert+refit cost, no
 // query-path dilution), under both RefitModes. kScratch rebuilds fitted
 // state from zero each refit (the oracle); kIncremental delta-merges the
-// previous fit (sorted-prefix merge for the KDE and equi-depth buffers,
-// warm-started cross-validation for the wavelet sketch). Produces the
+// previous fit (a sorted-prefix merge of the KDE and equi-depth buffers).
+// The wavelet sketch has one refit path, so it has no row here. Produces the
 // committed BENCH_ingest.json artifact: per-mode amortized insert+refit
 // throughput, per-refit latency percentiles, the incremental-vs-scratch
 // speedup, and the bitwise-equivalence evidence (a mixed query workload
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   // Section 1: steady-state insert+refit, scratch vs incremental, per tag.
   // -------------------------------------------------------------------------
   std::vector<IngestRow> ingest_rows;
-  for (const char* tag : {"kde-rot", "equi-depth", "wavelet-cv"}) {
+  for (const char* tag : {"kde-rot", "equi-depth"}) {
     IngestRun scratch;
     IngestRun incremental;
     for (size_t r = 0; r < repeats; ++r) {

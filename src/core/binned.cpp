@@ -8,30 +8,6 @@
 namespace wde {
 namespace core {
 
-namespace {
-
-/// Bins `data` into `counts` (cells spanning [lo, lo + width]); returns an
-/// error without touching `counts` if any value falls outside.
-Status BinInto(std::span<const double> data, double lo, double width,
-               std::vector<double>* counts) {
-  const size_t cells = counts->size();
-  for (double x : data) {
-    const double t = (x - lo) / width;
-    if (t < 0.0 || t > 1.0) {
-      return Status::OutOfRange(Format("observation %.6g outside [%.6g, %.6g]",
-                                       x, lo, lo + width));
-    }
-  }
-  for (double x : data) {
-    const double t = (x - lo) / width;
-    const size_t cell = std::min(cells - 1, static_cast<size_t>(t * cells));
-    (*counts)[cell] += 1.0;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<BinnedWaveletFit> BinnedWaveletFit::Fit(const wavelet::WaveletFilter& filter,
                                                std::span<const double> data, int j0,
                                                int finest_level, double lo,
@@ -46,97 +22,28 @@ Result<BinnedWaveletFit> BinnedWaveletFit::Fit(const wavelet::WaveletFilter& fil
   const size_t cells = 1ULL << finest_level;
   const double width = hi - lo;
   std::vector<double> counts(cells, 0.0);
-  Status binned = BinInto(data, lo, width, &counts);
-  if (!binned.ok()) return binned;
-  return BinnedWaveletFit(filter, std::move(counts), j0, finest_level, lo, width,
-                          data.size());
-}
-
-Status BinnedWaveletFit::AddBatch(std::span<const double> data) {
-  if (data.empty()) return Status::OK();
-  Status binned = BinInto(data, lo_, width_, &counts_);
-  if (!binned.ok()) return binned;
-  count_ += data.size();
-  return Status::OK();
-}
-
-Status BinnedWaveletFit::Merge(const BinnedWaveletFit& other) {
-  if (&other == this) {
-    return Status::InvalidArgument("cannot merge a fit into itself");
+  for (double x : data) {
+    const double t = (x - lo) / width;
+    if (!(t >= 0.0 && t <= 1.0)) {  // NaN too: the cell index would be UB
+      return Status::OutOfRange(Format("observation %.6g outside [%.6g, %.6g]",
+                                       x, lo, lo + width));
+    }
+    counts[std::min(cells - 1, static_cast<size_t>(t * cells))] += 1.0;
   }
-  if (filter_.name() != other.filter_.name() || filter_.h() != other.filter_.h()) {
-    return Status::FailedPrecondition(
-        Format("wavelet filter mismatch: %s vs %s", filter_.name().c_str(),
-               other.filter_.name().c_str()));
-  }
-  if (j0_ != other.j0_ || finest_level_ != other.finest_level_) {
-    return Status::FailedPrecondition(
-        Format("level range mismatch: [%d, %d) vs [%d, %d)", j0_, finest_level_,
-               other.j0_, other.finest_level_));
-  }
-  if (lo_ != other.lo_ || width_ != other.width_) {
-    return Status::FailedPrecondition("binning domain mismatch");
-  }
-  if (other.count_ == 0) return Status::OK();  // exact no-op
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  // The count change marks the cached pyramid stale; EnsurePyramid rebuilds
-  // from the merged integer counts at the next coefficient read.
-  return Status::OK();
-}
-
-Status BinnedWaveletFit::Serialize(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteString(sink, filter_.name()));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, j0_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, finest_level_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, width_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
-  return io::WriteDoubleVector(sink, counts_);
-}
-
-Result<BinnedWaveletFit> BinnedWaveletFit::Deserialize(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const std::string filter_name, io::ReadString(source, 64));
-  Result<wavelet::WaveletFilter> filter = wavelet::WaveletFilter::FromName(filter_name);
-  if (!filter.ok()) return filter.status();
-  WDE_ASSIGN_OR_RETURN(const int32_t j0, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(const int32_t finest_level, io::ReadI32(source));
-  if (j0 < 0 || finest_level <= j0 || finest_level > 24) {
-    return Status::InvalidArgument("corrupt binned fit level range");
-  }
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double width, io::ReadDouble(source));
-  if (!std::isfinite(lo) || !(width > 0.0) || !std::isfinite(width)) {
-    return Status::InvalidArgument("corrupt binned fit domain");
-  }
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> counts, io::ReadDoubleVector(source));
-  if (counts.size() != (1ULL << finest_level)) {
-    return Status::InvalidArgument("corrupt binned fit cell count");
-  }
-  return BinnedWaveletFit(std::move(filter).value(), std::move(counts), j0,
-                          finest_level, lo, width, static_cast<size_t>(count));
-}
-
-void BinnedWaveletFit::EnsurePyramid() const {
-  if (pyramid_at_count_ == count_) return;
   // Scaled counts s_k = 2^{J/2}·count_k/n are the finest-level scaling
-  // coefficients; bin counts are exact integers, so recomputing from the raw
-  // counts gives the same coefficients as a one-shot fit of the whole stream.
-  const double scale = std::exp2(0.5 * static_cast<double>(finest_level_)) /
-                       static_cast<double>(count_);
-  std::vector<double> scaled(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) scaled[i] = counts_[i] * scale;
+  // coefficients.
+  const double scale = std::exp2(0.5 * static_cast<double>(finest_level)) /
+                       static_cast<double>(data.size());
+  for (double& c : counts) c *= scale;
   Result<wavelet::DwtCoefficients> pyramid =
-      wavelet::ForwardDwt(filter_, scaled, finest_level_ - j0_);
-  WDE_CHECK_OK(pyramid.status());
-  pyramid_ = std::move(pyramid).value();
-  pyramid_at_count_ = count_;
+      wavelet::ForwardDwt(filter, counts, finest_level - j0);
+  if (!pyramid.ok()) return pyramid.status();
+  return BinnedWaveletFit(filter, std::move(pyramid).value(), j0, finest_level, lo,
+                          width, data.size());
 }
 
 double BinnedWaveletFit::BetaHat(int j, int k) const {
   WDE_CHECK(j >= j0_ && j < finest_level_, "detail level out of range");
-  EnsurePyramid();
   // pyramid_.details[0] is the finest level (finest_level_ - 1).
   const size_t index = static_cast<size_t>(finest_level_ - 1 - j);
   const std::vector<double>& level = pyramid_.details[index];
@@ -146,7 +53,6 @@ double BinnedWaveletFit::BetaHat(int j, int k) const {
 }
 
 double BinnedWaveletFit::AlphaHat(int k) const {
-  EnsurePyramid();
   WDE_CHECK(k >= 0 && static_cast<size_t>(k) < pyramid_.approximation.size(),
             "translation out of range");
   return pyramid_.approximation[static_cast<size_t>(k)];
@@ -154,7 +60,6 @@ double BinnedWaveletFit::AlphaHat(int k) const {
 
 Result<std::vector<double>> BinnedWaveletFit::EstimateOnGrid(
     const ThresholdSchedule& schedule, ThresholdKind kind) const {
-  EnsurePyramid();
   wavelet::DwtCoefficients thresholded = pyramid_;
   for (size_t index = 0; index < thresholded.details.size(); ++index) {
     const int j = finest_level_ - 1 - static_cast<int>(index);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/thresholding.hpp"
-#include "io/serialize.hpp"
 #include "util/result.hpp"
 #include "wavelet/dwt.hpp"
 #include "wavelet/filter.hpp"
@@ -26,11 +25,6 @@ namespace core {
 /// The binned path carries no per-coefficient pair sums, so it supports
 /// fixed threshold schedules (e.g. `TheoreticalSchedule`) but not the
 /// HTCV/STCV criteria; use `WaveletDensityFit` for cross-validation.
-///
-/// The bin counts accumulate incrementally (`AddBatch`); the pyramid is
-/// recomputed lazily from the raw counts when coefficients or grid estimates
-/// are next read, so batched streaming appends cost O(batch) plus one
-/// O(2^J·L) transform per read of a stale fit.
 class BinnedWaveletFit {
  public:
   /// Bins `data` (values inside [lo, hi]; outside is an error) into 2^J
@@ -39,31 +33,6 @@ class BinnedWaveletFit {
                                       std::span<const double> data, int j0,
                                       int finest_level, double lo = 0.0,
                                       double hi = 1.0);
-
-  /// Bins additional observations into the existing grid. Fit(a ++ b) and
-  /// Fit(a) followed by AddBatch(b) produce bit-identical coefficients (bin
-  /// counts are exact integer sums). Values outside [lo, hi] are an error
-  /// and leave the fit unchanged. An empty span is an explicit no-op.
-  Status AddBatch(std::span<const double> data);
-
-  /// Folds another fit's bin counts into this one (cell-wise addition).
-  /// Counts are exact integers, so merging fits over disjoint sub-streams is
-  /// bit-identical to one fit of the concatenated stream — the strongest
-  /// form of the mergeability contract. The cached pyramid is invalidated
-  /// and lazily recomputed from the merged counts at the next read. Fails
-  /// (leaving this fit untouched) when the filter, level range or domain
-  /// differ.
-  Status Merge(const BinnedWaveletFit& other);
-
-  /// Writes the filter identity, level range, domain and the raw per-cell
-  /// counts. Counts are exact integers stored in doubles, so the round trip
-  /// is bit-exact and a restored fit's lazily recomputed pyramid matches the
-  /// original coefficient-for-coefficient.
-  Status Serialize(io::Sink& sink) const;
-
-  /// Restores a fit written by Serialize (filter re-derived from its name);
-  /// corrupt input yields a non-OK Result.
-  static Result<BinnedWaveletFit> Deserialize(io::Source& source);
 
   int j0() const { return j0_; }
   int finest_level() const { return finest_level_; }
@@ -84,28 +53,23 @@ class BinnedWaveletFit {
   std::vector<double> GridCenters() const;
 
  private:
-  BinnedWaveletFit(wavelet::WaveletFilter filter, std::vector<double> counts,
+  BinnedWaveletFit(wavelet::WaveletFilter filter, wavelet::DwtCoefficients pyramid,
                    int j0, int finest_level, double lo, double width, size_t count)
       : filter_(std::move(filter)),
-        counts_(std::move(counts)),
+        pyramid_(std::move(pyramid)),
         j0_(j0),
         finest_level_(finest_level),
         lo_(lo),
         width_(width),
         count_(count) {}
 
-  /// Recomputes pyramid_ from counts_ if stale.
-  void EnsurePyramid() const;
-
   wavelet::WaveletFilter filter_;
-  std::vector<double> counts_;  // raw per-cell counts, exact integers
+  wavelet::DwtCoefficients pyramid_;  // approximation = level j0
   int j0_;
   int finest_level_;
   double lo_;
   double width_;
   size_t count_;
-  mutable wavelet::DwtCoefficients pyramid_;  // approximation = level j0
-  mutable size_t pyramid_at_count_ = 0;
 };
 
 }  // namespace core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -14,12 +15,10 @@ namespace {
 
 /// The canonical coefficient ranking of one level: indices i = k − k_lo
 /// ordered by (|S1[i]| desc, i asc) — a strict total order on the raw
-/// running sums (see the LevelCvCache comment for why raw S1, not |S1|/n:
-/// |S1|/n is monotone in |S1| for fixed n, so this order also sweeps the
-/// magnitudes |β̂| non-increasingly, but it is reusable across refits).
-/// The k-ascending tie-break replaces the previous unstable sort's
-/// unspecified tie order, making the ranking — and therefore the CV optimum
-/// at tied magnitudes — a deterministic function of the sums alone.
+/// running sums. |S1|/n is monotone in |S1| for fixed n, so this order
+/// sweeps the magnitudes |β̂| non-increasingly. The k-ascending tie-break
+/// makes the ranking — and therefore the CV optimum at tied magnitudes — a
+/// deterministic function of the sums alone.
 struct CanonicalLess {
   std::span<const double> s1;
   bool operator()(int32_t a, int32_t b) const {
@@ -30,56 +29,18 @@ struct CanonicalLess {
   }
 };
 
-/// Produces the canonical ranking, warm-starting from `cache` when it holds
-/// the previous refit's state for this level: coefficients whose S1 is
-/// bitwise-unchanged keep their cached relative order (the comparator reads
-/// only S1 and the index, both unchanged), so only the changed ones are
-/// sorted and merged back in. Updates the cache in place.
-std::vector<int32_t> CanonicalOrder(std::span<const double> s1,
-                                    LevelCvCache* cache) {
-  const size_t size = s1.size();
-  const CanonicalLess less{s1};
-  std::vector<int32_t> order;
-  const bool warm = cache != nullptr && cache->prev_s1.size() == size &&
-                    cache->order.size() == size;
-  if (warm) {
-    std::vector<int32_t> changed;
-    for (size_t i = 0; i < size; ++i) {
-      if (!(s1[i] == cache->prev_s1[i])) changed.push_back(static_cast<int32_t>(i));
-    }
-    if (changed.empty()) {
-      order = cache->order;
-    } else {
-      std::vector<char> is_changed(size, 0);
-      for (int32_t i : changed) is_changed[static_cast<size_t>(i)] = 1;
-      std::vector<int32_t> unchanged;
-      unchanged.reserve(size - changed.size());
-      for (int32_t i : cache->order) {
-        if (is_changed[static_cast<size_t>(i)] == 0) unchanged.push_back(i);
-      }
-      std::sort(changed.begin(), changed.end(), less);
-      order.resize(size);
-      std::merge(unchanged.begin(), unchanged.end(), changed.begin(),
-                 changed.end(), order.begin(), less);
-    }
-  } else {
-    order.resize(size);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), less);
-  }
-  if (cache != nullptr) {
-    cache->order = order;
-    cache->prev_s1.assign(s1.begin(), s1.end());
-  }
+std::vector<int32_t> CanonicalOrder(std::span<const double> s1) {
+  std::vector<int32_t> order(s1.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), CanonicalLess{s1});
   return order;
 }
 
 LevelCvResult MinimizeLevel(const EmpiricalCoefficients& coefficients, int j,
-                            ThresholdKind kind, double lambda_floor,
-                            LevelCvCache* cache) {
+                            ThresholdKind kind, double lambda_floor) {
   const CoefficientLevel& level = coefficients.detail_level(j);
   const double n = static_cast<double>(coefficients.count());
-  const std::vector<int32_t> order = CanonicalOrder(level.s1, cache);
+  const std::vector<int32_t> order = CanonicalOrder(level.s1);
 
   // Candidate m = number of kept coefficients (the m largest magnitudes).
   // m = 0 corresponds to λ = +inf with criterion value 0. A stabilization
@@ -140,17 +101,6 @@ ThresholdSchedule CrossValidationResult::Schedule() const {
   return schedule;
 }
 
-double FinestLevelNoiseScale(const EmpiricalCoefficients& coefficients) {
-  const CoefficientLevel& finest = coefficients.detail_level(coefficients.j_max());
-  const double n = static_cast<double>(coefficients.count());
-  std::vector<double> magnitudes;
-  magnitudes.reserve(finest.s1.size());
-  for (double s1 : finest.s1) magnitudes.push_back(std::fabs(s1 / n));
-  std::sort(magnitudes.begin(), magnitudes.end());
-  const double median = magnitudes.empty() ? 0.0 : magnitudes[magnitudes.size() / 2];
-  return median / 0.6745;
-}
-
 namespace {
 
 /// Level-wise universal floor √(2 ln K_j) · σ̂_j. Coefficient noise in
@@ -183,36 +133,16 @@ CrossValidationResult CrossValidate(const EmpiricalCoefficients& coefficients,
 CrossValidationResult CrossValidate(const EmpiricalCoefficients& coefficients,
                                     ThresholdKind kind,
                                     CvStabilization stabilization) {
-  return CrossValidate(coefficients, kind, stabilization, nullptr);
-}
-
-CrossValidationResult CrossValidate(const EmpiricalCoefficients& coefficients,
-                                    ThresholdKind kind,
-                                    CvStabilization stabilization,
-                                    CvCache* cache) {
   WDE_CHECK_GE(coefficients.count(), 2u, "CV needs at least two observations");
   CrossValidationResult out;
   out.kind = kind;
   out.j0 = coefficients.j0();
   out.j_star = coefficients.j_max();
-  if (cache != nullptr &&
-      (cache->j0 != out.j0 || cache->j_star != out.j_star ||
-       cache->levels.size() !=
-           static_cast<size_t>(out.j_star - out.j0 + 1))) {
-    // Level range changed (or first use): reset to a cold cache.
-    cache->j0 = out.j0;
-    cache->j_star = out.j_star;
-    cache->levels.assign(static_cast<size_t>(out.j_star - out.j0 + 1),
-                         LevelCvCache{});
-  }
   for (int j = out.j0; j <= out.j_star; ++j) {
     const double floor = stabilization == CvStabilization::kUniversalFloor
                              ? UniversalFloor(coefficients, j)
                              : 0.0;
-    LevelCvCache* level_cache =
-        cache != nullptr ? &cache->levels[static_cast<size_t>(j - out.j0)]
-                         : nullptr;
-    out.levels.push_back(MinimizeLevel(coefficients, j, kind, floor, level_cache));
+    out.levels.push_back(MinimizeLevel(coefficients, j, kind, floor));
   }
   // ĵ1: smallest level such that every level from it up to j* selects the
   // empty model (CV_j(λ̂_j) = 0). If even j* keeps coefficients, ĵ1 = j*.

@@ -1,7 +1,6 @@
 #ifndef WDE_CORE_CROSS_VALIDATION_HPP_
 #define WDE_CORE_CROSS_VALIDATION_HPP_
 
-#include <cstdint>
 #include <vector>
 
 #include "core/coefficients.hpp"
@@ -57,41 +56,11 @@ struct CrossValidationResult {
 /// noise levels.
 ///
 /// `kUniversalFloor` therefore restricts the candidate thresholds to
-/// λ ≥ σ̂ √(2 ln K_j), with σ̂ the Donoho–Johnstone MAD noise estimate from
-/// the finest level — the classical stabilization — and is the default for
-/// hard thresholding. `kNone` is the literal paper formula (default for
-/// soft). See DESIGN.md.
+/// λ ≥ σ̂_j √(2 ln K_j), with σ̂_j the largest per-coefficient standard error
+/// √S2/n on level j — the classical stabilization, made level-wise — and is
+/// the default for hard thresholding. `kNone` is the literal paper formula
+/// (default for soft). See DESIGN.md.
 enum class CvStabilization { kNone, kUniversalFloor };
-
-/// Per-level warm-start state for repeated CrossValidate calls over a
-/// growing coefficient set (the streaming sketch's periodic refit).
-///
-/// The minimization scans coefficients in the canonical order
-/// (|S1| desc, k asc) — a strict total order on the RAW running sums, chosen
-/// deliberately over |S1|/n: |β̂| = |S1|/n is a monotone map of |S1| for any
-/// fixed n > 0 (so the scan still sweeps magnitudes non-increasingly), but
-/// it is n-independent, so the relative order of coefficients whose S1 did
-/// not change between refits is exactly preserved and their cached ranking
-/// can be reused verbatim. A warm refit then only (a) bitwise-compares S1
-/// against the cached copy, (b) sorts the changed coefficients
-/// (O(c log c)), and (c) merges them into the filtered cached order — the
-/// O(K log K) per-level sort is paid only for cold starts. With a compactly
-/// supported basis, a delta of Δ inserts touches O(Δ · support) coefficients
-/// per level, so fine levels are mostly unchanged.
-struct LevelCvCache {
-  std::vector<int32_t> order;   // indices (k − k_lo) in canonical order
-  std::vector<double> prev_s1;  // raw S1 sums at the cached fit
-};
-
-/// Whole-fit warm-start cache: one LevelCvCache per level in [j0, j_star].
-/// Pass to CrossValidate across refits of the SAME coefficient object (the
-/// cache self-resets when the level range changes). Never serialized: after
-/// a snapshot restore the first refit is a cold start.
-struct CvCache {
-  int j0 = 0;
-  int j_star = 0;
-  std::vector<LevelCvCache> levels;
-};
 
 /// Runs the HTCV or STCV procedure with the default stabilization for the
 /// kind (hard -> universal floor, soft -> literal).
@@ -102,19 +71,6 @@ CrossValidationResult CrossValidate(const EmpiricalCoefficients& coefficients,
 CrossValidationResult CrossValidate(const EmpiricalCoefficients& coefficients,
                                     ThresholdKind kind,
                                     CvStabilization stabilization);
-
-/// Warm-startable variant: identical result to the cache-less overloads for
-/// any cache state (the cache only changes how the canonical order is
-/// produced, never the order itself); `cache` may be nullptr. The cache is
-/// updated to the current sums on return.
-CrossValidationResult CrossValidate(const EmpiricalCoefficients& coefficients,
-                                    ThresholdKind kind,
-                                    CvStabilization stabilization,
-                                    CvCache* cache);
-
-/// The Donoho–Johnstone noise scale estimate used by the universal floor:
-/// median(|β̂_{j*,k}|)/0.6745 over the finest level.
-double FinestLevelNoiseScale(const EmpiricalCoefficients& coefficients);
 
 }  // namespace core
 }  // namespace wde

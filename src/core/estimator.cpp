@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "numerics/optimize.hpp"
 #include "numerics/simd.hpp"
 #include "util/string_util.hpp"
 
@@ -180,32 +179,6 @@ void WaveletEstimate::IntegrateRangeMany(std::span<const double> a,
 
 double WaveletEstimate::TotalMass() const {
   return IntegrateRange(domain_lo(), domain_hi());
-}
-
-double WaveletEstimate::Quantile(double u) const {
-  WDE_CHECK(u >= 0.0 && u <= 1.0, "quantile level must be in [0,1]");
-  if (u <= 0.0) return domain_lo();
-  if (u >= 1.0) return domain_hi();
-  const double mass = TotalMass();
-  WDE_CHECK_GT(mass, 0.0, "cannot take quantiles of a zero-mass estimate");
-  return numerics::BisectMonotone(
-      [this](double x) { return IntegrateRange(domain_lo(), x); }, u * mass,
-      domain_lo(), domain_hi());
-}
-
-int WaveletEstimate::j_max() const {
-  return details_.empty() ? j0_ - 1 : details_.back().j;
-}
-
-double WaveletEstimate::ThresholdedFraction(int j) const {
-  for (const DetailLevel& level : details_) {
-    if (level.j == j) {
-      if (level.theta.empty()) return 1.0;
-      return 1.0 -
-             static_cast<double>(level.kept) / static_cast<double>(level.theta.size());
-    }
-  }
-  return 1.0;
 }
 
 Status WaveletEstimate::Serialize(io::Sink& sink) const {

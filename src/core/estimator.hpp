@@ -64,12 +64,6 @@ class WaveletEstimate {
   /// Total mass ∫ f̂ over the domain.
   double TotalMass() const;
 
-  /// u-quantile of the normalized estimate: the x with
-  /// ∫_{domain_lo}^{x} f̂ = u · TotalMass(), found by bisection. The signed
-  /// estimate's running integral can be locally non-monotone, so the result
-  /// is the bisection root of the (approximately increasing) CDF.
-  double Quantile(double u) const;
-
   /// Writes the reconstructed expansion (domain, α coefficients, thresholded
   /// detail levels) WITHOUT the basis — the owner serializes the basis
   /// identity once and passes the rebuilt basis to Deserialize. Round trips
@@ -85,11 +79,7 @@ class WaveletEstimate {
   double domain_lo() const { return lo_; }
   double domain_hi() const { return lo_ + width_; }
   int j0() const { return j0_; }
-  /// Highest detail level carried by this estimate.
-  int j_max() const;
   const std::vector<DetailLevel>& details() const { return details_; }
-  /// Fraction of coefficients at level j set to zero by thresholding.
-  double ThresholdedFraction(int j) const;
 
  private:
   friend class WaveletDensityFit;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/coefficients.hpp"
 #include "util/check.hpp"
 
 namespace wde {
@@ -50,18 +49,6 @@ ThresholdSchedule TheoreticalSchedule(double k_constant, int j0, int j1, size_t 
         k_constant * std::sqrt(static_cast<double>(j) / static_cast<double>(n));
   }
   return schedule;
-}
-
-int TheoreticalTopLevel(size_t n, double dependence_b, int j0) {
-  WDE_CHECK_GT(dependence_b, 0.0);
-  const double ln_n = std::log(static_cast<double>(n));
-  const double exponent = 2.0 / dependence_b + 3.0;
-  const double value =
-      static_cast<double>(n) * std::pow(std::max(ln_n, 1.0), -exponent);
-  int j1 = value > 1.0 ? static_cast<int>(std::floor(std::log2(value))) : 0;
-  j1 = std::max(j1, j0);
-  j1 = std::min(j1, DefaultTopLevel(n));
-  return j1;
 }
 
 }  // namespace core

@@ -37,11 +37,6 @@ struct ThresholdSchedule {
 /// rule is exposed for the ablation benches.
 ThresholdSchedule TheoreticalSchedule(double k_constant, int j0, int j1, size_t n);
 
-/// Theorem 3.1's top detail level j1 = largest integer below
-/// log2(n · (ln n)^{−2/b−3}), clamped to [j0, log2 n]. At realistic n this
-/// asymptotic formula is very small — the reason the simulations use CV.
-int TheoreticalTopLevel(size_t n, double dependence_b, int j0);
-
 }  // namespace core
 }  // namespace wde
 

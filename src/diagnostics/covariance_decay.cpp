@@ -4,7 +4,6 @@
 
 #include "stats/autocovariance.hpp"
 #include "util/check.hpp"
-#include "util/string_util.hpp"
 
 namespace wde {
 namespace diagnostics {
@@ -101,13 +100,6 @@ CovarianceDecayReport MeasureCovarianceDecay(
 const char* CovarianceDecayReport::Verdict() const {
   if (!dependence_detected) return "negligible";
   return exponential_preferred ? "exponential" : "polynomial";
-}
-
-std::string CovarianceDecayReport::Summary() const {
-  return Format(
-      "exp fit: rate=%.4f R2=%.3f | power fit: exponent=%.3f R2=%.3f -> %s decay",
-      exponential.rate, exponential.r_squared, power.rate, power.r_squared,
-      Verdict());
 }
 
 }  // namespace diagnostics

@@ -10,7 +10,6 @@
 #define WDE_DIAGNOSTICS_COVARIANCE_DECAY_HPP_
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -45,8 +44,6 @@ struct CovarianceDecayReport {
 
   /// "negligible", "exponential" or "polynomial".
   const char* Verdict() const;
-
-  std::string Summary() const;
 };
 
 /// Monte-Carlo estimate of the covariance decay of g(X_t) for paths produced

@@ -1,22 +1,10 @@
 #include "harness/monte_carlo.hpp"
 
 #include "parallel/thread_pool.hpp"
-#include "stats/descriptive.hpp"
 #include "util/check.hpp"
 
 namespace wde {
 namespace harness {
-
-SummaryStats Summarize(std::span<const double> values) {
-  SummaryStats s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  s.mean = stats::Mean(values);
-  s.stddev = stats::StdDev(values);
-  s.min = stats::Min(values);
-  s.max = stats::Max(values);
-  return s;
-}
 
 void ParallelFor(int count, int threads, const std::function<void(int)>& body) {
   // Delegates to the process-wide shared executor instead of spawning (and
@@ -24,18 +12,6 @@ void ParallelFor(int count, int threads, const std::function<void(int)>& body) {
   // Replicate results stay identical for any thread count because each index
   // writes only its own slot (see the RNG-forking contract above).
   parallel::ThreadPool::Shared().ParallelFor(count, threads, body);
-}
-
-std::vector<double> RunReplicates(int replicates, uint64_t seed, int threads,
-                                  const std::function<double(stats::Rng&, int)>& body) {
-  WDE_CHECK_GT(replicates, 0);
-  std::vector<double> out(static_cast<size_t>(replicates), 0.0);
-  const stats::Rng root(seed);
-  ParallelFor(replicates, threads, [&](int rep) {
-    stats::Rng rng = root.Fork(static_cast<uint64_t>(rep));
-    out[static_cast<size_t>(rep)] = body(rng, rep);
-  });
-  return out;
 }
 
 std::vector<std::vector<double>> CollectCurves(

@@ -3,13 +3,11 @@
 /// paper table/figure (M replicates of an experiment, e.g. Table 1's M = 500,
 /// n = 2^10 MISE runs). Invariants: replicate r receives an RNG forked
 /// deterministically from (seed, r), so results are identical for any thread
-/// count and machine; Summarize() treats an empty sample as all-zero stats
-/// rather than NaN.
+/// count and machine.
 #ifndef WDE_HARNESS_MONTE_CARLO_HPP_
 #define WDE_HARNESS_MONTE_CARLO_HPP_
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -17,31 +15,16 @@
 namespace wde {
 namespace harness {
 
-/// Aggregates of a scalar Monte-Carlo sample.
-struct SummaryStats {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  size_t count = 0;
-};
-
-SummaryStats Summarize(std::span<const double> values);
-
-/// Runs `replicates` independent replicates of a scalar experiment. Each
-/// replicate r receives an RNG forked deterministically from (seed, r), so
-/// results are identical for any thread count.
-std::vector<double> RunReplicates(int replicates, uint64_t seed, int threads,
-                                  const std::function<double(stats::Rng&, int)>& body);
-
-/// Vector-valued variant: every replicate must return `dim` values; the
-/// replicate-wise mean curve is returned. Used for the paper's "mean of the
-/// estimators" figures.
+/// Runs `replicates` independent replicates of a vector-valued experiment;
+/// every replicate must return `dim` values and the replicate-wise mean
+/// curve is returned. Replicate r receives an RNG forked deterministically
+/// from (seed, r), so results are identical for any thread count. Used for
+/// the paper's "mean of the estimators" figures.
 std::vector<double> MeanCurve(
     int replicates, uint64_t seed, int threads, size_t dim,
     const std::function<std::vector<double>(stats::Rng&, int)>& body);
 
-/// Vector-valued variant returning all replicate rows (replicates × dim).
+/// MeanCurve's replicates, returning all replicate rows (replicates × dim).
 std::vector<std::vector<double>> CollectCurves(
     int replicates, uint64_t seed, int threads, size_t dim,
     const std::function<std::vector<double>(stats::Rng&, int)>& body);

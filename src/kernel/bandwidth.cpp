@@ -55,17 +55,6 @@ double RuleOfThumbBandwidthSortedOrZero(std::span<const double> sorted) {
 
 }  // namespace internal
 
-double SilvermanBandwidth(std::span<const double> data) {
-  WDE_CHECK_GE(data.size(), 2u);
-  const double n = static_cast<double>(data.size());
-  const double sd = stats::StdDev(data);
-  const double iqr = stats::Iqr(data, stats::QuantileMethod::kType7);
-  double sigma = sd;
-  if (iqr > 0.0) sigma = std::min(sd, iqr / 1.34);
-  WDE_CHECK_GT(sigma, 0.0, "degenerate sample: zero spread");
-  return 0.9 * sigma * std::pow(n, -0.2);
-}
-
 double LeastSquaresCvCriterion(const Kernel& kernel,
                                std::span<const double> sorted_data,
                                double bandwidth) {

@@ -33,10 +33,6 @@ double RuleOfThumbBandwidthSortedOrZero(std::span<const double> sorted);
 
 }  // namespace internal
 
-/// Silverman's rule 0.9 · min(sd, IQR/1.34) · n^{-1/5} (provided for
-/// completeness; not used in the reproduction benches).
-double SilvermanBandwidth(std::span<const double> data);
-
 /// Least-squares cross-validation bandwidth: minimizes
 ///   CV(h) = ∫ f̂² − (2/n) Σ_i f̂_{-i}(X_i)
 ///         = Σ_{i,j} (K*K)((X_i−X_j)/h)/(n²h) − 2 Σ_{i≠j} K((X_i−X_j)/h)/(n(n−1)h)

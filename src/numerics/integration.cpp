@@ -12,16 +12,6 @@ double TrapezoidIntegral(std::span<const double> values, double dx) {
   return acc * dx;
 }
 
-double SimpsonIntegral(std::span<const double> values, double dx) {
-  const size_t n = values.size();
-  if (n < 3 || n % 2 == 0) return TrapezoidIntegral(values, dx);
-  double odd = 0.0;
-  double even = 0.0;
-  for (size_t i = 1; i + 1 < n; i += 2) odd += values[i];
-  for (size_t i = 2; i + 1 < n; i += 2) even += values[i];
-  return dx / 3.0 * (values.front() + values.back() + 4.0 * odd + 2.0 * even);
-}
-
 double IntegrateFunction(const std::function<double(double)>& f, double a, double b,
                          int intervals) {
   WDE_CHECK_GT(intervals, 0);

@@ -17,10 +17,6 @@ namespace numerics {
 /// Trapezoid rule over equally spaced samples with spacing `dx`.
 double TrapezoidIntegral(std::span<const double> values, double dx);
 
-/// Composite Simpson rule over equally spaced samples (values.size() must be
-/// odd and >= 3); falls back to the trapezoid rule otherwise.
-double SimpsonIntegral(std::span<const double> values, double dx);
-
 /// Integrates `f` over [a, b] with the composite Simpson rule on `intervals`
 /// subintervals (rounded up to an even count).
 double IntegrateFunction(const std::function<double(double)>& f, double a, double b,

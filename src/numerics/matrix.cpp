@@ -13,32 +13,10 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
-Matrix Matrix::operator*(const Matrix& other) const {
-  WDE_CHECK_EQ(cols_, other.rows_, "matrix product shape mismatch");
-  Matrix out(rows_, other.cols_);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t k = 0; k < cols_; ++k) {
-      const double aik = at(i, k);
-      if (aik == 0.0) continue;
-      for (size_t j = 0; j < other.cols_; ++j) {
-        out.at(i, j) += aik * other.at(k, j);
-      }
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::operator-(const Matrix& other) const {
   WDE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   Matrix out(rows_, cols_);
   for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] - other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  WDE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] + other.data_[i];
   return out;
 }
 

@@ -32,9 +32,7 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  Matrix operator*(const Matrix& other) const;
   Matrix operator-(const Matrix& other) const;
-  Matrix operator+(const Matrix& other) const;
 
   /// Matrix-vector product.
   std::vector<double> Apply(const std::vector<double>& v) const;

@@ -11,12 +11,6 @@ Complex EvaluatePolynomial(const std::vector<Complex>& coeffs, Complex z) {
   return acc;
 }
 
-double EvaluatePolynomial(const std::vector<double>& coeffs, double x) {
-  double acc = 0.0;
-  for (size_t i = coeffs.size(); i-- > 0;) acc = acc * x + coeffs[i];
-  return acc;
-}
-
 std::vector<Complex> MultiplyPolynomials(const std::vector<Complex>& a,
                                          const std::vector<Complex>& b) {
   if (a.empty() || b.empty()) return {};

@@ -17,9 +17,6 @@ using Complex = std::complex<double>;
 /// Evaluates a complex-coefficient polynomial by Horner's rule.
 Complex EvaluatePolynomial(const std::vector<Complex>& coeffs, Complex z);
 
-/// Evaluates a real-coefficient polynomial at a real point.
-double EvaluatePolynomial(const std::vector<double>& coeffs, double x);
-
 /// Product of two polynomials (complex coefficients).
 std::vector<Complex> MultiplyPolynomials(const std::vector<Complex>& a,
                                          const std::vector<Complex>& b);

@@ -17,46 +17,6 @@ double NormalPdf(double x) { return std::exp(-0.5 * x * x) / kSqrt2Pi; }
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / kSqrt2); }
 
-double NormalQuantile(double p) {
-  WDE_CHECK(p > 0.0 && p < 1.0, "NormalQuantile requires p in (0,1)");
-  // Acklam's rational approximation.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double p_low = 0.02425;
-  const double p_high = 1.0 - p_low;
-
-  double x;
-  if (p < p_low) {
-    const double q = std::sqrt(-2.0 * std::log(p));
-    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  } else if (p <= p_high) {
-    const double q = p - 0.5;
-    const double r = q * q;
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  } else {
-    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
-    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-
-  // One Halley refinement step brings the result to near machine precision.
-  const double e = NormalCdf(x) - p;
-  const double u = e * kSqrt2Pi * std::exp(0.5 * x * x);
-  x -= u / (1.0 + 0.5 * x * u);
-  return x;
-}
-
 double BinomialCoefficient(int n, int k) {
   WDE_CHECK(n >= 0 && k >= 0, "BinomialCoefficient requires non-negative arguments");
   if (k > n) return 0.0;
@@ -66,13 +26,6 @@ double BinomialCoefficient(int n, int k) {
     result *= static_cast<double>(n - k + i);
     result /= static_cast<double>(i);
   }
-  return result;
-}
-
-double Factorial(int n) {
-  WDE_CHECK_GE(n, 0);
-  double result = 1.0;
-  for (int i = 2; i <= n; ++i) result *= static_cast<double>(i);
   return result;
 }
 

@@ -12,17 +12,9 @@ double NormalPdf(double x);
 /// Standard normal cumulative distribution function.
 double NormalCdf(double x);
 
-/// Inverse of the standard normal CDF. Uses Acklam's rational approximation
-/// refined by one Halley step, accurate to ~1e-15 on (0,1).
-/// Requires 0 < p < 1 (checked).
-double NormalQuantile(double p);
-
 /// Binomial coefficient C(n, k) as a double (exact for the small arguments
 /// used by filter construction).
 double BinomialCoefficient(int n, int k);
-
-/// Factorial as a double.
-double Factorial(int n);
 
 }  // namespace numerics
 }  // namespace wde

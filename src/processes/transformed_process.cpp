@@ -17,9 +17,5 @@ std::vector<double> TransformedProcess::Sample(size_t n, stats::Rng& rng) const 
   return path;
 }
 
-std::string TransformedProcess::name() const {
-  return raw_->name() + "->" + target_->name();
-}
-
 }  // namespace processes
 }  // namespace wde

@@ -24,7 +24,6 @@ class TransformedProcess {
 
   const RawProcess& raw() const { return *raw_; }
   const TargetDensity& target() const { return *target_; }
-  std::string name() const;
 
  private:
   std::shared_ptr<const RawProcess> raw_;

@@ -131,7 +131,6 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeWaveletSketch(
   options.kind = spec.soft_threshold ? core::ThresholdKind::kSoft
                                      : core::ThresholdKind::kHard;
   options.refit_interval = spec.refit_interval;
-  options.refit_mode = spec.refit_mode;
   Result<StreamingWaveletSelectivity> sketch =
       StreamingWaveletSelectivity::Create(*basis, options);
   if (!sketch.ok()) return sketch.status();

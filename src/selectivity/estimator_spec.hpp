@@ -37,7 +37,7 @@ class SelectivityEstimator;
 ///   "haar-synopsis"  — grid_log2, budget, refit_interval (rebuild cadence)
 ///   "kde-rot"        — refit_interval, refit_mode
 ///   "wavelet-cv"     — filter, table_levels, j0, j_max, soft_threshold,
-///                      refit_interval, refit_mode
+///                      refit_interval
 ///   "reservoir"      — capacity, seed
 ///   "grid2d"         — dims (must be 2), domain2_lo/domain2_hi, grid_log2
 ///   "sharded"        — sharded_inner_tag (the prototype's tag; the rest of
@@ -81,7 +81,7 @@ struct EstimatorSpec {
   size_t refit_interval = 1024;
 
   /// Refit strategy for the tags that distinguish one ("kde-rot",
-  /// "equi-depth", "wavelet-cv", "sharded"): kIncremental (default)
+  /// "equi-depth", "sharded"): kIncremental (default)
   /// delta-merges previously fitted state into each refit, kScratch rebuilds
   /// from zero — the bitwise-identical oracle the equivalence tests and
   /// benches compare against. An evaluation knob like refit_interval: not

@@ -59,15 +59,7 @@ void StreamingWaveletSelectivity::Refit() const {
       fitted_at_count_ == fit_.count()) {
     return;
   }
-  const core::CvStabilization stabilization =
-      options_.kind == core::ThresholdKind::kHard
-          ? core::CvStabilization::kUniversalFloor
-          : core::CvStabilization::kNone;
-  core::CvCache* cache = options_.refit_mode == RefitMode::kIncremental
-                             ? &cv_cache_
-                             : nullptr;
-  cv_ = core::CrossValidate(fit_.coefficients(), options_.kind, stabilization,
-                            cache);
+  cv_ = core::CrossValidate(fit_.coefficients(), options_.kind);
   estimate_ = fit_.Estimate(cv_->Schedule(), options_.kind);
   fitted_at_count_ = fit_.count();
 }
@@ -215,6 +207,23 @@ Result<core::CrossValidationResult> DeserializeCvResult(io::Source& source) {
   return cv;
 }
 
+/// A restored CV result is read through CrossValidationResult::Level(j),
+/// which indexes levels[j - j0] for any j in [j0, j_star]: it must have
+/// exactly one in-order entry per level of the sketch's fit.
+bool CvResultFitsSketch(const core::CrossValidationResult& cv,
+                        const StreamingWaveletSelectivity::Options& options) {
+  if (cv.kind != options.kind) return false;
+  if (cv.j0 != options.j0 || cv.j_star != options.j_max) return false;
+  if (cv.j1_hat < cv.j0 || cv.j1_hat > cv.j_star) return false;
+  if (cv.levels.size() != static_cast<size_t>(cv.j_star - cv.j0 + 1)) return false;
+  for (size_t i = 0; i < cv.levels.size(); ++i) {
+    const core::LevelCvResult& level = cv.levels[i];
+    if (level.j != cv.j0 + static_cast<int>(i)) return false;
+    if (level.kept < 0 || level.kept > level.total) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Status StreamingWaveletSelectivity::SaveStateImpl(io::Sink& sink) const {
@@ -272,26 +281,22 @@ Status StreamingWaveletSelectivity::LoadStateImpl(io::Source& source) {
   if (has_cv != 0) {
     Result<core::CrossValidationResult> loaded = DeserializeCvResult(source);
     if (!loaded.ok()) return loaded.status();
+    if (!CvResultFitsSketch(*loaded, options)) {
+      return Status::InvalidArgument(
+          "corrupt wavelet sketch: CV result disagrees with fit");
+    }
     cv = std::move(loaded).value();
   }
   if (source.remaining() != 0) {
     return Status::InvalidArgument("corrupt wavelet sketch snapshot: trailing bytes");
   }
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   fit_ = std::move(fit).value();
   fitted_at_count_ = static_cast<size_t>(fitted_at_count);
   estimate_ = std::move(estimate);
   cv_ = std::move(cv);
-  cv_cache_ = core::CvCache{};  // cold start: the first refit re-ranks fully
   insert_scratch_.clear();
   return Status::OK();
-}
-
-double StreamingWaveletSelectivity::EstimateDensity(double x) const {
-  if (fit_.count() < 2) return 0.0;
-  RefitIfStale();
-  return estimate_.has_value() ? estimate_->Evaluate(x) : 0.0;
 }
 
 std::string StreamingWaveletSelectivity::name() const {

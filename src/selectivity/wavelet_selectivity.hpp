@@ -33,16 +33,6 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
     int j_max = 11;  // level budget fixed up front (memory O(2^j_max))
     core::ThresholdKind kind = core::ThresholdKind::kSoft;
     size_t refit_interval = 1024;
-    /// kIncremental (default) warm-starts each refit's cross-validation from
-    /// the previous coefficient ranking (core::CvCache): only coefficients
-    /// whose (S1, S2) sums changed since the last fit are re-sorted into the
-    /// ranking, so the per-level O(K log K) sort is paid only for levels a
-    /// delta actually touched. kScratch re-ranks every level from zero.
-    /// Identical results either way (the cache never changes the canonical
-    /// order, only how it is produced); reconstruction is full in both modes.
-    /// A pacing knob like refit_interval: not serialized; restore preserves
-    /// the live mode and cold-starts the cache.
-    RefitMode refit_mode = RefitMode::kIncremental;
   };
 
   static Result<StreamingWaveletSelectivity> Create(
@@ -76,9 +66,6 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   /// current count: every mutation of the sums also advances count(), so an
   /// unchanged count implies unchanged sums and an identical re-derivation.
   void Refit() const;
-
-  /// Point density estimate (refits lazily like Answer()).
-  double EstimateDensity(double x) const;
 
   /// The basis the sketch expands in (tables shared per filter and
   /// resolution; see wavelet::WaveletBasis::Create).
@@ -115,7 +102,7 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
 
-  /// Quiesce: run the (possibly warm-started) refit now.
+  /// Quiesce: run the refit now.
   void ForceRefitImpl() const override { Refit(); }
 
   /// Persists the options, the (S1, S2, n) sums (with the basis identity —
@@ -139,10 +126,6 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   std::vector<double> insert_scratch_;
   mutable std::optional<core::WaveletEstimate> estimate_;
   mutable std::optional<core::CrossValidationResult> cv_;
-  /// CV warm-start state (kIncremental only). Never serialized: a restored
-  /// sketch cold-starts its first refit. Copied by value with the estimator,
-  /// so CloneForView copies diverge without sharing.
-  mutable core::CvCache cv_cache_;
   mutable size_t fitted_at_count_ = 0;
 };
 

@@ -134,13 +134,6 @@ void EstimatorService::MaybePublishLocked() {
   }
 }
 
-void EstimatorService::Insert(double x) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  writer_->Insert(x);
-  ++inserts_since_publish_;
-  MaybePublishLocked();
-}
-
 void EstimatorService::InsertBatch(std::span<const double> xs) {
   if (xs.empty()) return;
   std::lock_guard<std::mutex> lock(writer_mu_);

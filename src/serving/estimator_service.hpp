@@ -114,8 +114,7 @@ class EstimatorService {
 
   // ---------------------------------------------------------------- writers
 
-  /// Ingests one value / a batch; may publish per the pacing options.
-  void Insert(double x);
+  /// Ingests a batch; may publish per the pacing options.
   void InsertBatch(std::span<const double> xs);
 
   /// Publishes a fresh view unconditionally; returns the new epoch.

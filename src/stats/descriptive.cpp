@@ -25,16 +25,6 @@ double Variance(std::span<const double> xs) {
 
 double StdDev(std::span<const double> xs) { return std::sqrt(Variance(xs)); }
 
-double Min(std::span<const double> xs) {
-  WDE_CHECK(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double Max(std::span<const double> xs) {
-  WDE_CHECK(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double QuantileSorted(std::span<const double> sorted, double p,
                       QuantileMethod method) {
   WDE_CHECK(!sorted.empty());
@@ -64,8 +54,6 @@ double Quantile(std::span<const double> xs, double p, QuantileMethod method) {
   std::sort(sorted.begin(), sorted.end());
   return QuantileSorted(sorted, p, method);
 }
-
-double Median(std::span<const double> xs) { return Quantile(xs, 0.5); }
 
 double Iqr(std::span<const double> xs, QuantileMethod method) {
   return Quantile(xs, 0.75, method) - Quantile(xs, 0.25, method);

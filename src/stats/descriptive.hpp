@@ -14,9 +14,6 @@ double Variance(std::span<const double> xs);
 
 double StdDev(std::span<const double> xs);
 
-double Min(std::span<const double> xs);
-double Max(std::span<const double> xs);
-
 /// Quantile conventions. `kType7` is the R default (linear interpolation of
 /// order statistics at p(n-1)+1); `kMatlab` matches MATLAB's `quantile`
 /// (midpoints, R type 5), which the paper's rule-of-thumb bandwidth uses.
@@ -32,8 +29,6 @@ double Quantile(std::span<const double> xs, double p,
 /// skip the O(n log n) copy+sort per evaluation.
 double QuantileSorted(std::span<const double> sorted, double p,
                       QuantileMethod method = QuantileMethod::kType7);
-
-double Median(std::span<const double> xs);
 
 /// Interquartile range q3 - q1 under the given convention.
 double Iqr(std::span<const double> xs, QuantileMethod method = QuantileMethod::kMatlab);

@@ -8,16 +8,6 @@
 namespace wde {
 namespace stats {
 
-Ecdf::Ecdf(std::span<const double> sample) : sorted_(sample.begin(), sample.end()) {
-  WDE_CHECK(!sorted_.empty(), "ECDF of empty sample");
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Ecdf::Evaluate(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
 double KolmogorovSmirnovDistance(std::span<const double> sample,
                                  const std::function<double(double)>& cdf) {
   WDE_CHECK(!sample.empty());
@@ -30,27 +20,6 @@ double KolmogorovSmirnovDistance(std::span<const double> sample,
     const double lo = static_cast<double>(i) / n;
     const double hi = static_cast<double>(i + 1) / n;
     d = std::max(d, std::max(std::fabs(f - lo), std::fabs(hi - f)));
-  }
-  return d;
-}
-
-double KolmogorovSmirnovDistance(std::span<const double> a,
-                                 std::span<const double> b) {
-  WDE_CHECK(!a.empty() && !b.empty());
-  std::vector<double> sa(a.begin(), a.end());
-  std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  size_t ia = 0;
-  size_t ib = 0;
-  double d = 0.0;
-  while (ia < sa.size() && ib < sb.size()) {
-    const double x = std::min(sa[ia], sb[ib]);
-    while (ia < sa.size() && sa[ia] <= x) ++ia;
-    while (ib < sb.size() && sb[ib] <= x) ++ib;
-    const double fa = static_cast<double>(ia) / static_cast<double>(sa.size());
-    const double fb = static_cast<double>(ib) / static_cast<double>(sb.size());
-    d = std::max(d, std::fabs(fa - fb));
   }
   return d;
 }

@@ -3,34 +3,14 @@
 
 #include <functional>
 #include <span>
-#include <vector>
 
 namespace wde {
 namespace stats {
-
-/// Empirical cumulative distribution function of a sample.
-class Ecdf {
- public:
-  explicit Ecdf(std::span<const double> sample);
-
-  /// Fraction of sample points <= x.
-  double Evaluate(double x) const;
-
-  size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_sample() const { return sorted_; }
-
- private:
-  std::vector<double> sorted_;
-};
 
 /// One-sample Kolmogorov-Smirnov statistic sup_x |F_n(x) - F(x)| against a
 /// reference CDF.
 double KolmogorovSmirnovDistance(std::span<const double> sample,
                                  const std::function<double(double)>& cdf);
-
-/// Two-sample Kolmogorov-Smirnov statistic.
-double KolmogorovSmirnovDistance(std::span<const double> a,
-                                 std::span<const double> b);
 
 }  // namespace stats
 }  // namespace wde

@@ -25,14 +25,5 @@ double LpErrorPow(std::span<const double> estimate, std::span<const double> trut
   return numerics::TrapezoidIntegral(diff, dx);
 }
 
-double SupError(std::span<const double> estimate, std::span<const double> truth) {
-  WDE_CHECK_EQ(estimate.size(), truth.size(), "grids must match");
-  double m = 0.0;
-  for (size_t i = 0; i < estimate.size(); ++i) {
-    m = std::max(m, std::fabs(estimate[i] - truth[i]));
-  }
-  return m;
-}
-
 }  // namespace stats
 }  // namespace wde

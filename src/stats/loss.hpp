@@ -17,9 +17,6 @@ double IntegratedSquaredError(std::span<const double> estimate,
 double LpErrorPow(std::span<const double> estimate, std::span<const double> truth,
                   double dx, double p);
 
-/// Sup-norm distance on the grid.
-double SupError(std::span<const double> estimate, std::span<const double> truth);
-
 }  // namespace stats
 }  // namespace wde
 

@@ -81,11 +81,6 @@ void Rng::GaussianPair(double rho, double* z0, double* z1) {
 
 bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
-double Rng::Exponential(double lambda) {
-  WDE_CHECK_GT(lambda, 0.0);
-  return -std::log(1.0 - UniformDouble()) / lambda;
-}
-
 Rng Rng::Fork(uint64_t index) const {
   // Mix seed and index through SplitMix64 so substreams are decorrelated.
   uint64_t s = seed_ ^ (0xD1B54A32D192ED03ULL * (index + 1));

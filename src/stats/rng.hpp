@@ -52,9 +52,6 @@ class Rng {
   /// Bernoulli trial.
   bool Bernoulli(double p);
 
-  /// Exponential with rate `lambda`.
-  double Exponential(double lambda);
-
   /// Derives an independent generator for substream `index` (e.g. one per
   /// Monte-Carlo replicate). Deterministic in (seed, index).
   Rng Fork(uint64_t index) const;

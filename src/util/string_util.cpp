@@ -23,29 +23,11 @@ std::string Format(const char* fmt, ...) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 long EnvInt(const char* name, long fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || raw[0] == '\0') return fallback;
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
-  if (end == raw) return fallback;
-  return value;
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
   if (end == raw) return fallback;
   return value;
 }

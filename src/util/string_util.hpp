@@ -3,22 +3,15 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace wde {
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Joins `parts` with `sep` ("a", "b" -> "a,b").
-std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
 /// Reads an integer environment variable, returning `fallback` when the
 /// variable is unset or unparsable. Used for bench knobs (e.g. WDE_REPS).
 long EnvInt(const char* name, long fallback);
-
-/// Reads a floating-point environment variable with a fallback.
-double EnvDouble(const char* name, double fallback);
 
 // Command-line flag helpers shared by the bench and example drivers
 // (perf_snapshot, perf_queries, snapshot_merge_demo): scan argv for

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "numerics/integration.hpp"
-#include "numerics/simd.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
 
@@ -126,39 +125,6 @@ double WaveletBasis::PsiAntiderivative(double x) const {
   if (x <= 0.0) return 0.0;
   if (x >= cdf.x1()) return cdf.values().back();
   return cdf.Evaluate(x);
-}
-
-void WaveletBasis::AntiderivativeMany(MotherFunction f, std::span<const double> xs,
-                                      std::span<double> out) const {
-  WDE_CHECK_EQ(xs.size(), out.size(), "AntiderivativeMany spans must match");
-  const numerics::UniformGridInterpolator& cdf =
-      f == MotherFunction::kPhi ? tables_->phi_cdf : tables_->psi_cdf;
-  const double x0 = cdf.x0();
-  const double dx = cdf.dx();
-  const double* values = cdf.values().data();
-  const size_t n = cdf.values().size();
-  const double x1 = cdf.x1();
-  const double last = cdf.values().back();
-  const double t_max = static_cast<double>(n - 1);
-  const size_t count = xs.size();
-  // Branch-free rewrite of the scalar ladder (0 left of the support, `last`
-  // right of it, the interpolator in between): every select uses exactly the
-  // comparisons the scalar branches evaluate, out-of-range lanes read a
-  // clamped valid cell and are overridden, so the loop vectorizes while
-  // staying bit-identical per element.
-  WDE_SIMD_LOOP
-  for (size_t i = 0; i < count; ++i) {
-    const double x = xs[i];
-    const double t = (x - x0) / dx;
-    const bool on_grid = t >= 0.0 && t <= t_max;
-    const double tc = on_grid ? t : 0.0;
-    size_t idx = static_cast<size_t>(tc);
-    idx = idx < n - 2 ? idx : n - 2;
-    const double frac = tc - static_cast<double>(idx);
-    const double v = values[idx] * (1.0 - frac) + values[idx + 1] * frac;
-    const double interior = !on_grid ? 0.0 : (t >= t_max ? values[n - 1] : v);
-    out[i] = x <= 0.0 ? 0.0 : (x >= x1 ? last : interior);
-  }
 }
 
 double WaveletBasis::PhiJk(int j, int k, double x) const {

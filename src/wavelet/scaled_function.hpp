@@ -328,11 +328,11 @@ class ScaledLevelEvaluator {
 /// structures and benches can reuse one table; `Create` hands every caller
 /// asking for the same filter and resolution the same tables.
 ///
-/// Hot paths come in scalar and batch forms. The batch forms
-/// (`AntiderivativeMany` and per-level loops through `PhiLevel`/`PsiLevel`)
-/// hoist the scale/translate setup out of the inner loop and are guaranteed
-/// bit-identical to the scalar calls; sorted inputs additionally walk the
-/// dyadic tables cache-coherently (monotone table indices).
+/// Hot paths come in scalar and batch forms. The batch forms (per-level
+/// loops through `PhiLevel`/`PsiLevel`) hoist the scale/translate setup out
+/// of the inner loop and are guaranteed bit-identical to the scalar calls;
+/// sorted inputs additionally walk the dyadic tables cache-coherently
+/// (monotone table indices).
 class WaveletBasis {
  public:
   /// Tables for `filter` at dyadic resolution 2^-table_levels. Memoized per
@@ -359,11 +359,6 @@ class WaveletBasis {
   /// which is what selectivity queries are.
   double PhiAntiderivative(double x) const;
   double PsiAntiderivative(double x) const;
-
-  /// Batch antiderivatives: out[i] = {Phi,Psi}Antiderivative(xs[i]),
-  /// bit-identical to the scalar calls.
-  void AntiderivativeMany(MotherFunction f, std::span<const double> xs,
-                          std::span<double> out) const;
 
   /// Scaled/translated values.
   double PhiJk(int j, int k, double x) const;

@@ -11,13 +11,14 @@
 ///                 fitted buffers
 ///   parallel    — the shared ThreadPool executor behind every parallel path
 ///   numerics    — integration, interpolation, linear algebra, optimisation
-///   stats       — RNG, descriptive stats, empirical CDF, losses, bootstrap
-///   wavelet     — Daubechies filters, cascade/Daubechies–Lagarias point
-///                 evaluation, discrete wavelet transform
+///   stats       — RNG, descriptive stats, Kolmogorov–Smirnov distance,
+///                 losses, autocovariance
+///   wavelet     — Daubechies filters, cascade tables, discrete wavelet
+///                 transform
 ///   kernel      — kernel functions, bandwidth selectors, KDE baseline
 ///   processes   — the paper's data-generating processes (Section 5)
-///   core        — wavelet coefficient estimation, thresholding, the adaptive
-///                 density estimator, confidence bands
+///   core        — wavelet coefficient estimation, thresholding and its
+///                 cross-validation, the adaptive density estimator
 ///   selectivity — wavelet/KDE/histogram/sample selectivity estimators over
 ///                 range-query workloads, plus the sharded parallel ingest
 ///                 wrapper over any mergeable estimator
@@ -61,7 +62,6 @@
 
 // stats — depends on numerics, util.
 #include "stats/autocovariance.hpp"
-#include "stats/block_bootstrap.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/empirical.hpp"
 #include "stats/loss.hpp"
@@ -69,7 +69,6 @@
 
 // wavelet — depends on numerics, util.
 #include "wavelet/cascade.hpp"
-#include "wavelet/daubechies_lagarias.hpp"
 #include "wavelet/dwt.hpp"
 #include "wavelet/filter.hpp"
 #include "wavelet/scaled_function.hpp"
@@ -99,10 +98,8 @@
 
 // core — depends on wavelet, stats, numerics, util.
 #include "core/adaptive.hpp"
-#include "core/besov.hpp"
 #include "core/binned.hpp"
 #include "core/coefficients.hpp"
-#include "core/confidence.hpp"
 #include "core/cross_validation.hpp"
 #include "core/estimator.hpp"
 #include "core/thresholding.hpp"

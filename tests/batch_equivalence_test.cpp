@@ -1,5 +1,5 @@
 // Property tests for the batch-first hot paths: every batch entry point
-// (EvaluateMany / AntiderivativeMany / AddAll / AddBatch / InsertBatch /
+// (EvaluateMany / AddAll / AddBatch / InsertBatch /
 // batched Answer() and the hoisted per-level evaluators) must produce results
 // BIT-IDENTICAL to the scalar loop it replaces, across all estimators and
 // random domains. These tests are the contract that lets the scalar virtuals
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/binned.hpp"
 #include "core/coefficients.hpp"
 #include "core/cross_validation.hpp"
 #include "core/estimator.hpp"
@@ -114,7 +113,7 @@ std::vector<double> ProbePoints(stats::Rng& rng, size_t n, double lo, double hi)
 
 // Phi/Psi read the tap-major tables; the row-major interpolator over the
 // same cascade values is the reference, bit for bit.
-TEST(BatchEquivalenceTest, TapMajorMotherValuesAndAntiderivativeMany) {
+TEST(BatchEquivalenceTest, TapMajorMotherValues) {
   stats::Rng rng(103);
   for (const wavelet::WaveletBasis* basis : Sym8HaarDb4Bases()) {
     Result<wavelet::CascadeTables> cascade =
@@ -133,15 +132,6 @@ TEST(BatchEquivalenceTest, TapMajorMotherValuesAndAntiderivativeMany) {
     for (double x : xs) {
       EXPECT_EQ(basis->Phi(x), phi.Evaluate(x)) << "x=" << x;
       EXPECT_EQ(basis->Psi(x), psi.Evaluate(x)) << "x=" << x;
-    }
-    std::vector<double> batch(xs.size());
-    basis->AntiderivativeMany(wavelet::MotherFunction::kPhi, xs, batch);
-    for (size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(batch[i], basis->PhiAntiderivative(xs[i]));
-    }
-    basis->AntiderivativeMany(wavelet::MotherFunction::kPsi, xs, batch);
-    for (size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(batch[i], basis->PsiAntiderivative(xs[i]));
     }
   }
 }
@@ -329,35 +319,6 @@ TEST(BatchEquivalenceTest, IntegrateRangeManyMatchesScalarBitwise) {
     EXPECT_EQ(batch[i], estimate.IntegrateRange(a[i], b[i]))
         << "[" << a[i] << ", " << b[i] << "]";
   }
-}
-
-TEST(BatchEquivalenceTest, BinnedAddBatchMatchesOneShotFitBitwise) {
-  stats::Rng rng(131);
-  std::vector<double> xs(4096);
-  for (double& x : xs) x = rng.UniformDouble();
-  const wavelet::WaveletFilter filter = *wavelet::WaveletFilter::Symmlet(8);
-  Result<core::BinnedWaveletFit> oneshot =
-      core::BinnedWaveletFit::Fit(filter, xs, 2, 9);
-  ASSERT_TRUE(oneshot.ok());
-  const std::span<const double> all(xs);
-  Result<core::BinnedWaveletFit> incremental =
-      core::BinnedWaveletFit::Fit(filter, all.first(1000), 2, 9);
-  ASSERT_TRUE(incremental.ok());
-  ASSERT_TRUE(incremental->AddBatch(all.subspan(1000, 96)).ok());
-  ASSERT_TRUE(incremental->AddBatch(all.subspan(1096)).ok());
-  ASSERT_EQ(oneshot->count(), incremental->count());
-  for (int k = 0; k < 4; ++k) EXPECT_EQ(oneshot->AlphaHat(k), incremental->AlphaHat(k));
-  for (int j = 2; j < 9; ++j) {
-    for (int k = 0; k < (1 << j); ++k) {
-      EXPECT_EQ(oneshot->BetaHat(j, k), incremental->BetaHat(j, k))
-          << "j=" << j << " k=" << k;
-    }
-  }
-  // Out-of-range batches are rejected atomically.
-  const std::vector<double> bad{0.5, 1.5};
-  EXPECT_FALSE(incremental->AddBatch(bad).ok());
-  EXPECT_EQ(incremental->count(), xs.size());
-  EXPECT_EQ(oneshot->BetaHat(5, 7), incremental->BetaHat(5, 7));
 }
 
 // ------------------------------------------------------------------ kernel

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "core/adaptive.hpp"
-#include "core/besov.hpp"
-#include "core/binned.hpp"
 #include "core/coefficients.hpp"
 #include "core/cross_validation.hpp"
 #include "core/estimator.hpp"
@@ -144,16 +142,6 @@ TEST(CoefficientsTest, EmptySpansAreNoOps) {
   coeffs->AddAll({});
   EXPECT_EQ(coeffs->count(), 1u);
   EXPECT_EQ(coeffs->AlphaHat(1), before);
-
-  const wavelet::WaveletFilter filter = *wavelet::WaveletFilter::Symmlet(8);
-  const std::vector<double> seed{0.25, 0.5, 0.75};
-  Result<BinnedWaveletFit> binned = BinnedWaveletFit::Fit(filter, seed, 2, 6);
-  ASSERT_TRUE(binned.ok());
-  EXPECT_TRUE(binned->AddBatch({}).ok());
-  EXPECT_TRUE(
-      binned->AddBatch(std::span<const double>(static_cast<const double*>(nullptr), 0))
-          .ok());
-  EXPECT_EQ(binned->count(), seed.size());
 }
 
 TEST(CoefficientsDeathTest, RejectsOutOfRangeObservation) {
@@ -195,15 +183,6 @@ TEST(ThresholdTest, TheoreticalScheduleShape) {
   // Outside the schedule the level is dead.
   EXPECT_TRUE(std::isinf(schedule.LevelLambda(0)));
   EXPECT_TRUE(std::isinf(schedule.LevelLambda(6)));
-}
-
-TEST(ThresholdTest, TheoreticalTopLevelClamped) {
-  // At n = 1024, b = 1 the asymptotic formula is far negative -> clamps to j0.
-  EXPECT_EQ(TheoreticalTopLevel(1024, 1.0, 1), 1);
-  // At astronomical n it grows and stays below log2 n.
-  const int j1 = TheoreticalTopLevel(1ULL << 40, 1.0, 1);
-  EXPECT_GT(j1, 1);
-  EXPECT_LE(j1, 40);
 }
 
 TEST(ThresholdKindTest, Names) {
@@ -434,112 +413,6 @@ TEST(EstimatorTest, DomainMappingPreservesShape) {
   EXPECT_NEAR(est_wide.TotalMass(), est_unit.TotalMass(), 1e-9);
 }
 
-TEST(EstimatorTest, QuantileInvertsEstimateCdf) {
-  const processes::TruncatedGaussianMixtureDensity density =
-      processes::TruncatedGaussianMixtureDensity::Bimodal();
-  stats::Rng rng(137);
-  std::vector<double> xs(2048);
-  for (double& x : xs) x = density.InverseCdf(rng.UniformDouble());
-  Result<AdaptiveDensityEstimate> fit = FitAdaptive(Sym8Basis(), xs);
-  ASSERT_TRUE(fit.ok());
-  const WaveletEstimate& estimate = fit->estimate;
-  for (double u : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    const double q = estimate.Quantile(u);
-    EXPECT_NEAR(estimate.IntegrateRange(0.0, q) / estimate.TotalMass(), u, 1e-6)
-        << "u=" << u;
-    // Compare through the true CDF rather than the quantile itself: in the
-    // near-zero-density valley between the modes the CDF is flat, so tiny
-    // mass errors move the quantile a long way.
-    EXPECT_NEAR(density.Cdf(q), u, 0.04) << "u=" << u;
-  }
-  EXPECT_DOUBLE_EQ(estimate.Quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(estimate.Quantile(1.0), 1.0);
-}
-
-TEST(EstimatorTest, QuantileEndpointsAreExactOnShiftedDomain) {
-  // u = 0 and u = 1 must return the domain endpoints bit-exactly (not the
-  // midpoint of a bisection bracket), including on non-unit domains.
-  stats::Rng rng(139);
-  std::vector<double> xs(1024);
-  for (double& x : xs) x = rng.Uniform(-3.0, 5.0);
-  FitOptions options;
-  options.domain_lo = -3.0;
-  options.domain_hi = 5.0;
-  Result<WaveletDensityFit> fit = WaveletDensityFit::Fit(Sym8Basis(), xs, options);
-  ASSERT_TRUE(fit.ok());
-  const WaveletEstimate estimate = fit->LinearEstimate(5);
-  EXPECT_EQ(estimate.Quantile(0.0), -3.0);
-  EXPECT_EQ(estimate.Quantile(1.0), 5.0);
-}
-
-TEST(EstimatorTest, QuantileOnHeavilyThresholdedSignedEstimate) {
-  // Regression: a large soft threshold kills (or shrinks) every detail
-  // coefficient, leaving the coarse scaling projection of a sharply bimodal
-  // density — a *signed* estimate whose running integral is locally
-  // non-monotone. Quantile must still return usable values: inside the
-  // domain, non-decreasing in u, exact at the endpoints, and consistent with
-  // the (normalized) CDF at the bisection root.
-  const processes::TruncatedGaussianMixtureDensity density =
-      processes::TruncatedGaussianMixtureDensity::Bimodal();
-  stats::Rng rng(149);
-  std::vector<double> xs(2048);
-  for (double& x : xs) x = density.InverseCdf(rng.UniformDouble());
-  FitOptions options;
-  options.j0 = 2;
-  options.j_max = 8;
-  Result<WaveletDensityFit> fit = WaveletDensityFit::Fit(Sym8Basis(), xs, options);
-  ASSERT_TRUE(fit.ok());
-  ThresholdSchedule schedule;
-  schedule.j0 = 2;
-  schedule.lambda.assign(7, ThresholdSchedule::kKillLevel);  // kill every detail
-  const WaveletEstimate estimate = fit->Estimate(schedule, ThresholdKind::kSoft);
-  for (int j = 2; j <= 8; ++j) EXPECT_EQ(estimate.ThresholdedFraction(j), 1.0);
-
-  // The coarse projection of a bimodal density with Symmlet-8 undershoots:
-  // the estimate is genuinely signed (this is what makes the CDF
-  // non-monotone between the modes).
-  double min_value = std::numeric_limits<double>::infinity();
-  for (double v : estimate.EvaluateOnGrid(0.0, 1.0, 513)) {
-    min_value = std::min(min_value, v);
-  }
-  ASSERT_LT(min_value, 0.0);
-
-  EXPECT_EQ(estimate.Quantile(0.0), 0.0);
-  EXPECT_EQ(estimate.Quantile(1.0), 1.0);
-  const double mass = estimate.TotalMass();
-  ASSERT_GT(mass, 0.0);
-  double previous = 0.0;
-  for (double u : {0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95}) {
-    const double q = estimate.Quantile(u);
-    EXPECT_GE(q, 0.0) << "u=" << u;
-    EXPECT_LE(q, 1.0) << "u=" << u;
-    EXPECT_GE(q, previous) << "u=" << u;  // monotone in u
-    EXPECT_NEAR(estimate.IntegrateRange(0.0, q) / mass, u, 1e-6) << "u=" << u;
-    previous = q;
-  }
-}
-
-TEST(EstimatorTest, ThresholdedFractionReflectsSchedule) {
-  const std::vector<double> xs = UniformData(512, 67);
-  Result<WaveletDensityFit> fit = WaveletDensityFit::Fit(Sym8Basis(), xs);
-  ASSERT_TRUE(fit.ok());
-  // Infinite thresholds: everything dies.
-  ThresholdSchedule kill;
-  kill.j0 = fit->coefficients().j0();
-  kill.lambda.assign(3, std::numeric_limits<double>::infinity());
-  const WaveletEstimate dead = fit->Estimate(kill, ThresholdKind::kHard);
-  for (const auto& level : dead.details()) {
-    EXPECT_EQ(level.kept, 0);
-    EXPECT_DOUBLE_EQ(dead.ThresholdedFraction(level.j), 1.0);
-  }
-  // Zero thresholds: (almost) everything survives.
-  const WaveletEstimate alive = fit->LinearEstimate(kill.j0 + 2);
-  for (const auto& level : alive.details()) {
-    EXPECT_GT(level.kept, 0);
-    EXPECT_LT(alive.ThresholdedFraction(level.j), 0.7);
-  }
-}
-
 // ----------------------------------------------------------- cross-validation
 
 TEST(CrossValidationTest, MatchesBruteForceMinimization) {
@@ -636,15 +509,6 @@ TEST(CrossValidationTest, UniversalFloorStabilizesHardCvOnPureNoise) {
   EXPECT_LE(floored_kept, 2);   // ...and the floor removes it.
 }
 
-TEST(CrossValidationTest, FinestLevelNoiseScaleMatchesTheory) {
-  // sd(β̂) ≈ sqrt(E ψ² / n) ≈ 1/sqrt(n) for a uniform density.
-  const std::vector<double> xs = UniformData(4096, 127);
-  Result<WaveletDensityFit> fit = WaveletDensityFit::Fit(Sym8Basis(), xs);
-  ASSERT_TRUE(fit.ok());
-  const double sigma = FinestLevelNoiseScale(fit->coefficients());
-  EXPECT_NEAR(sigma, 1.0 / 64.0, 0.6 / 64.0);
-}
-
 TEST(CrossValidationTest, ScheduleKillsEmptyLevels) {
   const std::vector<double> xs = UniformData(256, 83);
   Result<WaveletDensityFit> fit = WaveletDensityFit::Fit(Sym8Basis(), xs);
@@ -735,34 +599,6 @@ TEST(AdaptiveTest, SoftEstimateIsSmootherThanLinear) {
   const std::vector<double> ones(1025, 1.0);
   EXPECT_LT(stats::IntegratedSquaredError(grid_a, ones, 1.0 / 1024.0),
             stats::IntegratedSquaredError(grid_l, ones, 1.0 / 1024.0));
-}
-
-// --------------------------------------------------------------------- Besov
-
-TEST(BesovTest, SmoothDensityHasSmallerNormThanRough) {
-  stats::Rng rng(103);
-  // Smooth: uniform. Rough: two sharp spikes.
-  std::vector<double> smooth(2048), rough(2048);
-  for (double& x : smooth) x = rng.UniformDouble();
-  for (double& x : rough) {
-    x = rng.Bernoulli(0.5) ? rng.Uniform(0.30, 0.31) : rng.Uniform(0.70, 0.71);
-  }
-  Result<EmpiricalCoefficients> cs = EmpiricalCoefficients::Create(Sym8Basis(), 2, 8);
-  Result<EmpiricalCoefficients> cr = EmpiricalCoefficients::Create(Sym8Basis(), 2, 8);
-  ASSERT_TRUE(cs.ok());
-  ASSERT_TRUE(cr.ok());
-  cs->AddAll(smooth);
-  cr->AddAll(rough);
-  EXPECT_LT(BesovSequenceNorm(*cs, 1.0, 2.0, 2.0),
-            BesovSequenceNorm(*cr, 1.0, 2.0, 2.0));
-}
-
-TEST(BesovTest, LevelNormsHaveOneEntryPerLevel) {
-  const std::vector<double> xs = UniformData(128, 107);
-  Result<EmpiricalCoefficients> coeffs = EmpiricalCoefficients::Create(Sym8Basis(), 2, 6);
-  ASSERT_TRUE(coeffs.ok());
-  coeffs->AddAll(xs);
-  EXPECT_EQ(LevelCoefficientNorms(*coeffs, 2.0).size(), 5u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "wavelet/daubechies_lagarias.hpp"
+#include "daubechies_lagarias.hpp"
 
 #include <cmath>
 #include <vector>

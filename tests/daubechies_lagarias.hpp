@@ -1,5 +1,5 @@
-#ifndef WDE_WAVELET_DAUBECHIES_LAGARIAS_HPP_
-#define WDE_WAVELET_DAUBECHIES_LAGARIAS_HPP_
+#ifndef WDE_TESTS_DAUBECHIES_LAGARIAS_HPP_
+#define WDE_TESTS_DAUBECHIES_LAGARIAS_HPP_
 
 #include "wavelet/filter.hpp"
 
@@ -8,11 +8,9 @@ namespace wavelet {
 
 /// Pointwise evaluation of φ and ψ by the Daubechies–Lagarias local
 /// pyramid algorithm (products of the two refinement matrices selected by the
-/// binary digits of the fractional part). Independent of the cascade tables;
-/// used to cross-validate them and wherever exact point values are needed.
-///
-/// Evaluation costs O(digits · L²) per call, so the table-based
-/// `WaveletBasis` is preferred in hot paths.
+/// binary digits of the fractional part). A test oracle, independent of the
+/// cascade tables: wavelet_test cross-validates the tables against it.
+/// Evaluation costs O(digits · L²) per call.
 class DaubechiesLagariasEvaluator {
  public:
   explicit DaubechiesLagariasEvaluator(const WaveletFilter& filter, int digits = 40);
@@ -37,4 +35,4 @@ class DaubechiesLagariasEvaluator {
 }  // namespace wavelet
 }  // namespace wde
 
-#endif  // WDE_WAVELET_DAUBECHIES_LAGARIAS_HPP_
+#endif  // WDE_TESTS_DAUBECHIES_LAGARIAS_HPP_

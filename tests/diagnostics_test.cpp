@@ -77,16 +77,6 @@ TEST(CovarianceDecayTest, Ar1VerdictIsExponential) {
   EXPECT_STREQ(report.Verdict(), "exponential");
 }
 
-TEST(CovarianceDecayTest, SummaryMentionsDecision) {
-  const processes::Ar1GaussianProcess process(0.5);
-  const CovarianceDecayReport report = MeasureCovarianceDecay(
-      [&](stats::Rng& rng) { return process.Path(4000, rng); },
-      [](double x) { return x; }, 5, 2, 17);
-  const std::string summary = report.Summary();
-  EXPECT_NE(summary.find("exp fit"), std::string::npos);
-  EXPECT_NE(summary.find("decay"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace diagnostics
 }  // namespace wde

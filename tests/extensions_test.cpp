@@ -1,19 +1,17 @@
 // Tests for the extension modules: the paper's §4.4 model families
-// (LARCH(∞), ARCH, generic two-sided linear processes), block-bootstrap
-// confidence bands, and the WaveLab-style binned/DWT fast fitting path.
+// (LARCH(∞), ARCH, generic two-sided linear processes) and the
+// WaveLab-style binned/DWT fast fitting path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/binned.hpp"
-#include "core/confidence.hpp"
 #include "core/estimator.hpp"
 #include "processes/arch_process.hpp"
 #include "processes/larch_process.hpp"
 #include "processes/linear_process.hpp"
 #include "processes/target_density.hpp"
 #include "stats/autocovariance.hpp"
-#include "stats/block_bootstrap.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/loss.hpp"
 #include "wavelet/scaled_function.hpp"
@@ -114,97 +112,6 @@ INSTANTIATE_TEST_SUITE_P(
                     processes::TwoSidedLinearProcess::Innovation::kUniform,
                     processes::TwoSidedLinearProcess::Innovation::kBernoulli));
 
-// --------------------------------------------------------------- bootstrap
-
-TEST(BlockBootstrapTest, DefaultBlockLengthRule) {
-  EXPECT_EQ(stats::DefaultBlockLength(1000), 10u);
-  EXPECT_EQ(stats::DefaultBlockLength(1), 1u);
-  EXPECT_EQ(stats::DefaultBlockLength(1024), 11u);
-}
-
-TEST(BlockBootstrapTest, ResamplePreservesLengthAndValues) {
-  const std::vector<double> data{1.0, 2.0, 3.0, 4.0, 5.0};
-  stats::Rng rng(13);
-  const std::vector<double> resample =
-      stats::CircularBlockBootstrapResample(data, 2, rng);
-  EXPECT_EQ(resample.size(), data.size());
-  for (double v : resample) {
-    EXPECT_TRUE(std::find(data.begin(), data.end(), v) != data.end());
-  }
-}
-
-TEST(BlockBootstrapTest, BlocksPreserveAdjacency) {
-  // With block length 3 on strictly increasing data, most consecutive pairs
-  // in the resample differ by exactly 1 (within-block neighbours).
-  std::vector<double> data(100);
-  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<double>(i);
-  stats::Rng rng(17);
-  const std::vector<double> resample =
-      stats::CircularBlockBootstrapResample(data, 3, rng);
-  size_t adjacent = 0;
-  for (size_t i = 0; i + 1 < resample.size(); ++i) {
-    adjacent += (std::fabs(resample[i + 1] - resample[i] - 1.0) < 1e-12 ||
-                 std::fabs(resample[i + 1] - resample[i] + 99.0) < 1e-12);
-  }
-  EXPECT_GT(adjacent, resample.size() / 2);
-}
-
-TEST(ConfidenceBandTest, ValidatesOptions) {
-  const std::vector<double> xs{0.1, 0.5, 0.9};
-  core::ConfidenceBandOptions options;
-  options.resamples = 3;
-  EXPECT_FALSE(core::BootstrapConfidenceBand(Sym8Basis(), xs, options).ok());
-  options = {};
-  options.level = 1.5;
-  EXPECT_FALSE(core::BootstrapConfidenceBand(Sym8Basis(), xs, options).ok());
-}
-
-TEST(ConfidenceBandTest, BandCoversTruthOnIidSample) {
-  const processes::SineUniformMixtureDensity density;
-  stats::Rng rng(19);
-  std::vector<double> xs(1024);
-  for (double& x : xs) x = density.InverseCdf(rng.UniformDouble());
-  core::ConfidenceBandOptions options;
-  options.resamples = 60;
-  options.grid_points = 101;
-  options.level = 0.90;
-  options.block_length = 1;  // iid
-  Result<core::ConfidenceBand> band =
-      core::BootstrapConfidenceBand(Sym8Basis(), xs, options);
-  ASSERT_TRUE(band.ok());
-  EXPECT_EQ(band->grid.size(), 101u);
-  // Band is ordered and non-degenerate.
-  double total_width = 0.0;
-  for (size_t i = 0; i < band->grid.size(); ++i) {
-    EXPECT_LE(band->lower[i], band->upper[i] + 1e-12);
-    total_width += band->upper[i] - band->lower[i];
-  }
-  EXPECT_GT(total_width, 0.0);
-  // Percentile bands inherit smoothing bias, so demand good-but-not-nominal
-  // pointwise coverage of the truth.
-  const std::vector<double> truth = density.PdfOnGrid(101);
-  EXPECT_GT(band->CoverageOf(truth), 0.6);
-  // The center curve is the full-sample fit while the band tracks the
-  // bootstrap distribution (whose mean carries resampling bias), so demand
-  // substantial but not near-total coverage of the center.
-  EXPECT_GT(band->CoverageOf(band->center), 0.6);
-}
-
-TEST(ConfidenceBandTest, WiderBlocksForDependentData) {
-  // Smoke: the band machinery runs with dependent-data block lengths.
-  stats::Rng rng(23);
-  std::vector<double> xs(512);
-  for (double& x : xs) x = rng.UniformDouble();
-  core::ConfidenceBandOptions options;
-  options.resamples = 20;
-  options.grid_points = 33;
-  options.block_length = 0;  // n^{1/3} rule
-  Result<core::ConfidenceBand> band =
-      core::BootstrapConfidenceBand(Sym8Basis(), xs, options);
-  ASSERT_TRUE(band.ok());
-  EXPECT_EQ(band->block_length, 8u);
-}
-
 // ------------------------------------------------------------- binned path
 
 TEST(BinnedFitTest, ValidatesInput) {
@@ -213,6 +120,8 @@ TEST(BinnedFitTest, ValidatesInput) {
   const std::vector<double> xs{0.5};
   EXPECT_FALSE(core::BinnedWaveletFit::Fit(filter, xs, 5, 5).ok());
   EXPECT_FALSE(core::BinnedWaveletFit::Fit(filter, std::vector<double>{2.0}, 2, 8).ok());
+  const std::vector<double> with_nan{0.25, std::nan(""), 0.75};
+  EXPECT_FALSE(core::BinnedWaveletFit::Fit(filter, with_nan, 2, 8).ok());
 }
 
 TEST(BinnedFitTest, LevelEnergiesMatchExactPath) {

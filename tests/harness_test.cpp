@@ -16,22 +16,6 @@ namespace wde {
 namespace harness {
 namespace {
 
-TEST(SummarizeTest, KnownValues) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const SummaryStats s = Summarize(xs);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_NEAR(s.stddev, std::sqrt(5.0 / 3.0), 1e-12);
-}
-
-TEST(SummarizeTest, EmptyInput) {
-  const SummaryStats s = Summarize(std::vector<double>{});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
 TEST(ParallelForTest, CoversAllIndicesOnce) {
   for (int threads : {1, 4}) {
     std::vector<std::atomic<int>> hits(100);
@@ -44,21 +28,14 @@ TEST(ParallelForTest, ZeroCountIsNoop) {
   ParallelFor(0, 4, [](int) { FAIL() << "must not be called"; });
 }
 
-TEST(RunReplicatesTest, DeterministicAcrossThreadCounts) {
-  const auto body = [](stats::Rng& rng, int rep) {
-    return rng.UniformDouble() + rep;
-  };
-  const std::vector<double> serial = RunReplicates(16, 99, 1, body);
-  const std::vector<double> parallel = RunReplicates(16, 99, 4, body);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(RunReplicatesTest, RepsGetDistinctStreams) {
-  const std::vector<double> values =
-      RunReplicates(8, 7, 1, [](stats::Rng& rng, int) { return rng.UniformDouble(); });
-  for (size_t i = 0; i < values.size(); ++i) {
-    for (size_t j = i + 1; j < values.size(); ++j) {
-      EXPECT_NE(values[i], values[j]);
+TEST(CollectCurvesTest, RepsGetDistinctStreams) {
+  const std::vector<std::vector<double>> rows = CollectCurves(
+      8, 7, 1, 1, [](stats::Rng& rng, int) {
+        return std::vector<double>{rng.UniformDouble()};
+      });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = i + 1; j < rows.size(); ++j) {
+      EXPECT_NE(rows[i][0], rows[j][0]);
     }
   }
 }

@@ -39,8 +39,8 @@ double CaseMise(harness::DependenceCase c, core::ThresholdKind kind, int reps,
   auto density = std::make_shared<const processes::SineUniformMixtureDensity>();
   const processes::TransformedProcess process = harness::MakeCase(c, density);
   const std::vector<double> truth = density->PdfOnGrid(513);
-  const std::vector<double> ises = harness::RunReplicates(
-      reps, /*seed=*/2024, /*threads=*/1, [&](stats::Rng& rng, int) {
+  const std::vector<double> mise = harness::MeanCurve(
+      reps, /*seed=*/2024, /*threads=*/1, /*dim=*/1, [&](stats::Rng& rng, int) {
         const std::vector<double> xs = process.Sample(n, rng);
         core::AdaptiveOptions options;
         options.kind = kind;
@@ -48,9 +48,10 @@ double CaseMise(harness::DependenceCase c, core::ThresholdKind kind, int reps,
             core::FitAdaptive(Sym8Basis(), xs, options);
         WDE_CHECK(fit.ok());
         const std::vector<double> est = fit->estimate.EvaluateOnGrid(0.0, 1.0, 513);
-        return stats::IntegratedSquaredError(est, truth, 1.0 / 512.0);
+        return std::vector<double>{
+            stats::IntegratedSquaredError(est, truth, 1.0 / 512.0)};
       });
-  return harness::Summarize(ises).mean;
+  return mise[0];
 }
 
 TEST(PaperPipelineTest, MiseIsSmallAndComparableAcrossCases) {

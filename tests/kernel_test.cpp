@@ -532,15 +532,6 @@ TEST(BandwidthTest, SortedRuleOfThumbOrZeroAgreesWhereTheCheckedOneFits) {
   EXPECT_EQ(internal::RuleOfThumbBandwidthSortedOrZero(xs), 0.0);
 }
 
-TEST(BandwidthTest, SilvermanCloseToRuleOfThumbOnGaussian) {
-  stats::Rng rng(13);
-  std::vector<double> xs(5000);
-  for (double& x : xs) x = rng.Gaussian();
-  const double rot = RuleOfThumbBandwidth(xs);
-  const double silverman = SilvermanBandwidth(xs);
-  EXPECT_NEAR(silverman / rot, 0.85, 0.15);  // both ~ c·σ·n^{-1/5}
-}
-
 TEST(BandwidthTest, LscvCriterionMatchesBruteForce) {
   stats::Rng rng(17);
   std::vector<double> xs(60);

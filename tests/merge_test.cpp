@@ -1,5 +1,5 @@
 // Tests for the mergeability contract (PR 3): the core merge algebra on
-// coefficient accumulators and binned fits (associativity, commutativity,
+// coefficient accumulators (associativity, commutativity,
 // empty merges, incompatibility rejection), the selectivity-layer
 // CloneEmpty/MergeFrom capabilities, and the ShardedSelectivityEstimator's
 // determinism contract — fixed-K results bit-identical across pool sizes,
@@ -9,7 +9,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/binned.hpp"
 #include "core/coefficients.hpp"
 #include "core/cross_validation.hpp"
 #include "core/estimator.hpp"
@@ -182,44 +181,6 @@ TEST(CoefficientMergeTest, RejectsIncompatibleLevelRangeAndFilter) {
   EXPECT_EQ(base.count(), 0u);
 }
 
-// ------------------------------------------------------- BinnedWaveletFit
-
-TEST(BinnedMergeTest, MergeIsBitIdenticalToOneShotFit) {
-  const std::vector<double> xs = UnitStream(5, 4096);
-  const std::span<const double> all(xs);
-  const wavelet::WaveletFilter filter = *wavelet::WaveletFilter::Symmlet(8);
-  core::BinnedWaveletFit full = *core::BinnedWaveletFit::Fit(filter, xs, 2, 9);
-  core::BinnedWaveletFit left =
-      *core::BinnedWaveletFit::Fit(filter, all.first(1700), 2, 9);
-  const core::BinnedWaveletFit right =
-      *core::BinnedWaveletFit::Fit(filter, all.subspan(1700), 2, 9);
-  ASSERT_TRUE(left.Merge(right).ok());
-  ASSERT_EQ(left.count(), full.count());
-  for (int k = 0; k < 4; ++k) EXPECT_EQ(left.AlphaHat(k), full.AlphaHat(k));
-  for (int j = 2; j < 9; ++j) {
-    for (int k = 0; k < (1 << j); ++k) {
-      EXPECT_EQ(left.BetaHat(j, k), full.BetaHat(j, k)) << "j=" << j << " k=" << k;
-    }
-  }
-}
-
-TEST(BinnedMergeTest, RejectsIncompatibleFits) {
-  const std::vector<double> xs = UnitStream(6, 512);
-  const wavelet::WaveletFilter sym8 = *wavelet::WaveletFilter::Symmlet(8);
-  const wavelet::WaveletFilter haar = wavelet::WaveletFilter::Haar();
-  core::BinnedWaveletFit base = *core::BinnedWaveletFit::Fit(sym8, xs, 2, 9);
-  const core::BinnedWaveletFit other_levels =
-      *core::BinnedWaveletFit::Fit(sym8, xs, 2, 8);
-  const core::BinnedWaveletFit other_filter =
-      *core::BinnedWaveletFit::Fit(haar, xs, 2, 9);
-  const core::BinnedWaveletFit other_domain =
-      *core::BinnedWaveletFit::Fit(sym8, xs, 2, 9, 0.0, 2.0);
-  EXPECT_FALSE(base.Merge(other_levels).ok());
-  EXPECT_FALSE(base.Merge(other_filter).ok());
-  EXPECT_FALSE(base.Merge(other_domain).ok());
-  EXPECT_EQ(base.count(), xs.size());
-}
-
 // ------------------------------------------- WaveletDensityFit + rebuild
 
 TEST(FitMergeTest, EstimateFromMergedFitMatchesFullFit) {
@@ -387,9 +348,6 @@ TEST(SelectivityMergeTest, SelfMergeIsRejectedEverywhere) {
   coeffs.AddAll(xs);
   EXPECT_FALSE(coeffs.Merge(coeffs).ok());
   EXPECT_EQ(coeffs.count(), xs.size());
-  core::BinnedWaveletFit binned =
-      *core::BinnedWaveletFit::Fit(*wavelet::WaveletFilter::Symmlet(8), xs, 2, 6);
-  EXPECT_FALSE(binned.Merge(binned).ok());
   core::WaveletDensityFit fit =
       *core::WaveletDensityFit::CreateStreaming(Sym8Basis(), 2, 5);
   fit.AddBatch(xs);

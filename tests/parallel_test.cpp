@@ -144,15 +144,16 @@ TEST(ThreadPoolTest, ResultsIdenticalAcrossPoolAndWidth) {
   EXPECT_EQ(baseline, fill(wide, 3));
 }
 
-TEST(HarnessOnPoolTest, RunReplicatesIdenticalForAnyThreadCount) {
-  // RunReplicates now executes on the shared pool; the (seed, r) forking
+TEST(HarnessOnPoolTest, CollectCurvesIdenticalForAnyThreadCount) {
+  // CollectCurves executes on the shared pool; the (seed, r) forking
   // contract must keep results bit-identical for any `threads` value.
   const auto body = [](stats::Rng& rng, int rep) {
-    return rng.Gaussian() + static_cast<double>(rep);
+    return std::vector<double>{rng.Gaussian() + static_cast<double>(rep)};
   };
-  const std::vector<double> serial = harness::RunReplicates(64, 7, 1, body);
-  EXPECT_EQ(serial, harness::RunReplicates(64, 7, 2, body));
-  EXPECT_EQ(serial, harness::RunReplicates(64, 7, 8, body));
+  const std::vector<std::vector<double>> serial =
+      harness::CollectCurves(64, 7, 1, 1, body);
+  EXPECT_EQ(serial, harness::CollectCurves(64, 7, 2, 1, body));
+  EXPECT_EQ(serial, harness::CollectCurves(64, 7, 8, 1, body));
 }
 
 TEST(HarnessOnPoolTest, MeanCurveIdenticalForAnyThreadCount) {

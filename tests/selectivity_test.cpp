@@ -201,7 +201,6 @@ TEST(StreamingWaveletTest, EmptySketchReturnsZero) {
       StreamingWaveletSelectivity::Create(Sym8Basis(), options);
   ASSERT_TRUE(sketch.ok());
   EXPECT_DOUBLE_EQ(sketch->Answer(Query::Range(0.1, 0.9)), 0.0);
-  EXPECT_DOUBLE_EQ(sketch->EstimateDensity(0.5), 0.0);
 }
 
 TEST(StreamingWaveletTest, ClampsDirtyInput) {

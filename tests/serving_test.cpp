@@ -117,7 +117,7 @@ TEST(EstimatorServiceTest, InsertPacedPublishFiresExactlyAtTheInterval) {
   const std::vector<double> xs = UnitStream(7, 999);
   service->InsertBatch(xs);
   EXPECT_EQ(service->epoch(), 1u);  // one short of the pacing budget
-  service->Insert(0.5);
+  service->InsertBatch(std::vector<double>{0.5});
   EXPECT_EQ(service->epoch(), 2u);
   // The published view contains everything admitted before the publish.
   EXPECT_EQ(service->CurrentView().estimator->count(), 1000u);
@@ -128,10 +128,12 @@ TEST(EstimatorServiceTest, StalenessBudgetPublishesOnNextAdmission) {
   options.publish_interval = 0;
   options.max_staleness_ms = 1;
   std::unique_ptr<serving::EstimatorService> service = MakeService(options);
-  service->Insert(0.25);  // within budget: epoch may or may not have advanced
+  // Within budget: the epoch may or may not have advanced.
+  service->InsertBatch(std::vector<double>{0.25});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const uint64_t before = service->epoch();
-  service->Insert(0.75);  // view is now over budget: must publish
+  // The view is now over budget: this admission must publish.
+  service->InsertBatch(std::vector<double>{0.75});
   EXPECT_GT(service->epoch(), before);
 }
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -23,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "core/binned.hpp"
 #include "core/coefficients.hpp"
+#include "core/cross_validation.hpp"
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
 #include "selectivity/estimator_registry.hpp"
@@ -395,24 +396,6 @@ TEST(CoreSnapshotTest, EmpiricalCoefficientsRoundTripBitExactly) {
   // The restored accumulator is merge-compatible with a live one: the basis
   // identity survived the round trip.
   EXPECT_TRUE(restored->Merge(coeffs).ok());
-}
-
-TEST(CoreSnapshotTest, BinnedFitRoundTripsBinCountsBitExactly) {
-  const std::vector<double> xs = UnitStream(3, 4096);
-  core::BinnedWaveletFit fit =
-      *core::BinnedWaveletFit::Fit(*wavelet::WaveletFilter::Symmlet(8), xs, 2, 9);
-  io::VectorSink sink;
-  ASSERT_TRUE(fit.Serialize(sink).ok());
-  io::SpanSource source(sink.bytes());
-  Result<core::BinnedWaveletFit> restored = core::BinnedWaveletFit::Deserialize(source);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->count(), fit.count());
-  for (int j = 2; j < 9; ++j) {
-    for (int k = 0; k < (1 << j); ++k) {
-      EXPECT_EQ(restored->BetaHat(j, k), fit.BetaHat(j, k)) << "j=" << j << " k=" << k;
-    }
-  }
-  EXPECT_TRUE(restored->Merge(fit).ok());
 }
 
 // ----------------------------------------------- estimator round trips
@@ -860,6 +843,114 @@ TEST(SnapshotValidationTest, RawObservationLoadersRejectNonFiniteAndOutOfDomainV
       EXPECT_EQ(target.count(), count_before) << tag << " was touched";
       EXPECT_EQ(AnswersOf(target, queries), before) << tag << " was touched";
     }
+  }
+}
+
+/// `bytes` of a fitted wavelet-cv snapshot over `levels` detail levels with
+/// `mutate` applied to the cross-validation result that ends its state
+/// payload; re-framed with a valid CRC.
+std::vector<uint8_t> WithCvResult(
+    const std::vector<uint8_t>& bytes, int levels,
+    const std::function<void(core::CrossValidationResult&)>& mutate) {
+  SplitSnapshot split = Split(bytes);
+  // has_cv, then kind, j0, j_star, j1_hat, the level count and per level
+  // j, λ̂, CV value, kept, total and the largest magnitude.
+  constexpr size_t kLevelBytes = 4 + 8 + 8 + 4 + 4 + 8;
+  const size_t cv_at =
+      split.state.size() - (1 + 4 + 4 + 4 + 8) - kLevelBytes * static_cast<size_t>(levels);
+  WDE_CHECK_EQ(split.state[cv_at - 1], 1u, "the snapshot must carry a CV result");
+  io::SpanSource source(std::span(split.state).subspan(cv_at));
+  core::CrossValidationResult cv;
+  cv.kind = static_cast<core::ThresholdKind>(*io::ReadU8(source));
+  cv.j0 = *io::ReadI32(source);
+  cv.j_star = *io::ReadI32(source);
+  cv.j1_hat = *io::ReadI32(source);
+  WDE_CHECK_EQ(*io::ReadU64(source), static_cast<uint64_t>(levels));
+  for (int i = 0; i < levels; ++i) {
+    core::LevelCvResult level;
+    level.j = *io::ReadI32(source);
+    level.lambda_hat = *io::ReadDouble(source);
+    level.cv_value = *io::ReadDouble(source);
+    level.kept = *io::ReadI32(source);
+    level.total = *io::ReadI32(source);
+    level.max_magnitude = *io::ReadDouble(source);
+    cv.levels.push_back(level);
+  }
+  WDE_CHECK_EQ(source.remaining(), 0u);
+  mutate(cv);
+  io::VectorSink sink;
+  WDE_CHECK_OK(io::WriteU8(sink, static_cast<uint8_t>(cv.kind)));
+  WDE_CHECK_OK(io::WriteI32(sink, cv.j0));
+  WDE_CHECK_OK(io::WriteI32(sink, cv.j_star));
+  WDE_CHECK_OK(io::WriteI32(sink, cv.j1_hat));
+  WDE_CHECK_OK(io::WriteU64(sink, cv.levels.size()));
+  for (const core::LevelCvResult& level : cv.levels) {
+    WDE_CHECK_OK(io::WriteI32(sink, level.j));
+    WDE_CHECK_OK(io::WriteDouble(sink, level.lambda_hat));
+    WDE_CHECK_OK(io::WriteDouble(sink, level.cv_value));
+    WDE_CHECK_OK(io::WriteI32(sink, level.kept));
+    WDE_CHECK_OK(io::WriteI32(sink, level.total));
+    WDE_CHECK_OK(io::WriteDouble(sink, level.max_magnitude));
+  }
+  split.state.resize(cv_at);
+  split.state.insert(split.state.end(), sink.bytes().begin(), sink.bytes().end());
+  return Reframe(split, split.state);
+}
+
+TEST(SnapshotValidationTest, WaveletCvRestoreRejectsACvResultThatDoesNotFitTheSketch) {
+  // A restored CV result is read through Level(j), which indexes
+  // levels[j - j0] for any j in [j0, j_star]. A CRC-valid payload whose CV
+  // result disagrees with the fit (here j0 = 2, j_star = 11: ten levels) is
+  // corrupt, and a rejected load leaves the target untouched.
+  constexpr int kLevels = 10;
+  const std::vector<Query> queries = Workload();
+  selectivity::StreamingWaveletSelectivity est = MakeSketch(1024, Sym8Basis(), 11);
+  est.InsertBatch(UnitStream(43, 3000));
+  AnswersOf(est, queries);  // fit, so the snapshot carries a CV result
+  const std::vector<uint8_t> bytes = SnapshotBytesOf(est);
+  ASSERT_EQ(WithCvResult(bytes, kLevels, [](core::CrossValidationResult&) {}), bytes);
+
+  using Mutation = std::function<void(core::CrossValidationResult&)>;
+  const std::vector<Mutation> mutations = {
+      // j_star = 12 over the ten levels of [2, 11]: Level(12) would read
+      // levels[10].
+      [](core::CrossValidationResult& cv) { cv.j_star += 1; },
+      // A well-formed result for [2, 12]: the fit has no level 12.
+      [](core::CrossValidationResult& cv) {
+        cv.levels.push_back(cv.levels.back());
+        cv.levels.back().j = ++cv.j_star;
+      },
+      // A well-formed result for [3, 11].
+      [](core::CrossValidationResult& cv) {
+        cv.levels.erase(cv.levels.begin());
+        ++cv.j0;
+      },
+      [](core::CrossValidationResult& cv) { cv.levels.pop_back(); },
+      [](core::CrossValidationResult& cv) { cv.levels[1].j = cv.levels[0].j; },
+      [](core::CrossValidationResult& cv) {
+        cv.kind = cv.kind == core::ThresholdKind::kSoft ? core::ThresholdKind::kHard
+                                                        : core::ThresholdKind::kSoft;
+      },
+      [](core::CrossValidationResult& cv) { cv.j1_hat = cv.j_star + 1; },
+      [](core::CrossValidationResult& cv) {
+        cv.levels[0].kept = cv.levels[0].total + 1;
+      },
+      [](core::CrossValidationResult& cv) { cv.levels[0].kept = -1; },
+  };
+  selectivity::StreamingWaveletSelectivity target = MakeSketch(1024, Sym8Basis(), 11);
+  target.InsertBatch(UnitStream(44, 500));
+  const std::vector<double> before = AnswersOf(target, queries);
+  for (size_t m = 0; m < mutations.size(); ++m) {
+    const std::vector<uint8_t> corrupt = WithCvResult(bytes, kLevels, mutations[m]);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded = Load(corrupt);
+    ASSERT_FALSE(loaded.ok()) << "mutation " << m;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << "mutation " << m;
+
+    io::SpanSource source(corrupt);
+    ASSERT_TRUE(io::ReadSnapshotHeader(source).ok());
+    EXPECT_FALSE(target.LoadState(source).ok()) << "mutation " << m;
+    EXPECT_EQ(target.count(), 500u) << "mutation " << m;
+    EXPECT_EQ(AnswersOf(target, queries), before) << "mutation " << m;
   }
 }
 

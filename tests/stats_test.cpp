@@ -96,14 +96,6 @@ TEST(RngTest, UniformIntIsUnbiased) {
   for (int c : counts) EXPECT_NEAR(static_cast<double>(c), 10000.0, 450.0);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(23);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.01);
-}
-
 // ------------------------------------------------------------- descriptive
 
 TEST(DescriptiveTest, MeanVarianceKnown) {
@@ -111,8 +103,6 @@ TEST(DescriptiveTest, MeanVarianceKnown) {
   EXPECT_DOUBLE_EQ(Mean(xs), 5.0);
   EXPECT_NEAR(Variance(xs), 32.0 / 7.0, 1e-12);
   EXPECT_NEAR(StdDev(xs), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(Min(xs), 2.0);
-  EXPECT_DOUBLE_EQ(Max(xs), 9.0);
 }
 
 TEST(DescriptiveTest, VarianceOfSingleton) {
@@ -141,7 +131,6 @@ TEST(DescriptiveTest, QuantileMatlabConvention) {
 TEST(DescriptiveTest, QuantileUnsortedInput) {
   const std::vector<double> xs{5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_NEAR(Quantile(xs, 0.5), 3.0, 1e-12);
-  EXPECT_NEAR(Median(xs), 3.0, 1e-12);
 }
 
 TEST(DescriptiveTest, IqrMatlab) {
@@ -150,15 +139,6 @@ TEST(DescriptiveTest, IqrMatlab) {
 }
 
 // ---------------------------------------------------------------- empirical
-
-TEST(EcdfTest, StepValues) {
-  const std::vector<double> xs{1.0, 2.0, 2.0, 3.0};
-  Ecdf ecdf(xs);
-  EXPECT_DOUBLE_EQ(ecdf.Evaluate(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(ecdf.Evaluate(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(ecdf.Evaluate(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(ecdf.Evaluate(10.0), 1.0);
-}
 
 TEST(KsTest, ZeroForPerfectFit) {
   // Sample at the exact quantiles of U[0,1]: KS = 1/(2n).
@@ -175,17 +155,6 @@ TEST(KsTest, DetectsWrongDistribution) {
   for (double& x : xs) x = rng.UniformDouble() * rng.UniformDouble();  // not uniform
   const double d = KolmogorovSmirnovDistance(xs, [](double x) { return x; });
   EXPECT_GT(d, 0.1);
-}
-
-TEST(KsTest, TwoSampleAgreesForIdenticalSamples) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(KolmogorovSmirnovDistance(a, a), 0.0);
-}
-
-TEST(KsTest, TwoSampleDisjointSamplesGiveOne) {
-  const std::vector<double> a{1.0, 2.0};
-  const std::vector<double> b{10.0, 20.0};
-  EXPECT_DOUBLE_EQ(KolmogorovSmirnovDistance(a, b), 1.0);
 }
 
 // ------------------------------------------------------------ autocovariance
@@ -238,12 +207,6 @@ TEST(LossTest, LpErrorPowScalesCorrectly) {
   // ∫ |2|^p = 2^p over a unit interval.
   EXPECT_NEAR(LpErrorPow(est, tru, 0.01, 1.0), 2.0, 1e-12);
   EXPECT_NEAR(LpErrorPow(est, tru, 0.01, 3.0), 8.0, 1e-12);
-}
-
-TEST(LossTest, SupError) {
-  const std::vector<double> est{0.0, 2.0, 0.0};
-  const std::vector<double> tru{0.0, 0.0, 1.0};
-  EXPECT_DOUBLE_EQ(SupError(est, tru), 2.0);
 }
 
 }  // namespace

@@ -74,12 +74,6 @@ TEST(StringUtilTest, FormatLongStrings) {
   EXPECT_EQ(Format("%s!", long_str.c_str()).size(), 501u);
 }
 
-TEST(StringUtilTest, Join) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
-}
-
 TEST(StringUtilTest, EnvIntFallbacks) {
   ::unsetenv("WDE_TEST_ENV_INT");
   EXPECT_EQ(EnvInt("WDE_TEST_ENV_INT", 5), 5);
@@ -88,14 +82,6 @@ TEST(StringUtilTest, EnvIntFallbacks) {
   ::setenv("WDE_TEST_ENV_INT", "garbage", 1);
   EXPECT_EQ(EnvInt("WDE_TEST_ENV_INT", 5), 5);
   ::unsetenv("WDE_TEST_ENV_INT");
-}
-
-TEST(StringUtilTest, EnvDoubleFallbacks) {
-  ::unsetenv("WDE_TEST_ENV_DBL");
-  EXPECT_DOUBLE_EQ(EnvDouble("WDE_TEST_ENV_DBL", 2.5), 2.5);
-  ::setenv("WDE_TEST_ENV_DBL", "0.125", 1);
-  EXPECT_DOUBLE_EQ(EnvDouble("WDE_TEST_ENV_DBL", 2.5), 0.125);
-  ::unsetenv("WDE_TEST_ENV_DBL");
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "daubechies_lagarias.hpp"
 #include "numerics/integration.hpp"
 #include "stats/rng.hpp"
 #include "util/string_util.hpp"
 #include "wavelet/cascade.hpp"
-#include "wavelet/daubechies_lagarias.hpp"
 #include "wavelet/dwt.hpp"
 #include "wavelet/filter.hpp"
 #include "wavelet/scaled_function.hpp"
