@@ -114,6 +114,46 @@ double BestOfSeconds(size_t repeats, Fn&& fn) {
   return best;
 }
 
+/// Each side's best pass and the median of the per-pair ratios
+/// time(a) / time(b).
+struct PairedTimes {
+  double best_a = 0.0;
+  double best_b = 0.0;
+  double median_ratio = 1.0;
+};
+
+/// Times `a` and `b` in `pairs` interleaved pairs, alternating which runs
+/// first (AB, BA, AB, ...), so host noise that drifts over a second moves
+/// both sides of a pair alike. Gate the median ratio, not a ratio of two
+/// separate best-of timings; an odd `pairs` makes the median one pair's.
+template <class A, class B>
+PairedTimes TimePaired(size_t pairs, A&& a, B&& b) {
+  const auto time = [](auto& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return SecondsSince(start);
+  };
+  PairedTimes out;
+  out.best_a = out.best_b = std::numeric_limits<double>::infinity();
+  std::vector<double> ratios;
+  for (size_t p = 0; p < pairs; ++p) {
+    double ta = 0.0, tb = 0.0;
+    if (p % 2 == 0) {
+      ta = time(a);
+      tb = time(b);
+    } else {
+      tb = time(b);
+      ta = time(a);
+    }
+    out.best_a = std::min(out.best_a, ta);
+    out.best_b = std::min(out.best_b, tb);
+    ratios.push_back(ta / tb);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2, ratios.end());
+  out.median_ratio = ratios[ratios.size() / 2];
+  return out;
+}
+
 inline const char* CompilerVersion() {
 #if defined(__VERSION__)
   return "" __VERSION__;

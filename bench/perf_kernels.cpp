@@ -84,43 +84,8 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
 /// Interleaved pairs per paired row: odd, so the median is one pair's ratio.
 constexpr size_t kPairs = 11;
 
-/// Each side's best pass and the median of the per-pair ratios
-/// time(a) / time(b).
-struct PairedTimes {
-  double best_a = 0.0;
-  double best_b = 0.0;
-  double median_ratio = 1.0;
-};
-
-/// Times `a` and `b` in `pairs` interleaved pairs, alternating which runs
-/// first.
-template <class A, class B>
-PairedTimes TimePaired(size_t pairs, A&& a, B&& b) {
-  const auto time = [](auto& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return bench::perf::SecondsSince(start);
-  };
-  PairedTimes out;
-  out.best_a = out.best_b = std::numeric_limits<double>::infinity();
-  std::vector<double> ratios;
-  for (size_t p = 0; p < pairs; ++p) {
-    double ta = 0.0, tb = 0.0;
-    if (p % 2 == 0) {
-      ta = time(a);
-      tb = time(b);
-    } else {
-      tb = time(b);
-      ta = time(a);
-    }
-    out.best_a = std::min(out.best_a, ta);
-    out.best_b = std::min(out.best_b, tb);
-    ratios.push_back(ta / tb);
-  }
-  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2, ratios.end());
-  out.median_ratio = ratios[ratios.size() / 2];
-  return out;
-}
+using bench::perf::PairedTimes;
+using bench::perf::TimePaired;
 
 double MaxAbsError(const std::vector<double>& got, const std::vector<double>& want) {
   double max_abs = 0.0;

@@ -8,10 +8,14 @@
 // saved one and re-save to the very same bytes.
 //
 // RSS deltas come from /proc/self/status VmHWM around a clear_refs peak
-// reset — Linux-only, reported as 0 elsewhere. Plain steady_clock timing,
-// best of --repeats runs.
+// reset — Linux-only, reported as 0 elsewhere. Plain steady_clock timing:
+// save and load run in --repeats interleaved pairs of passes (save, load;
+// load, save; ...), each pass several saves or loads long so that it lasts
+// at least about 2 ms. The JSON seconds are each direction's best pass
+// divided by its operations; `load_save_ratio` is the median of the
+// per-pair load/save ratios.
 //
-// Usage: perf_snapshot [--n=200000] [--queries=256] [--repeats=5]
+// Usage: perf_snapshot [--n=200000] [--queries=256] [--repeats=11]
 //                      [--out=BENCH_snapshot.json] [--check]
 //
 // The rows are one instance of every 1-D tag, plus a second sharded row
@@ -21,11 +25,13 @@
 // --check: exit 1 if any estimator fails to round-trip bit-identically —
 // the fidelity contract at bench scale, not just test sizes — if a wavelet
 // row (the sketch or the sharded sketch) loads in more than twice its save
-// time: a restore finds its filter and basis tables already built, so it
-// parses and copies, nothing more — or if kde-rot's file save peaks at a
+// time (median per-pair ratio): a restore finds its filter and basis tables
+// already built, so it parses and copies, nothing more — or if kde-rot's
+// file save peaks at a
 // quarter of its snapshot size or more: a save streams the state chunk to
 // the file and buffers no payload.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -169,8 +175,10 @@ struct Row {
   std::string tag;
   std::string name;
   size_t bytes = 0;
+  size_t ops_per_pass = 1;  // saves (or loads) per timed pass
   double save_seconds = 0.0;
   double load_seconds = 0.0;
+  double load_save_ratio = 0.0;  // median of the per-pair ratios
   size_t save_peak_rss_bytes = 0;
   size_t load_peak_rss_bytes = 0;
   bool roundtrip_bit_identical = false;  // restored answers + re-saved bytes
@@ -178,6 +186,25 @@ struct Row {
 
 double MbPerS(size_t bytes, double seconds) {
   return static_cast<double>(bytes) / 1e6 / seconds;
+}
+
+/// Shortest timed pass worth gating: a ratio of two passes of tens of
+/// microseconds moves with host noise, one of milliseconds does not.
+constexpr double kMinPassSeconds = 2e-3;
+constexpr size_t kMaxOpsPerPass = 4096;
+
+/// Operations per pass: as many runs of `op` as fill kMinPassSeconds,
+/// counted after one warm-up run, at least 1 and at most kMaxOpsPerPass.
+template <typename Fn>
+size_t OpsPerPass(Fn&& op) {
+  op();
+  const auto start = std::chrono::steady_clock::now();
+  size_t ops = 0;
+  do {
+    op();
+    ++ops;
+  } while (ops < kMaxOpsPerPass && bench::perf::SecondsSince(start) < kMinPassSeconds);
+  return ops;
 }
 
 }  // namespace
@@ -190,7 +217,7 @@ int main(int argc, char** argv) {
   }
   const size_t n = ArgSize(argc, argv, "n", 200000);
   const size_t query_count = ArgSize(argc, argv, "queries", 256);
-  const size_t repeats = std::max<size_t>(1, ArgSize(argc, argv, "repeats", 5));
+  const size_t repeats = std::max<size_t>(1, ArgSize(argc, argv, "repeats", 11));
   const std::string out_path =
       ArgString(argc, argv, "out", "BENCH_snapshot.json");
 
@@ -214,26 +241,39 @@ int main(int argc, char** argv) {
     row.name = estimator->name();
 
     std::vector<uint8_t> bytes;
-    row.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
+    const auto save = [&] {
       io::VectorSink sink;
       WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(*estimator, sink));
       bytes = sink.TakeBytes();
-    });
-    row.bytes = bytes.size();
-    row.save_peak_rss_bytes = PeakRssDeltaOf([&] {
-      WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFile(*estimator, save_path));
-    });
-    std::remove(save_path.c_str());
-
+    };
     std::unique_ptr<selectivity::SelectivityEstimator> restored;
-    row.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
+    const auto load = [&] {
       restored.reset();  // one restored estimator alive at a time
       io::SpanSource source(bytes);
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
           selectivity::LoadEstimatorSnapshot(source);
       WDE_CHECK(loaded.ok(), loaded.status().ToString().c_str());
       restored = std::move(loaded).value();
+    };
+    row.ops_per_pass = OpsPerPass(save);
+    load();
+    const bench::perf::PairedTimes times = bench::perf::TimePaired(
+        repeats,
+        [&] {
+          for (size_t i = 0; i < row.ops_per_pass; ++i) load();
+        },
+        [&] {
+          for (size_t i = 0; i < row.ops_per_pass; ++i) save();
+        });
+    const double ops = static_cast<double>(row.ops_per_pass);
+    row.load_seconds = times.best_a / ops;
+    row.save_seconds = times.best_b / ops;
+    row.load_save_ratio = times.median_ratio;
+    row.bytes = bytes.size();
+    row.save_peak_rss_bytes = PeakRssDeltaOf([&] {
+      WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFile(*estimator, save_path));
     });
+    std::remove(save_path.c_str());
 
     std::vector<double> after(queries.size());
     restored->Answer(queries, after);
@@ -255,10 +295,10 @@ int main(int argc, char** argv) {
     rows.push_back(row);
     std::printf(
         "%-28s %9zu B  save %8.3f ms (%8.1f MB/s)  load %8.3f ms (%8.1f MB/s)  "
-        "rss save %5.1f load %5.1f MB | %s\n",
+        "load/save %5.2f  rss save %5.1f load %5.1f MB | %s\n",
         row.name.c_str(), row.bytes, row.save_seconds * 1e3,
         MbPerS(row.bytes, row.save_seconds), row.load_seconds * 1e3,
-        MbPerS(row.bytes, row.load_seconds),
+        MbPerS(row.bytes, row.load_seconds), row.load_save_ratio,
         static_cast<double>(row.save_peak_rss_bytes) / 1e6,
         static_cast<double>(row.load_peak_rss_bytes) / 1e6,
         row.roundtrip_bit_identical ? "bit-identical" : "MISMATCH");
@@ -279,11 +319,12 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "     \"bytes\": %zu, \"save_seconds\": %.6e, "
                  "\"save_mb_per_s\": %.1f, \"load_seconds\": %.6e, "
-                 "\"load_mb_per_s\": %.1f, \"save_peak_rss_bytes\": %zu, "
+                 "\"load_mb_per_s\": %.1f, \"ops_per_pass\": %zu, "
+                 "\"load_save_ratio\": %.3f, \"save_peak_rss_bytes\": %zu, "
                  "\"load_peak_rss_bytes\": %zu,\n",
                  row.bytes, row.save_seconds, MbPerS(row.bytes, row.save_seconds),
-                 row.load_seconds, MbPerS(row.bytes, row.load_seconds),
-                 row.save_peak_rss_bytes, row.load_peak_rss_bytes);
+                 row.load_seconds, MbPerS(row.bytes, row.load_seconds), row.ops_per_pass,
+                 row.load_save_ratio, row.save_peak_rss_bytes, row.load_peak_rss_bytes);
     std::fprintf(out, "     \"roundtrip_bit_identical\": %s}%s\n",
                  row.roundtrip_bit_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
@@ -305,11 +346,13 @@ int main(int argc, char** argv) {
       // filter and no basis on load while one is alive, so a load costs
       // about what a save does.
       if (row.name.find("wavelet") != std::string::npos &&
-          row.load_seconds > 2.0 * row.save_seconds) {
+          row.load_save_ratio > 2.0) {
         std::fprintf(stderr,
-                     "CHECK FAILED: %s loaded in %.3f ms, more than twice its "
-                     "%.3f ms save\n",
-                     row.name.c_str(), row.load_seconds * 1e3, row.save_seconds * 1e3);
+                     "CHECK FAILED: %s loaded in %.2f times its save time "
+                     "(median of %zu interleaved pairs; best %.3f against "
+                     "%.3f ms)\n",
+                     row.name.c_str(), row.load_save_ratio, repeats,
+                     row.load_seconds * 1e3, row.save_seconds * 1e3);
         ++violations;
       }
       if (row.tag == "kde-rot" && row.save_peak_rss_bytes * 4 >= row.bytes) {

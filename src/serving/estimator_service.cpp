@@ -28,12 +28,7 @@ EstimatorService::EstimatorService(
     : options_(options),
       writer_(std::move(writer)),
       last_publish_(std::chrono::steady_clock::now()),
-      service_id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)) {
-  if (options_.cache_shards != 0) {
-    cache_ = std::make_unique<QueryResultCache>(options_.cache_shards,
-                                                options_.cache_slots_per_shard);
-  }
-}
+      service_id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
     std::unique_ptr<selectivity::SelectivityEstimator> writer,
@@ -45,10 +40,6 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
     return Status::FailedPrecondition(
         writer->name() +
         " does not support snapshots and cannot checkpoint");
-  }
-  if (options.cache_shards != 0 && options.cache_slots_per_shard == 0) {
-    return Status::InvalidArgument(
-        "cache_slots_per_shard must be positive when the cache is enabled");
   }
   if (options.max_staleness_ms < 0) {
     return Status::InvalidArgument("max_staleness_ms must be non-negative");
@@ -154,42 +145,7 @@ EstimatorService::View EstimatorService::CurrentView() const {
 void EstimatorService::Answer(std::span<const selectivity::Query> queries,
                               std::span<double> out) const {
   WDE_CHECK(queries.size() == out.size(), "Answer spans must match");
-  if (queries.empty()) return;
-  const View view = AcquireView();
-  const selectivity::SelectivityEstimator& estimator = *view.estimator;
-  if (cache_ == nullptr) {
-    estimator.Answer(queries, out);
-    return;
-  }
-  const uint64_t epoch = view.epoch;
-  // Probe the cache; the batch's misses are admitted to the view as ONE
-  // batched Answer() call below. Bit-identity with the cache-off path holds
-  // because per-query answers are independent of batch composition (the
-  // batch ≡ scalar contract) and cached values were computed from the same
-  // frozen epoch view.
-  std::vector<size_t> miss_index;
-  miss_index.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!cache_->Lookup(queries[i], epoch, &out[i])) miss_index.push_back(i);
-  }
-  if (miss_index.empty()) return;
-  if (miss_index.size() == queries.size()) {
-    estimator.Answer(queries, out);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      cache_->Insert(queries[i], epoch, out[i]);
-    }
-    return;
-  }
-  std::vector<selectivity::Query> miss_queries(miss_index.size());
-  std::vector<double> miss_values(miss_index.size());
-  for (size_t m = 0; m < miss_index.size(); ++m) {
-    miss_queries[m] = queries[miss_index[m]];
-  }
-  estimator.Answer(miss_queries, miss_values);
-  for (size_t m = 0; m < miss_index.size(); ++m) {
-    out[miss_index[m]] = miss_values[m];
-    cache_->Insert(miss_queries[m], epoch, miss_values[m]);
-  }
+  AcquireView().estimator->Answer(queries, out);
 }
 
 double EstimatorService::Answer(const selectivity::Query& query) const {
@@ -202,10 +158,6 @@ double EstimatorService::Answer(const selectivity::Query& query) const {
 size_t EstimatorService::count() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return writer_->count();
-}
-
-CacheStats EstimatorService::cache_stats() const {
-  return cache_ != nullptr ? cache_->stats() : CacheStats{};
 }
 
 Status EstimatorService::Checkpoint(const std::string& path) const {
@@ -239,7 +191,7 @@ Status EstimatorService::Restore(const std::string& path) {
                        io::ReadChunkExpecting(*file, kChunkServiceState));
   io::SpanSource meta_source(meta);
   WDE_ASSIGN_OR_RETURN(const uint64_t saved_epoch, io::ReadU64(meta_source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t pending, io::ReadU64(meta_source));
+  WDE_RETURN_IF_ERROR(io::ReadU64(meta_source).status());  // pacing position
   if (meta_source.remaining() != 0) {
     return Status::InvalidArgument(
         "corrupt service checkpoint: oversized service chunk");
@@ -259,12 +211,12 @@ Status EstimatorService::Restore(const std::string& path) {
   // settings (refit mode, thread pool), and a FRESH view is rebuilt from
   // it — a checkpointed (possibly pacing-stale) view never crosses the
   // restore boundary — at an epoch strictly above both the checkpoint's and
-  // everything this service has published, so every pre-restore cache entry
-  // and held view is invalidated by epoch comparison alone.
+  // everything this service has published, so every pre-restore held view
+  // is told apart by epoch comparison alone. That publish restarts pacing
+  // at zero, so the checkpointed pacing position is read but not used.
   io::SpanSource source(envelope);
   std::lock_guard<std::mutex> lock(writer_mu_);
   WDE_RETURN_IF_ERROR(writer_->LoadState(source));
-  inserts_since_publish_ = static_cast<size_t>(pending);
   PublishLocked(saved_epoch);
   return Status::OK();
 }

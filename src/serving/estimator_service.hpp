@@ -28,13 +28,13 @@
 ///     swap — formally a race (ThreadSanitizer agrees). Everything here is
 ///     ordinary mutexes and scalar atomics, verifiable end to end.
 ///
-/// Layered on top: an epoch-invalidated, sharded hot-query result cache
-/// keyed by the typed `Query` (see query_cache.hpp — strictly best-effort,
-/// bit-identical to recomputation), and Checkpoint/Restore through the
-/// snapshot envelope so a warm standby
-/// can restore a leader's checkpoint and begin serving at a strictly newer
-/// epoch (the epoch bump on restore is a contract: no cached result or held
-/// view from before the restore can be confused with post-restore state).
+/// Every answer is recomputed from the pinned view: the estimate is a fixed
+/// function of a frozen fitted state, so a read is pin, normalize,
+/// `AnswerImpl` and nothing else. Checkpoint/Restore go through the snapshot
+/// envelope so a warm standby can restore a leader's checkpoint and begin
+/// serving at a strictly newer epoch (the epoch bump on restore is a
+/// contract: no held view from before the restore can be confused with
+/// post-restore state).
 ///
 /// Staleness contract: a reader's answers lag ingest by at most the pacing
 /// budget (publish_interval - 1 values, or max_staleness_ms) plus whatever
@@ -54,13 +54,12 @@
 
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/selectivity_estimator.hpp"
-#include "serving/query_cache.hpp"
 #include "util/result.hpp"
 
 namespace wde {
 namespace serving {
 
-/// Pacing and cache geometry of one EstimatorService.
+/// Publish pacing of one EstimatorService.
 struct ServiceOptions {
   /// Publish a fresh view once this many values arrived since the last
   /// publish (checked at write admission). 0 disables insert-paced
@@ -72,12 +71,16 @@ struct ServiceOptions {
   /// staleness under trickle ingest. 0 disables time-paced publishing.
   /// (With both pacers disabled, only explicit Publish() advances epochs.)
   int64_t max_staleness_ms = 0;
+};
 
-  /// Result cache geometry: `cache_shards` try_lock stripes of
-  /// `cache_slots_per_shard` direct-mapped slots. cache_shards = 0 disables
-  /// the cache entirely (readers always hit the view).
-  size_t cache_shards = 8;
-  size_t cache_slots_per_shard = 4096;
+/// Always-zero counters returned by EstimatorService::cache_stats(). They
+/// exist only because the end-to-end benchmark driver (e2ebench/) still
+/// reads them; ROADMAP item 6 deletes them together with that driver's
+/// cache metrics.
+struct CacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t lookup_bypasses = 0;
 };
 
 /// The concurrent serving engine. Writer entry points (Insert/InsertBatch/
@@ -122,14 +125,10 @@ class EstimatorService {
 
   // ---------------------------------------------------------------- readers
 
-  /// Answers a mixed typed-query batch from the current published view,
-  /// consulting the result cache when enabled: hits are served from cache,
-  /// the misses of the batch are admitted to the view as ONE batched
-  /// Answer() call (admission batching) and then cached. Bit-identical to
-  /// answering through View::estimator directly — the cache can only change
-  /// latency, never a value. Steady-state lock-free with respect to
-  /// writers: one atomic epoch load validating the thread-local view pin,
-  /// try_lock-only cache probes.
+  /// Answers a mixed typed-query batch through the current published view:
+  /// bit-identical to answering through View::estimator directly, because
+  /// it is exactly that call. Steady-state lock-free with respect to
+  /// writers: one atomic epoch load validates the thread-local view pin.
   void Answer(std::span<const selectivity::Query> queries,
               std::span<double> out) const;
 
@@ -148,14 +147,16 @@ class EstimatorService {
   /// Values retained by the writer estimator (takes the writer mutex).
   size_t count() const;
 
-  /// Counters of the result cache (all zero when the cache is disabled).
-  CacheStats cache_stats() const;
+  /// All zero: the service keeps no result cache (see CacheStats).
+  CacheStats cache_stats() const { return CacheStats{}; }
 
   // ----------------------------------------------------- checkpoint/restore
 
   /// Persists the service — a snapshot-format file holding a service chunk
   /// (current epoch + pacing position) and the writer estimator's envelope.
-  /// Concurrent readers are unaffected; writers queue on the mutex.
+  /// Restore reads the pacing position and discards it: a restore
+  /// republishes, so pacing restarts at zero. Concurrent readers are
+  /// unaffected; writers queue on the mutex.
   Status Checkpoint(const std::string& path) const;
 
   /// Restores a checkpoint written by Checkpoint() (possibly by another
@@ -165,8 +166,8 @@ class EstimatorService {
   /// rebuilds a FRESH view from the restored state (a checkpointed view
   /// never crosses the restore boundary) and publishes it at an epoch
   /// strictly greater than both the checkpoint's epoch and every epoch this
-  /// service has published — so all pre-restore cache entries and held views
-  /// are invalidated by epoch. The checkpoint's writer must have the live
+  /// service has published — so every held view from before the restore is
+  /// told apart by epoch. The checkpoint's writer must have the live
   /// writer's type tag; a different one fails with FailedPrecondition. On
   /// any error the service is untouched.
   Status Restore(const std::string& path);
@@ -206,8 +207,6 @@ class EstimatorService {
   /// Distinguishes this service in readers' thread-local pins (an address
   /// can be reused by a later service; this id never is).
   const uint64_t service_id_;
-
-  std::unique_ptr<QueryResultCache> cache_;  // nullptr when disabled
 };
 
 }  // namespace serving

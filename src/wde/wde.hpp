@@ -23,8 +23,8 @@
 ///                 range-query workloads, plus the sharded parallel ingest
 ///                 wrapper over any mergeable estimator
 ///   serving     — the concurrent serving engine: epoch-published immutable
-///                 estimator views with lock-free steady-state readers, the
-///                 typed-query result cache, checkpoints
+///                 estimator views with lock-free steady-state readers,
+///                 checkpoints
 ///   diagnostics — mixing/covariance-decay diagnostics
 ///   harness     — Monte-Carlo replication harness and experiment configs
 ///
@@ -119,7 +119,6 @@
 
 // serving — depends on selectivity, parallel, io, util.
 #include "serving/estimator_service.hpp"
-#include "serving/query_cache.hpp"
 
 // diagnostics — depends on stats, util.
 #include "diagnostics/covariance_decay.hpp"

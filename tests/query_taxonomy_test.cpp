@@ -18,7 +18,6 @@
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
 #include "selectivity/selectivity_estimator.hpp"
-#include "serving/estimator_service.hpp"
 #include "stats/rng.hpp"
 
 namespace wde {
@@ -434,84 +433,6 @@ TEST(QueryTaxonomyTest, SpecBuiltEstimatorsSnapshotRoundTrip) {
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << est->name() << " query " << i;
     }
-  }
-}
-
-TEST(QueryTaxonomyTest, ServingCacheNeverChangesAnAnswerForAnyTag) {
-  // Property over the whole registry: wrapping any spec-built estimator in
-  // the serving engine with the result cache enabled answers every mixed-kind
-  // workload — dirty queries included — bitwise identically to the
-  // cache-disabled service. Two passes per service so the second pass is
-  // served from cache, which is exactly where a key-normalization or
-  // epoch-tag bug would show up.
-  stats::Rng data_rng(1901);
-  std::vector<double> values(3000);
-  for (double& v : values) v = data_rng.UniformDouble();
-  stats::Rng query_rng(1902);
-  std::vector<Query> queries = MixedQueryWorkload(query_rng, 96, 0.0, 1.0);
-  queries.push_back(Query::Range(0.8, 0.2));  // inverted
-  queries.push_back(Query::Range(kNan, 0.5));
-  queries.push_back(Query::Point(kNan));
-  queries.push_back(Query::Quantile(-0.5));
-  queries.push_back(Query::Quantile(2.0));
-  queries.push_back(Query::Less(-kInf));
-  queries.push_back(Query::Greater(kInf));
-  // Multi-dimensional kinds — clean, inverted, NaN, unbounded — so the cache
-  // key provably covers the c/d/axis fields on every tag (1-D tags answer
-  // them 0.0, which must still round-trip the cache unchanged).
-  queries.push_back(Query::Rect(0.2, 0.8, 0.3, 0.7));
-  queries.push_back(Query::Rect(0.8, 0.2, 0.7, 0.3));
-  queries.push_back(Query::Rect(0.2, 0.8, kNan, 0.7));
-  queries.push_back(Query::Rect(-kInf, kInf, -kInf, kInf));
-  queries.push_back(Query::Marginal(0, 0.2, 0.8));
-  queries.push_back(Query::Marginal(1, 0.2, 0.8));
-  queries.push_back(Query::Marginal(7, 0.2, 0.8));
-  queries.push_back(Query::Conditional(0.2, 0.8, 0.3, 0.7));
-  queries.push_back(Query::Conditional(0.2, 0.8, 9.0, 9.5));
-
-  for (const std::string& tag : EstimatorRegistry::Global().Tags()) {
-    EstimatorSpec spec;
-    spec.tag = tag;
-    spec.dims = EstimatorRegistry::Global().NativeDims(tag);
-    spec.buckets = 64;
-    spec.grid_log2 = 8;
-    spec.budget = 48;
-    spec.j_max = 8;
-    spec.refit_interval = 512;
-    spec.capacity = 512;
-    spec.shards = 3;
-    spec.block_size = 64;
-    spec.sharded_inner_tag = "equi-width";
-
-    serving::ServiceOptions cached;
-    cached.publish_interval = 0;
-    cached.cache_shards = 4;
-    cached.cache_slots_per_shard = 512;
-    serving::ServiceOptions uncached = cached;
-    uncached.cache_shards = 0;
-    Result<std::unique_ptr<serving::EstimatorService>> with_cache =
-        serving::EstimatorService::Create(spec, cached);
-    Result<std::unique_ptr<serving::EstimatorService>> without_cache =
-        serving::EstimatorService::Create(spec, uncached);
-    ASSERT_TRUE(with_cache.ok()) << tag;
-    ASSERT_TRUE(without_cache.ok()) << tag;
-    (*with_cache)->InsertBatch(values);
-    (*without_cache)->InsertBatch(values);
-    (*with_cache)->Publish();
-    (*without_cache)->Publish();
-
-    std::vector<double> want(queries.size());
-    (*without_cache)->Answer(queries, want);
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<double> got(queries.size(), -1.0);
-      (*with_cache)->Answer(queries, got);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        // Bitwise comparison (EXPECT_EQ on doubles) on purpose: the cache
-        // must be invisible, not merely close.
-        EXPECT_EQ(got[i], want[i]) << tag << " query " << i << " pass " << pass;
-      }
-    }
-    EXPECT_GT((*with_cache)->cache_stats().hits, 0u) << tag;
   }
 }
 

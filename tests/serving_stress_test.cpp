@@ -139,11 +139,9 @@ void RunSchedule(uint64_t seed, int writers, int readers,
   EXPECT_GE(service->epoch(), 1u);
 }
 
-TEST(ServingStressTest, WritersVersusCachedReaders) {
+TEST(ServingStressTest, TwoWritersVersusThreeReaders) {
   serving::ServiceOptions options;
   options.publish_interval = 2048;
-  options.cache_shards = 4;
-  options.cache_slots_per_shard = 512;
   for (uint64_t seed : {1u, 2u, 3u}) {
     RunSchedule(seed, /*writers=*/2, /*readers=*/3,
                 /*with_checkpointer=*/false, options,
@@ -151,10 +149,9 @@ TEST(ServingStressTest, WritersVersusCachedReaders) {
   }
 }
 
-TEST(ServingStressTest, WritersVersusUncachedReaders) {
+TEST(ServingStressTest, ThreeWritersVersusTwoReaders) {
   serving::ServiceOptions options;
   options.publish_interval = 1024;
-  options.cache_shards = 0;  // every answer goes to the view
   for (uint64_t seed : {4u, 5u}) {
     RunSchedule(seed, /*writers=*/3, /*readers=*/2,
                 /*with_checkpointer=*/false, options,
@@ -165,8 +162,6 @@ TEST(ServingStressTest, WritersVersusUncachedReaders) {
 TEST(ServingStressTest, CheckpointAndRestoreRaceTraffic) {
   serving::ServiceOptions options;
   options.publish_interval = 1024;
-  options.cache_shards = 2;
-  options.cache_slots_per_shard = 256;
   for (uint64_t seed : {6u, 7u}) {
     RunSchedule(seed, /*writers=*/2, /*readers=*/2,
                 /*with_checkpointer=*/true, options,
@@ -178,8 +173,6 @@ TEST(ServingStressTest, TimePacedPublishesUnderTrickleIngest) {
   serving::ServiceOptions options;
   options.publish_interval = 0;
   options.max_staleness_ms = 1;  // every admission is effectively over budget
-  options.cache_shards = 2;
-  options.cache_slots_per_shard = 256;
   RunSchedule(/*seed=*/8, /*writers=*/2, /*readers=*/2,
               /*with_checkpointer=*/false, options,
               /*batches_per_reader=*/40);
@@ -193,7 +186,6 @@ TEST(ServingStressTest, UnshardedKdeWriterRecyclesColumnsReadersRetire) {
   spec.tag = "kde-rot";
   serving::ServiceOptions options;
   options.publish_interval = 1024;
-  options.cache_shards = 0;
   RunSchedule(/*seed=*/9, /*writers=*/1, /*readers=*/3,
               /*with_checkpointer=*/false, options,
               /*batches_per_reader=*/200, spec, /*prefill=*/200000);

@@ -1,11 +1,12 @@
 // Tier-1 tests for the concurrent serving engine (src/serving): epoch
 // monotonicity under insert-/time-/explicitly-paced publishing, immutability
 // of held views across later publishes (the RCU pinning contract), reader
-// answers bit-identical to the quiesced merged view at the same epoch, the
-// typed-query result cache's hit/miss/epoch-invalidation semantics and its
-// cache-on ≡ cache-off bit-identity, and the checkpoint → kill → restore →
-// continue cycle including the strict epoch bump on restore and a restored
-// writer keeping the caller's thread pool. The multi-threaded hammering of
+// answers bit-identical to the quiesced merged view at the same epoch and,
+// for every registered tag, to the published view itself (dirty and
+// multi-dimensional queries included), and the checkpoint → kill → restore →
+// continue cycle including the strict epoch bump on restore, pacing
+// restarting at zero after a restore, and a restored writer keeping the
+// caller's thread pool. The multi-threaded hammering of
 // the same surface lives in serving_stress_test.cpp (tsan CI job).
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -32,7 +32,6 @@
 #include "selectivity/query_workload.hpp"
 #include "selectivity/sharded_selectivity.hpp"
 #include "serving/estimator_service.hpp"
-#include "serving/query_cache.hpp"
 #include "stats/rng.hpp"
 #include "util/check.hpp"
 
@@ -50,7 +49,7 @@ std::vector<double> UnitStream(uint64_t seed, size_t n) {
 
 /// A mixed-kind workload with a dirty tail: NaN parameters, an inverted
 /// range, an out-of-range quantile — everything the Answer() normalization
-/// must absorb identically with and without the cache.
+/// must absorb.
 std::vector<selectivity::Query> MixedWorkload(uint64_t seed, size_t count) {
   stats::Rng rng(seed);
   std::vector<selectivity::Query> queries =
@@ -243,57 +242,6 @@ TEST(EstimatorServiceTest, ReaderAnswersMatchQuiescedMergedViewAtSameEpoch) {
   }
 }
 
-TEST(EstimatorServiceTest, CacheHitsMissesAndEpochInvalidation) {
-  serving::ServiceOptions options;
-  options.publish_interval = 0;
-  options.cache_shards = 4;
-  options.cache_slots_per_shard = 1024;
-  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
-  service->InsertBatch(UnitStream(31, 3000));
-  service->Publish();
-
-  const std::vector<selectivity::Query> queries = MixedWorkload(32, 50);
-  const std::vector<double> first = Answers(*service, queries);
-  const serving::CacheStats after_first = service->cache_stats();
-  EXPECT_EQ(after_first.hits, 0u);
-  EXPECT_EQ(after_first.misses, queries.size());
-
-  // Same batch again: every answer must come from the cache, bit-identically.
-  const std::vector<double> second = Answers(*service, queries);
-  const serving::CacheStats after_second = service->cache_stats();
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(after_second.hits, queries.size());
-  EXPECT_EQ(after_second.misses, queries.size());
-
-  // Publishing a new epoch invalidates every entry — all misses again, and
-  // (same data, no inserts in between) the same bitwise answers.
-  service->Publish();
-  const std::vector<double> third = Answers(*service, queries);
-  const serving::CacheStats after_third = service->cache_stats();
-  EXPECT_EQ(third, first);
-  EXPECT_EQ(after_third.hits, queries.size());
-  EXPECT_EQ(after_third.misses, 2 * queries.size());
-}
-
-TEST(EstimatorServiceTest, CacheOnAnswersEqualCacheOffBitwise) {
-  serving::ServiceOptions cached;
-  cached.publish_interval = 500;
-  serving::ServiceOptions uncached = cached;
-  uncached.cache_shards = 0;
-  std::unique_ptr<serving::EstimatorService> with_cache = MakeService(cached);
-  std::unique_ptr<serving::EstimatorService> without_cache =
-      MakeService(uncached);
-
-  const std::vector<double> xs = UnitStream(41, 5000);
-  with_cache->InsertBatch(xs);
-  without_cache->InsertBatch(xs);
-  const std::vector<selectivity::Query> queries = MixedWorkload(42, 200);
-  // Two passes so the second pass serves mostly from cache.
-  EXPECT_EQ(Answers(*with_cache, queries), Answers(*without_cache, queries));
-  EXPECT_EQ(Answers(*with_cache, queries), Answers(*without_cache, queries));
-  EXPECT_GT(with_cache->cache_stats().hits, 0u);
-}
-
 TEST(EstimatorServiceTest, CheckpointRestoreContinueMatchesUninterrupted) {
   const std::string path = testing::TempDir() + "/wde_service_checkpoint.snap";
   serving::ServiceOptions options;
@@ -339,8 +287,8 @@ TEST(EstimatorServiceTest, RestoreEpochExceedsBothHistories) {
   ASSERT_TRUE(leader->Checkpoint(path).ok());
 
   // A standby that has already published PAST the leader's epoch: restore
-  // must land strictly above both, so neither side's cached results or held
-  // views can collide with post-restore epochs.
+  // must land strictly above both, so neither side's held views can collide
+  // with post-restore epochs.
   std::unique_ptr<serving::EstimatorService> busy_standby = MakeService(options);
   for (int i = 0; i < 9; ++i) busy_standby->Publish();
   const uint64_t standby_epoch = busy_standby->epoch();
@@ -354,6 +302,35 @@ TEST(EstimatorServiceTest, RestoreEpochExceedsBothHistories) {
   ASSERT_TRUE(fresh_standby->Restore(path).ok());
   EXPECT_EQ(fresh_standby->epoch(), leader_epoch + 1);
   EXPECT_EQ(fresh_standby->count(), 1000u);
+  std::remove(path.c_str());
+}
+
+TEST(EstimatorServiceTest, InsertPacingRestartsAtZeroAfterRestore) {
+  // A restore republishes, so neither the checkpoint's pacing position nor
+  // the standby's own one carries over: the next insert-paced publish fires
+  // exactly publish_interval values after the restore.
+  const std::string path = testing::TempDir() + "/wde_service_pacing.snap";
+  serving::ServiceOptions options;
+  options.publish_interval = 1000;
+  std::unique_ptr<serving::EstimatorService> leader = MakeService(options);
+  leader->InsertBatch(UnitStream(61, 600));
+  ASSERT_EQ(leader->epoch(), 1u);
+  ASSERT_TRUE(leader->Checkpoint(path).ok());
+
+  std::unique_ptr<serving::EstimatorService> standby = MakeService(options);
+  standby->InsertBatch(UnitStream(62, 700));
+  ASSERT_EQ(standby->epoch(), 1u);
+  ASSERT_TRUE(standby->Restore(path).ok());
+  const uint64_t restored_epoch = standby->epoch();
+  EXPECT_EQ(standby->count(), 600u);
+
+  standby->InsertBatch(UnitStream(63, 400));  // 600 + 400 would reach 1000
+  EXPECT_EQ(standby->epoch(), restored_epoch);
+  standby->InsertBatch(UnitStream(64, 599));
+  EXPECT_EQ(standby->epoch(), restored_epoch);
+  standby->InsertBatch(std::vector<double>{0.5});
+  EXPECT_EQ(standby->epoch(), restored_epoch + 1);
+  EXPECT_EQ(standby->CurrentView().estimator->count(), 1600u);
   std::remove(path.c_str());
 }
 
@@ -608,32 +585,56 @@ TEST(EstimatorServiceTest, RestoredShardedWriterKeepsTheCallersPool) {
 }
 
 TEST(EstimatorServiceTest, ServesEveryRegisteredWriterIncludingUnmergeable) {
-  // The reservoir cannot be sharded (no MergeFrom), but the service
-  // publishes its CloneForView copies all the same.
-  selectivity::EstimatorSpec spec;
-  spec.tag = "reservoir";
-  spec.capacity = 256;
-  spec.seed = 9;
-  serving::ServiceOptions options;
-  options.publish_interval = 512;
-  std::unique_ptr<serving::EstimatorService> service =
-      MakeService(options, spec);
-  service->InsertBatch(UnitStream(91, 2000));
-  service->Publish();
-  const std::vector<selectivity::Query> queries = MixedWorkload(92, 64);
-  const std::vector<double> via_service = Answers(*service, queries);
-  EXPECT_EQ(via_service, Answers(*service->CurrentView().estimator, queries));
+  // Every registered tag — the reservoir cannot be sharded (no MergeFrom),
+  // but the service publishes its CloneForView copies all the same — answers
+  // through the service bitwise as through its published view, dirty queries
+  // and the multi-dimensional kinds (clean, inverted, NaN, unbounded)
+  // included; 1-D tags answer the latter 0.0.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<selectivity::Query> queries = MixedWorkload(92, 96);
+  queries.push_back(selectivity::Query::Quantile(-0.5));
+  queries.push_back(selectivity::Query::Greater(inf));
+  queries.push_back(selectivity::Query::Rect(0.2, 0.8, 0.3, 0.7));
+  queries.push_back(selectivity::Query::Rect(0.8, 0.2, 0.7, 0.3));
+  queries.push_back(selectivity::Query::Rect(0.2, 0.8, kNanQ, 0.7));
+  queries.push_back(selectivity::Query::Rect(-inf, inf, -inf, inf));
+  queries.push_back(selectivity::Query::Marginal(0, 0.2, 0.8));
+  queries.push_back(selectivity::Query::Marginal(1, 0.2, 0.8));
+  queries.push_back(selectivity::Query::Marginal(7, 0.2, 0.8));
+  queries.push_back(selectivity::Query::Conditional(0.2, 0.8, 0.3, 0.7));
+  queries.push_back(selectivity::Query::Conditional(0.2, 0.8, 9.0, 9.5));
+  const selectivity::EstimatorRegistry& registry =
+      selectivity::EstimatorRegistry::Global();
+  for (const std::string& tag : registry.Tags()) {
+    SCOPED_TRACE(tag);
+    selectivity::EstimatorSpec spec;
+    spec.tag = tag;
+    spec.dims = registry.NativeDims(tag);
+    spec.buckets = 64;
+    spec.grid_log2 = 8;
+    spec.budget = 48;
+    spec.j_max = 8;
+    spec.refit_interval = 512;
+    spec.capacity = 512;
+    spec.seed = 9;
+    spec.shards = 3;
+    spec.block_size = 64;
+    spec.sharded_inner_tag = "equi-width";
+    serving::ServiceOptions options;
+    options.publish_interval = 512;
+    std::unique_ptr<serving::EstimatorService> service =
+        MakeService(options, spec);
+    service->InsertBatch(UnitStream(91, 3000));
+    service->Publish();
+    const std::vector<double> via_service = Answers(*service, queries);
+    EXPECT_EQ(via_service, Answers(*service->CurrentView().estimator, queries));
+  }
 }
 
 TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
   EXPECT_FALSE(
       serving::EstimatorService::Create(nullptr, serving::ServiceOptions{})
           .ok());
-  serving::ServiceOptions no_slots;
-  no_slots.cache_shards = 2;
-  no_slots.cache_slots_per_shard = 0;
-  EXPECT_FALSE(
-      serving::EstimatorService::Create(ShardedHistogramSpec(), no_slots).ok());
   serving::ServiceOptions negative_staleness;
   negative_staleness.max_staleness_ms = -5;
   EXPECT_FALSE(serving::EstimatorService::Create(ShardedHistogramSpec(),
@@ -644,72 +645,6 @@ TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
   EXPECT_FALSE(
       serving::EstimatorService::Create(bad_spec, serving::ServiceOptions{})
           .ok());
-}
-
-TEST(QueryResultCacheTest, KeysHashAndCompareBitwise) {
-  const selectivity::Query a = selectivity::Query::Range(0.1, 0.9);
-  const selectivity::Query b = selectivity::Query::Range(0.1, 0.9);
-  const selectivity::Query c = selectivity::Query::Cdf(0.1);
-  EXPECT_TRUE(serving::QueryKeyEquals(a, b));
-  EXPECT_EQ(serving::QueryKeyHash(a), serving::QueryKeyHash(b));
-  EXPECT_FALSE(serving::QueryKeyEquals(a, c));
-  // NaN payloads are honest keys (bit-pattern identity, not ==).
-  const selectivity::Query nan1 = selectivity::Query::Point(kNanQ);
-  const selectivity::Query nan2 = selectivity::Query::Point(kNanQ);
-  EXPECT_TRUE(serving::QueryKeyEquals(nan1, nan2));
-  // ±0.0 are distinct keys even though they compare == as doubles.
-  EXPECT_FALSE(serving::QueryKeyEquals(selectivity::Query::Cdf(0.0),
-                                       selectivity::Query::Cdf(-0.0)));
-}
-
-TEST(QueryResultCacheTest, LookupInsertAndEpochSemantics) {
-  serving::QueryResultCache cache(2, 100);  // rounds up to 128 slots
-  EXPECT_EQ(cache.slots_per_shard(), 128u);
-  const selectivity::Query q = selectivity::Query::Less(0.3);
-  double out = 0.0;
-  EXPECT_FALSE(cache.Lookup(q, 1, &out));
-  cache.Insert(q, 1, 0.25);
-  ASSERT_TRUE(cache.Lookup(q, 1, &out));
-  EXPECT_EQ(out, 0.25);
-  // A different epoch never hits, in either direction.
-  EXPECT_FALSE(cache.Lookup(q, 2, &out));
-  cache.Insert(q, 2, 0.5);
-  ASSERT_TRUE(cache.Lookup(q, 2, &out));
-  EXPECT_EQ(out, 0.5);
-  EXPECT_FALSE(cache.Lookup(q, 1, &out));
-  // Epoch 0 is the reserved empty tag: inserts are ignored, lookups miss.
-  cache.Insert(q, 0, 0.75);
-  EXPECT_FALSE(cache.Lookup(q, 0, &out));
-  const serving::CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 4u);
-}
-
-TEST(QueryResultCacheTest, StripesNeverShareASlot) {
-  // Two keys with the same slot bits but different stripe bits must both
-  // stay cached: each stripe owns its own range of the slot array.
-  constexpr size_t kShards = 4;
-  serving::QueryResultCache cache(kShards, 16);
-  const uint64_t mask = cache.slots_per_shard() - 1;
-  const auto stripe = [](uint64_t hash) { return (hash >> 48) % kShards; };
-  const selectivity::Query first = selectivity::Query::Cdf(0.5);
-  const uint64_t first_hash = serving::QueryKeyHash(first);
-  std::optional<selectivity::Query> second;
-  for (int i = 1; i < 100000 && !second; ++i) {
-    const selectivity::Query q = selectivity::Query::Cdf(i * 1e-5);
-    const uint64_t hash = serving::QueryKeyHash(q);
-    if ((hash & mask) == (first_hash & mask) && stripe(hash) != stripe(first_hash)) {
-      second = q;
-    }
-  }
-  ASSERT_TRUE(second.has_value());
-  cache.Insert(first, 1, 0.25);
-  cache.Insert(*second, 1, 0.75);
-  double out = 0.0;
-  ASSERT_TRUE(cache.Lookup(first, 1, &out));
-  EXPECT_EQ(out, 0.25);
-  ASSERT_TRUE(cache.Lookup(*second, 1, &out));
-  EXPECT_EQ(out, 0.75);
 }
 
 }  // namespace
