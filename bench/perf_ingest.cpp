@@ -1,22 +1,27 @@
 // Steady-state ingest bench for the incremental refit engine: stream n
 // values into each refit-carrying estimator in fixed-size chunks, forcing a
 // refit after every chunk (ForceRefit — exactly the insert+refit cost, no
-// query-path dilution), under both RefitModes. kScratch rebuilds fitted
-// state from zero each refit (the oracle); kIncremental delta-merges the
-// previous fit (a sorted-prefix merge of the KDE and equi-depth buffers).
-// The wavelet sketch has one refit path, so it has no row here. Produces the
-// committed BENCH_ingest.json artifact: per-mode amortized insert+refit
-// throughput, per-refit latency percentiles, the incremental-vs-scratch
-// speedup, and the bitwise-equivalence evidence (a mixed query workload
-// answered by both modes after ingest must match bit-for-bit).
+// query-path dilution). Each incremental row delta-merges the previous fit
+// (a sorted-prefix merge of the KDE and equi-depth buffers); its baseline
+// row ("scratch") times, after every chunk, the first fit of a fresh
+// estimator that holds the stream so far — one radix sort of all values,
+// the from-zero work the incremental fold replaces. Filling the fresh
+// estimator is not timed. The wavelet sketch has one refit path, so it has
+// no row here. Produces the committed BENCH_ingest.json artifact: amortized
+// insert+refit throughput, per-refit latency percentiles, the speedup over
+// the fresh fits, and the bitwise-equivalence evidence (a mixed query
+// workload answered by the incremental estimator after ingest must match
+// the last fresh fit bit for bit).
 //
 // A second section times one serving publish of the sharded engine after a
 // delta of Δ = n/100 inserts, call by call as EstimatorService runs it:
 // ExtractMergedView() (which refreshes the engine's merged view), then
-// ForceRefit() and one warm query on the extracted view. The refresh is
-// per-replica high-water tail merges + one incremental refit (kIncremental)
-// vs the from-zero CloneEmpty + K MergeFrom rebuild + full refit (kScratch),
-// over several cycles; the published views must answer bitwise-equally.
+// ForceRefit() and one warm query on the extracted view. The incremental
+// row refreshes by per-replica high-water tail merges + one incremental
+// refit; its baseline publishes from a fresh engine fed the stream so far,
+// whose first refresh is the from-zero CloneEmpty + K MergeFrom rebuild +
+// full refit. Over several cycles the published views must answer
+// bitwise-equally.
 //
 // A third section times insert alone on the paper's estimator (wavelet-cv,
 // sym8, j0 = 2, j_max = 11, never refit): n values in 4096-value
@@ -41,14 +46,15 @@
 // Usage: perf_ingest [--n=1000000] [--chunk=8192] [--cycles=12]
 //                    [--repeats=2] [--out=BENCH_ingest.json] [--check]
 //
-// --check turns the contracts into gates: exit 1 if any mode pair loses
-// bitwise equivalence, if the kde-rot amortized insert+refit speedup falls
-// below 2x, if the sharded incremental publish is less than 5x faster than
-// the scratch one, if the batched S1/S2 sums differ from the scalar Add
-// path in any bit, or if the median kde-rot publish faults on more than 1/8
-// of its column's pages (a return to freshly mapped columns, whatever the
-// timings). --cycles counts the publishes of both publish sections. CI runs with --check on the release build; debug binaries
-// refuse --check outright (see bench_common.hpp).
+// --check turns the contracts into gates: exit 1 if an incremental row
+// loses bitwise equivalence with its fresh fits, if the kde-rot amortized
+// insert+refit speedup falls below 2x, if the sharded incremental publish is
+// less than 5x faster than the fresh engine's, if the batched S1/S2 sums
+// differ from the scalar Add path in any bit, or if the median kde-rot
+// publish faults on more than 1/8 of its column's pages (a return to freshly
+// mapped columns, whatever the timings). --cycles counts the publishes of
+// both publish sections. CI runs with --check on the release build; debug
+// binaries refuse --check outright (see bench_common.hpp).
 #include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -84,11 +90,9 @@ std::unique_ptr<selectivity::SelectivityEstimator> Make(
   return std::move(estimator).value();
 }
 
-selectivity::EstimatorSpec SpecFor(const std::string& tag,
-                                   selectivity::RefitMode mode) {
+selectivity::EstimatorSpec SpecFor(const std::string& tag) {
   selectivity::EstimatorSpec spec;
   spec.tag = tag;
-  spec.refit_mode = mode;
   // The cadence is driven by ForceRefit below, not the interval; a huge
   // interval keeps the insert paths from refitting a second time mid-chunk.
   spec.refit_interval = ~size_t{0} >> 1;
@@ -118,9 +122,8 @@ struct IngestRun {
 };
 
 /// The steady-state loop: InsertBatch(chunk) then ForceRefit(), over the
-/// whole stream. Every cycle pays one full refit in kScratch and one
-/// delta-merge refit in kIncremental; the answers afterwards must be
-/// bit-identical between the modes.
+/// whole stream. Every cycle pays one delta-merge refit; the answers
+/// afterwards must be bit-identical to RunFreshFits'.
 IngestRun RunIngest(selectivity::SelectivityEstimator& estimator,
                     const std::vector<double>& stream, size_t chunk,
                     const std::vector<selectivity::Query>& queries) {
@@ -138,9 +141,31 @@ IngestRun RunIngest(selectivity::SelectivityEstimator& estimator,
   return run;
 }
 
+/// The baseline: after every chunk, the first fit of a fresh estimator
+/// holding the stream so far. Only ForceRefit() is timed; the previous fit
+/// is released first, as a refit releases the column it replaces.
+IngestRun RunFreshFits(const selectivity::EstimatorSpec& spec,
+                       const std::vector<double>& stream, size_t chunk,
+                       const std::vector<selectivity::Query>& queries) {
+  IngestRun run;
+  const std::span<const double> all(stream);
+  std::unique_ptr<selectivity::SelectivityEstimator> fresh;
+  for (size_t offset = 0; offset < all.size(); offset += chunk) {
+    fresh.reset();
+    fresh = Make(spec);
+    fresh->InsertBatch(all.first(std::min(offset + chunk, all.size())));
+    const auto lap = std::chrono::steady_clock::now();
+    fresh->ForceRefit();
+    run.refit_laps.push_back(bench::perf::SecondsSince(lap));
+    run.seconds += run.refit_laps.back();
+  }
+  run.answers = Answers(*fresh, queries);
+  return run;
+}
+
 struct IngestRow {
   std::string estimator;
-  std::string mode;
+  std::string mode;  // "incremental", or "scratch": the fresh-fit baseline
   size_t refits = 0;
   double seconds = 0.0;
   double items_per_second = 0.0;
@@ -207,7 +232,7 @@ bool BatchSumsMatchScalar(const wavelet::WaveletBasis& basis, int j0, int j_max,
 }
 
 struct RefreshRow {
-  std::string mode;
+  std::string mode;  // "incremental", or "scratch": the fresh-fit baseline
   size_t delta = 0;
   size_t cycles = 0;
   double refresh_total_seconds = 0.0;
@@ -268,19 +293,16 @@ int main(int argc, char** argv) {
       selectivity::MixedQueryWorkload(query_rng, 256, 0.0, 1.0);
 
   // -------------------------------------------------------------------------
-  // Section 1: steady-state insert+refit, scratch vs incremental, per tag.
+  // Section 1: steady-state insert+refit against fresh fits, per tag.
   // -------------------------------------------------------------------------
   std::vector<IngestRow> ingest_rows;
   for (const char* tag : {"kde-rot", "equi-depth"}) {
     IngestRun scratch;
     IngestRun incremental;
     for (size_t r = 0; r < repeats; ++r) {
-      std::unique_ptr<selectivity::SelectivityEstimator> scr =
-          Make(SpecFor(tag, selectivity::RefitMode::kScratch));
-      IngestRun run = RunIngest(*scr, stream, chunk, queries);
+      IngestRun run = RunFreshFits(SpecFor(tag), stream, chunk, queries);
       if (r == 0 || run.seconds < scratch.seconds) scratch = std::move(run);
-      std::unique_ptr<selectivity::SelectivityEstimator> inc =
-          Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
+      std::unique_ptr<selectivity::SelectivityEstimator> inc = Make(SpecFor(tag));
       run = RunIngest(*inc, stream, chunk, queries);
       if (r == 0 || run.seconds < incremental.seconds) incremental = std::move(run);
     }
@@ -315,14 +337,12 @@ int main(int argc, char** argv) {
   const size_t delta = std::max<size_t>(1, n / 100);
   std::vector<RefreshRow> refresh_rows;
   {
-    std::unique_ptr<selectivity::SelectivityEstimator> inc =
-        Make(SpecFor("sharded", selectivity::RefitMode::kIncremental));
-    std::unique_ptr<selectivity::SelectivityEstimator> scr =
-        Make(SpecFor("sharded", selectivity::RefitMode::kScratch));
+    const selectivity::EstimatorSpec spec = SpecFor("sharded");
+    std::unique_ptr<selectivity::SelectivityEstimator> inc = Make(spec);
     inc->InsertBatch(stream);
-    scr->InsertBatch(stream);
-    inc->ForceRefit();  // both start from a current, fitted merged view
-    scr->ForceRefit();
+    inc->ForceRefit();  // start from a current, fitted merged view
+    std::vector<double> seen = stream;  // what a fresh engine is fed
+    std::unique_ptr<selectivity::SelectivityEstimator> scr;
     const auto publish = [](const selectivity::SelectivityEstimator& engine) {
       std::unique_ptr<selectivity::SelectivityEstimator> view =
           static_cast<const selectivity::ShardedSelectivityEstimator&>(engine)
@@ -339,10 +359,13 @@ int main(int argc, char** argv) {
     for (size_t c = 0; c < cycles; ++c) {
       for (double& x : tail) x = delta_rng.UniformDouble();
       inc->InsertBatch(tail);
-      scr->InsertBatch(tail);
+      seen.insert(seen.end(), tail.begin(), tail.end());
       const auto inc_start = std::chrono::steady_clock::now();
       const auto inc_view = publish(*inc);
       inc_laps.push_back(bench::perf::SecondsSince(inc_start));
+      scr.reset();  // the previous fresh engine retires its view first
+      scr = Make(spec);
+      scr->InsertBatch(seen);
       const auto scr_start = std::chrono::steady_clock::now();
       const auto scr_view = publish(*scr);
       scr_laps.push_back(bench::perf::SecondsSince(scr_start));
@@ -377,8 +400,7 @@ int main(int argc, char** argv) {
   std::vector<InsertOnlyRow> insert_rows;
   bool sums_bitwise = true;
   {
-    const selectivity::EstimatorSpec spec =
-        SpecFor("wavelet-cv", selectivity::RefitMode::kIncremental);
+    const selectivity::EstimatorSpec spec = SpecFor("wavelet-cv");
     parallel::ThreadPool pool(1);
     for (const size_t shards : {size_t{1}, size_t{4}}) {
       InsertOnlyRow row;
@@ -413,8 +435,7 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   KdePublishRow kde_publish;
   {
-    std::unique_ptr<selectivity::SelectivityEstimator> writer =
-        Make(SpecFor("kde-rot", selectivity::RefitMode::kIncremental));
+    std::unique_ptr<selectivity::SelectivityEstimator> writer = Make(SpecFor("kde-rot"));
     writer->InsertBatch(stream);
     writer->ForceRefit();
     std::unique_ptr<selectivity::SelectivityEstimator> view = writer->CloneForView();
@@ -525,7 +546,7 @@ int main(int argc, char** argv) {
     for (const IngestRow& row : ingest_rows) {
       if (!row.bitwise_equal_to_scratch) {
         std::fprintf(stderr,
-                     "CHECK FAILED: %s %s answers differ from scratch\n",
+                     "CHECK FAILED: %s %s answers differ from a fresh fit\n",
                      row.estimator.c_str(), row.mode.c_str());
         ++violations;
       }
@@ -541,7 +562,8 @@ int main(int argc, char** argv) {
     for (const RefreshRow& row : refresh_rows) {
       if (!row.bitwise_equal_to_scratch) {
         std::fprintf(stderr,
-                     "CHECK FAILED: sharded %s published answers differ\n",
+                     "CHECK FAILED: sharded %s published answers differ from "
+                     "a fresh engine's\n",
                      row.mode.c_str());
         ++violations;
       }

@@ -69,7 +69,7 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeEquiDepth(
     return Status::InvalidArgument("spec 'equi-depth': buckets must be positive");
   }
   return std::unique_ptr<SelectivityEstimator>(std::make_unique<EquiDepthHistogram>(
-      spec.domain_lo, spec.domain_hi, spec.buckets, spec.refit_mode));
+      spec.domain_lo, spec.domain_hi, spec.buckets));
 }
 
 Result<std::unique_ptr<SelectivityEstimator>> MakeReservoir(
@@ -92,7 +92,6 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeKde(const EstimatorSpec& spec)
   options.domain_lo = spec.domain_lo;
   options.domain_hi = spec.domain_hi;
   options.refit_interval = spec.refit_interval;
-  options.refit_mode = spec.refit_mode;
   return std::unique_ptr<SelectivityEstimator>(
       std::make_unique<KdeSelectivity>(options));
 }
@@ -170,7 +169,6 @@ Result<std::unique_ptr<SelectivityEstimator>> MakeSharded(
   options.shards = spec.shards;
   options.block_size = spec.block_size;
   options.pool = spec.pool;
-  options.refit_mode = spec.refit_mode;
   Result<ShardedSelectivityEstimator> sharded =
       ShardedSelectivityEstimator::Create(**prototype, options);
   if (!sharded.ok()) return sharded.status();

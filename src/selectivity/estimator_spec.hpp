@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "selectivity/selectivity_estimator.hpp"
 #include "util/result.hpp"
 
 namespace wde {
@@ -33,16 +32,16 @@ class SelectivityEstimator;
 ///   every tag        — tag, domain_lo/domain_hi (except "reservoir", which
 ///                      declares no domain)
 ///   "equi-width"     — buckets
-///   "equi-depth"     — buckets, refit_mode
+///   "equi-depth"     — buckets
 ///   "haar-synopsis"  — grid_log2, budget, refit_interval (rebuild cadence)
-///   "kde-rot"        — refit_interval, refit_mode
+///   "kde-rot"        — refit_interval
 ///   "wavelet-cv"     — filter, table_levels, j0, j_max, soft_threshold,
 ///                      refit_interval
 ///   "reservoir"      — capacity, seed
 ///   "grid2d"         — dims (must be 2), domain2_lo/domain2_hi, grid_log2
 ///   "sharded"        — sharded_inner_tag (the prototype's tag; the rest of
 ///                      the spec configures that prototype), shards,
-///                      block_size, pool, refit_mode
+///                      block_size, pool
 struct EstimatorSpec {
   /// Registry key; identical to the estimator's snapshot_type_tag().
   std::string tag = "equi-width";
@@ -79,14 +78,6 @@ struct EstimatorSpec {
   /// Refit pacing: the wavelet/KDE refit interval and the synopsis rebuild
   /// interval.
   size_t refit_interval = 1024;
-
-  /// Refit strategy for the tags that distinguish one ("kde-rot",
-  /// "equi-depth", "sharded"): kIncremental (default)
-  /// delta-merges previously fitted state into each refit, kScratch rebuilds
-  /// from zero — the bitwise-identical oracle the equivalence tests and
-  /// benches compare against. An evaluation knob like refit_interval: not
-  /// part of a snapshot's identity.
-  RefitMode refit_mode = RefitMode::kIncremental;
 
   // Reservoir sample.
   size_t capacity = 256;

@@ -171,9 +171,8 @@ Status EquiWidthHistogram::LoadStateImpl(io::Source& source) {
   return Status::OK();
 }
 
-EquiDepthHistogram::EquiDepthHistogram(double lo, double hi, int buckets,
-                                       RefitMode refit_mode)
-    : lo_(lo), hi_(hi), buckets_(buckets), refit_mode_(refit_mode) {
+EquiDepthHistogram::EquiDepthHistogram(double lo, double hi, int buckets)
+    : lo_(lo), hi_(hi), buckets_(buckets) {
   WDE_CHECK(internal::IsDomain(lo, hi),
             "domain must be finite lo < hi with a finite width");
   WDE_CHECK_GT(buckets, 0);
@@ -188,7 +187,7 @@ void EquiDepthHistogram::RebuildIfStale() const {
   // The boundaries derive from the prefix alone: stale while a tail exists.
   if (!boundaries_.empty() && tail_.empty()) return;
   if (!tail_.empty()) {
-    prefix_ = FoldSortedTail(Prefix(), tail_, refit_mode_);
+    prefix_ = FoldSortedTail(Prefix(), tail_);
     tail_ = std::vector<double>();  // release it: the prefix holds the values now
   }
   BuildBoundariesFromSorted(Prefix());
@@ -265,7 +264,7 @@ std::string EquiDepthHistogram::name() const {
 }
 
 std::unique_ptr<SelectivityEstimator> EquiDepthHistogram::CloneEmpty() const {
-  return std::make_unique<EquiDepthHistogram>(lo_, hi_, buckets_, refit_mode_);
+  return std::make_unique<EquiDepthHistogram>(lo_, hi_, buckets_);
 }
 
 Status EquiDepthHistogram::MergeFrom(const SelectivityEstimator& other) {

@@ -90,17 +90,16 @@ class EquiWidthHistogram : public SelectivityEstimator {
 ///
 /// One copy of the retained values: a sorted prefix column (shared
 /// copy-on-write with views) plus an arrival-order tail of later inserts. A
-/// rebuild folds the tail into a new prefix (FoldSortedTail, honoring the
-/// RefitMode passed at construction). The boundaries are a deterministic
-/// function of the sorted sequence, so both modes answer bitwise-identically
+/// rebuild folds the tail into a new prefix (FoldSortedTail). The boundaries
+/// are a deterministic function of the sorted sequence, so the histogram
+/// answers bitwise as a fresh one fed the same stream
 /// (refit_equivalence_test).
 ///
 /// Mergeable: the retained values concatenate, and the lazy rebuild sorts,
 /// so merged replicas answer exactly like the sequential histogram.
 class EquiDepthHistogram : public SelectivityEstimator {
  public:
-  EquiDepthHistogram(double lo, double hi, int buckets,
-                     RefitMode refit_mode = RefitMode::kIncremental);
+  EquiDepthHistogram(double lo, double hi, int buckets);
 
   void Insert(double x) override;
   size_t count() const override { return Prefix().size() + tail_.size(); }
@@ -150,8 +149,8 @@ class EquiDepthHistogram : public SelectivityEstimator {
  private:
   void RebuildIfStale() const;
   /// Derives the buckets_ + 1 boundary values from an ascending-sorted view
-  /// of the retained values — shared by both refit modes, so the cache is a
-  /// deterministic function of the sorted sequence alone.
+  /// of the retained values, so the cache is a deterministic function of the
+  /// sorted sequence alone.
   void BuildBoundariesFromSorted(std::span<const double> sorted) const;
   /// Estimated CDF at x from the bucket boundaries.
   double CdfAt(double x) const;
@@ -159,7 +158,6 @@ class EquiDepthHistogram : public SelectivityEstimator {
   double lo_;
   double hi_;
   int buckets_;
-  RefitMode refit_mode_;
   std::span<const double> Prefix() const {
     return prefix_.empty() ? std::span<const double>() : prefix_.F64(0);
   }

@@ -70,7 +70,7 @@ std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneForView() const {
 }
 
 void KdeSelectivity::Refit() const {
-  memory::Arena sorted = FoldSortedTail(Prefix(), tail_, options_.refit_mode);
+  memory::Arena sorted = FoldSortedTail(Prefix(), tail_);
   std::optional<kernel::KernelDensityEstimator> kde = FitSorted(sorted);
   if (kde.has_value()) {
     kde_ = std::move(kde);
@@ -221,7 +221,6 @@ Status KdeSelectivity::LoadStateImpl(io::Source& source) {
           "corrupt kde snapshot: unfittable or unsorted sample");
     }
   }
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   tail_ = std::move(tail);
   kde_ = std::move(kde);

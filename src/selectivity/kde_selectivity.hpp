@@ -32,15 +32,15 @@ namespace selectivity {
 /// multiset. The column's order is canonical (OrderKey: −0.0 before +0.0),
 /// so the buffer, and with it the snapshot, is the same bytes too.
 ///
-/// Refits honor Options::refit_mode. kScratch radix-sorts every observation
-/// per refit; kIncremental (the default) radix-sorts a copy of the tail and
-/// merges it with the prefix straight into the new column, which AdoptSorted
-/// then verifies and indexes in one sweep — O(Δ + n), one write and one read
-/// of the column. Both modes build the same sorted column, so their answers
-/// and snapshots are bitwise-identical (refit_equivalence_test). A sample
-/// without spread (every value equal) has no fit: its refit keeps the sorted
-/// fold as an unfitted prefix, queries answer the exact fraction of it in
-/// O(log n), and the fit is retried only once a new value arrives.
+/// A refit radix-sorts a copy of the tail and merges it with the prefix
+/// straight into the new column, which AdoptSorted then verifies and indexes
+/// in one sweep — O(Δ + n), one write and one read of the column. The column
+/// is the one a fresh estimator fed the same stream sorts on its first fit,
+/// so answers and snapshots are bitwise those of that fresh fit
+/// (refit_equivalence_test). A sample without spread (every value equal)
+/// has no fit: its refit keeps the sorted fold as an unfitted prefix,
+/// queries answer the exact fraction of it in O(log n), and the fit is
+/// retried only once a new value arrives.
 ///
 /// Mergeable: MergeFrom moves both sides' observations into the tail and
 /// drops the fit, so the next query refits from the merged multiset.
@@ -50,10 +50,6 @@ class KdeSelectivity : public SelectivityEstimator {
     double domain_lo = 0.0;
     double domain_hi = 1.0;
     size_t refit_interval = 1024;
-    /// How refits rebuild the sorted sample buffer (see the class comment).
-    /// A pacing knob like refit_interval: not serialized, not part of the
-    /// merge-compatibility key; snapshot restore preserves the live mode.
-    RefitMode refit_mode = RefitMode::kIncremental;
   };
 
   explicit KdeSelectivity(const Options& options) : options_(options) {
@@ -127,7 +123,7 @@ class KdeSelectivity : public SelectivityEstimator {
 
  private:
   void RefitIfStale() const;
-  /// Unconditional refit at the current count, honoring refit_mode.
+  /// Unconditional refit at the current count.
   void Refit() const;
   /// The sorted prefix: the fitted KDE's sample, or the unfitted fold of a
   /// sample without spread; empty before the first refit.

@@ -162,22 +162,6 @@ struct Query {
   }
 };
 
-/// How an estimator rebuilds its fitted caches when they go stale.
-///   kScratch     — re-derive everything from the raw retained state (full
-///                  sort, full CV scan, CloneEmpty + K merges). The oracle:
-///                  slow, trivially correct, retained for tests and benches.
-///   kIncremental — delta-merge the previous fitted state (sort only the new
-///                  tail and merge, warm-start CV from the previous ranking,
-///                  tail-append replica deltas). Answers are bitwise-identical
-///                  to kScratch — the standing contract, enforced by
-///                  refit_equivalence_test — only the refit cost changes.
-/// The mode is an evaluation/pacing knob like the thread pool: it is NOT
-/// serialized, and snapshot restore preserves the live object's mode.
-enum class RefitMode : uint8_t {
-  kScratch = 0,
-  kIncremental = 1,
-};
-
 /// A streaming estimator of selectivity over a single numeric attribute:
 /// after observing values x_1..x_n, Answer() approximates the probability
 /// (or quantile) each Query denotes — what a query optimizer expects

@@ -8,22 +8,31 @@
 
 namespace wde {
 namespace selectivity {
+namespace {
 
-Result<ShardedSelectivityEstimator> ShardedSelectivityEstimator::Create(
-    const SelectivityEstimator& prototype, const Options& options) {
-  if (options.shards == 0) {
-    return Status::InvalidArgument("shards must be positive");
+/// The layout rule Create and LoadStateImpl share: 1 to 65536 shards, and
+/// blocks of whole observations of a `dims`-dimensional prototype.
+Status CheckLayout(uint64_t shards, uint64_t block_size, int dims) {
+  if (shards == 0 || shards > 65536) {
+    return Status::InvalidArgument("shards must be in [1, 65536]");
   }
-  if (options.block_size == 0) {
+  if (block_size == 0) {
     return Status::InvalidArgument("block_size must be positive");
   }
-  if (prototype.dims() > 1 &&
-      options.block_size % static_cast<size_t>(prototype.dims()) != 0) {
+  if (dims > 1 && block_size % static_cast<uint64_t>(dims) != 0) {
     return Status::InvalidArgument(
         "block_size must be a multiple of the prototype's dims() so the "
         "interleaved coordinates of one observation never split across "
         "shards");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<ShardedSelectivityEstimator> ShardedSelectivityEstimator::Create(
+    const SelectivityEstimator& prototype, const Options& options) {
+  WDE_RETURN_IF_ERROR(CheckLayout(options.shards, options.block_size, prototype.dims()));
   if (!prototype.mergeable()) {
     return Status::FailedPrecondition(
         prototype.name() +
@@ -93,13 +102,13 @@ SelectivityEstimator& ShardedSelectivityEstimator::Merged() const {
     current = replicas_[s]->count() == merged_hw_[s];
   }
   if (current) return *merged_;
-  if (options_.refit_mode == RefitMode::kScratch || merged_ == nullptr ||
-      !merged_->SupportsTailMerge()) {
+  if (merged_ == nullptr || !merged_->SupportsTailMerge()) {
     merged_ = prototype_->CloneEmpty();
     WDE_CHECK(merged_ != nullptr, "mergeable estimator returned a null clone");
     for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-      // Replicas are clones of one prototype, so the merge cannot be
-      // incompatible; a failure here is a broken MergeFrom implementation.
+      // Create clones every replica from the prototype and LoadStateImpl
+      // checks each against it, so the merge cannot be incompatible; a
+      // failure here is a broken MergeFrom implementation.
       WDE_CHECK_OK(merged_->MergeFrom(*replica));
     }
   } else {
@@ -109,8 +118,8 @@ SelectivityEstimator& ShardedSelectivityEstimator::Merged() const {
     // tails after the previous concatenation — different insertion orders of
     // the same multiset, which tail-mergeable (buffer-keeping) estimators
     // answer bit-identically (their fits depend only on the sorted multiset;
-    // see the MergeTailFrom contract). The forced refit mirrors the scratch
-    // path's first-query fit at the full count: without it an
+    // see the MergeTailFrom contract). The forced refit mirrors the
+    // rebuild's first-query fit at the full count: without it an
     // interval-gated inner refit could keep serving the pre-delta fit.
     //
     // MergeTailFrom rejects a from_count inside the peer's sorted (fitted)
@@ -240,7 +249,7 @@ Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
   WDE_ASSIGN_OR_RETURN(const uint64_t refresh, io::ReadU64(source));  // retired
   WDE_ASSIGN_OR_RETURN(const uint64_t position, io::ReadU64(source));
   WDE_RETURN_IF_ERROR(io::ReadU64(source).status());  // retired pending count
-  if (shards == 0 || shards > 65536 || block_size == 0 || refresh == 0) {
+  if (refresh == 0) {
     return Status::InvalidArgument("corrupt sharded snapshot layout");
   }
   Result<std::unique_ptr<SelectivityEstimator>> prototype =
@@ -250,15 +259,23 @@ Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
     return Status::InvalidArgument(
         "corrupt sharded snapshot: prototype is not mergeable");
   }
+  const Status layout = CheckLayout(shards, block_size, (*prototype)->dims());
+  if (!layout.ok()) {
+    return Status::InvalidArgument("corrupt sharded snapshot: " + layout.message());
+  }
+  // Each replica must merge into the prototype, as every refresh of the
+  // view merges it; empty clones keep the check to configuration.
+  const std::unique_ptr<SelectivityEstimator> probe = (*prototype)->CloneEmpty();
   std::vector<std::unique_ptr<SelectivityEstimator>> replicas;
   replicas.reserve(static_cast<size_t>(shards));
   for (uint64_t s = 0; s < shards; ++s) {
     Result<std::unique_ptr<SelectivityEstimator>> replica =
         LoadEstimatorEnvelope(source);
     if (!replica.ok()) return replica.status();
-    if ((*replica)->merge_type_tag() != (*prototype)->merge_type_tag()) {
+    if ((*replica)->merge_type_tag() != (*prototype)->merge_type_tag() ||
+        !probe->MergeFrom(*(*replica)->CloneEmpty()).ok()) {
       return Status::InvalidArgument(
-          "corrupt sharded snapshot: heterogeneous shard replicas");
+          "corrupt sharded snapshot: a replica does not merge into the prototype");
     }
     replicas.push_back(std::move(replica).value());
   }

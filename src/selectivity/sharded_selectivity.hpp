@@ -16,9 +16,9 @@ namespace selectivity {
 /// slice of the stream, batch inserts fan out across the replicas on a
 /// ThreadPool, and queries are answered from one merged view that is always
 /// current: any query, ForceRefit() or ExtractMergedView() first brings it up
-/// to the live replicas — delta-appended from per-replica high-water marks by
-/// default, rebuilt from zero under Options::refit_mode == kScratch (see
-/// Options).
+/// to the live replicas: delta-appended from per-replica high-water marks
+/// when the inner type supports tail merges, else rebuilt from zero (see
+/// Merged()).
 ///
 /// Partitioning rule: stream position p (the running count of values offered,
 /// including dropped non-finite ones) maps to shard (p / block_size) mod K —
@@ -37,7 +37,7 @@ namespace selectivity {
 class ShardedSelectivityEstimator : public SelectivityEstimator {
  public:
   struct Options {
-    /// Number of shard replicas K (>= 1).
+    /// Number of shard replicas K, in [1, 65536].
     size_t shards = 4;
     /// Contiguous stream positions per block (>= 1). Larger blocks amortize
     /// per-chunk dispatch; smaller blocks balance skewed batch sizes.
@@ -46,17 +46,6 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
     /// parallel::ThreadPool::Shared(). The pool choice affects scheduling
     /// only, never results.
     parallel::ThreadPool* pool = nullptr;
-    /// kScratch rebuilds the stale merged view from zero every time:
-    /// CloneEmpty + K full MergeFrom — O(total data) per refresh. With
-    /// kIncremental (the default) the engine tracks a per-replica high-water
-    /// mark (the replica count folded into the current view) and, when the
-    /// inner type supports MergeTailFrom, refreshes the existing view by
-    /// appending only each replica's delta and force-refitting once —
-    /// O(view + Δ log Δ) instead of O(n log n). Types without tail merges
-    /// (additive-sum sketches, where a full re-merge is already O(state))
-    /// fall back to the scratch rebuild. Answers are bitwise-identical in
-    /// both modes (refit_equivalence_test).
-    RefitMode refit_mode = RefitMode::kIncremental;
   };
 
   /// Builds K empty replicas of `prototype` (which contributes configuration
@@ -148,12 +137,14 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// and a view flag written 0.
   Status SaveStateImpl(io::Sink& sink) const override;
 
-  /// Fully replaces shard layout and state; the executor pool and refit mode
-  /// are runtime resources and are kept. On any error this estimator is
-  /// untouched. The retired fields are still validated (a refresh interval
-  /// of 0 is corrupt) and a saved merged view from an older writer is parsed
-  /// and type-checked, then dropped: the first query rebuilds the view from
-  /// the replicas.
+  /// Fully replaces shard layout and state; the executor pool is a runtime
+  /// resource and is kept. The layout must pass Create's rule, and every
+  /// replica must merge into the prototype (an empty clone of each is
+  /// merged into one of it), so no later refresh can meet an incompatible
+  /// replica. On any error this estimator is untouched. The retired fields
+  /// are still validated (a refresh interval of 0 is corrupt) and a saved
+  /// merged view from an older writer is parsed and type-checked, then
+  /// dropped: the first query rebuilds the view from the replicas.
   Status LoadStateImpl(io::Source& source) override;
 
   /// Quiesce: refresh the merged view to the live replica state and
@@ -173,10 +164,13 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
                                     : parallel::ThreadPool::Shared();
   }
   /// The one refresh: brings merged_ up to date with the live replicas and
-  /// returns it. A no-op while every replica count equals its mark. Else
-  /// per-replica MergeTailFrom above the marks + one forced refit on the
-  /// incremental path, or a from-zero CloneEmpty + K MergeFrom rebuild
-  /// (kScratch, no view yet, or an inner type without tail merges).
+  /// returns it. A no-op while every replica count equals its mark. Else a
+  /// from-zero CloneEmpty + K MergeFrom rebuild when there is no view yet or
+  /// the inner type lacks tail merges (additive-sum sketches, where a full
+  /// re-merge is already O(state)), and otherwise per-replica MergeTailFrom
+  /// above the marks + one forced refit — O(view + Δ log Δ) instead of
+  /// O(n log n). Either way the view answers as the rebuild a fresh engine
+  /// makes on its first query (refit_equivalence_test).
   SelectivityEstimator& Merged() const;
 
   Options options_;

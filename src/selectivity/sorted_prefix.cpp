@@ -91,24 +91,20 @@ void SortByOrderKey(std::span<const double> values, std::span<double> out) {
 }
 
 memory::Arena FoldSortedTail(std::span<const double> prefix,
-                             std::span<const double> tail, RefitMode mode) {
+                             std::span<const double> tail) {
   const memory::ColumnSpec specs[] = {
       {memory::ColumnKind::kF64, prefix.size() + tail.size()}};
   memory::Arena column = memory::Arena::CreateForOverwrite(specs);
   const std::span<double> out = column.MutableF64(0);
   if (prefix.empty()) {
-    SortByOrderKey(tail, out);  // nothing to merge with, in either mode
-  } else if (mode == RefitMode::kIncremental) {
+    SortByOrderKey(tail, out);  // nothing to merge with
+  } else {
     // The tail keeps its arrival order (the unfittable branch and
     // MergeTailFrom read it), so a copy is sorted; the merge is the one
     // write of the column.
     std::vector<double> sorted_tail(tail.size());
     SortByOrderKey(tail, sorted_tail);
     MergeByRuns(prefix, sorted_tail, out.data());
-  } else {
-    const auto mid = std::copy(prefix.begin(), prefix.end(), out.begin());
-    std::copy(tail.begin(), tail.end(), mid);
-    SortByOrderKey(out, out);
   }
   return column;
 }

@@ -11,7 +11,6 @@
 #include <span>
 
 #include "memory/arena.hpp"
-#include "selectivity/selectivity_estimator.hpp"
 
 namespace wde {
 namespace selectivity {
@@ -38,13 +37,14 @@ void SortByOrderKey(std::span<const double> values, std::span<double> out);
 
 /// A NEW one-column arena holding sort(prefix ∪ tail) in OrderKey order;
 /// `prefix` must be ascending and `tail` free of NaN (it is only read).
-/// kIncremental radix-sorts a copy of the tail and merges it with the
-/// prefix straight into the column, copying each prefix run between two
-/// tail values whole: O(Δ log(n/Δ) + n), with scratch sized by the tail;
-/// kScratch copies both into the column and radix-sorts it, O(n). Same
-/// bytes either way for an OrderKey-ordered prefix.
+/// An empty prefix (an estimator's first fit) radix-sorts the tail straight
+/// into the column, O(n). Otherwise a copy of the tail is radix-sorted and
+/// merged with the prefix into the column, copying each prefix run between
+/// two tail values whole: O(Δ log(n/Δ) + n), with scratch sized by the
+/// tail. For an OrderKey-ordered prefix the bytes are those of a first fit
+/// of prefix and tail together.
 memory::Arena FoldSortedTail(std::span<const double> prefix,
-                             std::span<const double> tail, RefitMode mode);
+                             std::span<const double> tail);
 
 }  // namespace selectivity
 }  // namespace wde

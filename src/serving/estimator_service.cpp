@@ -207,9 +207,8 @@ Status EstimatorService::Restore(const std::string& path) {
       return Status::InvalidArgument("service checkpoint has trailing bytes");
     }
   }
-  // Commit. The state loads into our own writer, which keeps its runtime
-  // settings (refit mode, thread pool), and a FRESH view is rebuilt from
-  // it — a checkpointed (possibly pacing-stale) view never crosses the
+  // Commit. The state loads into our own writer, which keeps its thread
+  // pool, and a FRESH view is rebuilt from it — a checkpointed (possibly pacing-stale) view never crosses the
   // restore boundary — at an epoch strictly above both the checkpoint's and
   // everything this service has published, so every pre-restore held view
   // is told apart by epoch comparison alone. That publish restarts pacing

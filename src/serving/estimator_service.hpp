@@ -161,13 +161,12 @@ class EstimatorService {
 
   /// Restores a checkpoint written by Checkpoint() (possibly by another
   /// process — the warm-standby path): loads the checkpointed state into the
-  /// live writer in place (LoadState), so the writer keeps its runtime
-  /// settings — its refit mode and, when sharded, the caller's pool — then
-  /// rebuilds a FRESH view from the restored state (a checkpointed view
-  /// never crosses the restore boundary) and publishes it at an epoch
-  /// strictly greater than both the checkpoint's epoch and every epoch this
-  /// service has published — so every held view from before the restore is
-  /// told apart by epoch. The checkpoint's writer must have the live
+  /// live writer in place (LoadState), so a sharded writer keeps the
+  /// caller's pool, then rebuilds a FRESH view from the restored state (a
+  /// checkpointed view never crosses the restore boundary) and publishes
+  /// it at an epoch strictly greater than both the checkpoint's epoch and
+  /// every epoch this service has published — so every held view from
+  /// before the restore is told apart by epoch. The checkpoint's writer must have the live
   /// writer's type tag; a different one fails with FailedPrecondition. On
   /// any error the service is untouched.
   Status Restore(const std::string& path);

@@ -153,6 +153,16 @@ TEST(QueryTaxonomyTest, SpecValidationRejectsBadFields) {
   EXPECT_FALSE(MakeEstimator(spec).ok());
   spec.block_size = 64;
   EXPECT_TRUE(MakeEstimator(spec).ok());
+
+  // The shard count is bounded as the snapshot loader bounds it, so a huge
+  // one is a Status, not an allocation failure.
+  for (const size_t shards : {size_t{0}, size_t{65537}, SIZE_MAX}) {
+    spec = EstimatorSpec{};
+    spec.tag = "sharded";
+    spec.shards = shards;
+    const Result<std::unique_ptr<SelectivityEstimator>> made = MakeEstimator(spec);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << shards;
+  }
 }
 
 TEST(QueryTaxonomyTest, SpecDomainWhoseWidthOverflowsIsRejected) {

@@ -1,14 +1,19 @@
-// Tests for the incremental refit engine: every estimator with a RefitMode
-// knob must answer bitwise-identically in kIncremental (delta-merge fitted
-// state) and kScratch (rebuild from zero — the oracle) across interleaved
-// insert/query/merge schedules, across mid-refit-interval snapshot
-// save -> restore -> continue, and — for the sharded engine — across the
-// delta-refreshed merged view vs the full CloneEmpty + K MergeFrom rebuild
-// at every pool width, and against one unsharded estimator fed the same
-// stream. ForceRefit() must quiesce any registered estimator.
+// Tests for the refit engine against the stream itself: after any schedule
+// of inserts, merges and snapshot round trips, an estimator brought up to
+// date with ForceRefit() must answer as a fresh estimator of the same spec
+// fed the whole stream so far and fitted once — bitwise for the
+// sorted-buffer and count tags (snapshot bytes too), to 1e-12 relative
+// where a merge reorders the wavelet sketch's floating-point sums. For the
+// sharded engine that fresh fit is the from-zero CloneEmpty + K MergeFrom
+// rebuild, so the delta-refreshed merged view is checked against it at
+// every shard and pool width, and against one unsharded estimator fed the
+// same stream. ForceRefit() must quiesce any registered estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,15 +48,13 @@ std::vector<double> Answers(const selectivity::SelectivityEstimator& estimator,
   return out;
 }
 
-/// A spec for `tag` sized so the interleaved schedules below cross several
-/// refit intervals (many warm-started refits) without slowing the suite.
-selectivity::EstimatorSpec SpecFor(const std::string& tag,
-                                   selectivity::RefitMode mode) {
+/// A spec for `tag` sized so the schedules below cross several refit
+/// intervals without slowing the suite.
+selectivity::EstimatorSpec SpecFor(const std::string& tag) {
   selectivity::EstimatorSpec spec;
   spec.tag = tag;
   spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(tag);
   if (spec.dims == 0) spec.dims = 1;  // non-registry tags in the loops below
-  spec.refit_mode = mode;
   spec.refit_interval = 256;
   spec.j_max = 8;
   if (tag == "sharded") {
@@ -70,6 +73,16 @@ std::unique_ptr<selectivity::SelectivityEstimator> Make(
   return std::move(estimator).value();
 }
 
+/// The stream's own answer: a fresh estimator of `spec` fed `stream` in one
+/// batch and fitted once, at its full count.
+std::unique_ptr<selectivity::SelectivityEstimator> FreshFit(
+    const selectivity::EstimatorSpec& spec, std::span<const double> stream) {
+  std::unique_ptr<selectivity::SelectivityEstimator> fresh = Make(spec);
+  fresh->InsertBatch(stream);
+  fresh->ForceRefit();
+  return fresh;
+}
+
 std::unique_ptr<selectivity::SelectivityEstimator> RoundTripThroughSnapshot(
     const selectivity::SelectivityEstimator& estimator) {
   io::VectorSink sink;
@@ -81,68 +94,96 @@ std::unique_ptr<selectivity::SelectivityEstimator> RoundTripThroughSnapshot(
   return std::move(restored).value();
 }
 
+std::vector<uint8_t> SnapshotBytes(const selectivity::SelectivityEstimator& estimator) {
+  io::VectorSink sink;
+  WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(estimator, sink));
+  return {sink.bytes().begin(), sink.bytes().end()};
+}
+
+/// The mergeability contract's bound for floating-point sums.
+void ExpectRelNear(const std::vector<double>& got, const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-12 * std::max(1.0, std::fabs(want[i])))
+        << "query " << i;
+  }
+}
+
 // Uneven chunk sizes so refits land mid-chunk, at chunk boundaries, and via
 // the scalar Insert path; the total crosses refit_interval = 256 many times.
 constexpr size_t kChunks[] = {1, 3, 130, 256, 511, 64, 1024, 7, 389, 500};
 
 // ---------------------------------------------------------------------------
-// Incremental == scratch, bitwise, for every registered tag, over an
-// interleaved insert/query/merge schedule.
+// Every registered tag, over an insert/merge schedule, against a fresh fit
+// of the same stream after every step.
 // ---------------------------------------------------------------------------
 
-TEST(RefitEquivalenceTest, EveryTagAnswersBitIdenticallyInBothModes) {
+TEST(RefitEquivalenceTest, EveryTagAnswersAsAFreshFitOfTheSameStream) {
   const std::vector<selectivity::Query> queries = Workload(7, 96);
   for (const std::string& tag :
        selectivity::EstimatorRegistry::Global().Tags()) {
     SCOPED_TRACE(tag);
-    std::unique_ptr<selectivity::SelectivityEstimator> incremental =
-        Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
-    std::unique_ptr<selectivity::SelectivityEstimator> scratch =
-        Make(SpecFor(tag, selectivity::RefitMode::kScratch));
+    const selectivity::EstimatorSpec spec = SpecFor(tag);
+    std::unique_ptr<selectivity::SelectivityEstimator> engine = Make(spec);
+    std::vector<double> stream;
 
-    size_t offset = 0;
     for (const size_t chunk : kChunks) {
-      const std::vector<double> xs = UnitStream(11 + offset, chunk);
+      const std::vector<double> xs = UnitStream(11 + stream.size(), chunk);
       if (chunk == 1) {
-        incremental->Insert(xs[0]);
-        scratch->Insert(xs[0]);
+        engine->Insert(xs[0]);
       } else {
-        incremental->InsertBatch(xs);
-        scratch->InsertBatch(xs);
+        engine->InsertBatch(xs);
       }
-      offset += chunk;
-      EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries))
-          << "diverged after " << offset << " inserts";
+      (void)Answers(*engine, queries);  // lazy refits at the engine's own pace
+      stream.insert(stream.end(), xs.begin(), xs.end());
+      engine->ForceRefit();
+      const std::unique_ptr<selectivity::SelectivityEstimator> fresh =
+          FreshFit(spec, stream);
+      EXPECT_EQ(Answers(*engine, queries), Answers(*fresh, queries))
+          << "diverged after " << stream.size() << " inserts";
+      if (tag != "sharded") {
+        EXPECT_EQ(SnapshotBytes(*engine), SnapshotBytes(*fresh))
+            << "bytes diverged after " << stream.size() << " inserts";
+      }
     }
 
-    // Merge schedule: fold a separately grown peer (same mode) into each and
-    // keep going — a merge resets fitted caches, the next refit must
-    // re-converge the modes bitwise.
-    if (incremental->mergeable()) {
-      std::unique_ptr<selectivity::SelectivityEstimator> peer_inc =
-          Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
-      std::unique_ptr<selectivity::SelectivityEstimator> peer_scr =
-          Make(SpecFor(tag, selectivity::RefitMode::kScratch));
-      const std::vector<double> peer_xs = UnitStream(99, 777);
-      peer_inc->InsertBatch(peer_xs);
-      peer_scr->InsertBatch(peer_xs);
-      (void)Answers(*peer_inc, queries);  // fit the peers before merging
-      (void)Answers(*peer_scr, queries);
-      ASSERT_TRUE(incremental->MergeFrom(*peer_inc).ok());
-      ASSERT_TRUE(scratch->MergeFrom(*peer_scr).ok());
-      EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries));
-      const std::vector<double> more = UnitStream(100, 300);
-      incremental->InsertBatch(more);
-      scratch->InsertBatch(more);
-      EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries));
+    // Merge schedule: fold a separately grown and fitted peer in and keep
+    // going; a merge resets fitted caches, the next refit must land on the
+    // fresh fit of both streams. The peer stays below the reservoir's
+    // capacity, so the reservoir's merge is an exact replay of it.
+    if (engine->mergeable()) {
+      // A merge combines whole observations: first complete the one a 2-D
+      // tag still holds half of.
+      const size_t dims = static_cast<size_t>(spec.dims);
+      const std::vector<double> pad = UnitStream(98, (dims - stream.size() % dims) % dims);
+      engine->InsertBatch(pad);
+      stream.insert(stream.end(), pad.begin(), pad.end());
+      std::unique_ptr<selectivity::SelectivityEstimator> peer = Make(spec);
+      const std::vector<double> peer_xs = UnitStream(99, 200);
+      peer->InsertBatch(peer_xs);
+      peer->ForceRefit();
+      ASSERT_TRUE(engine->MergeFrom(*peer).ok());
+      stream.insert(stream.end(), peer_xs.begin(), peer_xs.end());
+      for (const size_t more : {size_t{0}, size_t{300}}) {
+        const std::vector<double> xs = UnitStream(100, more);
+        engine->InsertBatch(xs);
+        stream.insert(stream.end(), xs.begin(), xs.end());
+        engine->ForceRefit();
+        const std::vector<double> want = Answers(*FreshFit(spec, stream), queries);
+        if (tag == "wavelet-cv") {
+          ExpectRelNear(Answers(*engine, queries), want);
+        } else {
+          EXPECT_EQ(Answers(*engine, queries), want) << "after the merge + " << more;
+        }
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // The refit fold orders the sorted column canonically (−0.0 before +0.0), so
-// a stream holding both zeros saves the same snapshot bytes in both modes:
-// the two tags that keep a sorted column, alone and sharded.
+// a stream holding both zeros folds into the bytes of a fresh fit: the two
+// tags that keep a sorted column, alone and sharded.
 // ---------------------------------------------------------------------------
 
 std::vector<double> StreamWithBothZeros(uint64_t seed, size_t n) {
@@ -151,47 +192,32 @@ std::vector<double> StreamWithBothZeros(uint64_t seed, size_t n) {
   return xs;
 }
 
-std::vector<uint8_t> SnapshotBytes(const selectivity::SelectivityEstimator& estimator) {
-  io::VectorSink sink;
-  WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(estimator, sink));
-  return {sink.bytes().begin(), sink.bytes().end()};
-}
-
-TEST(RefitEquivalenceTest, BothZerosSaveTheSameBytesInBothModes) {
+TEST(RefitEquivalenceTest, BothZerosFoldIntoTheBytesOfAFreshFit) {
   const std::vector<selectivity::Query> queries = Workload(53, 32);
   for (const std::string tag : {"kde-rot", "equi-depth"}) {
     for (const bool sharded : {false, true}) {
       SCOPED_TRACE(tag + (sharded ? " sharded" : ""));
-      const auto make = [&](selectivity::RefitMode mode) {
-        selectivity::EstimatorSpec spec = SpecFor(sharded ? "sharded" : tag, mode);
-        spec.sharded_inner_tag = tag;
-        return Make(spec);
-      };
-      std::unique_ptr<selectivity::SelectivityEstimator> incremental =
-          make(selectivity::RefitMode::kIncremental);
-      std::unique_ptr<selectivity::SelectivityEstimator> scratch =
-          make(selectivity::RefitMode::kScratch);
-      size_t offset = 0;
-      for (const size_t chunk : kChunks) {
-        const std::vector<double> xs = StreamWithBothZeros(61 + offset, chunk);
-        incremental->InsertBatch(xs);
-        scratch->InsertBatch(xs);
-        offset += chunk;
-        EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries))
-            << "diverged after " << offset << " inserts";
-        EXPECT_EQ(SnapshotBytes(*incremental), SnapshotBytes(*scratch))
-            << "bytes diverged after " << offset << " inserts";
-      }
-      // Longer folds: tails of tens of thousands into a growing prefix.
-      for (const size_t chunk : {size_t{20000}, size_t{45000}}) {
-        const std::vector<double> xs = StreamWithBothZeros(61 + offset, chunk);
-        incremental->InsertBatch(xs);
-        scratch->InsertBatch(xs);
-        offset += chunk;
-        incremental->ForceRefit();
-        scratch->ForceRefit();
-        EXPECT_EQ(SnapshotBytes(*incremental), SnapshotBytes(*scratch))
-            << "bytes diverged after " << offset << " inserts";
+      selectivity::EstimatorSpec spec = SpecFor(sharded ? "sharded" : tag);
+      spec.sharded_inner_tag = tag;
+      std::unique_ptr<selectivity::SelectivityEstimator> engine = Make(spec);
+      std::vector<double> stream;
+      // Short folds, then tails of tens of thousands into a growing prefix.
+      std::vector<size_t> chunks(std::begin(kChunks), std::end(kChunks));
+      chunks.insert(chunks.end(), {20000, 45000});
+      for (const size_t chunk : chunks) {
+        const std::vector<double> xs = StreamWithBothZeros(61 + stream.size(), chunk);
+        engine->InsertBatch(xs);
+        (void)Answers(*engine, queries);
+        stream.insert(stream.end(), xs.begin(), xs.end());
+        engine->ForceRefit();
+        const std::unique_ptr<selectivity::SelectivityEstimator> fresh =
+            FreshFit(spec, stream);
+        EXPECT_EQ(Answers(*engine, queries), Answers(*fresh, queries))
+            << "diverged after " << stream.size() << " inserts";
+        if (!sharded) {
+          EXPECT_EQ(SnapshotBytes(*engine), SnapshotBytes(*fresh))
+              << "bytes diverged after " << stream.size() << " inserts";
+        }
       }
     }
   }
@@ -208,8 +234,7 @@ TEST(RefitEquivalenceTest, ForceRefitIsIdempotentAndAnswerPreserving) {
   for (const std::string& tag :
        selectivity::EstimatorRegistry::Global().Tags()) {
     SCOPED_TRACE(tag);
-    std::unique_ptr<selectivity::SelectivityEstimator> quiesced =
-        Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
+    std::unique_ptr<selectivity::SelectivityEstimator> quiesced = Make(SpecFor(tag));
     // 1000 is NOT a multiple of refit_interval: the forced refit below runs
     // at a count the lazy cadence would not have fitted at.
     quiesced->InsertBatch(UnitStream(18, 1000));
@@ -222,8 +247,7 @@ TEST(RefitEquivalenceTest, ForceRefitIsIdempotentAndAnswerPreserving) {
 
 // ---------------------------------------------------------------------------
 // Mid-refit-interval snapshot save -> restore -> continue stays bitwise
-// equal to the uninterrupted run, in both modes, for the refit-carrying
-// estimators the tentpole touched.
+// equal to the uninterrupted run for the refit-carrying estimators.
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, MidIntervalSnapshotRestoreContinuesBitIdentically) {
@@ -233,35 +257,28 @@ TEST(RefitEquivalenceTest, MidIntervalSnapshotRestoreContinuesBitIdentically) {
   for (const char* tag :
        {"kde-rot", "equi-depth", "wavelet-cv", "haar-synopsis", "sharded"}) {
     SCOPED_TRACE(tag);
-    for (const selectivity::RefitMode mode :
-         {selectivity::RefitMode::kIncremental,
-          selectivity::RefitMode::kScratch}) {
-      SCOPED_TRACE(mode == selectivity::RefitMode::kIncremental
-                       ? "incremental"
-                       : "scratch");
-      std::unique_ptr<selectivity::SelectivityEstimator> live =
-          Make(SpecFor(tag, mode));
-      live->InsertBatch(head);
-      (void)Answers(*live, queries);  // fit some caches pre-save
+    std::unique_ptr<selectivity::SelectivityEstimator> live = Make(SpecFor(tag));
+    live->InsertBatch(head);
+    (void)Answers(*live, queries);  // fit some caches pre-save
 
-      std::unique_ptr<selectivity::SelectivityEstimator> restored =
-          RoundTripThroughSnapshot(*live);
-      EXPECT_EQ(Answers(*restored, queries), Answers(*live, queries));
+    std::unique_ptr<selectivity::SelectivityEstimator> restored =
+        RoundTripThroughSnapshot(*live);
+    EXPECT_EQ(Answers(*restored, queries), Answers(*live, queries));
 
-      live->InsertBatch(tail);
-      restored->InsertBatch(tail);
-      EXPECT_EQ(Answers(*restored, queries), Answers(*live, queries));
-    }
+    live->InsertBatch(tail);
+    restored->InsertBatch(tail);
+    EXPECT_EQ(Answers(*restored, queries), Answers(*live, queries));
   }
 }
 
 // ---------------------------------------------------------------------------
 // Sharded engine: the delta-refreshed merged view (per-replica high-water
-// tail merges + one forced refit) answers bit-identically to the from-zero
-// rebuild, across shard and pool widths, for the buffer inner types (KDE,
-// equi-depth: tail-merge path) and the additive-sum inner types (wavelet
-// sketch, and the 2-D grid over interleaved pairs: full re-merge fallback).
-// ExtractMergedView must agree too.
+// tail merges + one forced refit) answers bit-identically to a fresh
+// engine's first refresh, the from-zero rebuild, across shard widths, for
+// the buffer inner types (KDE, equi-depth: tail-merge path) and the
+// additive-sum inner types (wavelet sketch, and the 2-D grid over
+// interleaved pairs: full re-merge every time). ExtractMergedView must
+// agree too.
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
@@ -270,73 +287,61 @@ TEST(RefitEquivalenceTest, ShardedDeltaRefreshMatchesFullRebuild) {
     SCOPED_TRACE(inner);
     for (const size_t shards : {1u, 2u, 5u}) {
       SCOPED_TRACE(shards);
-      selectivity::EstimatorSpec spec =
-          SpecFor("sharded", selectivity::RefitMode::kIncremental);
+      selectivity::EstimatorSpec spec = SpecFor("sharded");
       spec.sharded_inner_tag = inner;
       spec.shards = shards;
       // A 2-D inner reads interleaved pairs; SpecFor's block_size (64) is
       // even, so no pair splits across shards.
       spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(inner);
-      std::unique_ptr<selectivity::SelectivityEstimator> incremental =
-          Make(spec);
-      spec.refit_mode = selectivity::RefitMode::kScratch;
-      std::unique_ptr<selectivity::SelectivityEstimator> scratch = Make(spec);
+      std::unique_ptr<selectivity::SelectivityEstimator> engine = Make(spec);
+      std::vector<double> stream;
 
-      size_t offset = 0;
       for (const size_t chunk : kChunks) {
-        const std::vector<double> xs = UnitStream(41 + offset, chunk);
-        incremental->InsertBatch(xs);
-        scratch->InsertBatch(xs);
-        offset += chunk;
-        EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries))
-            << "diverged after " << offset << " inserts";
+        const std::vector<double> xs = UnitStream(41 + stream.size(), chunk);
+        engine->InsertBatch(xs);
+        stream.insert(stream.end(), xs.begin(), xs.end());
+        EXPECT_EQ(Answers(*engine, queries), Answers(*FreshFit(spec, stream), queries))
+            << "diverged after " << stream.size() << " inserts";
       }
 
-      auto* inc_engine =
-          static_cast<selectivity::ShardedSelectivityEstimator*>(
-              incremental.get());
-      auto* scr_engine =
-          static_cast<selectivity::ShardedSelectivityEstimator*>(
-              scratch.get());
-      const std::unique_ptr<selectivity::SelectivityEstimator> inc_view =
-          inc_engine->ExtractMergedView();
-      const std::unique_ptr<selectivity::SelectivityEstimator> scr_view =
-          scr_engine->ExtractMergedView();
-      EXPECT_EQ(Answers(*inc_view, queries), Answers(*scr_view, queries));
+      // The extract refreshes the engine's own view; an insert + query
+      // schedule after it delta-appends onto that view and must still land
+      // on the rebuild.
+      const std::unique_ptr<selectivity::SelectivityEstimator> view =
+          static_cast<selectivity::ShardedSelectivityEstimator*>(engine.get())
+              ->ExtractMergedView();
+      std::unique_ptr<selectivity::SelectivityEstimator> fresh = FreshFit(spec, stream);
+      EXPECT_EQ(Answers(*view, queries), Answers(*fresh, queries));
+      EXPECT_EQ(Answers(*view, queries),
+                Answers(*static_cast<selectivity::ShardedSelectivityEstimator*>(fresh.get())
+                             ->ExtractMergedView(),
+                        queries));
 
-      // The extract refreshes the engines' own views; an insert+query
-      // schedule after it stays bitwise-equal across modes (the incremental
-      // engine delta-appends onto the view the extract refreshed, the
-      // scratch engine rebuilds from zero).
       const std::vector<double> more = UnitStream(43, 100);
-      incremental->InsertBatch(more);
-      scratch->InsertBatch(more);
-      EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries))
+      engine->InsertBatch(more);
+      stream.insert(stream.end(), more.begin(), more.end());
+      EXPECT_EQ(Answers(*engine, queries), Answers(*FreshFit(spec, stream), queries))
           << "post-extract divergence";
     }
   }
 }
 
-// The stream oracle: a sharded engine over an inner type whose merged state
-// is exactly the state of one estimator fed the whole stream (integer counts,
-// or the sorted sample) must answer as that unsharded estimator does after
-// every chunk, whichever replicas the chunk landed in. Unlike the
-// incremental-vs-scratch comparison above, this catches a merged view that
-// stops following its replicas, since both modes would lag alike.
+// A sharded engine over an inner type whose merged state is exactly the
+// state of one estimator fed the whole stream (integer counts, or the sorted
+// sample) must answer as that unsharded estimator does after every chunk,
+// whichever replicas the chunk landed in.
 TEST(RefitEquivalenceTest, ShardedEngineMatchesUnshardedEstimatorOnOneStream) {
   const std::vector<selectivity::Query> queries = Workload(53, 96);
   for (const char* inner : {"equi-width", "equi-depth", "grid2d", "kde-rot"}) {
     SCOPED_TRACE(inner);
     for (const size_t shards : {1u, 2u, 5u}) {
       SCOPED_TRACE(shards);
-      selectivity::EstimatorSpec spec =
-          SpecFor("sharded", selectivity::RefitMode::kIncremental);
+      selectivity::EstimatorSpec spec = SpecFor("sharded");
       spec.sharded_inner_tag = inner;
       spec.shards = shards;
       spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(inner);
       std::unique_ptr<selectivity::SelectivityEstimator> sharded = Make(spec);
-      std::unique_ptr<selectivity::SelectivityEstimator> unsharded =
-          Make(SpecFor(inner, selectivity::RefitMode::kIncremental));
+      std::unique_ptr<selectivity::SelectivityEstimator> unsharded = Make(SpecFor(inner));
 
       size_t offset = 0;
       for (const size_t chunk : kChunks) {
@@ -364,8 +369,7 @@ TEST(RefitEquivalenceTest, ShardedAnswersIdenticalAcrossPoolWidths) {
   std::vector<std::vector<double>> per_pool;
   for (const int threads : {1, 3}) {
     parallel::ThreadPool pool(threads);
-    selectivity::EstimatorSpec spec =
-        SpecFor("sharded", selectivity::RefitMode::kIncremental);
+    selectivity::EstimatorSpec spec = SpecFor("sharded");
     spec.pool = &pool;
     std::unique_ptr<selectivity::SelectivityEstimator> engine = Make(spec);
     engine->InsertBatch(xs);

@@ -335,7 +335,7 @@ TEST(SortByOrderKeyTest, PlacesNegativeZeroBeforePositiveZero) {
   }
 }
 
-TEST(FoldSortedTailTest, BothModesWriteTheCanonicalMergeOfPrefixAndTail) {
+TEST(FoldSortedTailTest, WritesTheCanonicalMergeOfPrefixAndTail) {
   for (const size_t n : {size_t{0}, size_t{5}, size_t{3000}}) {
     for (const size_t tail_size :
          {size_t{0}, size_t{1}, size_t{519}, size_t{900}}) {
@@ -345,11 +345,8 @@ TEST(FoldSortedTailTest, BothModesWriteTheCanonicalMergeOfPrefixAndTail) {
       std::vector<double> expected(prefix);
       expected.insert(expected.end(), tail.begin(), tail.end());
       std::stable_sort(expected.begin(), expected.end(), OrderKeyLess());
-      for (const RefitMode mode : {RefitMode::kIncremental, RefitMode::kScratch}) {
-        const memory::Arena column = FoldSortedTail(prefix, tail, mode);
-        EXPECT_TRUE(SameBytes(column.F64(0), expected))
-            << "n=" << n << " tail=" << tail_size << " mode=" << static_cast<int>(mode);
-      }
+      const memory::Arena column = FoldSortedTail(prefix, tail);
+      EXPECT_TRUE(SameBytes(column.F64(0), expected)) << "n=" << n << " tail=" << tail_size;
     }
   }
 }
@@ -360,16 +357,14 @@ TEST(FoldSortedTailTest, APrefixWithZerosOutOfKeyOrderStillFoldsAscending) {
   // accepted; the fold's output stays ascending with the same multiset.
   const std::vector<double> prefix = {-2.0, 0.0, -0.0, 0.0, -0.0, 1.0, 3.0};
   const std::vector<double> tail = {-0.0, 0.5, 0.0, -3.0, 4.0, -0.0};
-  for (const RefitMode mode : {RefitMode::kIncremental, RefitMode::kScratch}) {
-    const memory::Arena column = FoldSortedTail(prefix, tail, mode);
-    const std::span<const double> out = column.F64(0);
-    ASSERT_EQ(out.size(), prefix.size() + tail.size());
-    EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
-    EXPECT_EQ(std::count_if(out.begin(), out.end(), [](double x) {
-                return x == 0.0 && std::signbit(x);
-              }),
-              4);
-  }
+  const memory::Arena column = FoldSortedTail(prefix, tail);
+  const std::span<const double> out = column.F64(0);
+  ASSERT_EQ(out.size(), prefix.size() + tail.size());
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  EXPECT_EQ(std::count_if(out.begin(), out.end(), [](double x) {
+              return x == 0.0 && std::signbit(x);
+            }),
+            4);
 }
 
 // ------------------------------------------------------------ Haar synopsis

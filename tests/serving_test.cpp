@@ -207,11 +207,10 @@ TEST(EstimatorServiceTest, CowClonedViewsStayBitStableWhileWriterMutates) {
 
 TEST(EstimatorServiceTest, ReaderAnswersMatchQuiescedMergedViewAtSameEpoch) {
   // Every publish extracts from the writer engine's own merged view, which
-  // the incremental mode refreshes by appending replica tails; a kScratch
-  // engine over the same stream rebuilds from zero on every query and is
-  // the ground truth for each published epoch. The buffer inner types
-  // (kde-rot, equi-depth) take the tail-append path, equi-width the
-  // from-zero rebuild.
+  // the engine refreshes by appending replica tails; a fresh engine fed the
+  // stream so far rebuilds from zero on its first query and is the ground
+  // truth for each published epoch. The buffer inner types (kde-rot,
+  // equi-depth) take the tail-append path, equi-width the from-zero rebuild.
   serving::ServiceOptions options;
   options.publish_interval = 0;
   const std::vector<selectivity::Query> queries = MixedWorkload(22, 128);
@@ -220,17 +219,18 @@ TEST(EstimatorServiceTest, ReaderAnswersMatchQuiescedMergedViewAtSameEpoch) {
     selectivity::EstimatorSpec spec = ShardedHistogramSpec();
     spec.sharded_inner_tag = inner;
     std::unique_ptr<serving::EstimatorService> service = MakeService(options, spec);
-    spec.refit_mode = selectivity::RefitMode::kScratch;
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> reference =
-        selectivity::MakeEstimator(spec);
-    ASSERT_TRUE(reference.ok());
 
+    std::vector<double> stream;
     uint64_t seed = 21;
     for (const size_t chunk : {9000u, 1500u, 77u, 4100u}) {
       const std::vector<double> xs = UnitStream(seed++, chunk);
       service->InsertBatch(xs);
       service->Publish();
-      (*reference)->InsertBatch(xs);
+      stream.insert(stream.end(), xs.begin(), xs.end());
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> reference =
+          selectivity::MakeEstimator(spec);
+      ASSERT_TRUE(reference.ok());
+      (*reference)->InsertBatch(stream);
 
       const std::vector<double> via_service = Answers(*service, queries);
       const std::vector<double> via_view =

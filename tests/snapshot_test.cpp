@@ -1324,6 +1324,90 @@ TEST(ShardedCheckpointTest, OlderSnapshotsWithASavedViewLoadAndDropIt) {
   EXPECT_EQ(AnswersOf(target, queries), target_before);
 }
 
+/// A sharded snapshot built field by field: a layout of `shards` shards,
+/// `prototype`, and copies of `replica`, each saved through the registry's
+/// envelope framing, in a valid frame taken from `frame` (a sharded snapshot
+/// of the same dimensionality). At most two replicas are written: the
+/// loader rejects a bad layout before it reads any.
+std::vector<uint8_t> PlantedShardedSnapshot(const std::vector<uint8_t>& frame,
+                                            uint64_t block_size,
+                                            const selectivity::SelectivityEstimator& prototype,
+                                            const selectivity::SelectivityEstimator& replica,
+                                            uint64_t shards = 2) {
+  io::VectorSink state;
+  for (const uint64_t word : {shards, block_size, uint64_t{1}, uint64_t{0}, uint64_t{0}}) {
+    WDE_CHECK_OK(io::WriteU64(state, word));
+  }
+  WDE_CHECK_OK(selectivity::SaveEstimatorEnvelope(prototype, state));
+  for (uint64_t s = 0; s < std::min<uint64_t>(shards, 2); ++s) {
+    WDE_CHECK_OK(selectivity::SaveEstimatorEnvelope(replica, state));
+  }
+  WDE_CHECK_OK(io::WriteU8(state, 0));
+  return Reframe(Split(frame), state.bytes());
+}
+
+TEST(ShardedCheckpointTest, RestoreRejectsReplicasThatDoNotMergeIntoThePrototype) {
+  // CRC-valid bytes whose replicas cover [0, 2] beside a [0, 1] prototype:
+  // every refresh of the merged view would merge them. The load, in place
+  // or through a merge, must fail with a Status and leave the target as it
+  // was; the same frame with matching replicas loads.
+  selectivity::EquiWidthHistogram prototype(0.0, 1.0, 16);
+  selectivity::EquiWidthHistogram wider(0.0, 2.0, 16);
+  wider.InsertBatch(UnitStream(71, 500));
+  selectivity::ShardedSelectivityEstimator frame =
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, {});
+  const std::vector<uint8_t> planted =
+      PlantedShardedSnapshot(SnapshotBytesOf(frame), 4096, prototype, wider);
+
+  const Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded = Load(planted);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+
+  const std::vector<Query> queries = Workload();
+  selectivity::ShardedSelectivityEstimator target =
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, {});
+  target.InsertBatch(UnitStream(15, 100));
+  const std::vector<double> before = AnswersOf(target, queries);
+  {
+    io::SpanSource source(planted);
+    ASSERT_TRUE(io::ReadSnapshotHeader(source).ok());
+    EXPECT_EQ(target.LoadState(source).code(), StatusCode::kInvalidArgument);
+  }
+  {
+    io::SpanSource source(planted);
+    EXPECT_FALSE(target.MergeFromSnapshot(source).ok());
+  }
+  EXPECT_EQ(target.count(), 100u);
+  EXPECT_EQ(AnswersOf(target, queries), before);
+
+  selectivity::EquiWidthHistogram matching(0.0, 1.0, 16);
+  matching.InsertBatch(UnitStream(71, 500));
+  const Result<std::unique_ptr<selectivity::SelectivityEstimator>> control =
+      Load(PlantedShardedSnapshot(SnapshotBytesOf(frame), 4096, prototype, matching));
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  EXPECT_EQ((*control)->count(), 1000u);
+}
+
+TEST(ShardedCheckpointTest, RestoreAppliesTheLayoutRuleOfCreate) {
+  // Create rejects a block that would split a 2-D observation across
+  // shards, and more than 65536 shards; so must the loader.
+  selectivity::Grid2dHistogram prototype(0.0, 1.0, 0.0, 1.0, 4);
+  selectivity::ShardedSelectivityEstimator::Options options;
+  options.block_size = 4;
+  const std::vector<uint8_t> frame = SnapshotBytesOf(
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, options));
+  ASSERT_TRUE(Load(PlantedShardedSnapshot(frame, 4, prototype, prototype)).ok());
+  for (const auto& [block_size, shards] :
+       {std::pair<uint64_t, uint64_t>{3, 2}, std::pair<uint64_t, uint64_t>{0, 2},
+        std::pair<uint64_t, uint64_t>{4, 0}, std::pair<uint64_t, uint64_t>{4, 65537}}) {
+    SCOPED_TRACE(testing::Message() << "block " << block_size << " shards " << shards);
+    const Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        Load(PlantedShardedSnapshot(frame, block_size, prototype, prototype, shards));
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
   // The full distributed story: two sharded ingest nodes over disjoint
   // partitions write snapshots; a combiner node restores + merges them and
